@@ -16,15 +16,20 @@ Samples are drawn at sentence granularity (with replacement), growing until
 the token target is reached; overshoot is allowed. All randomness flows
 through numpy SeedSequence spawning, so results are reproducible and
 independent of evaluation order.
+
+A draw is an array of sentence indices, and one draw serves every metric:
+``d_total_tests`` and ``d_dif_tests`` evaluate a ``Sample`` (such as
+``metrics.SentenceStats``, which gives all five metrics from per-sentence
+counts) on each draw. ``test_d_total`` and ``test_d_dif`` run the same
+engine for one metric function over corpora, materializing each draw as a
+corpus, for custom statistics.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -76,38 +81,59 @@ class TTestResult:
     p_value: float
 
 
+# the statistics take floats or arrays of them alike, so observed values
+# and resample series go through one formula
+def _total_distance(f_n, f_nn, f_t):
+    return abs(f_n - f_nn) + abs(f_n - f_t) + abs(f_nn - f_t)
+
+
+def _k_label(f_n: float, f_nn: float, f_t: float) -> str:
+    return "NN" if abs(f_n - f_nn) < abs(f_n - f_t) else "T"
+
+
+def _distance_difference(f_n, f_k, f_nn, f_t):
+    return abs(f_n - f_k) - abs(f_nn - f_t)
+
+
 def d_total(fm: MetricFn, c_n: Corpus, c_nn: Corpus, c_t: Corpus) -> float:
     """Sum of pairwise metric distances between the three varieties."""
-    f_n, f_nn, f_t = fm(c_n), fm(c_nn), fm(c_t)
-    return abs(f_n - f_nn) + abs(f_n - f_t) + abs(f_nn - f_t)
+    return _total_distance(fm(c_n), fm(c_nn), fm(c_t))
 
 
 def choose_k(fm: MetricFn, c_n: Corpus, c_nn: Corpus, c_t: Corpus) -> str:
     """The constrained variety closer to N on the original corpora; ties go
     to T."""
-    f_n, f_nn, f_t = fm(c_n), fm(c_nn), fm(c_t)
-    return "NN" if abs(f_n - f_nn) < abs(f_n - f_t) else "T"
+    return _k_label(fm(c_n), fm(c_nn), fm(c_t))
+
+
+class Sample(Protocol):
+    """A fixed set of sentences to resample: per-sentence token counts, and
+    the metric values of any draw of them, given as sentence indices
+    (``metrics.SentenceStats`` is one)."""
+
+    tokens: np.ndarray
+
+    def values(self, indices: np.ndarray) -> Sequence[float]: ...
 
 
 class _SentencePool:
-    """Sentence-granularity sampler over a fixed corpus."""
+    """Sentence-granularity sampler over fixed per-sentence token counts."""
 
-    def __init__(self, corpus: Corpus):
-        self.sentences = corpus.sentences
-        self.token_counts = np.array([s.token_count for s in corpus.sentences])
-        if len(self.sentences) == 0:
+    def __init__(self, token_counts: np.ndarray):
+        if len(token_counts) == 0:
             raise ValueError("cannot resample an empty corpus")
-        self.mean_tokens = float(self.token_counts.mean())
+        self.token_counts = token_counts
+        self.mean_tokens = float(token_counts.mean())
 
-    def draw(self, rng: np.random.Generator, target_tokens: int) -> Corpus:
-        """Grow a sample with replacement until its token count reaches the
-        target (overshoot allowed)."""
+    def draw(self, rng: np.random.Generator, target_tokens: int) -> np.ndarray:
+        """Sentence indices of a sample grown with replacement until its
+        token count reaches the target (overshoot allowed)."""
         picked: list[np.ndarray] = []
         got = 0
         while got < target_tokens:
             need = target_tokens - got
             batch_size = max(8, int(need / self.mean_tokens * 1.2) + 1)
-            batch = rng.integers(0, len(self.sentences), size=batch_size)
+            batch = rng.integers(0, len(self.token_counts), size=batch_size)
             cumulative = got + np.cumsum(self.token_counts[batch])
             cut = int(np.searchsorted(cumulative, target_tokens, side="left"))
             if cut < batch_size:
@@ -116,11 +142,29 @@ class _SentencePool:
             else:
                 picked.append(batch)
                 got = int(cumulative[-1])
-        indices = np.concatenate(picked)
-        return Corpus(
-            sentences=tuple(self.sentences[i] for i in indices),
-            provenance="bootstrap-sample",
+        return np.concatenate(picked)
+
+
+def _resample(samples: Sequence[Sample], config: BootstrapConfig) -> np.ndarray:
+    """Metric values of every draw: ``[j, s, m]`` is metric m on the draw
+    from ``samples[s]`` in iteration j.
+
+    Iteration j draws from the samples in order with its own generator,
+    spawned from the config seed, so every metric sees the same draws and
+    a draw does not depend on which metrics are evaluated.
+    """
+    pools = [_SentencePool(sample.tokens) for sample in samples]
+    seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rows.append(
+            [
+                sample.values(pool.draw(rng, config.sample_tokens))
+                for sample, pool in zip(samples, pools)
+            ]
         )
+    return np.array(rows, dtype=float)
 
 
 def _percentile_p(series: np.ndarray, observed: float) -> tuple[float, bool]:
@@ -132,6 +176,100 @@ def _percentile_p(series: np.ndarray, observed: float) -> tuple[float, bool]:
     return exceed / len(series), False
 
 
+def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
+    """Nearest-rank percentile of an ascending array."""
+    n = len(sorted_values)
+    idx = max(0, math.ceil(percentile / 100.0 * n) - 1)
+    return float(sorted_values[idx])
+
+
+def d_total_tests(
+    pooled: Sample, observed: Sequence[Sequence[float]], config: BootstrapConfig
+) -> list[BootstrapResult]:
+    """Percentile bootstrap for D_total, one result per metric: all three
+    per-iteration samples are drawn from the pooled corpora, so the resample
+    series estimates the null of exchangeable varieties.
+
+    ``observed`` holds the metric values of the original N, NN and T
+    corpora, one row each.
+    """
+    values = _resample([pooled] * 3, config)
+    series = _total_distance(values[:, 0], values[:, 1], values[:, 2])
+    results = []
+    for m, (f_n, f_nn, f_t) in enumerate(zip(*observed)):
+        statistic = _total_distance(f_n, f_nn, f_t)
+        sorted_series = np.sort(series[:, m])
+        p_value, upper_bound = _percentile_p(sorted_series, statistic)
+        results.append(
+            BootstrapResult(
+                statistic="D_total",
+                observed=statistic,
+                series=tuple(float(v) for v in sorted_series),
+                seed=config.seed,
+                p_value=p_value,
+                p_is_upper_bound=upper_bound,
+                significant=p_value < 0.05,
+            )
+        )
+    return results
+
+
+def d_dif_tests(
+    samples: Sequence[Sample],
+    observed: Sequence[Sequence[float]],
+    config: BootstrapConfig,
+) -> list[BootstrapResult]:
+    """Confidence-interval bootstrap for D_dif with per-corpus resampling,
+    one result per metric; ``samples`` and the rows of ``observed`` are N,
+    NN and T.
+
+    K is fixed once from the original corpora. The 95% interval spans the
+    nearest-rank 2.5th and 97.5th percentiles; a min-end-point above zero
+    flags NN-T proximity as significant (p < 0.05).
+    """
+    values = _resample(samples, config)
+    results = []
+    for m, (f_n, f_nn, f_t) in enumerate(zip(*observed)):
+        k_label = _k_label(f_n, f_nn, f_t)
+        k, f_k = (1, f_nn) if k_label == "NN" else (2, f_t)
+        series = np.sort(
+            _distance_difference(
+                values[:, 0, m], values[:, k, m], values[:, 1, m], values[:, 2, m]
+            )
+        )
+        lo = _nearest_rank(series, 2.5)
+        hi = _nearest_rank(series, 97.5)
+        results.append(
+            BootstrapResult(
+                statistic="D_dif",
+                observed=_distance_difference(f_n, f_k, f_nn, f_t),
+                series=tuple(float(v) for v in series),
+                seed=config.seed,
+                ci=(lo, hi),
+                significant=lo > 0.0,
+                k_label=k_label,
+            )
+        )
+    return results
+
+
+class _CorpusSample:
+    """The sentences of a corpus with one metric, ``fm``, evaluated on the
+    corpus each draw makes."""
+
+    def __init__(self, sentences: tuple, fm: MetricFn):
+        self.sentences = sentences
+        self.tokens = np.array([s.token_count for s in sentences])
+        self.fm = fm
+
+    def values(self, indices: np.ndarray) -> tuple[float]:
+        sample = Corpus(
+            sentences=tuple(self.sentences[i] for i in indices),
+            provenance="bootstrap-sample",
+        )
+        return (self.fm(sample),)
+
+
 def test_d_total(
     fm: MetricFn,
     c_n: Corpus,
@@ -139,40 +277,11 @@ def test_d_total(
     c_t: Corpus,
     config: BootstrapConfig,
 ) -> BootstrapResult:
-    """Percentile bootstrap for D_total: all three per-iteration samples are
-    drawn from the pooled corpus, so the resample series estimates the null
-    of exchangeable varieties."""
-    observed = d_total(fm, c_n, c_nn, c_t)
-    pool = _SentencePool(
-        Corpus(
-            sentences=c_n.sentences + c_nn.sentences + c_t.sentences,
-            provenance="pooled",
-        )
-    )
-    seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
-    series = np.empty(config.iterations)
-    for j in range(config.iterations):
-        rng = np.random.default_rng(seeds[j])
-        samples = [pool.draw(rng, config.sample_tokens) for _ in range(3)]
-        series[j] = d_total(fm, samples[0], samples[1], samples[2])
-    series.sort()
-    p_value, upper_bound = _percentile_p(series, observed)
-    return BootstrapResult(
-        statistic="D_total",
-        observed=observed,
-        series=tuple(float(v) for v in series),
-        seed=config.seed,
-        p_value=p_value,
-        p_is_upper_bound=upper_bound,
-        significant=p_value < 0.05,
-    )
-
-
-def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile of an ascending array."""
-    n = len(sorted_values)
-    idx = max(0, math.ceil(percentile / 100.0 * n) - 1)
-    return float(sorted_values[idx])
+    """Percentile bootstrap for D_total of one metric function: the
+    ``d_total_tests`` engine, with each draw built as a corpus for ``fm``."""
+    observed = [[fm(c)] for c in (c_n, c_nn, c_t)]
+    pooled = _CorpusSample(c_n.sentences + c_nn.sentences + c_t.sentences, fm)
+    return d_total_tests(pooled, observed, config)[0]
 
 
 def test_d_dif(
@@ -182,43 +291,12 @@ def test_d_dif(
     c_t: Corpus,
     config: BootstrapConfig,
 ) -> BootstrapResult:
-    """Confidence-interval bootstrap for D_dif with per-corpus resampling.
-
-    K is fixed once from the original corpora. The 95% interval spans the
-    nearest-rank 2.5th and 97.5th percentiles; a min-end-point above zero
-    flags NN-T proximity as significant (p < 0.05).
-    """
-    k_label = choose_k(fm, c_n, c_nn, c_t)
-    c_k = c_nn if k_label == "NN" else c_t
-    observed = abs(fm(c_n) - fm(c_k)) - abs(fm(c_nn) - fm(c_t))
-    pools = {
-        "N": _SentencePool(c_n),
-        "NN": _SentencePool(c_nn),
-        "T": _SentencePool(c_t),
-    }
-    seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
-    series = np.empty(config.iterations)
-    for j in range(config.iterations):
-        rng = np.random.default_rng(seeds[j])
-        f_vals = {
-            name: fm(pool.draw(rng, config.sample_tokens))
-            for name, pool in pools.items()
-        }
-        series[j] = abs(f_vals["N"] - f_vals[k_label]) - abs(
-            f_vals["NN"] - f_vals["T"]
-        )
-    series.sort()
-    lo = _nearest_rank(series, 2.5)
-    hi = _nearest_rank(series, 97.5)
-    return BootstrapResult(
-        statistic="D_dif",
-        observed=observed,
-        series=tuple(float(v) for v in series),
-        seed=config.seed,
-        ci=(lo, hi),
-        significant=lo > 0.0,
-        k_label=k_label,
-    )
+    """Confidence-interval bootstrap for D_dif of one metric function: the
+    ``d_dif_tests`` engine, with each draw built as a corpus for ``fm``."""
+    corpora = (c_n, c_nn, c_t)
+    observed = [[fm(c)] for c in corpora]
+    samples = [_CorpusSample(c.sentences, fm) for c in corpora]
+    return d_dif_tests(samples, observed, config)[0]
 
 
 def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestResult:
@@ -239,25 +317,3 @@ def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestR
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t=t, df=df, p_value=p)
-
-
-def write_result_json(result: BootstrapResult, metric: str, path: str | Path) -> None:
-    """Per-test JSON artifact (series omitted; observed, p/CI, flag, seed)."""
-    payload: dict = {
-        "metric": metric,
-        "statistic": result.statistic,
-        "observed": result.observed,
-        "iterations": result.iterations,
-        "seed": result.seed,
-        "significant": result.significant,
-    }
-    if result.p_value is not None:
-        payload["p_value"] = result.p_value
-        payload["p_is_upper_bound"] = result.p_is_upper_bound
-    if result.ci is not None:
-        payload["ci"] = [result.ci[0], result.ci[1]]
-    if result.k_label is not None:
-        payload["k"] = result.k_label
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -78,6 +78,15 @@ class FeatureSpace:
     def key_index(self) -> dict[str, int]:
         return {key: i for i, key in enumerate(self.keys)}
 
+    @cached_property
+    def phrases(self) -> PhraseList:
+        """The keys as one phrase list, built once per space (COH spaces
+        match chunks against it)."""
+        return PhraseList(
+            name="coh-space",
+            entries=tuple(PhraseEntry(tokens=tuple(k.split())) for k in self.keys),
+        )
+
     def feature_names(self) -> list[str]:
         return [f"{self.family}:{key}" for key in self.keys]
 
@@ -270,15 +279,7 @@ def _counts_for_space(chunk: Chunk, space: FeatureSpace) -> Counter:
     if space.family == POSTOK:
         return _postok_counts(chunk)
     if space.family == COH:
-        phrases = PhraseList(
-            name="coh-space",
-            entries=tuple(PhraseEntry(tokens=tuple(k.split())) for k in space.keys),
-        )
-        counts: Counter = Counter()
-        for sent in chunk.sentences:
-            for entry, _ in match_phrases(sent.surfaces(), phrases):
-                counts[entry.text] += 1
-        return counts
+        return _coh_counts(chunk, space.phrases)
     raise ValueError(f"unknown feature family {space.family!r}")
 
 

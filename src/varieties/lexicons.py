@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -62,6 +63,18 @@ class PhraseList:
 
     def phrase_texts(self) -> list[str]:
         return [e.text for e in self.entries]
+
+    @cached_property
+    def by_first(self) -> dict[str, tuple[PhraseEntry, ...]]:
+        """Entries keyed by their first token, longest first (ties in token
+        order), built once per list for ``match_phrases``."""
+        grouped: dict[str, list[PhraseEntry]] = {}
+        for entry in self.entries:
+            grouped.setdefault(entry.tokens[0], []).append(entry)
+        return {
+            first: tuple(sorted(candidates, key=lambda e: (-len(e.tokens), e.tokens)))
+            for first, candidates in grouped.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -208,12 +221,7 @@ def match_phrases(
     past it, so reported spans never overlap.
     """
     lowered = [t.lower() for t in tokens]
-    by_first: dict[str, list[PhraseEntry]] = {}
-    for entry in phrases.entries:
-        by_first.setdefault(entry.tokens[0], []).append(entry)
-    for candidates in by_first.values():
-        candidates.sort(key=lambda e: (-len(e.tokens), e.tokens))
-
+    by_first = phrases.by_first
     matches: list[tuple[PhraseEntry, int]] = []
     i = 0
     n = len(lowered)

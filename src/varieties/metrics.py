@@ -8,6 +8,13 @@ Each metric maps a corpus to a nonnegative scalar:
   TRANSITIONS         sentence-transition markers per token
   PRONOUNS            PRP / PRP$ tokens per token
 
+Every metric is an aggregate of per-sentence quantities: pronoun, transition
+and rank counts are sums over sentences, TTR and collocation types count the
+distinct lemmas or idioms of the sentences. ``SentenceStats`` counts them
+once per corpus and evaluates all five metrics on any sample of its
+sentences, which is how the bootstrap resamples them; the corpus functions
+read the same counting helpers.
+
 Metric triples over (N, T, NN) corpora are compared after dividing each
 value by the triple's sum, which makes them scale-invariant.
 """
@@ -16,9 +23,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .corpus import Corpus
-from .lexicons import PhraseList, RankList, WordList, match_phrases
+import numpy as np
+
+from .corpus import Corpus, Token
+from .lexicons import PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
 MEAN_WORD_RANK = "MEAN_WORD_RANK"
@@ -61,24 +71,25 @@ class SizeCheck:
     offenders: tuple[str, ...] = ()
 
 
-def ttr(corpus: Corpus) -> MetricValue:
-    """Distinct (lemmatized) tokens over total tokens; lemma falls back to
-    the lowercased surface."""
-    if corpus.token_count == 0:
-        raise ValueError("cannot compute TTR of an empty corpus")
-    lemmas = {tok.lemma_or_surface for tok in corpus.tokens()}
-    return MetricValue(
-        metric=TTR, raw=len(lemmas) / corpus.token_count, basis=corpus.token_count
-    )
+# ---------------------------------------------------------------------------
+# counting: the one counting path behind each metric, read by the corpus
+# functions (over a corpus's whole token stream) and by SentenceStats (per
+# sentence)
 
 
-def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue:
-    """Mean frequency rank over tokens that are neither function words nor
-    missing from the rank list; excluded tokens leave both numerator and
-    denominator."""
+def _lemmas(tokens: Iterable[Token]) -> set[str]:
+    """Distinct lemmas; lemma falls back to the surface."""
+    return {tok.lemma_or_surface for tok in tokens}
+
+
+def _rank_counts(
+    tokens: Iterable[Token], ranks: RankList, fw: WordList
+) -> tuple[int, int]:
+    """(rank sum, ranked-token count) over tokens that are neither function
+    words nor missing from the rank list."""
     total = 0
     included = 0
-    for tok in corpus.tokens():
+    for tok in tokens:
         if tok.surface in fw:
             continue
         rank = ranks.rank(tok.surface)
@@ -86,9 +97,79 @@ def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue
             continue
         total += rank
         included += 1
+    return total, included
+
+
+def _phrase_texts(surfaces: list[str], phrases: PhraseList) -> list[str]:
+    """Texts of a sentence's phrase matches, in order (phrases never span
+    sentences)."""
+    return [entry.text for entry, _ in match_phrases(surfaces, phrases)]
+
+
+def _pronoun_count(tokens: Iterable[Token]) -> int:
+    hits = 0
+    for tok in tokens:
+        if tok.pos is None:
+            raise ValueError(f"token {tok.surface!r} is missing its POS tag")
+        if tok.pos in _PRONOUN_TAGS:
+            hits += 1
+    return hits
+
+
+def _check_markers(markers: PhraseList) -> None:
+    if len(markers) == 0:
+        raise ValueError("empty transition-marker list")
+
+
+# ---------------------------------------------------------------------------
+# metric values from aggregated counts, with each metric's checks
+
+
+def _ttr_value(distinct: int, tokens: int) -> MetricValue:
+    if tokens == 0:
+        raise ValueError("cannot compute TTR of an empty corpus")
+    return MetricValue(metric=TTR, raw=distinct / tokens, basis=tokens)
+
+
+def _rank_value(total: int, included: int) -> MetricValue:
     if included == 0:
         raise ValueError("no token is covered by the rank list")
     return MetricValue(metric=MEAN_WORD_RANK, raw=total / included, basis=included)
+
+
+def _collocation_value(types: int, tokens: int) -> MetricValue:
+    if tokens == 0:
+        raise ValueError("cannot scan an empty corpus for idioms")
+    return MetricValue(metric=COLLOCATION_TYPES, raw=float(types), basis=tokens)
+
+
+def _transition_value(hits: int, tokens: int) -> MetricValue:
+    if tokens == 0:
+        raise ValueError("cannot scan an empty corpus for transitions")
+    return MetricValue(metric=TRANSITIONS, raw=hits / tokens, basis=tokens)
+
+
+def _pronoun_value(hits: int, tokens: int) -> MetricValue:
+    if tokens == 0:
+        raise ValueError("cannot compute pronoun frequency of an empty corpus")
+    return MetricValue(metric=PRONOUNS, raw=hits / tokens, basis=tokens)
+
+
+# ---------------------------------------------------------------------------
+# the metrics of one corpus
+
+
+def ttr(corpus: Corpus) -> MetricValue:
+    """Distinct (lemmatized) tokens over total tokens; lemma falls back to
+    the lowercased surface."""
+    return _ttr_value(len(_lemmas(corpus.tokens())), corpus.token_count)
+
+
+def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue:
+    """Mean frequency rank over tokens that are neither function words nor
+    missing from the rank list; excluded tokens leave both numerator and
+    denominator."""
+    return _rank_value(*_rank_counts(corpus.tokens(), ranks, fw))
 
 
 def idiom_token_counts(corpus: Corpus, idioms: PhraseList) -> dict[str, int]:
@@ -96,49 +177,161 @@ def idiom_token_counts(corpus: Corpus, idioms: PhraseList) -> dict[str, int]:
     frequency queries)."""
     counts: Counter = Counter()
     for sent in corpus.sentences:
-        for entry, _ in match_phrases(sent.surfaces(), idioms):
-            counts[entry.text] += 1
+        counts.update(_phrase_texts(sent.surfaces(), idioms))
     return dict(counts)
 
 
 def collocation_types(corpus: Corpus, idioms: PhraseList) -> MetricValue:
     """Number of distinct idiom types with at least one match."""
-    if corpus.token_count == 0:
-        raise ValueError("cannot scan an empty corpus for idioms")
     types = idiom_token_counts(corpus, idioms)
-    return MetricValue(
-        metric=COLLOCATION_TYPES, raw=float(len(types)), basis=corpus.token_count
-    )
+    return _collocation_value(len(types), corpus.token_count)
 
 
 def transitions(corpus: Corpus, markers: PhraseList) -> MetricValue:
     """Sentence-transition matches per token."""
-    if len(markers) == 0:
-        raise ValueError("empty transition-marker list")
-    if corpus.token_count == 0:
-        raise ValueError("cannot scan an empty corpus for transitions")
-    hits = 0
-    for sent in corpus.sentences:
-        hits += len(match_phrases(sent.surfaces(), markers))
-    return MetricValue(
-        metric=TRANSITIONS, raw=hits / corpus.token_count, basis=corpus.token_count
-    )
+    _check_markers(markers)
+    hits = sum(len(_phrase_texts(sent.surfaces(), markers)) for sent in corpus.sentences)
+    return _transition_value(hits, corpus.token_count)
 
 
 def pronouns(corpus: Corpus) -> MetricValue:
     """Personal + possessive pronouns (PRP, PRP$) per token; requires POS
     tags on every token."""
-    if corpus.token_count == 0:
-        raise ValueError("cannot compute pronoun frequency of an empty corpus")
-    hits = 0
-    for tok in corpus.tokens():
-        if tok.pos is None:
-            raise ValueError(f"token {tok.surface!r} is missing its POS tag")
-        if tok.pos in _PRONOUN_TAGS:
-            hits += 1
-    return MetricValue(
-        metric=PRONOUNS, raw=hits / corpus.token_count, basis=corpus.token_count
-    )
+    return _pronoun_value(_pronoun_count(corpus.tokens()), corpus.token_count)
+
+
+# ---------------------------------------------------------------------------
+# the metrics of sentence samples
+
+
+@dataclass(frozen=True)
+class _IdSets:
+    """One set of strings per sentence, as ids into ``vocab`` in CSR form:
+    sentence i holds ``ids[ptr[i]:ptr[i + 1]]``."""
+
+    vocab: tuple[str, ...]
+    ptr: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, sets: Iterable[set[str]]) -> "_IdSets":
+        index: dict[str, int] = {}
+        ptr = [0]
+        ids: list[int] = []
+        for texts in sets:
+            ids.extend(index.setdefault(text, len(index)) for text in sorted(texts))
+            ptr.append(len(ids))
+        return cls(
+            vocab=tuple(index),
+            ptr=np.array(ptr, dtype=np.int64),
+            ids=np.array(ids, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["_IdSets"]) -> "_IdSets":
+        index: dict[str, int] = {}
+        ids = []
+        ptr = [np.zeros(1, dtype=np.int64)]
+        for part in parts:
+            remap = np.array(
+                [index.setdefault(text, len(index)) for text in part.vocab],
+                dtype=np.int64,
+            )
+            ids.append(remap[part.ids])
+            ptr.append(part.ptr[1:] + ptr[-1][-1])
+        return cls(vocab=tuple(index), ptr=np.concatenate(ptr), ids=np.concatenate(ids))
+
+    def distinct(self, rows: np.ndarray) -> int:
+        """Number of distinct strings over the sentences ``rows`` (pass
+        each row once: repeats only add work)."""
+        starts = self.ptr[rows]
+        lengths = self.ptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        # position of every id of the selected sentences, row after row
+        positions = np.repeat(starts - ends + lengths, lengths) + np.arange(
+            int(lengths.sum())
+        )
+        return int(np.count_nonzero(np.bincount(self.ids[positions])))
+
+
+# the integer counts of SentenceStats, one int64 array each
+_COUNTS = ("tokens", "pronouns", "rank_sum", "ranked", "transitions")
+
+
+@dataclass(frozen=True)
+class SentenceStats:
+    """Per-sentence quantities behind the five metrics, counted once per
+    corpus.
+
+    Every metric is an exact integer aggregate of them, so ``values`` gives
+    the metrics of any sample of sentences (given as indices, repeats
+    allowed) without building the sampled corpus: sums of gathered counts,
+    and distinct lemma / idiom counts over the distinct sentences drawn.
+    """
+
+    tokens: np.ndarray
+    pronouns: np.ndarray
+    rank_sum: np.ndarray
+    ranked: np.ndarray
+    transitions: np.ndarray
+    lemmas: _IdSets
+    idioms: _IdSets
+
+    @classmethod
+    def of(cls, corpus: Corpus, resources: Resources) -> "SentenceStats":
+        """Count every sentence of ``corpus``; raises on the first token
+        that lacks a POS tag, as ``pronouns`` does."""
+        markers = resources.sentence_transitions()
+        _check_markers(markers)
+        counts: dict[str, list[int]] = {name: [] for name in _COUNTS}
+        lemmas = []
+        idioms = []
+        for sent in corpus.sentences:
+            surfaces = sent.surfaces()
+            rank_sum, ranked = _rank_counts(
+                sent.tokens, resources.word_ranks, resources.function_words
+            )
+            counts["tokens"].append(sent.token_count)
+            counts["pronouns"].append(_pronoun_count(sent.tokens))
+            counts["rank_sum"].append(rank_sum)
+            counts["ranked"].append(ranked)
+            counts["transitions"].append(len(_phrase_texts(surfaces, markers)))
+            lemmas.append(_lemmas(sent.tokens))
+            idioms.append(set(_phrase_texts(surfaces, resources.idioms)))
+        return cls(
+            **{name: np.array(values, dtype=np.int64) for name, values in counts.items()},
+            lemmas=_IdSets.of(lemmas),
+            idioms=_IdSets.of(idioms),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["SentenceStats"]) -> "SentenceStats":
+        """The statistics of the concatenated corpora, from those of the
+        parts (counted with the same resources)."""
+        return cls(
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _COUNTS},
+            lemmas=_IdSets.concat([p.lemmas for p in parts]),
+            idioms=_IdSets.concat([p.idioms for p in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def values(self, indices: np.ndarray) -> tuple[float, ...]:
+        """The raw metrics, in ``METRIC_NAMES`` order, of the sample made of
+        the sentences at ``indices``; equal to the metric functions on that
+        sample's corpus."""
+        tokens = int(self.tokens[indices].sum())
+        rows = np.unique(indices)
+        return (
+            _ttr_value(self.lemmas.distinct(rows), tokens).raw,
+            _rank_value(
+                int(self.rank_sum[indices].sum()), int(self.ranked[indices].sum())
+            ).raw,
+            _collocation_value(self.idioms.distinct(rows), tokens).raw,
+            _transition_value(int(self.transitions[indices].sum()), tokens).raw,
+            _pronoun_value(int(self.pronouns[indices].sum()), tokens).raw,
+        )
 
 
 def noun_frequency(corpus: Corpus) -> MetricValue:

@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import bootstrap as boot
 from . import clustering as clus
 from . import features as feat
@@ -361,17 +363,14 @@ def cmd_cluster(config: PipelineConfig, out_dir: Path) -> None:
     stage.finish(resources_manifest)
 
 
-def _metric_functions(resources: Resources) -> dict[str, Callable[[Corpus], float]]:
-    transitions_list = resources.sentence_transitions()
-    return {
-        "lexical_richness": lambda c: met.ttr(c).raw,
-        "mean_word_rank": lambda c: met.mean_word_rank(
-            c, resources.word_ranks, resources.function_words
-        ).raw,
-        "collocation_types": lambda c: met.collocation_types(c, resources.idioms).raw,
-        "transitions": lambda c: met.transitions(c, transitions_list).raw,
-        "pronouns": lambda c: met.pronouns(c).raw,
-    }
+# pipeline names of the metrics, in metrics.METRIC_NAMES order
+METRIC_ROWS = (
+    "lexical_richness",
+    "mean_word_rank",
+    "collocation_types",
+    "transitions",
+    "pronouns",
+)
 
 
 def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
@@ -387,22 +386,24 @@ def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
     sample_tokens = config.sample_tokens or min(
         c.token_count for c in corpora.values()
     )
+    stats = [met.SentenceStats.of(corpora[v], resources) for v in ("N", "NN", "T")]
+    observed = [s.values(np.arange(len(s))) for s in stats]
+    boot_config = boot.BootstrapConfig(
+        sample_tokens=sample_tokens,
+        iterations=config.bootstrap_iterations,
+        seed=config.seed,
+    )
+    total_results = boot.d_total_tests(
+        met.SentenceStats.concat(stats), observed, boot_config
+    )
+    dif_results = boot.d_dif_tests(stats, observed, boot_config)
     csv_rows = []
     payload = {}
-    for name, fm in _metric_functions(resources).items():
-        raw = {v: fm(corpora[v]) for v in ("N", "NN", "T")}
+    for m, name in enumerate(METRIC_ROWS):
+        raw = dict(zip(("N", "NN", "T"), (values[m] for values in observed)))
         triple = met.normalize_triple(name, raw["N"], raw["T"], raw["NN"])
-        total_cfg = boot.BootstrapConfig(
-            sample_tokens=sample_tokens,
-            iterations=config.bootstrap_iterations,
-            seed=config.seed,
-        )
-        total_result = boot.test_d_total(
-            fm, corpora["N"], corpora["NN"], corpora["T"], total_cfg
-        )
-        dif_result = boot.test_d_dif(
-            fm, corpora["N"], corpora["NN"], corpora["T"], total_cfg
-        )
+        total_result = total_results[m]
+        dif_result = dif_results[m]
         star = bool(dif_result.significant)
         csv_rows.append(
             [

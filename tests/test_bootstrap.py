@@ -1,16 +1,27 @@
-import json
-
 import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
 from oracles import t_two_tailed_numeric
-from synthdata import vocab_corpus
-from varieties.bootstrap import BootstrapConfig, choose_k, d_total, paired_ttest
+from synthdata import metrics_corpus, vocab_corpus
+from varieties.bootstrap import (
+    BootstrapConfig,
+    choose_k,
+    d_dif_tests,
+    d_total,
+    d_total_tests,
+    paired_ttest,
+)
 from varieties.bootstrap import test_d_dif as run_d_dif
 from varieties.bootstrap import test_d_total as run_d_total
-from varieties.bootstrap import write_result_json
-from varieties.metrics import ttr
+from varieties.metrics import (
+    SentenceStats,
+    collocation_types,
+    mean_word_rank,
+    pronouns,
+    transitions,
+    ttr,
+)
 
 
 def constant_metric(value):
@@ -242,17 +253,46 @@ class TestPairedTtest:
             paired_ttest([1.0, 2.0], [1.0])
 
 
-class TestResultJson:
-    def test_payload_shape(self, tmp_path):
-        corpora = [
-            vocab_corpus(v, 60, 60, seed=s) for v, s in (("N", 1), ("NN", 2), ("T", 3))
-        ]
-        config = BootstrapConfig(sample_tokens=300, iterations=20, seed=7)
-        result = run_d_total(_ttr_metric, *corpora, config)
-        path = tmp_path / "out.json"
-        write_result_json(result, "lexical_richness", path)
-        payload = json.loads(path.read_text())
-        assert payload["metric"] == "lexical_richness"
-        assert payload["iterations"] == 20
-        assert payload["seed"] == 7
-        assert "p_value" in payload
+def metric_functions(resources):
+    """The five metrics as corpus -> float, in METRIC_NAMES order."""
+    markers = resources.sentence_transitions()
+    return (
+        lambda c: ttr(c).raw,
+        lambda c: mean_word_rank(c, resources.word_ranks, resources.function_words).raw,
+        lambda c: collocation_types(c, resources.idioms).raw,
+        lambda c: transitions(c, markers).raw,
+        lambda c: pronouns(c).raw,
+    )
+
+
+class TestStatsEngine:
+    """One draw per iteration serves all five metrics; the corpus-callable
+    tests run the same engine on the same draws."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        return [metrics_corpus(v, 60, seed=4) for v in ("N", "NN", "T")]
+
+    def test_series_equal_the_callable_tests(self, resources, corpora):
+        stats = [SentenceStats.of(c, resources) for c in corpora]
+        observed = [s.values(np.arange(len(s))) for s in stats]
+        config = BootstrapConfig(sample_tokens=500, iterations=25, seed=6)
+        totals = d_total_tests(SentenceStats.concat(stats), observed, config)
+        difs = d_dif_tests(stats, observed, config)
+        for m, fm in enumerate(metric_functions(resources)):
+            assert totals[m] == run_d_total(fm, *corpora, config)
+            assert difs[m] == run_d_dif(fm, *corpora, config)
+
+    def test_draw_without_ranked_token_raises(self, resources):
+        ranked = make_sentence(["the", "world"], pos=["DT", "NN"])
+        unranked = make_sentence(["zyzzyva", "the"], pos=["NN", "DT"])
+        corpus = make_corpus([ranked, unranked, unranked])
+        stats = SentenceStats.of(corpus, resources)
+        observed = [stats.values(np.arange(len(stats)))] * 3
+        # one-sentence samples: some draw of 50 holds only unranked sentences
+        config = BootstrapConfig(sample_tokens=1, iterations=50, seed=0)
+        with pytest.raises(ValueError, match="rank list"):
+            d_dif_tests([stats] * 3, observed, config)
+        fm = metric_functions(resources)[1]
+        with pytest.raises(ValueError, match="rank list"):
+            run_d_dif(fm, corpus, corpus, corpus, config)

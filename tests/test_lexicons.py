@@ -143,6 +143,13 @@ class TestMatchPhrases:
         phrases = _phrases("red tape")
         assert match_phrases(["Red", "TAPE"], phrases)
 
+    def test_index_built_once_longest_first(self):
+        phrases = _phrases("in", "in light of", "in addition", "red tape")
+        index = phrases.by_first
+        assert phrases.by_first is index
+        assert [e.text for e in index["in"]] == ["in light of", "in addition", "in"]
+        assert [e.text for e in index["red"]] == ["red tape"]
+
     def test_no_overlap_and_verbatim_spans(self):
         phrases = _phrases("a b", "b a")
         tokens = ["a", "b", "a", "b"]

@@ -1,8 +1,14 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
+from synthdata import lm_family_corpus, metrics_corpus, variety_corpus
+from varieties.corpus import Corpus, concat
 from varieties.lexicons import PhraseEntry, PhraseList, RankList, WordList
 from varieties.metrics import (
+    SentenceStats,
     check_sizes,
     collocation_types,
     idiom_token_counts,
@@ -212,3 +218,113 @@ class TestNormalizeTriple:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             normalize_triple("TTR", 0.0, 0.0, 0.0)
+
+
+def lemmatized(corpus):
+    """Every third token lemmatized to its first three letters, so lemmas
+    merge surfaces."""
+    return make_corpus(
+        [
+            make_sentence(
+                s.surfaces(),
+                variety=s.variety,
+                pos=[t.pos for t in s.tokens],
+                lemma=[t.surface[:3] if i % 3 == 0 else None for i, t in enumerate(s.tokens)],
+            )
+            for s in corpus.sentences
+        ]
+    )
+
+
+STATS_CORPORA = {
+    "metrics-N": metrics_corpus("N", 80, seed=1),
+    "metrics-null": metrics_corpus("T", 80, seed=3, null=True),
+    "variety-NN": variety_corpus("NN", 60, seed=2),
+    "lm-planted": lm_family_corpus("T", "Romance", 80, seed=4, plant_phrases=True),
+    "lemmatized": lemmatized(metrics_corpus("NN", 60, seed=5)),
+}
+
+
+def metric_values(corpus, resources):
+    """The five metric functions, in METRIC_NAMES order."""
+    return (
+        ttr(corpus).raw,
+        mean_word_rank(corpus, resources.word_ranks, resources.function_words).raw,
+        collocation_types(corpus, resources.idioms).raw,
+        transitions(corpus, resources.sentence_transitions()).raw,
+        pronouns(corpus).raw,
+    )
+
+
+def drawn(corpus, indices):
+    return Corpus(sentences=tuple(corpus.sentences[i] for i in indices))
+
+
+class TestSentenceStats:
+    @pytest.mark.parametrize("name", sorted(STATS_CORPORA))
+    def test_all_sentences_equal_the_metric_functions(self, resources, name):
+        corpus = STATS_CORPORA[name]
+        stats = SentenceStats.of(corpus, resources)
+        assert len(stats) == len(corpus)
+        assert stats.values(np.arange(len(stats))) == metric_values(corpus, resources)
+
+    @pytest.mark.parametrize("name", sorted(STATS_CORPORA))
+    def test_index_draws_equal_the_drawn_corpus(self, resources, name):
+        corpus = STATS_CORPORA[name]
+        stats = SentenceStats.of(corpus, resources)
+        rng = np.random.default_rng(7)
+        for size in (1, 5, 40, 200):
+            indices = rng.integers(0, len(corpus), size=size)
+            assert stats.values(indices) == metric_values(drawn(corpus, indices), resources)
+
+    def test_concat_equals_stats_of_the_concatenated_corpus(self, resources):
+        parts = [STATS_CORPORA[name] for name in ("metrics-N", "lemmatized", "lm-planted")]
+        pooled = SentenceStats.concat([SentenceStats.of(c, resources) for c in parts])
+        whole = concat(parts)
+        recounted = SentenceStats.of(whole, resources)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            indices = rng.integers(0, len(whole), size=150)
+            expected = metric_values(drawn(whole, indices), resources)
+            assert pooled.values(indices) == expected
+            assert recounted.values(indices) == expected
+
+    def test_missing_pos_named_like_pronouns(self, resources):
+        corpus = make_corpus(
+            [
+                make_sentence(["he", "said"], pos=["PRP", "VBD"]),
+                make_sentence(["she", "wrote", "it"], pos=["PRP", None, "PRP"]),
+            ]
+        )
+        with pytest.raises(ValueError, match="'wrote' is missing its POS tag"):
+            pronouns(corpus)
+        with pytest.raises(ValueError, match="'wrote' is missing its POS tag"):
+            SentenceStats.of(corpus, resources)
+
+    def test_draw_without_ranked_token_rejected(self, resources):
+        corpus = make_corpus(
+            [
+                make_sentence(["the", "world"], pos=["DT", "NN"]),
+                make_sentence(["zyzzyva", "the"], pos=["NN", "DT"]),
+            ]
+        )
+        stats = SentenceStats.of(corpus, resources)
+        stats.values(np.array([0, 1]))
+        with pytest.raises(ValueError, match="rank list"):
+            stats.values(np.array([1, 1]))
+
+    def test_empty_corpus_rejected(self, resources):
+        stats = SentenceStats.of(Corpus(sentences=()), resources)
+        with pytest.raises(ValueError, match="empty corpus"):
+            stats.values(np.arange(0))
+
+    def test_empty_marker_list_rejected(self, resources):
+        no_transitions = dataclasses.replace(
+            resources,
+            cohesive_markers=PhraseList(
+                name="m", entries=(PhraseEntry(tokens=("thus",), category="other"),)
+            ),
+        )
+        corpus = make_corpus([make_sentence(["thus"], pos=["RB"])])
+        with pytest.raises(ValueError, match="empty transition-marker list"):
+            SentenceStats.of(corpus, no_transitions)

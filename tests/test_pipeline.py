@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -263,26 +264,47 @@ class TestClusterStage:
             assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes()
 
 
+# sha256 of the metrics stage's outputs on the metrics_data corpora at two
+# seeds, recorded from the corpus-by-corpus implementation that the
+# per-sentence statistics replaced; any drift in metric values, resample
+# draws or formatting fails here
+METRICS_DIGESTS = {
+    8: {
+        "metrics/metrics.csv": "5801af10e6312396b819a5869fd445a284c087738653fb1e17e724593415572c",
+        "metrics/metrics.json": "76d1409dbeadf2323603d32c957543ec5ee48061b008f074578275a15e469511",
+    },
+    3: {
+        "metrics/metrics.csv": "24e6f548f6cf5ca2fd1d2b3319851d4372c20f4e0e8acc21c0dcf4759ede5a5c",
+        "metrics/metrics.json": "c57fe030045c2584aa4c682a2888a5f800f6209c866d4a9954825479264f6cd1",
+    },
+}
+
+
 @pytest.fixture(scope="module")
-def metrics_out(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("metrics_run")
-    data = tmp / "data"
-    data.mkdir()
+def metrics_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("metrics_data")
     for variety in ("N", "NN", "T"):
         write_jsonl(metrics_corpus(variety, 260, seed=6), data / f"{variety}.jsonl")
-    cfg = load_config(
-        write_config(
-            tmp / "run.cfg",
-            corpus_n=data / "N.jsonl",
-            corpus_nn=data / "NN.jsonl",
-            corpus_t=data / "T.jsonl",
-            out=tmp / "out",
-            seed=8,
-            bootstrap_iterations=150,
-        ),
-        env={},
+    return data
+
+
+def metrics_config(data: Path, tmp: Path, **extra) -> Path:
+    values = dict(
+        corpus_n=data / "N.jsonl",
+        corpus_nn=data / "NN.jsonl",
+        corpus_t=data / "T.jsonl",
+        out=tmp / "out",
+        seed=8,
+        bootstrap_iterations=150,
     )
-    return run_stage("metrics", cfg)
+    values.update(extra)
+    return write_config(tmp / "run.cfg", **values)
+
+
+@pytest.fixture(scope="module")
+def metrics_out(metrics_data, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("metrics_run")
+    return run_stage("metrics", load_config(metrics_config(metrics_data, tmp), env={}))
 
 
 class TestMetricsStage:
@@ -307,6 +329,32 @@ class TestMetricsStage:
                        "mean_word_rank"):
             assert payload[metric]["d_dif"]["significant"], metric
             assert payload[metric]["d_total"]["p_is_upper_bound"], metric
+
+    @pytest.mark.parametrize("seed", sorted(METRICS_DIGESTS))
+    def test_outputs_match_recorded_digests(self, metrics_data, tmp_path, seed):
+        cfg = load_config(metrics_config(metrics_data, tmp_path, seed=seed), env={})
+        out = run_stage("metrics", cfg)
+        for rel, digest in METRICS_DIGESTS[seed].items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+    def test_untagged_token_fails_the_run(self, tmp_path, capsys):
+        data = tmp_path / "untagged"
+        data.mkdir()
+        for variety in ("N", "NN", "T"):
+            corpus = metrics_corpus(variety, 60, seed=4)
+            if variety == "NN":
+                sentences = list(corpus.sentences)
+                tokens = list(sentences[5].tokens)
+                tokens[2] = Token(surface=tokens[2].surface)
+                sentences[5] = AnnotatedSentence(tokens=tuple(tokens), variety="NN")
+                corpus = Corpus(sentences=tuple(sentences))
+                untagged = tokens[2].surface
+            write_jsonl(corpus, data / f"{variety}.jsonl")
+        cfg_path = metrics_config(data, tmp_path, bootstrap_iterations=5)
+        assert main(["metrics", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: token {untagged!r} is missing its POS tag" in err
+        assert not (tmp_path / "out" / "metrics" / "metrics.csv").exists()
 
     def test_null_corpora_earn_no_stars(self, tmp_path):
         data = tmp_path / "null"
