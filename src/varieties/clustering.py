@@ -197,10 +197,10 @@ def pca_2d(vectors: np.ndarray) -> Projection2D:
 # evaluation
 
 
-def cluster_accuracy(
+def _best_mapping(
     assignment: Sequence[int] | np.ndarray, true_labels: Sequence[Hashable]
-) -> float:
-    """Best fraction matched over cluster->label assignments.
+) -> tuple[int, dict[int, Hashable]]:
+    """(hits, cluster->label map) of the first mapping with the most hits.
 
     Mappings are injective when there are at least as many labels as
     clusters (permutation matching); with more clusters than labels every
@@ -220,14 +220,26 @@ def cluster_accuracy(
         mappings = permutations(range(len(labels)), len(cluster_ids))
     else:
         mappings = product(range(len(labels)), repeat=len(cluster_ids))
-    best = 0
+    best_hits = -1
+    best_mapping: tuple[int, ...] = ()
     for mapping in mappings:
         translate = dict(zip(cluster_ids, mapping))
         hits = sum(
             int(translate[c] == t) for c, t in zip(assignment.tolist(), true.tolist())
         )
-        best = max(best, hits)
-    return best / len(assignment)
+        if hits > best_hits:
+            best_hits = hits
+            best_mapping = mapping
+    return best_hits, {cid: labels[m] for cid, m in zip(cluster_ids, best_mapping)}
+
+
+def cluster_accuracy(
+    assignment: Sequence[int] | np.ndarray, true_labels: Sequence[Hashable]
+) -> float:
+    """Best fraction of chunks matched over cluster->label mappings (see
+    ``_best_mapping``)."""
+    hits, _ = _best_mapping(assignment, true_labels)
+    return hits / len(true_labels)
 
 
 def write_cluster_csv(
@@ -261,22 +273,4 @@ def best_label_map(
     assignment: Sequence[int] | np.ndarray, true_labels: Sequence[Hashable]
 ) -> dict[int, Hashable]:
     """The cluster->label mapping that attains cluster_accuracy."""
-    assignment = np.asarray(assignment)
-    cluster_ids = sorted(set(assignment.tolist()))
-    labels = sorted(set(true_labels), key=repr)
-    true = np.asarray([labels.index(lab) for lab in true_labels])
-    if len(cluster_ids) <= len(labels):
-        mappings = permutations(range(len(labels)), len(cluster_ids))
-    else:
-        mappings = product(range(len(labels)), repeat=len(cluster_ids))
-    best_hits = -1
-    best_mapping: tuple[int, ...] = ()
-    for mapping in mappings:
-        translate = dict(zip(cluster_ids, mapping))
-        hits = sum(
-            int(translate[c] == t) for c, t in zip(assignment.tolist(), true.tolist())
-        )
-        if hits > best_hits:
-            best_hits = hits
-            best_mapping = mapping
-    return {cid: labels[m] for cid, m in zip(cluster_ids, best_mapping)}
+    return _best_mapping(assignment, true_labels)[1]

@@ -32,5 +32,9 @@ class DegenerateDataError(VarietiesError):
     """Input data carries no usable signal (e.g. zero variance for PCA)."""
 
 
+class UntaggedTokenError(VarietiesError):
+    """A token without a POS tag where a POS feature needs every tag."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative optimizer exhausted its budget before reaching tolerance."""

@@ -1,4 +1,4 @@
-"""Sparse feature extraction over chunks: four families and combinations.
+"""Feature counting over chunks: four families and combinations.
 
 Families:
   FW      function-word frequencies
@@ -6,24 +6,25 @@ Families:
   POSTOK  words in the first/second/third/penultimate/last sentence positions
   COH     cohesive-marker frequencies
 
-All values are raw counts divided by the chunk token count. Data-dependent
-vocabularies (top-k trigrams, positional pairs) are selected on training
-chunks only and carried around as FeatureSpace objects; vectorization is a
-pure function of chunk + spaces.
+Each chunk's raw counts are kept in one ChunkCounts record, each family
+counted on first use, so a stage counts every chunk once however many folds,
+feature rows and tasks read it. Data-dependent vocabularies (top-k trigrams,
+positional pairs) are selected on training chunks only and carried around as
+FeatureSpace objects; vectorization reads the records through the spaces and
+divides raw counts by the chunk token count.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Chunk
+from .errors import UntaggedTokenError
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -31,30 +32,6 @@ POS3 = "POS3"
 POSTOK = "POSTOK"
 COH = "COH"
 FAMILIES = (FW, POS3, POSTOK, COH)
-
-_POSITIONS = ("first", "second", "third", "penultimate", "last")
-
-
-class FeatureId(NamedTuple):
-    family: str
-    key: str
-
-    def __str__(self) -> str:
-        return f"{self.family}:{self.key}"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse map from feature id to per-token frequency."""
-
-    values: Mapping[FeatureId, float]
-    chunk_token_count: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def get(self, fid: FeatureId) -> float:
-        return self.values.get(fid, 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,13 +72,9 @@ class FeatureSpace:
 # raw counting per family
 
 
-def _fw_counts(chunk: Chunk, words: frozenset[str] | WordList) -> Counter:
-    vocab = words.entries if isinstance(words, WordList) else words
-    counts: Counter = Counter()
-    for tok in chunk.tokens():
-        if tok.surface in vocab:
-            counts[tok.surface] += 1
-    return counts
+def _fw_counts(chunk: Chunk) -> Counter:
+    """Every surface, so that any FW space reads its own words."""
+    return Counter(tok.surface for tok in chunk.tokens())
 
 
 def _pos3_counts(chunk: Chunk) -> Counter:
@@ -110,7 +83,7 @@ def _pos3_counts(chunk: Chunk) -> Counter:
         tags = []
         for i, tok in enumerate(sent.tokens):
             if tok.pos is None:
-                raise ValueError(
+                raise UntaggedTokenError(
                     f"POS trigrams need tags on every token; token {i} "
                     f"({tok.surface!r}) is untagged"
                 )
@@ -157,48 +130,61 @@ def _coh_counts(chunk: Chunk, markers: PhraseList) -> Counter:
     return counts
 
 
-def _normalize(counts: Counter, family: str, token_count: int) -> FeatureVector:
-    values = {
-        FeatureId(family, key): count / token_count for key, count in counts.items()
-    }
-    return FeatureVector(values=values, chunk_token_count=token_count)
+class ChunkCounts:
+    """One chunk's raw counts per family, each counted on first use.
+
+    COH counts depend on the phrase list (longest match), so they are kept
+    per list, keyed by the COH space's keys.
+    """
+
+    def __init__(self, chunk: Chunk):
+        self.chunk = chunk
+        self.token_count = chunk.token_count
+        self._coh: dict[tuple[str, ...], Counter] = {}
+
+    @cached_property
+    def fw(self) -> Counter:
+        return _fw_counts(self.chunk)
+
+    @cached_property
+    def pos3(self) -> Counter:
+        return _pos3_counts(self.chunk)
+
+    @cached_property
+    def postok(self) -> Counter:
+        return _postok_counts(self.chunk)
+
+    def counts(self, space: FeatureSpace) -> Counter:
+        """The raw counts that ``space`` reads its keys from."""
+        if space.family == FW:
+            return self.fw
+        if space.family == POS3:
+            return self.pos3
+        if space.family == POSTOK:
+            return self.postok
+        coh = self._coh.get(space.keys)
+        if coh is None:
+            coh = self._coh[space.keys] = _coh_counts(self.chunk, space.phrases)
+        return coh
 
 
-# ---------------------------------------------------------------------------
-# per-family extraction (spec surface)
-
-
-def extract_fw(chunk: Chunk, fw: WordList) -> FeatureVector:
-    if chunk.token_count == 0:
-        raise ValueError("cannot extract features from an empty chunk")
-    return _normalize(_fw_counts(chunk, fw), FW, chunk.token_count)
-
-
-def extract_pos3(chunk: Chunk) -> FeatureVector:
-    return _normalize(_pos3_counts(chunk), POS3, chunk.token_count)
-
-
-def extract_postok(chunk: Chunk, vocab: FeatureSpace) -> FeatureVector:
-    admissible = set(vocab.keys)
-    counts = Counter(
-        {k: v for k, v in _postok_counts(chunk).items() if k in admissible}
-    )
-    return _normalize(counts, POSTOK, chunk.token_count)
-
-
-def extract_coh(chunk: Chunk, markers: PhraseList) -> FeatureVector:
-    return _normalize(_coh_counts(chunk, markers), COH, chunk.token_count)
+def chunk_counts(chunks: Iterable[Chunk | ChunkCounts]) -> list[ChunkCounts]:
+    """Count records for ``chunks``; records pass through unchanged, so
+    callers that hold records share their counts."""
+    return [c if isinstance(c, ChunkCounts) else ChunkCounts(c) for c in chunks]
 
 
 # ---------------------------------------------------------------------------
 # space selection on training chunks
 
 
-def select_top_pos3(train_chunks: Iterable[Chunk], k: int = 3000) -> FeatureSpace:
+def select_top_pos3(
+    train_chunks: Iterable[Chunk | ChunkCounts], k: int = 3000
+) -> FeatureSpace:
     """Top-k most frequent POS trigrams; ties broken lexicographically."""
     totals: Counter = Counter()
-    for chunk in train_chunks:
-        totals.update(_pos3_counts(chunk))
+    for record in chunk_counts(train_chunks):
+        totals.update(record.pos3)
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     return FeatureSpace(
         family=POS3,
@@ -208,11 +194,11 @@ def select_top_pos3(train_chunks: Iterable[Chunk], k: int = 3000) -> FeatureSpac
 
 
 def select_postok_vocab(
-    train_chunks: Iterable[Chunk], min_count: int = 5
+    train_chunks: Iterable[Chunk | ChunkCounts], min_count: int = 5
 ) -> FeatureSpace:
     totals: Counter = Counter()
-    for chunk in train_chunks:
-        totals.update(_postok_counts(chunk))
+    for record in chunk_counts(train_chunks):
+        totals.update(record.postok)
     keys = tuple(sorted(k for k, c in totals.items() if c >= min_count))
     return FeatureSpace(
         family=POSTOK,
@@ -253,57 +239,50 @@ class FeaturePlan:
             if family not in FAMILIES:
                 raise ValueError(f"unknown feature family {family!r}")
 
-    def fit(self, train_chunks: Sequence[Chunk]) -> list[FeatureSpace]:
+    def fit(self, train_chunks: Sequence[Chunk | ChunkCounts]) -> list[FeatureSpace]:
+        records = chunk_counts(train_chunks)
         spaces = []
         for family in self.families:
             if family == FW:
                 spaces.append(fw_space(self.resources.function_words))
             elif family == POS3:
-                spaces.append(select_top_pos3(train_chunks, self.top_pos3))
+                spaces.append(select_top_pos3(records, self.top_pos3))
             elif family == POSTOK:
-                spaces.append(select_postok_vocab(train_chunks, self.postok_min_count))
+                spaces.append(select_postok_vocab(records, self.postok_min_count))
             elif family == COH:
                 spaces.append(coh_space(self.resources.cohesive_markers))
         return spaces
+
+    def count(self, records: Sequence[ChunkCounts]) -> None:
+        """Count every family of the plan on every record, so that a chunk
+        that cannot be counted (an untagged token under POS3) fails the plan
+        before any fold is trained."""
+        for space in self.fit(records):
+            for record in records:
+                record.counts(space)
 
 
 # ---------------------------------------------------------------------------
 # vectorization
 
 
-def _counts_for_space(chunk: Chunk, space: FeatureSpace) -> Counter:
-    if space.family == FW:
-        return _fw_counts(chunk, frozenset(space.keys))
-    if space.family == POS3:
-        return _pos3_counts(chunk)
-    if space.family == POSTOK:
-        return _postok_counts(chunk)
-    if space.family == COH:
-        return _coh_counts(chunk, space.phrases)
-    raise ValueError(f"unknown feature family {space.family!r}")
-
-
-def vectorize(chunk: Chunk, spaces: Sequence[FeatureSpace]) -> np.ndarray:
-    """Dense vector: concatenation of the spaces in order, zeros for unseen."""
-    parts = []
-    for space in spaces:
-        counts = _counts_for_space(chunk, space)
-        vec = np.zeros(len(space.keys))
-        index = space.key_index
-        for key, count in counts.items():
-            idx = index.get(key)
-            if idx is not None:
-                vec[idx] = count / chunk.token_count
-        parts.append(vec)
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
-
-
-def vectorize_chunks(chunks: Sequence[Chunk], spaces: Sequence[FeatureSpace]) -> np.ndarray:
-    if not chunks:
-        return np.zeros((0, sum(len(s) for s in spaces)))
-    return np.vstack([vectorize(chunk, spaces) for chunk in chunks])
+def vectorize_chunks(
+    chunks: Sequence[Chunk | ChunkCounts], spaces: Sequence[FeatureSpace]
+) -> np.ndarray:
+    """Dense matrix, one row per chunk: the spaces' keys in order, each raw
+    count divided by the chunk token count, zeros for unseen keys."""
+    records = chunk_counts(chunks)
+    X = np.zeros((len(records), sum(len(s) for s in spaces)))
+    for row, record in zip(X, records):
+        offset = 0
+        for space in spaces:
+            index = space.key_index
+            for key, count in record.counts(space).items():
+                idx = index.get(key)
+                if idx is not None:
+                    row[offset + idx] = count / record.token_count
+            offset += len(space)
+    return X
 
 
 def space_feature_names(spaces: Sequence[FeatureSpace]) -> list[str]:
@@ -311,38 +290,3 @@ def space_feature_names(spaces: Sequence[FeatureSpace]) -> list[str]:
     for space in spaces:
         names.extend(space.feature_names())
     return names
-
-
-# ---------------------------------------------------------------------------
-# matrix export
-
-
-def write_sparse_csv(
-    path: str | Path,
-    chunk_ids: Sequence[str],
-    spaces: Sequence[FeatureSpace],
-    matrix: np.ndarray,
-) -> None:
-    """Nonzero entries as ``chunk_id, feature, value`` triplets."""
-    names = space_feature_names(spaces)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chunk_id", "feature", "value"])
-        for row_idx, chunk_id in enumerate(chunk_ids):
-            row = matrix[row_idx]
-            for col in np.nonzero(row)[0]:
-                writer.writerow([chunk_id, names[col], repr(float(row[col]))])
-
-
-def write_dense_csv(
-    path: str | Path,
-    chunk_ids: Sequence[str],
-    spaces: Sequence[FeatureSpace],
-    matrix: np.ndarray,
-) -> None:
-    names = space_feature_names(spaces)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chunk_id"] + names)
-        for row_idx, chunk_id in enumerate(chunk_ids):
-            writer.writerow([chunk_id] + [repr(float(v)) for v in matrix[row_idx]])

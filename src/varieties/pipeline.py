@@ -30,7 +30,7 @@ from . import poslm
 from . import svm
 from .config import PipelineConfig, config_snapshot
 from .corpus import Chunk, Corpus, balance, chunk, filter_corpus, ingest, shuffle, write_jsonl
-from .errors import VarietiesError
+from .errors import UntaggedTokenError, VarietiesError
 from .lexicons import Resources, default_manifest_path, load_resources
 
 MANIFEST_NAME = "manifest.json"
@@ -61,17 +61,44 @@ def _task_name(labels: tuple[str, ...]) -> str:
 # output-directory plumbing
 
 
+def _held_by_dead_run(lock: Path) -> bool:
+    """True when the lock names a process that no longer exists. A lock
+    without a readable pid (its run may not have written it yet) is live."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):
+        pass
+    return False
+
+
 @contextmanager
 def output_lock(out_dir: Path):
+    """Hold the output directory for one run. The lock of a dead run is taken
+    over, and the temp files that run left behind are removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    busy = VarietiesError(
+        f"output directory {out_dir} is locked by another run "
+        f"(remove {lock} if that run is dead)"
+    )
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise VarietiesError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock} if that run is dead)"
-        )
+        if not _held_by_dead_run(lock):
+            raise busy
+        lock.unlink(missing_ok=True)
+        try:
+            # fails when another run took the dead lock over first
+            fd = os.open(lock, flags)
+        except FileExistsError:
+            raise busy
+        for tmp in out_dir.rglob("*.tmp"):
+            tmp.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -244,6 +271,7 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
     stage = _Stage("classify", config, out_dir)
     chunks, labels = _balanced_chunks(config)
 
+    records = feat.chunk_counts(chunks)
     accuracy_rows = []
     confusion_rows = []
     feature_rows = []
@@ -256,54 +284,57 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
             top_pos3=config.top_pos3,
             postok_min_count=config.postok_min_count,
         )
+        # a row that cannot be counted fails before its first task, so it
+        # never leaves partial rows behind
         try:
-            for task in CLASSIFICATION_TASKS:
-                keep = [i for i, lab in enumerate(labels) if lab in task]
-                task_chunks = [chunks[i] for i in keep]
-                task_labels = [labels[i] for i in keep]
-                report = svm.cross_validate(
-                    task_chunks,
-                    task_labels,
-                    plan,
-                    folds=config.cv_folds,
-                    seed=config.seed,
-                    C=config.svm_c,
-                    tol=config.svm_tol,
-                )
-                accuracy_rows.append(
-                    [row, _task_name(task), f"{report.mean_accuracy:.6f}"]
-                    + [f"{a:.6f}" for a in report.fold_accuracies]
-                )
-                for t_idx, true_lab in enumerate(report.label_order):
-                    for p_idx, pred_lab in enumerate(report.label_order):
-                        confusion_rows.append(
-                            [
-                                row,
-                                _task_name(task),
-                                true_lab,
-                                pred_lab,
-                                int(report.confusion[t_idx, p_idx]),
-                            ]
-                        )
-                if len(task) == 2:
-                    spaces = plan.fit(task_chunks)
-                    X = feat.vectorize_chunks(task_chunks, spaces)
-                    model = svm.train_binary(
-                        X,
-                        task_labels,
-                        C=config.svm_c,
-                        tol=config.svm_tol,
-                        feature_names=feat.space_feature_names(spaces),
-                    )
-                    for rank, (name, weight) in enumerate(
-                        svm.rank_features(model)[:20], start=1
-                    ):
-                        feature_rows.append(
-                            [row, _task_name(task), rank, name, repr(weight)]
-                        )
-        except ValueError as exc:
+            plan.count(records)
+        except UntaggedTokenError as exc:
             diagnostics.append([row, str(exc)])
             continue
+        for task in CLASSIFICATION_TASKS:
+            keep = [i for i, lab in enumerate(labels) if lab in task]
+            task_records = [records[i] for i in keep]
+            task_labels = [labels[i] for i in keep]
+            report = svm.cross_validate(
+                task_records,
+                task_labels,
+                plan,
+                folds=config.cv_folds,
+                seed=config.seed,
+                C=config.svm_c,
+                tol=config.svm_tol,
+            )
+            accuracy_rows.append(
+                [row, _task_name(task), f"{report.mean_accuracy:.6f}"]
+                + [f"{a:.6f}" for a in report.fold_accuracies]
+            )
+            for t_idx, true_lab in enumerate(report.label_order):
+                for p_idx, pred_lab in enumerate(report.label_order):
+                    confusion_rows.append(
+                        [
+                            row,
+                            _task_name(task),
+                            true_lab,
+                            pred_lab,
+                            int(report.confusion[t_idx, p_idx]),
+                        ]
+                    )
+            if len(task) == 2:
+                spaces = plan.fit(task_records)
+                X = feat.vectorize_chunks(task_records, spaces)
+                model = svm.train_binary(
+                    X,
+                    task_labels,
+                    C=config.svm_c,
+                    tol=config.svm_tol,
+                    feature_names=feat.space_feature_names(spaces),
+                )
+                for rank, (name, weight) in enumerate(
+                    svm.rank_features(model)[:20], start=1
+                ):
+                    feature_rows.append(
+                        [row, _task_name(task), rank, name, repr(weight)]
+                    )
 
     fold_headers = [f"fold_{i}" for i in range(config.cv_folds)]
     stage.write_csv(

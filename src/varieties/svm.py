@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 from typing import Hashable, Sequence
 
@@ -23,13 +22,17 @@ import numpy as np
 
 from .corpus import Chunk
 from .errors import ConvergenceError
-from .features import FeaturePlan, space_feature_names, vectorize_chunks
+from .features import (
+    ChunkCounts,
+    FeaturePlan,
+    chunk_counts,
+    space_feature_names,
+    vectorize_chunks,
+)
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
-
-_MODEL_MAGIC = "varieties-svm v1"
 
 
 @dataclass
@@ -265,7 +268,7 @@ def stratified_folds(
 
 
 def cross_validate(
-    chunks: Sequence[Chunk],
+    chunks: Sequence[Chunk | ChunkCounts],
     labels: Sequence[Hashable],
     plan: FeaturePlan,
     folds: int = 10,
@@ -274,7 +277,9 @@ def cross_validate(
     tol: float = DEFAULT_TOL,
 ) -> CvReport:
     """Stratified k-fold CV. Feature vocabularies (top-k trigrams, positional
-    pairs) are re-selected on each training split to avoid leakage."""
+    pairs) are re-selected on each training split to avoid leakage; each
+    chunk is counted once for all folds."""
+    chunks = chunk_counts(chunks)
     if len(chunks) != len(labels):
         raise ValueError("chunks and labels disagree in length")
     if len(chunks) < folds:
@@ -326,7 +331,7 @@ def cross_validate(
 
 
 # ---------------------------------------------------------------------------
-# interpretation and persistence
+# interpretation
 
 
 def rank_features(model: SvmModel) -> list[tuple[str, float]]:
@@ -339,47 +344,3 @@ def rank_features(model: SvmModel) -> list[tuple[str, float]]:
     )
     order = np.argsort(-np.abs(model.weights), kind="stable")
     return [(names[i], float(model.weights[i])) for i in order]
-
-
-def save_model(model: SvmModel, path: str | Path) -> None:
-    names = (
-        list(model.feature_names)
-        if model.feature_names is not None
-        else [f"f{i}" for i in range(model.dim)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MODEL_MAGIC}\n")
-        fh.write(f"dim\t{model.dim}\n")
-        fh.write(f"C\t{model.C!r}\n")
-        fh.write(f"labels\t{model.labels[0]}\t{model.labels[1]}\n")
-        for name, weight in zip(names, model.weights):
-            fh.write(f"{name}\t{float(weight)!r}\n")
-        fh.write(f"bias\t{float(model.bias)!r}\n")
-
-
-def load_model(path: str | Path) -> SvmModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: not a {_MODEL_MAGIC} file")
-    dim = int(lines[1].split("\t")[1])
-    C = float(lines[2].split("\t")[1])
-    _, pos_label, neg_label = lines[3].split("\t")
-    weight_lines = lines[4 : 4 + dim]
-    if len(weight_lines) != dim or not lines[4 + dim].startswith("bias\t"):
-        raise ValueError(f"{path}: expected {dim} weight lines followed by bias")
-    names = []
-    weights = np.zeros(dim)
-    for k, line in enumerate(weight_lines):
-        name, _, value = line.rpartition("\t")
-        names.append(name)
-        weights[k] = float(value)
-    bias = float(lines[4 + dim].split("\t")[1])
-    return SvmModel(
-        weights=weights,
-        bias=bias,
-        C=C,
-        alphas=None,
-        labels=(pos_label, neg_label),
-        feature_names=tuple(names),
-    )

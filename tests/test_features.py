@@ -2,29 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import make_chunk, make_sentence
+from varieties.errors import UntaggedTokenError
 from varieties.features import (
     COH,
     FW,
     POS3,
     POSTOK,
-    FeatureId,
+    ChunkCounts,
     FeaturePlan,
     FeatureSpace,
-    _postok_counts,
     coh_space,
-    extract_coh,
-    extract_fw,
-    extract_pos3,
-    extract_postok,
     fw_space,
     position_events,
     select_postok_vocab,
     select_top_pos3,
     space_feature_names,
-    vectorize,
     vectorize_chunks,
-    write_dense_csv,
-    write_sparse_csv,
 )
 from varieties.lexicons import PhraseEntry, PhraseList, WordList
 
@@ -40,31 +33,35 @@ def phrases(*texts):
     )
 
 
+def frequencies(chunk, space):
+    """The chunk's nonzero per-token frequencies in ``space``, by key."""
+    row = vectorize_chunks([chunk], [space])[0]
+    return {key: value for key, value in zip(space.keys, row) if value}
+
+
 class TestExtractFw:
     def test_simple_frequency(self):
         chunk = make_chunk([make_sentence(["the", "cat", "the", "dog"])])
-        vec = extract_fw(chunk, words("the"))
-        assert vec.values == {FeatureId(FW, "the"): 0.5}
-        assert vec.chunk_token_count == 4
+        assert frequencies(chunk, fw_space(words("the"))) == {"the": 0.5}
 
     def test_no_function_words(self):
         chunk = make_chunk([make_sentence(["cat", "dog"])])
-        vec = extract_fw(chunk, words("the"))
-        assert len(vec) == 0
-        assert vec.chunk_token_count == 2
+        X = vectorize_chunks([chunk], [fw_space(words("the"))])
+        assert np.array_equal(X, np.zeros((1, 1)))
 
     def test_frequency_over_large_chunk(self):
         # 2,000 tokens, 100 of them "of" -> 0.05
         body = [f"w{i}" for i in range(1900)] + ["of"] * 100
         chunk = make_chunk([make_sentence(body)])
-        vec = extract_fw(chunk, words("of", "the"))
-        assert vec.get(FeatureId(FW, "of")) == pytest.approx(0.05)
+        vec = frequencies(chunk, fw_space(words("of", "the")))
+        assert vec == {"of": pytest.approx(0.05)}
 
     def test_duplication_invariance(self):
         sentences = [make_sentence(["the", "cat"]), make_sentence(["a", "dog"])]
-        once = extract_fw(make_chunk(sentences), words("the", "a"))
-        thrice = extract_fw(make_chunk(sentences * 3), words("the", "a"))
-        assert once.values == thrice.values
+        space = fw_space(words("the", "a"))
+        once = vectorize_chunks([make_chunk(sentences)], [space])
+        thrice = vectorize_chunks([make_chunk(sentences * 3)], [space])
+        assert np.array_equal(once, thrice)
 
     def test_family_count_bounds(self):
         # FW raw counts can never exceed the token count; positional events
@@ -74,37 +71,42 @@ class TestExtractFw:
             make_sentence(["the"]),
         ]
         chunk = make_chunk(sentences)
-        fw_vec = extract_fw(chunk, words("the", "a", "of", "cat"))
-        assert sum(fw_vec.values.values()) <= 1.0 + 1e-12
-        postok = _postok_counts(chunk)
-        assert sum(postok.values()) <= 5 * len(sentences)
+        fw_row = vectorize_chunks([chunk], [fw_space(words("the", "a", "of", "cat"))])
+        assert fw_row.sum() <= 1.0 + 1e-12
+        assert sum(ChunkCounts(chunk).postok.values()) <= 5 * len(sentences)
 
 
 class TestExtractPos3:
-    def test_single_trigram(self):
+    def test_single_trigram(self, resources):
         chunk = make_chunk(
             [make_sentence(["he", "has", "gone"], pos=["PRP", "VHZ", "VBN"])]
         )
-        vec = extract_pos3(chunk)
-        assert vec.values == {FeatureId(POS3, "PRP_VHZ_VBN"): pytest.approx(1 / 3)}
+        (space,) = FeaturePlan(families=(POS3,), resources=resources).fit([chunk])
+        assert frequencies(chunk, space) == {"PRP_VHZ_VBN": pytest.approx(1 / 3)}
 
-    def test_below_window_yields_nothing(self):
+    def test_below_window_yields_nothing(self, resources):
         chunk = make_chunk([make_sentence(["a", "b"], pos=["DT", "NN"])])
-        assert len(extract_pos3(chunk)) == 0
+        (space,) = FeaturePlan(families=(POS3,), resources=resources).fit([chunk])
+        assert vectorize_chunks([chunk], [space]).shape == (1, 0)
 
-    def test_no_cross_sentence_trigrams(self):
+    def test_no_cross_sentence_trigrams(self, resources):
         chunk = make_chunk(
             [
                 make_sentence(["a", "b"], pos=["DT", "NN"]),
                 make_sentence(["c", "d"], pos=["VB", "RB"]),
             ]
         )
-        assert len(extract_pos3(chunk)) == 0
+        (space,) = FeaturePlan(families=(POS3,), resources=resources).fit([chunk])
+        assert space.keys == ()
+        assert frequencies(chunk, FeatureSpace(family=POS3, keys=("NN_VB_RB",))) == {}
 
-    def test_missing_tag_rejected(self):
+    def test_missing_tag_rejected(self, resources):
         chunk = make_chunk([make_sentence(["a", "b", "c"], pos=["DT", None, "NN"])])
-        with pytest.raises(ValueError, match="untagged"):
-            extract_pos3(chunk)
+        plan = FeaturePlan(families=(POS3,), resources=resources)
+        with pytest.raises(UntaggedTokenError, match="untagged"):
+            plan.fit([chunk])
+        with pytest.raises(UntaggedTokenError, match="untagged"):
+            vectorize_chunks([chunk], [FeatureSpace(family=POS3, keys=("DT_NN_NN",))])
 
 
 class TestSelectTopPos3:
@@ -169,16 +171,15 @@ class TestExtractPostok:
     def test_events_filtered_by_vocab(self):
         chunk = make_chunk([make_sentence(["we", "must", "act"])])
         vocab = FeatureSpace(family=POSTOK, keys=("first:we", "last:act"))
-        vec = extract_postok(chunk, vocab)
-        assert vec.values == {
-            FeatureId(POSTOK, "first:we"): pytest.approx(1 / 3),
-            FeatureId(POSTOK, "last:act"): pytest.approx(1 / 3),
+        assert frequencies(chunk, vocab) == {
+            "first:we": pytest.approx(1 / 3),
+            "last:act": pytest.approx(1 / 3),
         }
 
     def test_empty_vocab_empty_vector(self):
         chunk = make_chunk([make_sentence(["we", "must", "act"])])
-        vec = extract_postok(chunk, FeatureSpace(family=POSTOK, keys=()))
-        assert len(vec) == 0
+        X = vectorize_chunks([chunk], [FeatureSpace(family=POSTOK, keys=())])
+        assert X.shape == (1, 0)
 
     def test_vocab_selection_threshold(self):
         chunks = [
@@ -199,18 +200,19 @@ class TestExtractCoh:
                 make_sentence(["in", "addition"] + body[498:]),
             ]
         )
-        vec = extract_coh(chunk, phrases("in addition"))
-        assert vec.get(FeatureId(COH, "in addition")) == pytest.approx(0.002)
+        vec = frequencies(chunk, coh_space(phrases("in addition")))
+        assert vec == {"in addition": pytest.approx(0.002)}
 
     def test_no_markers(self):
         chunk = make_chunk([make_sentence(["plain", "words"])])
-        assert len(extract_coh(chunk, phrases("in addition"))) == 0
+        assert frequencies(chunk, coh_space(phrases("in addition"))) == {}
 
     def test_single_word_marker(self):
         body = ["thus"] * 3 + [f"w{i}" for i in range(1497)]
         chunk = make_chunk([make_sentence(body)])
-        vec = extract_coh(chunk, phrases("thus"))
-        assert vec.get(FeatureId(COH, "thus")) == pytest.approx(0.002)
+        assert frequencies(chunk, coh_space(phrases("thus"))) == {
+            "thus": pytest.approx(0.002)
+        }
 
 
 class TestVectorize:
@@ -218,34 +220,44 @@ class TestVectorize:
         fw = FeatureSpace(family=FW, keys=tuple(f"f{i}" for i in range(400)))
         pos3 = FeatureSpace(family=POS3, keys=tuple(f"A_B_{i}" for i in range(3000)))
         chunk = make_chunk([make_sentence(["a", "b", "c"], pos=["A", "B", "C"])])
-        assert vectorize(chunk, [fw, pos3]).shape == (3400,)
+        assert vectorize_chunks([chunk], [fw, pos3]).shape == (1, 3400)
 
     def test_absent_features_are_zero(self):
         space = FeatureSpace(family=FW, keys=("the", "of"))
         chunk = make_chunk([make_sentence(["cat", "dog"])])
-        assert np.array_equal(vectorize(chunk, [space]), np.zeros(2))
+        assert np.array_equal(vectorize_chunks([chunk], [space]), np.zeros((1, 2)))
 
     def test_deterministic(self):
         space = FeatureSpace(family=FW, keys=("the", "of"))
         chunk = make_chunk([make_sentence(["the", "of", "cat"])])
-        assert np.array_equal(vectorize(chunk, [space]), vectorize(chunk, [space]))
+        assert np.array_equal(
+            vectorize_chunks([chunk], [space]), vectorize_chunks([chunk], [space])
+        )
 
     def test_values_match_extractors(self):
-        word_list = words("the", "of")
+        # each entry is exactly the raw count over the chunk token count
         chunk = make_chunk([make_sentence(["the", "of", "the", "cat"])])
-        space = fw_space(word_list)
-        vec = vectorize(chunk, [space])
-        extracted = extract_fw(chunk, word_list)
-        for idx, key in enumerate(space.keys):
-            assert vec[idx] == extracted.get(FeatureId(FW, key))
+        space = fw_space(words("the", "of"))
+        row = vectorize_chunks([chunk], [space])[0]
+        surfaces = [tok.surface for tok in chunk.tokens()]
+        assert row.tolist() == [
+            surfaces.count(key) / chunk.token_count for key in space.keys
+        ]
 
     def test_coh_space_respects_longest_match(self):
         space = coh_space(phrases("make sure", "sure"))
         chunk = make_chunk([make_sentence(["make", "sure"])])
-        vec = vectorize(chunk, [space])
-        by_key = dict(zip(space.keys, vec))
+        by_key = dict(zip(space.keys, vectorize_chunks([chunk], [space])[0]))
         assert by_key["make sure"] == pytest.approx(0.5)
         assert by_key["sure"] == 0.0
+
+    def test_coh_counts_kept_per_phrase_list(self):
+        # one record read through two lists: longest match differs per list
+        record = ChunkCounts(make_chunk([make_sentence(["make", "sure"])]))
+        longest = coh_space(phrases("make sure", "sure"))
+        alone = coh_space(phrases("sure"))
+        X = vectorize_chunks([record], [longest, alone])
+        assert X.tolist() == [[0.5, 0.0, 0.5]]
 
 
 class TestFeaturePlan:
@@ -265,24 +277,6 @@ class TestFeaturePlan:
 
 
 class TestExports:
-    def test_sparse_and_dense_csv(self, tmp_path):
-        space = FeatureSpace(family=FW, keys=("the", "of"))
-        chunks = [
-            make_chunk([make_sentence(["the", "cat"])]),
-            make_chunk([make_sentence(["dog", "fox"])]),
-        ]
-        matrix = vectorize_chunks(chunks, [space])
-        sparse = tmp_path / "sparse.csv"
-        dense = tmp_path / "dense.csv"
-        write_sparse_csv(sparse, ["c0", "c1"], [space], matrix)
-        write_dense_csv(dense, ["c0", "c1"], [space], matrix)
-        sparse_lines = sparse.read_text().splitlines()
-        assert sparse_lines[0] == "chunk_id,feature,value"
-        assert len(sparse_lines) == 2  # header + one nonzero
-        dense_lines = dense.read_text().splitlines()
-        assert dense_lines[0] == "chunk_id,FW:the,FW:of"
-        assert dense_lines[2].startswith("c1,0.0,0.0")
-
     def test_feature_names_order(self):
         spaces = [
             FeatureSpace(family=FW, keys=("a",)),

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from synthdata import (
     trim_to_tokens,
     variety_corpus,
 )
+from varieties import features
 from varieties.cli import main
 from varieties.config import load_config
 from varieties.corpus import AnnotatedSentence, Corpus, Token, concat, write_jsonl
@@ -117,6 +122,28 @@ class TestIngestStage:
             run_stage("ingest", cfg)
 
 
+# sha256 of the classify and cluster stages' outputs on the classify_out and
+# cluster_out fixtures, recorded when every fold recounted its chunks; any
+# drift in counting, space selection, SVM training or formatting fails here
+CLASSIFY_DIGESTS = {
+    "classify/accuracy.csv": "2e25416f77bb7f59c8ef785ee8a17fd23f0db509b7d715ffdb37967d122bdc57",
+    "classify/confusion.csv": "013f9a235fbb1e99b7cde19d618c0cfa0980d3cbd28fa84c27a14a644f6120e2",
+    "classify/top_features.csv": "504145e684bb7a61bc1aea45ba2631a1b7c7b9c2c2bde450c9e8120407918028",
+}
+CLUSTER_DIGESTS = {
+    "cluster/centroids_k2.csv": "6a2a9dfc6f0a00287d1c18be0209151aa90e5a1cb3c6e99c416c7e3c5c17393c",
+    "cluster/centroids_k3.csv": "37b7750448434db0eb4970b2eefc3a9a15ba0cf0d22121766ec8b61258b5cce0",
+    "cluster/scatter_k2.csv": "079cc77fb3f11119e4f2de56e3c52713656e1e5e095a726f76abd586a24084e3",
+    "cluster/scatter_k3.csv": "ad7174dc4cd95bda9b9816fa656f43795a7e676858d750a6c22250ffec057197",
+    "cluster/summary.json": "88e1657468fc390edc06b331985ef290f5f19b215869635d6a8387e18a3e5c51",
+}
+
+
+def assert_digests(out: Path, digests: dict) -> None:
+    for rel, digest in digests.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
 @pytest.fixture(scope="module")
 def classify_out(classify_dir, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("classify_run")
@@ -147,6 +174,10 @@ class TestClassifyStage:
             by_key[key] = by_key.get(key, 0) + int(row["count"])
         totals = set(by_key.values())
         assert len(totals) <= 2  # one total for pairs, one for 3-way
+
+    def test_outputs_match_recorded_digests(self, classify_out):
+        out, _ = classify_out
+        assert_digests(out, CLASSIFY_DIGESTS)
 
     def test_discriminative_signature_word_ranks_high(self, classify_out):
         out, _ = classify_out
@@ -181,6 +212,55 @@ class TestClassifyStage:
             "FW", "POSTOK", "COH", "FW+POSTOK",
         }
 
+    def test_row_with_untagged_variety_fails_whole(self, tmp_path):
+        # N and NN are tagged, so a POS3 row could finish its N-NN task
+        # before reaching T; it must leave no row behind
+        root = tmp_path / "t_untagged"
+        root.mkdir()
+        for variety in ("N", "NN", "T"):
+            corpus = variety_corpus(variety, 200, seed=3)
+            if variety == "T":
+                corpus = strip_pos(corpus)
+            write_jsonl(corpus, root / f"{variety}.jsonl")
+        cfg = load_config(classify_config(root, tmp_path, cv_folds=4), env={})
+        out = run_stage("classify", cfg)
+        pos3_rows = {"POS3", "FW+POS3", "POS3+POSTOK", "FW+POS3+POSTOK"}
+        diagnostics = read_csv(out / "classify" / "diagnostics.csv")
+        assert {d["features"] for d in diagnostics} == pos3_rows
+        assert all("untagged" in d["error"] for d in diagnostics)
+        accuracy_rows = read_csv(out / "classify" / "accuracy.csv")
+        assert len(accuracy_rows) == 4 * 4
+        assert {r["features"] for r in accuracy_rows} == {
+            "FW", "POSTOK", "COH", "FW+POSTOK",
+        }
+        for name in ("confusion.csv", "top_features.csv"):
+            rows = read_csv(out / "classify" / name)
+            assert not {r["features"] for r in rows} & pos3_rows, name
+
+    def test_each_chunk_counted_once_per_family(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name, count):
+            def wrapper(chunk, *lists):
+                # FW and COH: once per chunk and word or phrase list
+                calls[(name, id(chunk)) + lists] += 1
+                return count(chunk, *lists)
+
+            return wrapper
+
+        for name in ("_fw_counts", "_pos3_counts", "_postok_counts", "_coh_counts"):
+            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
+        root = tmp_path / "small"
+        root.mkdir()
+        for variety in ("N", "NN", "T"):
+            write_jsonl(variety_corpus(variety, 120, seed=5), root / f"{variety}.jsonl")
+        cfg = load_config(classify_config(root, tmp_path, cv_folds=3), env={})
+        run_stage("classify", cfg)
+        assert {key[0] for key in calls} == {
+            "_fw_counts", "_pos3_counts", "_postok_counts", "_coh_counts",
+        }
+        assert max(calls.values()) == 1
+
 
 @pytest.fixture(scope="module")
 def cluster_out(tmp_path_factory):
@@ -205,6 +285,9 @@ def cluster_out(tmp_path_factory):
 
 
 class TestClusterStage:
+    def test_outputs_match_recorded_digests(self, cluster_out):
+        assert_digests(cluster_out, CLUSTER_DIGESTS)
+
     def test_summary_and_accuracy(self, cluster_out):
         summary = json.loads((cluster_out / "cluster" / "summary.json").read_text())
         assert summary["k3"]["accuracy"] >= 0.90
@@ -334,8 +417,7 @@ class TestMetricsStage:
     def test_outputs_match_recorded_digests(self, metrics_data, tmp_path, seed):
         cfg = load_config(metrics_config(metrics_data, tmp_path, seed=seed), env={})
         out = run_stage("metrics", cfg)
-        for rel, digest in METRICS_DIGESTS[seed].items():
-            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+        assert_digests(out, METRICS_DIGESTS[seed])
 
     def test_untagged_token_fails_the_run(self, tmp_path, capsys):
         data = tmp_path / "untagged"
@@ -507,6 +589,31 @@ class TestLocking:
         cfg = load_config(classify_config(classify_dir, tmp_path), env={})
         run_stage("ingest", cfg)
         assert not (Path(cfg.out) / ".lock").exists()
+
+    def test_dead_run_lock_is_reclaimed(self, classify_dir, tmp_path):
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        out_dir = Path(cfg.out)
+        (out_dir / "ingest").mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (out_dir / ".lock").write_text(str(child.pid))
+        leftover = out_dir / "ingest" / "stats.csv.tmp"
+        leftover.write_text("half-written")
+        run_stage("ingest", cfg)
+        assert not leftover.exists()
+        assert (out_dir / "ingest" / "stats.csv").exists()
+        assert not (out_dir / ".lock").exists()
+
+    @pytest.mark.parametrize("holder", ["live pid", "no pid yet"])
+    def test_live_or_unreadable_lock_blocks(self, classify_dir, tmp_path, holder):
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True)
+        lock = out_dir / ".lock"
+        lock.write_text(str(os.getpid()) if holder == "live pid" else "")
+        with pytest.raises(VarietiesError, match="locked"):
+            run_stage("ingest", cfg)
+        assert lock.exists()
 
 
 @pytest.fixture(scope="module")

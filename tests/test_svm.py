@@ -12,11 +12,9 @@ from varieties.svm import (
     SvmModel,
     cross_validate,
     dual_objective,
-    load_model,
     predict,
     predict_multiclass,
     rank_features,
-    save_model,
     stratified_folds,
     train_binary,
     train_multiclass,
@@ -283,24 +281,3 @@ class TestRankFeatures:
             X, labels, C=10.0, feature_names=[f"f{i}" for i in range(5)]
         )
         assert rank_features(model)[0][0] == "f2"
-
-
-class TestPersistence:
-    def test_round_trip_preserves_decisions(self, tmp_path):
-        model = train_binary(
-            FOUR_X, FOUR_LABELS, C=10.0, feature_names=("width", "height")
-        )
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.labels == model.labels
-        assert loaded.feature_names == ("width", "height")
-        for x in FOUR_X:
-            assert loaded.decision(x) == pytest.approx(model.decision(x), abs=1e-12)
-            assert predict(loaded, x)[0] == predict(model, x)[0]
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError, match="varieties-svm"):
-            load_model(path)
