@@ -270,6 +270,15 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
     resources, resources_manifest = _resources_for(config)
     stage = _Stage("classify", config, out_dir)
     chunks, labels = _balanced_chunks(config)
+    per_variety = len(chunks) // 3
+    if 2 * per_variety < config.cv_folds:
+        raise VarietiesError(
+            f"cv_folds = {config.cv_folds} needs at least {config.cv_folds} "
+            f"chunks per pairwise task, but balancing left {per_variety} "
+            f"chunks per variety ({2 * per_variety} per pair) at "
+            f"chunk_target = {config.chunk_target}; lower cv_folds or "
+            f"chunk_target, or supply more text"
+        )
 
     records = feat.chunk_counts(chunks)
     accuracy_rows = []

@@ -8,6 +8,17 @@ lower orders they use continuation counts (number of distinct left
 extensions), except that begin-marker-initial n-grams keep their raw counts
 because nothing can precede them.
 
+Counting runs on integer id arrays, not on string tuples. Symbols get ids in
+sorted string order, all sentences are padded into one id array, and every
+window length is counted by one sort/unique pass over keys (index of the
+window's prefix among the shorter windows, last id), so no key can overflow
+at any order or tagset size. Continuation counts are the number of distinct
+longer windows sharing a suffix. Estimation is vectorised per order but
+keeps each gram's floating-point operations and their order, and takes
+log10 and powers of ten per element with `math.log10` and `**` (numpy's
+versions can differ in the last bit), so every stored value is the per-gram
+formula evaluated in double precision.
+
 Per order, three discounts for counts of 1, 2 and >=3:
 
     Y   = n1 / (n1 + 2 n2)
@@ -31,6 +42,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .lexicons import TagSet
@@ -92,74 +105,64 @@ class PerplexityReport:
 # training
 
 
-def _collect_counts(sentences: list[list[str]], order: int):
-    """Raw window counts per gram length, keyed context -> word -> count.
-    Windows ending in the begin marker are not collected."""
-    counts: list[dict[tuple[str, ...], dict[str, int]]] = [
-        {} for _ in range(order + 1)
-    ]
-    pad = [BOS] * (order - 1)
-    for tags in sentences:
-        padded = pad + tags + [EOS]
-        length = len(padded)
-        for i in range(length):
-            for n in range(1, order + 1):
-                if i + n > length:
-                    break
-                word = padded[i + n - 1]
-                if word == BOS:
-                    continue
-                ctx = tuple(padded[i : i + n - 1])
-                bucket = counts[n].setdefault(ctx, {})
-                bucket[word] = bucket.get(word, 0) + 1
-    return counts
+def _count_ngrams(
+    sentences: Iterable[Sequence[str]], tags: frozenset[str], order: int
+) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
+    """Distinct windows of every length 0..order of the padded sentences,
+    laid end to end, and their counts.
+
+    Returns the symbols (tags and both markers, sorted; a symbol's id is its
+    index, so id rows sort like the string tuples) and one (keys, counts)
+    pair per window length n. A key is prefix * len(symbols) + last id, where
+    prefix is the index of the window's first n-1 symbols among the keys of
+    length n-1; length 0 holds the one empty window. Keys are sorted, so
+    windows sharing a context are contiguous. Windows ending in the begin
+    marker are kept: they are contexts, never predicted grams. A window that
+    runs past an end marker ends among the order-1 begin markers that follow
+    it, so it is never a predicted gram nor the context or left extension of
+    one, and needs no masking."""
+    symbols = sorted(tags | {BOS, EOS})
+    ids_of = {tag: i for i, tag in enumerate(symbols) if tag in tags}
+    bos, eos = symbols.index(BOS), symbols.index(EOS)
+    pad = [bos] * (order - 1)
+    padded: list[int] = []
+    for s_idx, sentence in enumerate(sentences):
+        sentence = list(sentence)
+        if not sentence:
+            continue
+        padded.extend(pad)
+        try:
+            padded.extend(map(ids_of.__getitem__, sentence))
+        except KeyError:
+            t_idx = next(i for i, tag in enumerate(sentence) if tag not in ids_of)
+            raise ValueError(
+                f"out-of-tagset tag {sentence[t_idx]!r} at sentence {s_idx}, "
+                f"position {t_idx}"
+            ) from None
+        padded.append(eos)
+    if not padded:
+        raise ValueError("training corpus is empty")
+
+    ids = np.array(padded, dtype=np.int64)
+    levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
+    # prefix[i]: index of the window of length n-1 starting at i
+    prefix = np.zeros(len(ids), dtype=np.int64)
+    for n in range(1, order + 1):
+        starts = len(ids) - n + 1
+        keys = prefix[:starts] * len(symbols) + ids[n - 1 :]
+        if n < order:
+            keys, inverse, counts = np.unique(
+                keys, return_inverse=True, return_counts=True
+            )
+            prefix[:starts] = inverse
+        else:
+            keys, counts = np.unique(keys, return_counts=True)
+        levels.append((keys, counts))
+    return symbols, levels
 
 
-def _adjusted_counts(raw, order: int):
-    """Continuation counts for orders below the highest; begin-marker-initial
-    grams keep raw counts."""
-    adjusted = [None] * (order + 1)
-    adjusted[order] = raw[order]
-    for n in range(order - 1, 0, -1):
-        left_ext: dict[tuple[str, ...], set[str]] = {}
-        for ctx, words in raw[n + 1].items():
-            for word in words:
-                gram = ctx + (word,)
-                suffix = gram[1:]
-                if suffix[0] == BOS:
-                    continue
-                left_ext.setdefault(suffix, set()).add(gram[0])
-        level: dict[tuple[str, ...], dict[str, int]] = {}
-        for ctx, words in raw[n].items():
-            bucket = {}
-            for word, count in words.items():
-                gram = ctx + (word,)
-                if gram[0] == BOS:
-                    bucket[word] = count
-                else:
-                    bucket[word] = len(left_ext[gram])
-            level[ctx] = bucket
-        adjusted[n] = level
-    return adjusted
-
-
-def _count_of_counts(level) -> tuple[int, int, int, int]:
-    n1 = n2 = n3 = n4 = 0
-    for words in level.values():
-        for count in words.values():
-            if count == 1:
-                n1 += 1
-            elif count == 2:
-                n2 += 1
-            elif count == 3:
-                n3 += 1
-            elif count == 4:
-                n4 += 1
-    return n1, n2, n3, n4
-
-
-def _estimate_discounts(level, order_label: int) -> tuple[float, float, float]:
-    n1, n2, n3, n4 = _count_of_counts(level)
+def _estimate_discounts(counts: np.ndarray, order_label: int) -> tuple[float, float, float]:
+    n1, n2, n3, n4 = (int(np.count_nonzero(counts == k)) for k in (1, 2, 3, 4))
     if n1 == 0 or n2 == 0:
         warnings.warn(
             f"degenerate count-of-counts at order {order_label} "
@@ -183,14 +186,30 @@ def _estimate_discounts(level, order_label: int) -> tuple[float, float, float]:
     return (discounts[0], discounts[1], discounts[2])
 
 
-def _discount_for(count: int, discounts: tuple[float, float, float]) -> float:
-    if count >= 3:
-        return discounts[2]
-    if count == 2:
-        return discounts[1]
-    if count == 1:
-        return discounts[0]
-    return 0.0
+def _kept(counts: np.ndarray, discounts: tuple[float, float, float]) -> np.ndarray:
+    """max(count - D(count), 0) per count, with D(0) = 0."""
+    d = np.where(
+        counts >= 3,
+        discounts[2],
+        np.where(counts == 2, discounts[1], np.where(counts == 1, discounts[0], 0.0)),
+    )
+    return np.maximum(counts - d, 0.0)
+
+
+def _gammas(
+    counts: np.ndarray,
+    starts: np.ndarray,
+    totals: np.ndarray,
+    discounts: tuple[float, float, float],
+) -> np.ndarray:
+    """Interpolation weight of each context whose grams' counts begin at
+    ``starts``: (D1 b1 + D2 b2 + D3 b3) / total, where b_k is the number of
+    the context's grams with count k (b3: count >= 3)."""
+    b1, b2, b3 = (
+        np.add.reduceat(mask.astype(np.int64), starts)
+        for mask in (counts == 1, counts == 2, counts >= 3)
+    )
+    return (discounts[0] * b1 + discounts[1] * b2 + discounts[2] * b3) / totals
 
 
 def train_lm(
@@ -204,25 +223,36 @@ def train_lm(
     tags = frozenset(tagset.tags if isinstance(tagset, TagSet) else tagset)
     if BOS in tags or EOS in tags:
         raise ValueError("the tagset must not contain the boundary markers")
-    clean: list[list[str]] = []
-    for s_idx, sentence in enumerate(sentences):
-        sentence = list(sentence)
-        if not sentence:
-            continue
-        for t_idx, tag in enumerate(sentence):
-            if tag not in tags:
-                raise ValueError(
-                    f"out-of-tagset tag {tag!r} at sentence {s_idx}, position {t_idx}"
-                )
-        clean.append(sentence)
-    if not clean:
-        raise ValueError("training corpus is empty")
+    symbols, levels = _count_ngrams(sentences, tags, order)
+    size = len(symbols)
+    bos = symbols.index(BOS)
 
-    raw = _collect_counts(clean, order)
-    adjusted = _adjusted_counts(raw, order)
+    # per window length n: context (prefix) index, last id, first id, and the
+    # index among the windows of length n-1 of the suffix (the window without
+    # its first symbol); a length-1 window's suffix is the empty window
+    prefixes, lasts = zip(*(np.divmod(keys, size) for keys, _ in levels))
+    firsts = [None, lasts[1]]
+    suffixes = [None, np.zeros_like(lasts[1])]
+    for n in range(2, order + 1):
+        firsts.append(firsts[n - 1][prefixes[n]])
+        suffixes.append(
+            np.searchsorted(
+                levels[n - 1][0], suffixes[n - 1][prefixes[n]] * size + lasts[n]
+            )
+        )
+
+    # the highest order keeps raw counts; below it a gram counts its distinct
+    # left extensions (the distinct longer windows it is the suffix of),
+    # except that begin-marker-initial grams keep raw counts
+    adjusted = [counts for _, counts in levels]
+    for n in range(order - 1, 0, -1):
+        left = np.bincount(suffixes[n + 1], minlength=len(levels[n][0]))
+        adjusted[n] = np.where(firsts[n] == bos, levels[n][1], left)
+    # the predicted grams: windows that do not end in the begin marker
+    grams = [np.flatnonzero(last != bos) for last in lasts]
     discounts: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]  # pad index 0
     for n in range(1, order + 1):
-        discounts.append(_estimate_discounts(adjusted[n], n))
+        discounts.append(_estimate_discounts(adjusted[n][grams[n]], n))
 
     vocab = sorted(tags) + [EOS]
     logprobs: dict[tuple[str, ...], float] = {}
@@ -230,28 +260,48 @@ def train_lm(
 
     # unigrams: interpolate with the uniform distribution over the closed
     # vocabulary so unseen tags keep positive mass
-    uni = adjusted[1].get((), {})
-    total = sum(uni.values())
-    d_uni = discounts[1]
-    n_by_bucket = _context_bucket_counts(uni)
-    gamma = _gamma(n_by_bucket, d_uni, total)
-    for word in vocab:
-        count = uni.get(word, 0)
-        p = gamma / len(vocab)
-        if count:
-            p += max(count - _discount_for(count, d_uni), 0.0) / total
-        logprobs[(word,)] = math.log10(p)
+    vocab_ids = np.array([symbols.index(word) for word in vocab])
+    by_id = np.zeros(size, dtype=np.int64)
+    by_id[lasts[1][grams[1]]] = adjusted[1][grams[1]]
+    counts = by_id[vocab_ids]
+    totals = counts.sum(keepdims=True)
+    gamma = _gammas(counts, np.zeros(1, dtype=np.intp), totals, discounts[1])
+    p = gamma / len(vocab) + _kept(counts, discounts[1]) / totals
+    level_lp = [math.log10(x) for x in p.tolist()]
+    logprobs.update(zip([(word,) for word in vocab], level_lp))
+    # 10 ** log10 P of every window of the level below, the lower-order
+    # estimate a longer gram interpolates with
+    powers = np.zeros(size)
+    powers[vocab_ids] = [10.0**x for x in level_lp]
+    powers = powers[lasts[1]]
+    names = [(symbols[w],) for w in lasts[1].tolist()]
 
     for n in range(2, order + 1):
-        d_n = discounts[n]
-        for ctx, words in sorted(adjusted[n].items()):
-            total = sum(words.values())
-            gamma = _gamma(_context_bucket_counts(words), d_n, total)
-            backoffs[ctx] = math.log10(gamma)
-            for word, count in words.items():
-                lower = 10.0 ** logprobs[ctx[1:] + (word,)]
-                p = max(count - _discount_for(count, d_n), 0.0) / total
-                logprobs[ctx + (word,)] = math.log10(p + gamma * lower)
+        sel = grams[n]
+        ctx = prefixes[n][sel]
+        counts = adjusted[n][sel]
+        starts = np.flatnonzero(np.r_[True, ctx[1:] != ctx[:-1]])
+        totals = np.add.reduceat(counts, starts)
+        gammas = _gammas(counts, starts, totals, discounts[n])
+        group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(ctx)]))
+        p = (
+            _kept(counts, discounts[n]) / totals[group]
+            + gammas[group] * powers[suffixes[n][sel]]
+        )
+        level_lp = [math.log10(x) for x in p.tolist()]
+        backoffs.update(
+            zip(
+                [names[c] for c in ctx[starts].tolist()],
+                [math.log10(g) for g in gammas.tolist()],
+            )
+        )
+        names = [
+            names[c] + (symbols[w],)
+            for c, w in zip(prefixes[n].tolist(), lasts[n].tolist())
+        ]
+        logprobs.update(zip([names[i] for i in sel.tolist()], level_lp))
+        powers = np.zeros(len(names))
+        powers[sel] = [10.0**x for x in level_lp]
 
     return KneserNeyModel(
         order=order,
@@ -260,30 +310,6 @@ def train_lm(
         backoffs=backoffs,
         discounts=tuple(discounts[1:]),
     )
-
-
-def _context_bucket_counts(words: dict[str, int]) -> tuple[int, int, int]:
-    b1 = b2 = b3 = 0
-    for count in words.values():
-        if count == 1:
-            b1 += 1
-        elif count == 2:
-            b2 += 1
-        elif count >= 3:
-            b3 += 1
-    return b1, b2, b3
-
-
-def _gamma(
-    buckets: tuple[int, int, int],
-    discounts: tuple[float, float, float],
-    total: int,
-) -> float:
-    return (
-        discounts[0] * buckets[0]
-        + discounts[1] * buckets[1]
-        + discounts[2] * buckets[2]
-    ) / total
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +541,7 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
 
 
 # ---------------------------------------------------------------------------
-# POS-sequence I/O
+# POS sequences
 
 
 def pos_sequences(corpus: Corpus) -> list[list[str]]:
@@ -531,20 +557,3 @@ def pos_sequences(corpus: Corpus) -> list[list[str]]:
             tags.append(tok.pos)
         out.append(tags)
     return out
-
-
-def read_pos_sentences(path: str | Path) -> list[list[str]]:
-    """One space-separated tag sentence per line; blank lines are skipped."""
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tags = line.split()
-            if tags:
-                sentences.append(tags)
-    return sentences
-
-
-def write_pos_sentences(sentences: Iterable[Sequence[str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tags in sentences:
-            fh.write(" ".join(tags) + "\n")

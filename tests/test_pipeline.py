@@ -261,6 +261,25 @@ class TestClassifyStage:
         }
         assert max(calls.values()) == 1
 
+    def test_too_few_chunks_for_the_folds_is_a_validation_error(
+        self, tmp_path, capsys
+    ):
+        # 50 sentences make 6 chunks per variety at chunk_target 100, so a
+        # pairwise task holds 12 chunks: one fewer than 13 folds need
+        root = tmp_path / "tiny"
+        root.mkdir()
+        for variety in ("N", "NN", "T"):
+            write_jsonl(variety_corpus(variety, 50, seed=5), root / f"{variety}.jsonl")
+        cfg = classify_config(root, tmp_path, cv_folds=13)
+        assert main(["classify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "cv_folds = 13" in err
+        assert "6 chunks per variety" in err
+        assert "chunk_target = 100" in err
+        out = tmp_path / "out"
+        assert not (out / "classify").exists()
+        assert not (out / ".lock").exists()
+
 
 @pytest.fixture(scope="module")
 def cluster_out(tmp_path_factory):
@@ -483,6 +502,18 @@ class TestMetricsStage:
             run_stage("metrics", cfg)
 
 
+# sha256 of the lm stage's outputs on the lm_out fixture, recorded when
+# Kneser-Ney counting ran on tuple-keyed dicts; ttest.json holds full-precision
+# floats, so it catches last-bit drift the 7-decimal ARPA text hides
+LM_DIGESTS = {
+    "lm/germanic_t.arpa": "3beed494e011cd5f2e22a60edc8275440759df5a21748f59727d8a69e9d16321",
+    "lm/romance_t.arpa": "3ef0aed71d2736554fa25d5c65e10e492e5004283bdeda9939a0fa0f7991bec1",
+    "lm/perplexity.csv": "f2aa550408103230cc5c485b3627e159cfc18a685b9fe6d606138202e7267143",
+    "lm/ttest.json": "e7bd9048c8a53d5653e8ed3cdad196850513f1189929a3f6d6be2dc41f47dc4a",
+    "lm/countries.csv": "791434215e30a225bd3d8b9273000efff53cbdd425fce62df88baf784195d66a",
+}
+
+
 @pytest.fixture(scope="module")
 def lm_out(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("lm_run")
@@ -548,6 +579,9 @@ class TestLmStage:
     def test_arpa_models_written(self, lm_out):
         for family in ("germanic", "romance"):
             assert (lm_out / "lm" / f"{family}_t.arpa").exists()
+
+    def test_outputs_match_recorded_digests(self, lm_out):
+        assert_digests(lm_out, LM_DIGESTS)
 
 
 class TestReportStage:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,18 +6,17 @@ import pytest
 
 from conftest import make_corpus, make_sentence
 from oracles import ReferenceKN
+from synthdata import LM_TAGS, lm_family_corpus
 from varieties.poslm import (
     BOS,
     EOS,
-    _collect_counts,
+    _count_ngrams,
     pos_sequences,
     ppl,
     ppl_by_chunks,
     read_arpa,
-    read_pos_sentences,
     train_lm,
     write_arpa,
-    write_pos_sentences,
 )
 
 HAND_CORPUS = [
@@ -29,6 +29,17 @@ HAND_CORPUS = [
     ["C", "C", "C", "B", "A"],
 ]
 HAND_TAGS = ["A", "B", "C", "D"]
+
+# 40 tags, three of which sort before both boundary markers ("$" < "," < "."
+# < "</s>" < "<s>"); Zipf-weighted draws make counts repeat, so no order up
+# to 13 has all three discounts fall back
+TAGS40 = [",", ".", "$"] + [f"T{i:02d}" for i in range(37)]
+_rng = np.random.default_rng(41)
+_zipf = 1.0 / np.arange(1, 41) ** 2
+TAGS40_CORPUS = [
+    [TAGS40[i] for i in _rng.choice(40, size=_rng.integers(1, 8), p=_zipf / _zipf.sum())]
+    for _ in range(8)
+]
 
 
 class TestHandComputedBigram:
@@ -47,12 +58,19 @@ class TestHandComputedBigram:
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestAgainstReference:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_every_conditional_matches_reference(self, order):
-        model = train_lm(HAND_CORPUS, HAND_TAGS, order=order)
-        reference = ReferenceKN(HAND_CORPUS, HAND_TAGS, order=order)
+    @pytest.mark.parametrize(
+        "corpus,tags,order",
+        [pytest.param(HAND_CORPUS, HAND_TAGS, n, id=str(n)) for n in (1, 2, 3, 4, 5)]
+        + [
+            pytest.param(TAGS40_CORPUS, TAGS40, n, id=f"tags40-{n}")
+            for n in (12, 13)
+        ],
+    )
+    def test_every_conditional_matches_reference(self, corpus, tags, order):
+        model = train_lm(corpus, tags, order=order)
+        reference = ReferenceKN(corpus, tags, order=order)
         contexts = [()] + list(reference.contexts())
-        vocab = sorted(HAND_TAGS) + [EOS]
+        vocab = sorted(tags) + [EOS]
         checked = 0
         for context in contexts:
             for word in vocab:
@@ -134,15 +152,33 @@ class TestTraining:
         assert first.backoffs == second.backoffs
 
     def test_doubling_corpus_keeps_top_order_ratios(self):
-        once = _collect_counts([list(s) for s in HAND_CORPUS], 3)
-        twice = _collect_counts([list(s) for s in HAND_CORPUS * 2], 3)
-        for ctx, words in once[3].items():
-            total_once = sum(words.values())
-            total_twice = sum(twice[3][ctx].values())
-            for word, count in words.items():
-                assert count / total_once == pytest.approx(
-                    twice[3][ctx][word] / total_twice
-                )
+        symbols, once = _count_ngrams(HAND_CORPUS, frozenset(HAND_TAGS), 3)
+        _, twice = _count_ngrams(HAND_CORPUS * 2, frozenset(HAND_TAGS), 3)
+        keys, counts_once = once[3]
+        np.testing.assert_array_equal(twice[3][0], keys)
+        counts_twice = twice[3][1]
+        # windows ending in the begin marker are contexts, not predicted grams
+        predicted = keys % len(symbols) != symbols.index(BOS)
+        contexts = keys // len(symbols)
+        for ctx in np.unique(contexts[predicted]):
+            same = predicted & (contexts == ctx)
+            assert counts_once[same] / counts_once[same].sum() == pytest.approx(
+                counts_twice[same] / counts_twice[same].sum()
+            )
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_order5_model_matches_recorded_digest(self):
+        # every stored float to the last bit, recorded when counting ran on
+        # tuple-keyed dicts; the reference comparisons above allow 1e-9, so a
+        # last-bit change (numpy's log10 or power for math's) shows only here
+        corpus = lm_family_corpus("T", "Germanic", 1500, seed=33)
+        model = train_lm(pos_sequences(corpus), LM_TAGS + [",", ".", "$"], order=5)
+        text = repr(
+            (sorted(model.logprobs.items()), sorted(model.backoffs.items()), model.discounts)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0db2ab79fdad1b357acca2e3a85af061e3c11a86dfdce2664b21a4cb03460beb"
+        )
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_doubling_corpus_does_not_hurt_training_fit(self):
@@ -382,17 +418,6 @@ ngram 3=2
 
 
 class TestPosIO:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "tags.txt"
-        sentences = [["DT", "NN"], ["PRP", "VBZ", "RB"]]
-        write_pos_sentences(sentences, path)
-        assert read_pos_sentences(path) == sentences
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "tags.txt"
-        path.write_text("DT NN\n\nVB RB\n")
-        assert read_pos_sentences(path) == [["DT", "NN"], ["VB", "RB"]]
-
     def test_pos_sequences_from_corpus(self):
         corpus = make_corpus(
             [make_sentence(["the", "cat"], pos=["DT", "NN"])]
