@@ -18,11 +18,13 @@ through numpy SeedSequence spawning, so results are reproducible and
 independent of evaluation order.
 
 A draw is an array of sentence indices, and one draw serves every metric:
-``d_total_tests`` and ``d_dif_tests`` evaluate a ``Sample`` (such as
-``metrics.SentenceStats``, which gives all five metrics from per-sentence
-counts) on each draw. ``test_d_total`` and ``test_d_dif`` run the same
-engine for one metric function over corpora, materializing each draw as a
-corpus, for custom statistics.
+``d_total_tests`` and ``d_dif_tests`` take the observed metric values of
+N, NN and T and evaluate a ``Sample`` (such as ``metrics.SentenceStats``,
+which gives all five metrics from per-sentence counts) on each draw.
+D_total, the choice of K and D_dif each have one formula, shared by the
+observed values and the resample series. ``test_d_total`` and
+``test_d_dif`` run the same engine for one metric function over corpora,
+materializing each draw as a corpus, for custom statistics.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    statistic: str
     observed: float
     series: tuple[float, ...]  # sorted ascending
     seed: int
@@ -93,17 +94,6 @@ def _k_label(f_n: float, f_nn: float, f_t: float) -> str:
 
 def _distance_difference(f_n, f_k, f_nn, f_t):
     return abs(f_n - f_k) - abs(f_nn - f_t)
-
-
-def d_total(fm: MetricFn, c_n: Corpus, c_nn: Corpus, c_t: Corpus) -> float:
-    """Sum of pairwise metric distances between the three varieties."""
-    return _total_distance(fm(c_n), fm(c_nn), fm(c_t))
-
-
-def choose_k(fm: MetricFn, c_n: Corpus, c_nn: Corpus, c_t: Corpus) -> str:
-    """The constrained variety closer to N on the original corpora; ties go
-    to T."""
-    return _k_label(fm(c_n), fm(c_nn), fm(c_t))
 
 
 class Sample(Protocol):
@@ -202,7 +192,6 @@ def d_total_tests(
         p_value, upper_bound = _percentile_p(sorted_series, statistic)
         results.append(
             BootstrapResult(
-                statistic="D_total",
                 observed=statistic,
                 series=tuple(float(v) for v in sorted_series),
                 seed=config.seed,
@@ -241,7 +230,6 @@ def d_dif_tests(
         hi = _nearest_rank(series, 97.5)
         results.append(
             BootstrapResult(
-                statistic="D_dif",
                 observed=_distance_difference(f_n, f_k, f_nn, f_t),
                 series=tuple(float(v) for v in series),
                 seed=config.seed,

@@ -8,10 +8,8 @@ clustering always operates in the full feature space.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import permutations, product
-from pathlib import Path
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -240,33 +238,6 @@ def cluster_accuracy(
     ``_best_mapping``)."""
     hits, _ = _best_mapping(assignment, true_labels)
     return hits / len(true_labels)
-
-
-def write_cluster_csv(
-    path: str | Path,
-    chunk_ids: Sequence[str],
-    projection: Projection2D,
-    clustering: ClusteringResult,
-    true_labels: Sequence[Hashable],
-    label_map: dict[int, Hashable],
-) -> None:
-    """Scatter-plot data: chunk_id, x, y, cluster, true_label, correct."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chunk_id", "x", "y", "cluster", "true_label", "correct"])
-        for i, chunk_id in enumerate(chunk_ids):
-            cluster = int(clustering.assignment[i])
-            correct = label_map.get(cluster) == true_labels[i]
-            writer.writerow(
-                [
-                    chunk_id,
-                    repr(float(projection.coords[i, 0])),
-                    repr(float(projection.coords[i, 1])),
-                    cluster,
-                    true_labels[i],
-                    int(correct),
-                ]
-            )
 
 
 def best_label_map(

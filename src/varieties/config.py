@@ -17,6 +17,7 @@ Any key can be overridden through the environment as VARIETIES_<KEY>
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -109,24 +110,29 @@ def _field_types() -> dict[str, type]:
     return out
 
 
+# key = "value" or 'value', then an optional comment
+_QUOTED_LINE = re.compile(r"""(?P<key>[^=#]*)=\s*(?P<q>["'])(?P<value>.*?)(?P=q)\s*(?:#.*)?""")
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse the key = value format: full-line and trailing # comments,
-    optional single or double quotes around values."""
+    optional single or double quotes around values. A value quoted from its
+    start is taken whole, so a # inside the quotes is part of it."""
     types = _field_types()
     values: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "#" in stripped:
-            stripped = stripped.split("#", 1)[0].strip()
-        key, sep, raw = stripped.partition("=")
+        quoted = _QUOTED_LINE.fullmatch(stripped)
+        if quoted:
+            key, sep, raw = quoted["key"], "=", quoted["value"]
+        else:
+            key, sep, raw = stripped.split("#", 1)[0].partition("=")
+            raw = raw.strip()
         key = key.strip()
-        raw = raw.strip()
         if not sep or not key:
             raise ConfigError(f"{source}:{line_no}: expected 'key = value'")
-        if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-            raw = raw[1:-1]
         if key not in types:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
         try:

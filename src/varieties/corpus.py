@@ -194,6 +194,10 @@ def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSenten
     return sentences
 
 
+# the JSON types an entry of an aligned "pos" or "lemma" array may have
+_ENTRY_TYPES = frozenset({str, type(None)})
+
+
 def _sentence_from_record(
     record: object, line_no: int, default_variety: str | None
 ) -> AnnotatedSentence:
@@ -204,6 +208,8 @@ def _sentence_from_record(
         if not isinstance(surfaces, list) or not all(isinstance(t, str) for t in surfaces):
             raise CorpusFormatError('"tokens" must be an array of strings', line_no)
     elif "text" in record:
+        if not isinstance(record["text"], str):
+            raise CorpusFormatError('"text" must be a string', line_no)
         surfaces = tokenize_raw(record["text"])
         if not surfaces:
             raise CorpusFormatError("no tokens survive raw-text tokenization", line_no)
@@ -218,10 +224,15 @@ def _sentence_from_record(
             raise CorpusFormatError(
                 f'"{key}" must be an array aligned with the tokens', line_no
             )
+        if not _ENTRY_TYPES.issuperset(map(type, value)):
+            raise CorpusFormatError(f'"{key}" entries must be strings or null', line_no)
         return value
 
     pos = _aligned("pos")
     lemma = _aligned("lemma")
+    for key in ("country", "family"):
+        if record.get(key) is not None and not isinstance(record[key], str):
+            raise CorpusFormatError(f'"{key}" must be a string', line_no)
     variety = record.get("variety", default_variety)
     if variety not in VARIETY_LABELS:
         raise CorpusFormatError(f"unknown variety label {variety!r}", line_no)

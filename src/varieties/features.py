@@ -40,7 +40,6 @@ class FeatureSpace:
 
     family: str
     keys: tuple[str, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -186,11 +185,7 @@ def select_top_pos3(
     for record in chunk_counts(train_chunks):
         totals.update(record.pos3)
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return FeatureSpace(
-        family=POS3,
-        keys=tuple(key for key, _ in ordered),
-        provenance=f"top-{k} POS trigrams over {len(totals)} observed",
-    )
+    return FeatureSpace(family=POS3, keys=tuple(key for key, _ in ordered))
 
 
 def select_postok_vocab(
@@ -200,25 +195,15 @@ def select_postok_vocab(
     for record in chunk_counts(train_chunks):
         totals.update(record.postok)
     keys = tuple(sorted(k for k, c in totals.items() if c >= min_count))
-    return FeatureSpace(
-        family=POSTOK,
-        keys=keys,
-        provenance=f"positional pairs with count >= {min_count}",
-    )
+    return FeatureSpace(family=POSTOK, keys=keys)
 
 
 def fw_space(words: WordList) -> FeatureSpace:
-    return FeatureSpace(
-        family=FW, keys=tuple(words.sorted_entries()), provenance=words.name
-    )
+    return FeatureSpace(family=FW, keys=tuple(words.sorted_entries()))
 
 
 def coh_space(markers: PhraseList) -> FeatureSpace:
-    return FeatureSpace(
-        family=COH,
-        keys=tuple(e.text for e in markers.entries),
-        provenance=markers.name,
-    )
+    return FeatureSpace(family=COH, keys=tuple(e.text for e in markers.entries))
 
 
 @dataclass(frozen=True)

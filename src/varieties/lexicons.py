@@ -10,7 +10,7 @@ package ships best-effort default lists under ``varieties/resources``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -60,9 +60,6 @@ class PhraseList:
     def in_category(self, category: str) -> "PhraseList":
         kept = tuple(e for e in self.entries if e.category == category)
         return PhraseList(name=f"{self.name}[{category}]", entries=kept)
-
-    def phrase_texts(self) -> list[str]:
-        return [e.text for e in self.entries]
 
     @cached_property
     def by_first(self) -> dict[str, tuple[PhraseEntry, ...]]:
@@ -187,27 +184,6 @@ def load_tag_set(path: str | Path) -> TagSet:
     return TagSet(tags=frozenset(tags))
 
 
-def write_word_list(words: WordList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(words.entries):
-            fh.write(word + "\n")
-
-
-def write_phrase_list(phrases: PhraseList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in phrases.entries:
-            if entry.category:
-                fh.write(f"{entry.text}\t{entry.category}\n")
-            else:
-                fh.write(entry.text + "\n")
-
-
-def write_rank_list(ranks: RankList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, rank in sorted(ranks.ranks.items(), key=lambda kv: (kv[1], kv[0])):
-            fh.write(f"{word}\t{rank}\n")
-
-
 # ---------------------------------------------------------------------------
 # phrase matching
 
@@ -253,7 +229,6 @@ class Resources:
     idioms: PhraseList
     word_ranks: RankList
     tagset: TagSet
-    manifest_path: Path | None = field(default=None, compare=False)
 
     def sentence_transitions(self) -> PhraseList:
         return self.cohesive_markers.in_category(SENTENCE_TRANSITION)
@@ -285,7 +260,6 @@ def load_resources(manifest_path: str | Path) -> Resources:
         idioms=load_phrase_list(resolve("idioms"), "idioms"),
         word_ranks=load_rank_list(resolve("word_ranks"), "word_ranks"),
         tagset=load_tag_set(resolve("tagset")),
-        manifest_path=manifest_path,
     )
 
 

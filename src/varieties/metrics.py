@@ -12,8 +12,10 @@ Every metric is an aggregate of per-sentence quantities: pronoun, transition
 and rank counts are sums over sentences, TTR and collocation types count the
 distinct lemmas or idioms of the sentences. ``SentenceStats`` counts them
 once per corpus and evaluates all five metrics on any sample of its
-sentences, which is how the bootstrap resamples them; the corpus functions
-read the same counting helpers.
+sentences; the metrics stage computes the observed values and every
+bootstrap resample that way. The five corpus functions (``ttr`` ...
+``pronouns``) read the same counting helpers and give one metric of one
+corpus, for ``bootstrap.test_d_total``/``test_d_dif`` and library use.
 
 Metric triples over (N, T, NN) corpora are compared after dividing each
 value by the triple's sum, which makes them scale-invariant.
@@ -21,7 +23,6 @@ value by the triple's sum, which makes them scale-invariant.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -100,7 +101,7 @@ def _rank_counts(
     return total, included
 
 
-def _phrase_texts(surfaces: list[str], phrases: PhraseList) -> list[str]:
+def _matched_texts(surfaces: list[str], phrases: PhraseList) -> list[str]:
     """Texts of a sentence's phrase matches, in order (phrases never span
     sentences)."""
     return [entry.text for entry, _ in match_phrases(surfaces, phrases)]
@@ -172,25 +173,18 @@ def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue
     return _rank_value(*_rank_counts(corpus.tokens(), ranks, fw))
 
 
-def idiom_token_counts(corpus: Corpus, idioms: PhraseList) -> dict[str, int]:
-    """Token-level match counts per idiom (auxiliary output for qualitative
-    frequency queries)."""
-    counts: Counter = Counter()
-    for sent in corpus.sentences:
-        counts.update(_phrase_texts(sent.surfaces(), idioms))
-    return dict(counts)
-
-
 def collocation_types(corpus: Corpus, idioms: PhraseList) -> MetricValue:
     """Number of distinct idiom types with at least one match."""
-    types = idiom_token_counts(corpus, idioms)
+    types = {
+        text for sent in corpus.sentences for text in _matched_texts(sent.surfaces(), idioms)
+    }
     return _collocation_value(len(types), corpus.token_count)
 
 
 def transitions(corpus: Corpus, markers: PhraseList) -> MetricValue:
     """Sentence-transition matches per token."""
     _check_markers(markers)
-    hits = sum(len(_phrase_texts(sent.surfaces(), markers)) for sent in corpus.sentences)
+    hits = sum(len(_matched_texts(sent.surfaces(), markers)) for sent in corpus.sentences)
     return _transition_value(hits, corpus.token_count)
 
 
@@ -295,9 +289,9 @@ class SentenceStats:
             counts["pronouns"].append(_pronoun_count(sent.tokens))
             counts["rank_sum"].append(rank_sum)
             counts["ranked"].append(ranked)
-            counts["transitions"].append(len(_phrase_texts(surfaces, markers)))
+            counts["transitions"].append(len(_matched_texts(surfaces, markers)))
             lemmas.append(_lemmas(sent.tokens))
-            idioms.append(set(_phrase_texts(surfaces, resources.idioms)))
+            idioms.append(set(_matched_texts(surfaces, resources.idioms)))
         return cls(
             **{name: np.array(values, dtype=np.int64) for name, values in counts.items()},
             lemmas=_IdSets.of(lemmas),
@@ -332,22 +326,6 @@ class SentenceStats:
             _transition_value(int(self.transitions[indices].sum()), tokens).raw,
             _pronoun_value(int(self.pronouns[indices].sum()), tokens).raw,
         )
-
-
-def noun_frequency(corpus: Corpus) -> MetricValue:
-    """Nouns + proper nouns (NN*, NNP*) per token — the complement check to
-    the pronoun metric."""
-    if corpus.token_count == 0:
-        raise ValueError("empty corpus")
-    hits = 0
-    for tok in corpus.tokens():
-        if tok.pos is None:
-            raise ValueError(f"token {tok.surface!r} is missing its POS tag")
-        if tok.pos in ("NN", "NNS", "NNP", "NNPS"):
-            hits += 1
-    return MetricValue(
-        metric="NOUNS", raw=hits / corpus.token_count, basis=corpus.token_count
-    )
 
 
 def check_sizes(

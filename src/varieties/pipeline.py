@@ -107,10 +107,17 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def _write(path: Path, fill: Callable[[Path], object]) -> None:
+    """Write ``path`` whole or not at all: ``fill`` writes a temp file beside
+    it, which then replaces it. The one writer of every file of a run."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    fill(tmp)
     os.replace(tmp, path)
+
+
+def _json_fill(payload) -> Callable[[Path], object]:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -128,34 +135,9 @@ def _load_manifest(out_dir: Path) -> dict:
     return {"config": None, "resources": {}, "stages": {}}
 
 
-def _record_stage(
-    out_dir: Path,
-    stage: str,
-    config: PipelineConfig,
-    resources_manifest: Path,
-    outputs: Sequence[Path],
-    seconds: float,
-) -> None:
-    manifest = _load_manifest(out_dir)
-    manifest["config"] = config_snapshot(config)
-    resource_dir = resources_manifest.parent
-    resource_hashes = {str(resources_manifest): _sha256(resources_manifest)}
-    for name in sorted(json.loads(resources_manifest.read_text()).values()):
-        resource_hashes[name] = _sha256(resource_dir / name)
-    manifest["resources"] = resource_hashes
-    manifest["stages"][stage] = {
-        "seconds": round(seconds, 3),
-        "outputs": {
-            str(p.relative_to(out_dir)): _sha256(p) for p in sorted(outputs)
-        },
-    }
-    atomic_write_text(
-        out_dir / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-
-
 class _Stage:
-    """Collects output files and times the stage for the manifest."""
+    """Writes the output files of one stage and records them, with the
+    stage's time, in the manifest."""
 
     def __init__(self, name: str, config: PipelineConfig, out_dir: Path):
         self.name = name
@@ -164,41 +146,41 @@ class _Stage:
         self.outputs: list[Path] = []
         self.start = time.monotonic()
 
-    def path(self, relative: str) -> Path:
+    def write(self, relative: str, fill: Callable[[Path], object]) -> None:
+        """Write the output ``relative`` through ``fill(temp_path)``."""
         p = self.out_dir / relative
         p.parent.mkdir(parents=True, exist_ok=True)
         self.outputs.append(p)
-        return p
+        _write(p, fill)
 
-    def write_csv(self, relative: str, header: Sequence[str], rows) -> Path:
-        p = self.path(relative)
-        tmp = p.with_name(p.name + ".tmp")
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, p)
-        return p
+    def write_csv(self, relative: str, header: Sequence[str], rows) -> None:
+        def fill(tmp: Path) -> None:
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
 
-    def write_json(self, relative: str, payload) -> Path:
-        p = self.path(relative)
-        atomic_write_text(p, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return p
+        self.write(relative, fill)
 
-    def write_text(self, relative: str, text: str) -> Path:
-        p = self.path(relative)
-        atomic_write_text(p, text)
-        return p
+    def write_json(self, relative: str, payload) -> None:
+        self.write(relative, _json_fill(payload))
 
     def finish(self, resources_manifest: Path) -> None:
-        _record_stage(
-            self.out_dir,
-            self.name,
-            self.config,
-            resources_manifest,
-            self.outputs,
-            time.monotonic() - self.start,
-        )
+        seconds = time.monotonic() - self.start
+        manifest = _load_manifest(self.out_dir)
+        manifest["config"] = config_snapshot(self.config)
+        resource_dir = resources_manifest.parent
+        resource_hashes = {str(resources_manifest): _sha256(resources_manifest)}
+        for name in sorted(json.loads(resources_manifest.read_text()).values()):
+            resource_hashes[name] = _sha256(resource_dir / name)
+        manifest["resources"] = resource_hashes
+        manifest["stages"][self.name] = {
+            "seconds": round(seconds, 3),
+            "outputs": {
+                str(p.relative_to(self.out_dir)): _sha256(p) for p in sorted(self.outputs)
+            },
+        }
+        _write(self.out_dir / MANIFEST_NAME, _json_fill(manifest))
 
 
 def _resources_for(config: PipelineConfig) -> tuple[Resources, Path]:
@@ -249,10 +231,7 @@ def cmd_ingest(config: PipelineConfig, out_dir: Path) -> None:
             continue
         found_any = True
         corpus = _ingest_variety(config, variety)
-        out_path = stage.path(f"ingest/{variety}.jsonl")
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        write_jsonl(corpus, tmp)
-        os.replace(tmp, out_path)
+        stage.write(f"ingest/{variety}.jsonl", lambda tmp: write_jsonl(corpus, tmp))
         types = len({t.surface for t in corpus.tokens()})
         stats_rows.append([variety, len(corpus), corpus.token_count, types])
     if not found_any:
@@ -383,10 +362,17 @@ def cmd_cluster(config: PipelineConfig, out_dir: Path) -> None:
         result = clus.bisecting_kmeans(X, k=k, seed=config.seed)
         accuracy = clus.cluster_accuracy(result.assignment, labels)
         label_map = clus.best_label_map(result.assignment, labels)
-        out_path = stage.path(f"cluster/scatter_k{k}.csv")
-        tmp = out_path.with_name(out_path.name + ".tmp")
-        clus.write_cluster_csv(tmp, chunk_ids, projection, result, labels, label_map)
-        os.replace(tmp, out_path)
+        scatter = [
+            [chunk_id, repr(x), repr(y), cluster, label, int(label_map.get(cluster) == label)]
+            for chunk_id, (x, y), cluster, label in zip(
+                chunk_ids, projection.coords.tolist(), result.assignment.tolist(), labels
+            )
+        ]
+        stage.write_csv(
+            f"cluster/scatter_k{k}.csv",
+            ["chunk_id", "x", "y", "cluster", "true_label", "correct"],
+            scatter,
+        )
         centroid_xy = (result.centroids - X.mean(axis=0)) @ projection.axes.T
         stage.write_csv(
             f"cluster/centroids_k{k}.csv",
@@ -541,10 +527,9 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
             poslm.pos_sequences(train), resources.tagset, order=config.lm_order
         )
         models[family] = model
-        arpa_path = stage.path(f"lm/{family.lower()}_t.arpa")
-        tmp = arpa_path.with_name(arpa_path.name + ".tmp")
-        poslm.write_arpa(model, tmp)
-        os.replace(tmp, arpa_path)
+        stage.write(
+            f"lm/{family.lower()}_t.arpa", lambda tmp: poslm.write_arpa(model, tmp)
+        )
 
     table_rows = []
     ttest_payload = {}
@@ -658,7 +643,8 @@ def cmd_report(config: PipelineConfig, out_dir: Path) -> None:
             else:
                 lines.append(f"(binary or large artifact: {rel})")
             lines.append("")
-    stage.write_text("report.md", "\n".join(lines) + "\n")
+    report = "\n".join(lines) + "\n"
+    stage.write("report.md", lambda tmp: tmp.write_text(report, encoding="utf-8"))
 
     inventory = {}
     for stage_name, entry in sorted(manifest["stages"].items()):

@@ -342,6 +342,22 @@ def _score_sentence(
     return log_sum, scored, excluded
 
 
+def _score(
+    model: KneserNeyModel, sentences: Iterable[Sequence[str]], score_sentence_end: bool
+) -> tuple[float, int, int]:
+    """(log10 sum, scored, excluded) over ``sentences``, summed sentence by
+    sentence in order."""
+    log_sum = 0.0
+    scored = 0
+    excluded = 0
+    for tags in sentences:
+        s_log, s_scored, s_excl = _score_sentence(model, tags, score_sentence_end)
+        log_sum += s_log
+        scored += s_scored
+        excluded += s_excl
+    return log_sum, scored, excluded
+
+
 def ppl(
     model: KneserNeyModel,
     sentences: Iterable[Sequence[str]],
@@ -349,20 +365,10 @@ def ppl(
 ) -> PerplexityReport:
     """Perplexity 10^(-avg log10 P) over all scoring positions, excluding
     out-of-vocabulary symbols from both the sum and the token count."""
-    log_sum = 0.0
-    scored = 0
-    excluded = 0
-    seen = False
-    for tags in sentences:
-        if not tags:
-            continue
-        seen = True
-        s_log, s_scored, s_excl = _score_sentence(model, tags, score_sentence_end)
-        log_sum += s_log
-        scored += s_scored
-        excluded += s_excl
-    if not seen:
+    sentences = [tags for tags in sentences if tags]
+    if not sentences:
         raise ValueError("empty test set")
+    log_sum, scored, excluded = _score(model, sentences, score_sentence_end)
     if scored == 0:
         raise ValueError("no in-vocabulary scoring positions in the test set")
     return PerplexityReport(
@@ -394,14 +400,7 @@ def ppl_by_chunks(
     total_excluded = 0
     for start in range(0, len(sentences), chunk_size_sentences):
         block = sentences[start : start + chunk_size_sentences]
-        log_sum = 0.0
-        scored = 0
-        excluded = 0
-        for tags in block:
-            s_log, s_scored, s_excl = _score_sentence(model, tags, score_sentence_end)
-            log_sum += s_log
-            scored += s_scored
-            excluded += s_excl
+        log_sum, scored, excluded = _score(model, block, score_sentence_end)
         if scored == 0:
             raise ValueError("a chunk has no in-vocabulary scoring positions")
         chunks.append(

@@ -297,7 +297,6 @@ def cross_validate(
     confusion = np.zeros((len(order), len(order)), dtype=int)
     fold_acc = []
     assignment = stratified_folds(labels, folds, seed)
-    multiclass = len(order) > 2
     for test_idx in assignment:
         test_set = set(test_idx)
         train_idx = [i for i in range(len(chunks)) if i not in test_set]
@@ -307,14 +306,8 @@ def cross_validate(
         X_train = vectorize_chunks(train_chunks, spaces)
         y_train = [labels[i] for i in train_idx]
         X_test = vectorize_chunks([chunks[i] for i in test_idx], spaces)
-        if multiclass:
-            ensemble = train_multiclass(
-                X_train, y_train, C=C, tol=tol, feature_names=names
-            )
-            predictions = [predict_multiclass(ensemble, x) for x in X_test]
-        else:
-            model = train_binary(X_train, y_train, C=C, tol=tol, feature_names=names)
-            predictions = [predict(model, x)[0] for x in X_test]
+        ensemble = train_multiclass(X_train, y_train, C=C, tol=tol, feature_names=names)
+        predictions = [predict_multiclass(ensemble, x) for x in X_test]
         hits = 0
         for idx, pred in zip(test_idx, predictions):
             true = labels[idx]

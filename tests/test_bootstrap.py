@@ -6,9 +6,7 @@ from oracles import t_two_tailed_numeric
 from synthdata import metrics_corpus, vocab_corpus
 from varieties.bootstrap import (
     BootstrapConfig,
-    choose_k,
     d_dif_tests,
-    d_total,
     d_total_tests,
     paired_ttest,
 )
@@ -24,50 +22,48 @@ from varieties.metrics import (
 )
 
 
-def constant_metric(value):
-    return lambda corpus: value
+class _Stub:
+    """A Sample of one one-token sentence; every draw scores 0."""
+
+    tokens = np.ones(1, dtype=np.int64)
+
+    def values(self, indices):
+        return (0.0,)
 
 
-def picking_metric(values):
-    """Metric keyed on corpus identity (provenance) for rule-trace tests."""
-    return lambda corpus: values[corpus.provenance]
+def observed_d_total(f_n, f_nn, f_t):
+    """D_total of the observed values (one metric per corpus row)."""
+    config = BootstrapConfig(sample_tokens=1, iterations=1)
+    return d_total_tests(_Stub(), [[f_n], [f_nn], [f_t]], config)[0].observed
 
 
-def named(provenance, n_tokens=10):
-    return make_corpus(
-        [make_sentence([f"{provenance}{i}" for i in range(n_tokens)])],
-        provenance=provenance,
-    )
+def chosen_k(f_n, f_nn, f_t):
+    """The K that D_dif fixes from the observed values."""
+    config = BootstrapConfig(sample_tokens=1, iterations=1)
+    return d_dif_tests([_Stub()] * 3, [[f_n], [f_nn], [f_t]], config)[0].k_label
 
 
 class TestDTotal:
     def test_arithmetic(self):
-        fm = picking_metric({"n": 3.0, "nn": 1.0, "t": 2.0})
-        assert d_total(fm, named("n"), named("nn"), named("t")) == pytest.approx(4.0)
+        assert observed_d_total(3.0, 1.0, 2.0) == pytest.approx(4.0)
 
     def test_identical_corpora_zero(self):
-        corpus = named("x")
-        assert d_total(constant_metric(0.7), corpus, corpus, corpus) == 0.0
+        assert observed_d_total(0.7, 0.7, 0.7) == 0.0
 
     def test_figure_coordinates(self):
         # normalized lexical-richness triple: N=0.356, NN=0.312, T=0.332
-        fm = picking_metric({"n": 0.356, "nn": 0.312, "t": 0.332})
-        value = d_total(fm, named("n"), named("nn"), named("t"))
-        assert value == pytest.approx(0.088, abs=1e-12)
+        assert observed_d_total(0.356, 0.312, 0.332) == pytest.approx(0.088, abs=1e-12)
 
 
 class TestChooseK:
     def test_nn_closer(self):
-        fm = picking_metric({"n": 10.0, "nn": 9.0, "t": 5.0})
-        assert choose_k(fm, named("n"), named("nn"), named("t")) == "NN"
+        assert chosen_k(10.0, 9.0, 5.0) == "NN"
 
     def test_t_closer(self):
-        fm = picking_metric({"n": 10.0, "nn": 5.0, "t": 9.0})
-        assert choose_k(fm, named("n"), named("nn"), named("t")) == "T"
+        assert chosen_k(10.0, 5.0, 9.0) == "T"
 
     def test_tie_goes_to_t(self):
-        fm = picking_metric({"n": 10.0, "nn": 8.0, "t": 12.0})
-        assert choose_k(fm, named("n"), named("nn"), named("t")) == "T"
+        assert chosen_k(10.0, 8.0, 12.0) == "T"
 
 
 def _ttr_metric(corpus):
@@ -165,7 +161,7 @@ class TestTestDDif:
         c_t = vocab_corpus("T", 200, vocab_size=50, seed=3)
         config = BootstrapConfig(sample_tokens=800, iterations=50, seed=0)
         result = run_d_dif(_ttr_metric, c_n, c_nn, c_t, config)
-        assert result.k_label == choose_k(_ttr_metric, c_n, c_nn, c_t) == "NN"
+        assert result.k_label == chosen_k(*map(_ttr_metric, (c_n, c_nn, c_t))) == "NN"
 
     def test_ci_endpoints_are_nearest_rank(self):
         corpora = [

@@ -1,16 +1,21 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import jacobi_eigh
-from synthdata import gaussian_blobs
+from synthdata import clustering_corpora, gaussian_blobs
 from varieties.clustering import (
     bisecting_kmeans,
     best_label_map,
     cluster_accuracy,
     pca_2d,
-    write_cluster_csv,
 )
+from varieties.config import load_config
+from varieties.corpus import write_jsonl
 from varieties.errors import DegenerateDataError
+from varieties.pipeline import run_stage
 
 
 class TestBisectingKmeans:
@@ -167,17 +172,27 @@ class TestClusterAccuracy:
 
 class TestScatterOutput:
     def test_csv_fields(self, tmp_path):
-        X, labels = gaussian_blobs([(0, 0), (8, 8)], 5, 0.5, seed=0)
-        result = bisecting_kmeans(X, k=2, seed=0)
-        proj = pca_2d(X)
-        label_map = best_label_map(result.assignment, labels.tolist())
-        path = tmp_path / "scatter.csv"
-        write_cluster_csv(
-            path, [f"c{i}" for i in range(len(X))], proj, result, labels.tolist(),
-            label_map,
+        data = tmp_path / "data"
+        data.mkdir()
+        for variety, corpus in clustering_corpora(120, seed=9).items():
+            write_jsonl(corpus, data / f"{variety}.jsonl")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"corpus_n = {data / 'N.jsonl'}\n"
+            f"corpus_nn = {data / 'NN.jsonl'}\n"
+            f"corpus_t = {data / 'T.jsonl'}\n"
+            f"out = {tmp_path / 'out'}\n"
+            "seed = 4\nchunk_target = 100\n"
         )
-        lines = path.read_text().splitlines()
+        out = run_stage("cluster", load_config(cfg, env={}))
+        summary = json.loads((out / "cluster" / "summary.json").read_text())
+        lines = (out / "cluster" / "scatter_k3.csv").read_text().splitlines()
         assert lines[0] == "chunk_id,x,y,cluster,true_label,correct"
-        assert len(lines) == len(X) + 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 6 for row in rows)
+        # one row per balanced chunk, each chunk once
+        assert len({row[0] for row in rows}) == len(rows)
+        assert Counter(row[4] for row in rows) == {"N": 12, "NN": 12, "T": 12}
         # a perfect clustering marks every row correct
+        assert summary["k3"]["accuracy"] == 1.0
         assert all(line.endswith(",1") for line in lines[1:])

@@ -13,12 +13,14 @@ class TestParse:
             "seed = 7\n"
             "svm_c = 2.5  # inline comment\n"
             'out = "my out dir"\n'
+            'corpus_t = "runs/#1/t.jsonl"  # a quoted value keeps its #\n'
         )
         config = load_config(cfg, env={})
         assert config.corpus_n == "data/n.jsonl"
         assert config.seed == 7
         assert config.svm_c == 2.5
         assert config.out == "my out dir"
+        assert config.corpus_t == "runs/#1/t.jsonl"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -106,10 +106,32 @@ class TestIngestJsonl:
         corpus = ingest(path)
         assert [t.surface for t in corpus.sentences[0].tokens] == ["we", "agree"]
 
-    def test_misaligned_pos_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"tokens":["a","b"],"pos":["DT"]', '"pos" must be an array aligned'),
+            ('"tokens":["a","b"],"pos":["DT",7]', '"pos" entries must be strings or null'),
+            ('"tokens":["a","b"],"lemma":[null,5]', '"lemma" entries must be strings'),
+            ('"tokens":["a","b"],"country":5', '"country" must be a string'),
+            ('"tokens":["a","b"],"family":["Germanic"]', '"family" must be a string'),
+            ('"text":5', '"text" must be a string'),
+        ],
+        ids=[
+            "misaligned-pos",
+            "pos-number",
+            "lemma-number",
+            "country-number",
+            "family-list",
+            "text-number",
+        ],
+    )
+    def test_misaligned_pos_rejected(self, tmp_path, fields, message):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"tokens":["a","b"],"pos":["DT"],"variety":"N"}\n')
-        with pytest.raises(CorpusFormatError, match="aligned"):
+        path.write_text(
+            '{"tokens":["a","b"],"variety":"N"}\n'
+            f'{{{fields},"variety":"N"}}\n'
+        )
+        with pytest.raises(CorpusFormatError, match=f"^line 2: {message}"):
             ingest(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -11,10 +11,8 @@ from varieties.metrics import (
     SentenceStats,
     check_sizes,
     collocation_types,
-    idiom_token_counts,
     mean_word_rank,
     normalize_triple,
-    noun_frequency,
     pronouns,
     transitions,
     ttr,
@@ -98,11 +96,6 @@ class TestCollocations:
         corpus = make_corpus([make_sentence(["plain", "words"])])
         assert collocation_types(corpus, self.IDIOMS).raw == 0.0
 
-    def test_token_counts_auxiliary(self):
-        sentences = [make_sentence(["red", "tape"]) for _ in range(3)]
-        counts = idiom_token_counts(make_corpus(sentences), self.IDIOMS)
-        assert counts == {"red tape": 3}
-
     def test_monotone_under_extension(self):
         base = [make_sentence(["red", "tape"])]
         extended = base + [make_sentence(["food", "chain"])]
@@ -166,7 +159,6 @@ class TestPronouns:
             1 for t in corpus.tokens() if t.pos not in ("PRP", "PRP$")
         ) / corpus.token_count
         assert p + non_pronoun == pytest.approx(1.0)
-        assert noun_frequency(corpus).raw == pytest.approx(1 / 5)
 
 
 class TestCheckSizes:

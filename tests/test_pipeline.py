@@ -329,11 +329,19 @@ class TestClusterStage:
         assert dominant("N") != dominant("NN")
 
     def test_scatter_has_centroids_and_coords(self, cluster_out):
+        summary = json.loads((cluster_out / "cluster" / "summary.json").read_text())
         for k in (2, 3):
-            scatter = read_csv(cluster_out / "cluster" / f"scatter_k{k}.csv")
-            assert {"chunk_id", "x", "y", "cluster", "true_label", "correct"} <= set(
-                scatter[0]
-            )
+            path = cluster_out / "cluster" / f"scatter_k{k}.csv"
+            header = path.read_text().splitlines()[0]
+            assert header == "chunk_id,x,y,cluster,true_label,correct"
+            # a chunk is correct when its cluster maps to its true label
+            label_map = summary[f"k{k}"]["label_map"]
+            scatter = read_csv(path)
+            for row in scatter:
+                correct = label_map.get(row["cluster"]) == row["true_label"]
+                assert row["correct"] == str(int(correct))
+            hits = sum(row["correct"] == "1" for row in scatter)
+            assert hits / len(scatter) == summary[f"k{k}"]["accuracy"]
             centroids = read_csv(cluster_out / "cluster" / f"centroids_k{k}.csv")
             assert len(centroids) == k
 
@@ -714,6 +722,18 @@ class TestFullPipeline:
         for stage in ("ingest", "classify", "cluster", "metrics", "lm"):
             assert f"## {stage}" in report
         assert "metrics/metrics.csv" in report
+
+    def test_only_recorded_outputs_are_left(self, full_run):
+        # every file is written through a temp file that replaces it, under a
+        # lock that the run releases
+        manifest = json.loads((full_run / "manifest.json").read_text())
+        recorded = {
+            rel for entry in manifest["stages"].values() for rel in entry["outputs"]
+        }
+        files = {
+            str(p.relative_to(full_run)) for p in full_run.rglob("*") if p.is_file()
+        }
+        assert files - {"manifest.json"} == recorded
 
     def test_resource_hashes_recorded(self, full_run):
         manifest = json.loads((full_run / "manifest.json").read_text())
