@@ -15,6 +15,7 @@ import random
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,7 +58,9 @@ class Token:
     lemma: str | None = None
 
     def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
+        # split() drops str.isspace runs, so only a nonempty surface with no
+        # whitespace character splits into itself
+        if self.surface.split() != [self.surface]:
             raise ValueError(
                 f"token surface must be nonempty and whitespace-free: {self.surface!r}"
             )
@@ -69,6 +72,19 @@ class Token:
     @property
     def lemma_or_surface(self) -> str:
         return self.lemma if self.lemma is not None else self.surface
+
+
+class _TokenTable(dict):
+    """One validated ``Token`` per distinct raw (surface, pos, lemma) triple.
+
+    A reader keeps one table per file, so equal tokens share one immutable
+    object. A triple whose ``Token`` raises is not stored, so it raises again
+    wherever it recurs.
+    """
+
+    def __missing__(self, key: tuple[str, str | None, str | None]) -> Token:
+        token = self[key] = Token(*key)
+        return token
 
 
 @dataclass(frozen=True)
@@ -181,6 +197,7 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
 
 def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
     sentences = []
+    table = _TokenTable()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -190,22 +207,28 @@ def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSenten
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
-            sentences.append(_sentence_from_record(record, line_no, default_variety))
+            sentences.append(
+                _sentence_from_record(record, line_no, default_variety, table)
+            )
     return sentences
 
 
-# the JSON types an entry of an aligned "pos" or "lemma" array may have
+# the JSON types an entry of "tokens", and of an aligned "pos" or "lemma"
+# array, may have
+_SURFACE_TYPES = frozenset({str})
 _ENTRY_TYPES = frozenset({str, type(None)})
 
 
 def _sentence_from_record(
-    record: object, line_no: int, default_variety: str | None
+    record: object, line_no: int, default_variety: str | None, table: _TokenTable
 ) -> AnnotatedSentence:
     if not isinstance(record, dict):
         raise CorpusFormatError("record is not a JSON object", line_no)
     if "tokens" in record:
         surfaces = record["tokens"]
-        if not isinstance(surfaces, list) or not all(isinstance(t, str) for t in surfaces):
+        if not isinstance(surfaces, list) or not _SURFACE_TYPES.issuperset(
+            map(type, surfaces)
+        ):
             raise CorpusFormatError('"tokens" must be an array of strings', line_no)
     elif "text" in record:
         if not isinstance(record["text"], str):
@@ -238,12 +261,10 @@ def _sentence_from_record(
         raise CorpusFormatError(f"unknown variety label {variety!r}", line_no)
     try:
         tokens = tuple(
-            Token(
-                surface=surfaces[i],
-                pos=pos[i] if pos is not None else None,
-                lemma=lemma[i] if lemma is not None else None,
+            map(
+                table.__getitem__,
+                zip(surfaces, pos or repeat(None), lemma or repeat(None)),
             )
-            for i in range(len(surfaces))
         )
         return AnnotatedSentence(
             tokens=tokens,
@@ -260,6 +281,7 @@ _VERTICAL_HEADERS = ("variety", "country", "family")
 
 def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
     sentences = []
+    table = _TokenTable()
     current: list[Token] = []
     meta: dict[str, str | None] = {"variety": default_variety, "country": None, "family": None}
     sentence_start_line = 1
@@ -306,13 +328,7 @@ def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSen
                 raise CorpusFormatError("expected surface<TAB>pos<TAB>lemma", line_no)
             fields += [""] * (3 - len(fields))
             try:
-                current.append(
-                    Token(
-                        surface=fields[0],
-                        pos=fields[1] or None,
-                        lemma=fields[2] or None,
-                    )
-                )
+                current.append(table[fields[0], fields[1] or None, fields[2] or None])
             except ValueError as exc:
                 raise CorpusFormatError(str(exc), line_no) from exc
         flush(line_no)
@@ -323,11 +339,14 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Serialize a corpus so that ``ingest`` reproduces it exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         for sent in corpus.sentences:
-            record: dict = {"tokens": [t.surface for t in sent.tokens]}
-            if any(t.pos is not None for t in sent.tokens):
-                record["pos"] = [t.pos for t in sent.tokens]
-            if any(t.lemma is not None for t in sent.tokens):
-                record["lemma"] = [t.lemma for t in sent.tokens]
+            tokens = sent.tokens
+            pos = [t.pos for t in tokens]
+            lemma = [t.lemma for t in tokens]
+            record: dict = {"tokens": [t.surface for t in tokens]}
+            if pos.count(None) < len(pos):
+                record["pos"] = pos
+            if lemma.count(None) < len(lemma):
+                record["lemma"] = lemma
             record["variety"] = sent.variety
             if sent.country is not None:
                 record["country"] = sent.country

@@ -202,10 +202,15 @@ def train_multiclass(
     for a_idx in range(len(order)):
         for b_idx in range(a_idx + 1, len(order)):
             pair = (order[a_idx], order[b_idx])
-            rows = [i for i, lab in enumerate(labels) if lab in pair]
+            in_pair = [lab in pair for lab in labels]
+            if all(in_pair):
+                X_pair, y_pair = X, labels
+            else:
+                X_pair = X[np.array(in_pair)]
+                y_pair = [lab for lab in labels if lab in pair]
             models[pair] = train_binary(
-                X[rows],
-                [labels[i] for i in rows],
+                X_pair,
+                y_pair,
                 C=C,
                 tol=tol,
                 max_passes=max_passes,
@@ -223,11 +228,9 @@ def predict_multiclass(ensemble: OvoEnsemble, x: np.ndarray) -> Hashable:
         winner, value = predict(model, x)
         votes[winner] += 1
         magnitude[winner] += abs(value)
-    rank = {lab: i for i, lab in enumerate(ensemble.label_order)}
-    return max(
-        ensemble.label_order,
-        key=lambda lab: (votes[lab], magnitude[lab], -rank[lab]),
-    )
+    # max keeps the first of equal keys, so a full tie goes to the label
+    # earliest in label_order
+    return max(ensemble.label_order, key=lambda lab: (votes[lab], magnitude[lab]))
 
 
 # ---------------------------------------------------------------------------

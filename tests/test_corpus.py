@@ -1,9 +1,14 @@
+import gc
 import json
+import sys
+import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
 
 from conftest import make_corpus, make_sentence
+from synthdata import lm_family_corpus
 from varieties.corpus import (
     AnnotatedSentence,
     Chunk,
@@ -12,6 +17,7 @@ from varieties.corpus import (
     Token,
     balance,
     chunk,
+    concat,
     family_of,
     filter_corpus,
     ingest,
@@ -36,6 +42,19 @@ class TestToken:
     def test_lemma_fallback(self):
         assert Token(surface="ran").lemma_or_surface == "ran"
         assert Token(surface="ran", lemma="run").lemma_or_surface == "run"
+
+    def test_whitespace_check_matches_isspace(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        spaces = [c for c in chars if c.isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            for surface in (space, space + "ab", "a" + space + "b", "ab" + space):
+                with pytest.raises(ValueError, match="whitespace-free"):
+                    Token(surface=surface)
+        with pytest.raises(ValueError, match="whitespace-free"):
+            Token(surface="")
+        # every other code point, all in one surface, is accepted
+        Token(surface="".join(c for c in chars if not c.isspace()))
 
 
 class TestAnnotatedSentence:
@@ -175,6 +194,89 @@ class TestIngestVertical:
         path.write_text("x\n")
         with pytest.raises(CorpusFormatError, match="format"):
             ingest(path, "conll")
+
+
+def _write_reused_tokens(path, fmt: str, lines: int, bad_surface: str | None = None):
+    """``lines`` sentences over the same three tokens, plus one sentence whose
+    only token is ``bad_surface``; returns the line of the bad token."""
+    if fmt == "jsonl":
+        record = {
+            "tokens": ["we", "agree", "we"],
+            "pos": ["PRP", "VBP", "PRP"],
+            "lemma": ["we", None, "we"],
+            "variety": "N",
+        }
+        rows = [json.dumps(record)] * lines
+        if bad_surface is not None:
+            rows.append(json.dumps({"tokens": [bad_surface], "variety": "N"}))
+        path.write_text("\n".join(rows) + "\n")
+        return len(rows)
+    rows = ["we\tPRP\twe\nagree\tVBP\nwe\tPRP\twe\n"] * lines
+    if bad_surface is not None:
+        rows.append(f"{bad_surface}\tNN\n")
+    path.write_text("#variety=N\n" + "\n".join(rows))
+    return 1 + 4 * lines + 1
+
+
+class TestInterning:
+    @pytest.mark.parametrize("fmt", ["jsonl", "vertical"])
+    def test_equal_triples_share_one_token(self, tmp_path, fmt):
+        path = tmp_path / f"c.{fmt}"
+        _write_reused_tokens(path, fmt, lines=3)
+        corpus = ingest(path, fmt)
+        tokens = list(corpus.tokens())
+        assert len(tokens) == 9
+        we = tokens[0]
+        assert (we.surface, we.pos, we.lemma) == ("we", "PRP", "we")
+        assert all(t is we for i, t in enumerate(tokens) if i % 3 != 1)
+        assert all(t is tokens[1] for t in tokens[1::3])
+        assert tokens[1] is not we
+
+    def test_calls_share_no_table(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        _write_reused_tokens(path, "jsonl", lines=2)
+        first = ingest(path)
+        second = ingest(path)
+        assert first.sentences == second.sentences
+        assert first.sentences[0].tokens[0] is not second.sentences[0].tokens[0]
+        # once its corpus is gone nothing keeps a token alive
+        token = weakref.ref(first.sentences[0].tokens[0])
+        del first
+        gc.collect()
+        assert token() is None
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "vertical"])
+    @pytest.mark.parametrize("bad", ["a b", "\u3000", ""])
+    def test_bad_surface_after_reuse_names_its_line(self, tmp_path, fmt, bad):
+        path = tmp_path / f"c.{fmt}"
+        line = _write_reused_tokens(path, fmt, lines=200, bad_surface=bad)
+        with pytest.raises(
+            CorpusFormatError, match=f"^line {line}: token surface must be nonempty"
+        ):
+            ingest(path, fmt)
+
+    def test_ingest_holds_under_100_bytes_per_token(self, tmp_path):
+        # one Token object per token costs about 235 B/token here; one per
+        # distinct (surface, POS, lemma) leaves the sentence tuples, about 36
+        corpus = concat(
+            lm_family_corpus("T", family, 1100, seed=seed)
+            for seed, family in enumerate(("Germanic", "Romance"))
+        )
+        assert corpus.token_count >= 20000
+        path = tmp_path / "c.jsonl"
+        write_jsonl(corpus, path)
+        del corpus
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = ingest(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held / back.token_count < 100
 
 
 class TestRoundTrip:

@@ -167,6 +167,23 @@ class TestMulticlass:
         hits = sum(predict_multiclass(ensemble, x) == l for x, l in zip(X, labels))
         assert hits == len(labels)
 
+    def test_pair_models_train_on_the_pair_rows(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 3))
+        labels = ["a", "b", "c", "a", "b", "c", "c", "a", "b", "a", "c", "b"]
+        ensemble = train_multiclass(X, labels, C=5.0)
+        for pair, model in ensemble.models.items():
+            rows = [i for i, lab in enumerate(labels) if lab in pair]
+            alone = train_binary(X[rows], [labels[i] for i in rows], C=5.0)
+            assert np.array_equal(model.weights, alone.weights)
+            assert model.bias == alone.bias
+        # two labels: the one pair covers every row
+        two = [lab if lab != "c" else "b" for lab in labels]
+        (model,) = train_multiclass(X, two, C=5.0).models.values()
+        alone = train_binary(X, two, C=5.0)
+        assert np.array_equal(model.weights, alone.weights)
+        assert model.bias == alone.bias
+
     def test_vote_tie_break_is_deterministic(self):
         # cyclic winners: each label gets exactly one vote; magnitudes decide
         def fake(labels, w):
