@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateDataError
 
 _MAX_LLOYD_ITER = 300
+_SPLIT_TRIALS = 10  # random-pair 2-means restarts per split
 _PCA_TOL = 1e-10
 _PCA_MAX_ITER = 10_000
 
@@ -67,12 +68,12 @@ def _lloyd_2means(X: np.ndarray, centroids: np.ndarray):
     return assignment, centroids, sse
 
 
-def _best_split(X: np.ndarray, seed_seq: np.random.SeedSequence, trials: int):
-    """Split one cluster in two: best of ``trials`` random-pair inits,
-    selected by lowest SSE then lowest trial index."""
+def _best_split(X: np.ndarray, seed_seq: np.random.SeedSequence):
+    """Split one cluster in two: best of ``_SPLIT_TRIALS`` random-pair
+    inits, selected by lowest SSE then lowest trial index."""
     best = None
-    children = seed_seq.spawn(trials)
-    for trial in range(trials):
+    children = seed_seq.spawn(_SPLIT_TRIALS)
+    for trial in range(_SPLIT_TRIALS):
         rng = np.random.default_rng(children[trial])
         pick = rng.choice(len(X), size=2, replace=False)
         centroids = X[pick].astype(float).copy()
@@ -90,9 +91,7 @@ def _best_split(X: np.ndarray, seed_seq: np.random.SeedSequence, trials: int):
     return best
 
 
-def bisecting_kmeans(
-    vectors: np.ndarray, k: int, seed: int, trials: int = 10
-) -> ClusteringResult:
+def bisecting_kmeans(vectors: np.ndarray, k: int, seed: int) -> ClusteringResult:
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValueError("vectors must form a 2-D array")
@@ -109,7 +108,7 @@ def bisecting_kmeans(
         candidates = [c for c in range(len(clusters)) if len(clusters[c]) >= 2]
         target = max(candidates, key=lambda c: (sses[c], -c))
         members = clusters[target]
-        assignment, _, _ = _best_split(X[members], seed_seq.spawn(1)[0], trials)
+        assignment, _, _ = _best_split(X[members], seed_seq.spawn(1)[0])
         left = members[assignment == 0]
         right = members[assignment == 1]
         before = sses[target]

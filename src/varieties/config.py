@@ -44,13 +44,11 @@ class PipelineConfig:
     chunk_target: int = 2000
     cv_folds: int = 10
     bootstrap_iterations: int = 1000
-    sample_tokens: int = 0  # 0 = smallest corpus token count
     lm_order: int = 5
     lm_train_tokens: int = 7_000_000
     lm_test_sentences: int = 5350
     lm_country_sentences: int = 500
     svm_c: float = 1.0
-    svm_tol: float = 1e-3
     top_pos3: int = 3000
     postok_min_count: int = 5
 
@@ -69,10 +67,8 @@ class PipelineConfig:
             "postok_min_count",
         ):
             _positive_int(name, getattr(self, name))
-        if self.sample_tokens < 0:
-            raise ConfigError("sample_tokens must be >= 0 (0 = automatic)")
-        if self.svm_c <= 0 or self.svm_tol <= 0:
-            raise ConfigError("svm_c and svm_tol must be positive")
+        if self.svm_c <= 0:
+            raise ConfigError("svm_c must be positive")
 
     def corpus_path(self, variety: str) -> Path:
         key = f"corpus_{variety.lower()}"

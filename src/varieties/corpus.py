@@ -422,26 +422,17 @@ def balance(chunks_by_variety: dict[str, list[Chunk]], seed: int) -> dict[str, l
 
 def filter_corpus(
     corpus: Corpus,
-    variety: str | Iterable[str] | None = None,
-    country: str | Iterable[str] | None = None,
-    family: str | Iterable[str] | None = None,
+    variety: str | None = None,
+    country: str | None = None,
+    family: str | None = None,
 ) -> Corpus:
     """Order-preserving subsequence of sentences matching every given field."""
-
-    def as_set(value) -> set[str] | None:
-        if value is None:
-            return None
-        return {value} if isinstance(value, str) else set(value)
-
-    want_variety = as_set(variety)
-    want_country = as_set(country)
-    want_family = as_set(family)
     kept = tuple(
         s
         for s in corpus.sentences
-        if (want_variety is None or s.variety in want_variety)
-        and (want_country is None or s.country in want_country)
-        and (want_family is None or s.family in want_family)
+        if (variety is None or s.variety == variety)
+        and (country is None or s.country == country)
+        and (family is None or s.family == family)
     )
     return Corpus(sentences=kept, provenance=corpus.provenance)
 

@@ -39,6 +39,8 @@ PRONOUNS = "PRONOUNS"
 METRIC_NAMES = (TTR, MEAN_WORD_RANK, COLLOCATION_TYPES, TRANSITIONS, PRONOUNS)
 
 _PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
+# the equal-size guard's bound on pairwise token-count differences
+_SIZE_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -328,11 +330,9 @@ class SentenceStats:
         )
 
 
-def check_sizes(
-    corpus_n: Corpus, corpus_nn: Corpus, corpus_t: Corpus, tolerance: float = 0.01
-) -> SizeCheck:
+def check_sizes(corpus_n: Corpus, corpus_nn: Corpus, corpus_t: Corpus) -> SizeCheck:
     """Equal-size guard: pairwise token counts must agree within
-    ``tolerance`` (relative to the larger of each pair)."""
+    ``_SIZE_TOLERANCE`` (relative to the larger of each pair)."""
     sizes = {
         "N": corpus_n.token_count,
         "NN": corpus_nn.token_count,
@@ -350,7 +350,7 @@ def check_sizes(
     for a_idx in range(len(names)):
         for b_idx in range(a_idx + 1, len(names)):
             a, b = names[a_idx], names[b_idx]
-            if abs(sizes[a] - sizes[b]) > tolerance * max(sizes[a], sizes[b]):
+            if abs(sizes[a] - sizes[b]) > _SIZE_TOLERANCE * max(sizes[a], sizes[b]):
                 # blame the one farther from the median size
                 median = sorted(sizes.values())[1]
                 offenders.add(max((a, b), key=lambda l: abs(sizes[l] - median)))
@@ -358,7 +358,7 @@ def check_sizes(
         detail = ", ".join(f"{l}={sizes[l]}" for l in names)
         return SizeCheck(
             ok=False,
-            message=f"token counts differ by more than {tolerance:.0%}: {detail} "
+            message=f"token counts differ by more than {_SIZE_TOLERANCE:.0%}: {detail} "
             f"(offending: {', '.join(sorted(offenders))})",
             offenders=tuple(sorted(offenders)),
         )

@@ -47,6 +47,10 @@ FEATURE_ROWS = (
     ("FW", "POS3", "POSTOK"),
 )
 CLASSIFICATION_TASKS = (("N", "NN"), ("N", "T"), ("NN", "T"), ("N", "NN", "T"))
+# sentences per perplexity chunk; the lm t-test pairs the chunks' perplexities
+LM_CHUNK_SENTENCES = 100
+# data rows of a CSV output shown in report.md
+REPORT_CSV_ROWS = 50
 
 
 def _row_name(families: tuple[str, ...]) -> str:
@@ -290,7 +294,6 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
                 folds=config.cv_folds,
                 seed=config.seed,
                 C=config.svm_c,
-                tol=config.svm_tol,
             )
             accuracy_rows.append(
                 [row, _task_name(task), f"{report.mean_accuracy:.6f}"]
@@ -314,7 +317,6 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
                     X,
                     task_labels,
                     C=config.svm_c,
-                    tol=config.svm_tol,
                     feature_names=feat.space_feature_names(spaces),
                 )
                 for rank, (name, weight) in enumerate(
@@ -409,13 +411,10 @@ def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
     if not guard.ok:
         raise VarietiesError(f"equal-size guard failed: {guard.message}")
 
-    sample_tokens = config.sample_tokens or min(
-        c.token_count for c in corpora.values()
-    )
     stats = [met.SentenceStats.of(corpora[v], resources) for v in ("N", "NN", "T")]
     observed = [s.values(np.arange(len(s))) for s in stats]
     boot_config = boot.BootstrapConfig(
-        sample_tokens=sample_tokens,
+        sample_tokens=min(c.token_count for c in corpora.values()),
         iterations=config.bootstrap_iterations,
         seed=config.seed,
     )
@@ -513,7 +512,27 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
     resources, resources_manifest = _resources_for(config)
     stage = _Stage("lm", config, out_dir)
     corpus_t = _ingest_variety(config, "T")
-    corpus_nn = _ingest_variety(config, "NN")
+    corpus_nn = filter_corpus(_ingest_variety(config, "NN"), variety="NN")
+
+    # every test set is checked before any model is trained or written
+    test_sets = {}
+    for family in ("Germanic", "Romance"):
+        test = filter_corpus(corpus_nn, family=family)
+        if len(test) == 0:
+            raise VarietiesError(f"no non-native sentences with family {family}")
+        if len(test) < config.lm_test_sentences:
+            warnings.warn(
+                f"{family} NN: only {len(test)} sentences of the requested "
+                f"{config.lm_test_sentences}"
+            )
+        test = shuffle(test, config.seed).sentences[: config.lm_test_sentences]
+        if len(test) <= LM_CHUNK_SENTENCES:
+            raise VarietiesError(
+                f"{family} NN test set has {len(test)} sentences "
+                f"(lm_test_sentences = {config.lm_test_sentences}); the paired "
+                f"t-test needs at least 2 chunks of {LM_CHUNK_SENTENCES} sentences"
+            )
+        test_sets[family] = poslm.pos_sequences(Corpus(sentences=test))
 
     models = {}
     for family in ("Germanic", "Romance"):
@@ -533,21 +552,11 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
 
     table_rows = []
     ttest_payload = {}
-    for family in ("Germanic", "Romance"):
-        test = filter_corpus(corpus_nn, variety="NN", family=family)
-        if len(test) == 0:
-            raise VarietiesError(f"no non-native sentences with family {family}")
-        test = shuffle(test, config.seed)
-        if len(test) < config.lm_test_sentences:
-            warnings.warn(
-                f"{family} NN: only {len(test)} sentences of the requested "
-                f"{config.lm_test_sentences}"
-            )
-        test_sents = poslm.pos_sequences(
-            Corpus(sentences=test.sentences[: config.lm_test_sentences])
-        )
+    for family, test_sents in test_sets.items():
         reports = {
-            model_family: poslm.ppl_by_chunks(models[model_family], test_sents, 100)
+            model_family: poslm.ppl_by_chunks(
+                models[model_family], test_sents, LM_CHUNK_SENTENCES
+            )
             for model_family in ("Germanic", "Romance")
         }
         for model_family, report in reports.items():
@@ -588,9 +597,7 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
         }
     )
     for country in countries:
-        subset = shuffle(
-            filter_corpus(corpus_nn, variety="NN", country=country), config.seed
-        )
+        subset = shuffle(filter_corpus(corpus_nn, country=country), config.seed)
         test_sents = poslm.pos_sequences(
             Corpus(sentences=subset.sentences[: config.lm_country_sentences])
         )
@@ -659,17 +666,17 @@ def cmd_report(config: PipelineConfig, out_dir: Path) -> None:
     stage.finish(resources_manifest)
 
 
-def _csv_to_markdown(path: Path, limit: int = 50) -> list[str]:
+def _csv_to_markdown(path: Path) -> list[str]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         return ["(empty)"]
     out = ["| " + " | ".join(rows[0]) + " |"]
     out.append("|" + "---|" * len(rows[0]))
-    for row in rows[1 : limit + 1]:
+    for row in rows[1 : REPORT_CSV_ROWS + 1]:
         out.append("| " + " | ".join(row) + " |")
-    if len(rows) - 1 > limit:
-        out.append(f"| ... ({len(rows) - 1 - limit} more rows) |")
+    if len(rows) - 1 > REPORT_CSV_ROWS:
+        out.append(f"| ... ({len(rows) - 1 - REPORT_CSV_ROWS} more rows) |")
     return out
 
 

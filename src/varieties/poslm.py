@@ -97,7 +97,6 @@ class PerplexityReport:
     scored: int
     excluded: int
     log10_sum: float
-    scores_sentence_end: bool
     per_chunk: tuple[ChunkPerplexity, ...] | None = None
 
 
@@ -316,11 +315,10 @@ def train_lm(
 # perplexity
 
 
-def _score_sentence(
-    model: KneserNeyModel, tags: Sequence[str], score_sentence_end: bool
-) -> tuple[float, int, int]:
-    """(log10 sum, scored, excluded) for one sentence. Out-of-vocabulary
-    positions are skipped and truncate the history at the excluded symbol."""
+def _score_sentence(model: KneserNeyModel, tags: Sequence[str]) -> tuple[float, int, int]:
+    """(log10 sum, scored, excluded) for one sentence, end marker included.
+    Out-of-vocabulary positions are skipped and truncate the history at the
+    excluded symbol."""
     history: list[str] = [BOS] * (model.order - 1)
     log_sum = 0.0
     scored = 0
@@ -336,14 +334,13 @@ def _score_sentence(
         history.append(tag)
         if len(history) > keep:
             history = history[-keep:]
-    if score_sentence_end:
-        log_sum += model.logprob(EOS, history)
-        scored += 1
+    log_sum += model.logprob(EOS, history)
+    scored += 1
     return log_sum, scored, excluded
 
 
 def _score(
-    model: KneserNeyModel, sentences: Iterable[Sequence[str]], score_sentence_end: bool
+    model: KneserNeyModel, sentences: Iterable[Sequence[str]]
 ) -> tuple[float, int, int]:
     """(log10 sum, scored, excluded) over ``sentences``, summed sentence by
     sentence in order."""
@@ -351,32 +348,26 @@ def _score(
     scored = 0
     excluded = 0
     for tags in sentences:
-        s_log, s_scored, s_excl = _score_sentence(model, tags, score_sentence_end)
+        s_log, s_scored, s_excl = _score_sentence(model, tags)
         log_sum += s_log
         scored += s_scored
         excluded += s_excl
     return log_sum, scored, excluded
 
 
-def ppl(
-    model: KneserNeyModel,
-    sentences: Iterable[Sequence[str]],
-    score_sentence_end: bool = True,
-) -> PerplexityReport:
-    """Perplexity 10^(-avg log10 P) over all scoring positions, excluding
-    out-of-vocabulary symbols from both the sum and the token count."""
+def ppl(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> PerplexityReport:
+    """Perplexity 10^(-avg log10 P) over all scoring positions (every tag
+    and each sentence's end marker), excluding out-of-vocabulary symbols from
+    both the sum and the token count."""
     sentences = [tags for tags in sentences if tags]
     if not sentences:
         raise ValueError("empty test set")
-    log_sum, scored, excluded = _score(model, sentences, score_sentence_end)
-    if scored == 0:
-        raise ValueError("no in-vocabulary scoring positions in the test set")
+    log_sum, scored, excluded = _score(model, sentences)
     return PerplexityReport(
         perplexity=10.0 ** (-log_sum / scored),
         scored=scored,
         excluded=excluded,
         log10_sum=log_sum,
-        scores_sentence_end=score_sentence_end,
     )
 
 
@@ -384,7 +375,6 @@ def ppl_by_chunks(
     model: KneserNeyModel,
     sentences: Sequence[Sequence[str]],
     chunk_size_sentences: int = 100,
-    score_sentence_end: bool = True,
 ) -> PerplexityReport:
     """Per-chunk perplexities over consecutive sentence blocks; a final short
     block is retained and flagged. The whole-set figures aggregate the
@@ -400,9 +390,7 @@ def ppl_by_chunks(
     total_excluded = 0
     for start in range(0, len(sentences), chunk_size_sentences):
         block = sentences[start : start + chunk_size_sentences]
-        log_sum, scored, excluded = _score(model, block, score_sentence_end)
-        if scored == 0:
-            raise ValueError("a chunk has no in-vocabulary scoring positions")
+        log_sum, scored, excluded = _score(model, block)
         chunks.append(
             ChunkPerplexity(
                 perplexity=10.0 ** (-log_sum / scored),
@@ -420,7 +408,6 @@ def ppl_by_chunks(
         scored=total_scored,
         excluded=total_excluded,
         log10_sum=total_log,
-        scores_sentence_end=score_sentence_end,
         per_chunk=tuple(chunks),
     )
 

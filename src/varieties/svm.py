@@ -22,13 +22,7 @@ import numpy as np
 
 from .corpus import Chunk
 from .errors import ConvergenceError
-from .features import (
-    ChunkCounts,
-    FeaturePlan,
-    chunk_counts,
-    space_feature_names,
-    vectorize_chunks,
-)
+from .features import ChunkCounts, FeaturePlan, chunk_counts, vectorize_chunks
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
@@ -39,7 +33,6 @@ DEFAULT_MAX_PASSES = 1000
 class SvmModel:
     weights: np.ndarray
     bias: float
-    C: float
     alphas: np.ndarray | None
     labels: tuple[Hashable, Hashable]  # (positive, negative)
     feature_names: tuple[str, ...] | None = None
@@ -125,7 +118,6 @@ def train_binary(
     labels: Sequence[Hashable],
     C: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
     feature_names: Sequence[str] | None = None,
 ) -> SvmModel:
     """Train a binary linear SVM; the lexicographically smaller label is the
@@ -142,12 +134,12 @@ def train_binary(
         raise ValueError("X and labels disagree in length")
 
     K = X @ X.T
-    alpha, bias, trace, gap = _smo(K, y, C, tol, max_iter=max_passes * max(len(y), 10))
+    max_iter = DEFAULT_MAX_PASSES * max(len(y), 10)
+    alpha, bias, trace, gap = _smo(K, y, C, tol, max_iter)
     weights = (alpha * y) @ X
     model = SvmModel(
         weights=weights,
         bias=bias,
-        C=C,
         alphas=alpha,
         labels=(positive, negative),
         feature_names=tuple(feature_names) if feature_names is not None else None,
@@ -189,9 +181,6 @@ def train_multiclass(
     X: np.ndarray,
     labels: Sequence[Hashable],
     C: float = DEFAULT_C,
-    tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
-    feature_names: Sequence[str] | None = None,
 ) -> OvoEnsemble:
     X = np.asarray(X, dtype=float)
     order = tuple(sorted(set(labels), key=repr))
@@ -208,14 +197,7 @@ def train_multiclass(
             else:
                 X_pair = X[np.array(in_pair)]
                 y_pair = [lab for lab in labels if lab in pair]
-            models[pair] = train_binary(
-                X_pair,
-                y_pair,
-                C=C,
-                tol=tol,
-                max_passes=max_passes,
-                feature_names=feature_names,
-            )
+            models[pair] = train_binary(X_pair, y_pair, C=C)
     return OvoEnsemble(models=models, label_order=order)
 
 
@@ -277,7 +259,6 @@ def cross_validate(
     folds: int = 10,
     seed: int = 0,
     C: float = DEFAULT_C,
-    tol: float = DEFAULT_TOL,
 ) -> CvReport:
     """Stratified k-fold CV. Feature vocabularies (top-k trigrams, positional
     pairs) are re-selected on each training split to avoid leakage; each
@@ -305,11 +286,10 @@ def cross_validate(
         train_idx = [i for i in range(len(chunks)) if i not in test_set]
         train_chunks = [chunks[i] for i in train_idx]
         spaces = plan.fit(train_chunks)
-        names = space_feature_names(spaces)
         X_train = vectorize_chunks(train_chunks, spaces)
         y_train = [labels[i] for i in train_idx]
         X_test = vectorize_chunks([chunks[i] for i in test_idx], spaces)
-        ensemble = train_multiclass(X_train, y_train, C=C, tol=tol, feature_names=names)
+        ensemble = train_multiclass(X_train, y_train, C=C)
         predictions = [predict_multiclass(ensemble, x) for x in X_test]
         hits = 0
         for idx, pred in zip(test_idx, predictions):

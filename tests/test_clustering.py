@@ -169,6 +169,19 @@ class TestClusterAccuracy:
         labels = ["N", "N", "NN", "NN", "T", "T"]
         assert cluster_accuracy(assignment, labels) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize(
+        "assignment, labels, accuracy",
+        [
+            ([0, 1, 2, 2], ["a", "a", "b", "b"], 1.0),
+            # cluster 0 matches either label once; the first mapping wins
+            ([0, 0, 1, 1, 2, 2], ["a", "b", "a", "a", "b", "b"], 5 / 6),
+        ],
+    )
+    def test_more_clusters_than_labels(self, assignment, labels, accuracy):
+        # two clusters may map to one label
+        assert cluster_accuracy(assignment, labels) == pytest.approx(accuracy)
+        assert best_label_map(assignment, labels) == {0: "a", 1: "a", 2: "b"}
+
 
 class TestScatterOutput:
     def test_csv_fields(self, tmp_path):

@@ -26,6 +26,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("bogus = 1\n")
 
+    @pytest.mark.parametrize("key", ["svm_tol", "sample_tokens"])
+    def test_fixed_values_are_not_keys(self, key):
+        # the SMO tolerance and the bootstrap sample size are constants
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = 1\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("seed = lots\n")

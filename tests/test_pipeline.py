@@ -591,6 +591,63 @@ class TestLmStage:
     def test_outputs_match_recorded_digests(self, lm_out):
         assert_digests(lm_out, LM_DIGESTS)
 
+    def _small_run(self, tmp_path, nn_sentences, **extra):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_jsonl(concat(nn_sentences), data / "NN.jsonl")
+        t = concat(
+            [
+                lm_family_corpus("T", "Germanic", 400, seed=43),
+                lm_family_corpus("T", "Romance", 400, seed=44),
+            ]
+        )
+        write_jsonl(t, data / "T.jsonl")
+        values = dict(
+            corpus_nn=data / "NN.jsonl",
+            corpus_t=data / "T.jsonl",
+            out=tmp_path / "out",
+            seed=3,
+            lm_order=3,
+            lm_train_tokens=3000,
+            lm_test_sentences=200,
+            lm_country_sentences=40,
+        )
+        values.update(extra)
+        return main(["lm", "--config", str(write_config(tmp_path / "run.cfg", **values))])
+
+    def test_countries_come_from_nn_sentences_only(self, tmp_path):
+        # every SE sentence of the NN file is declared native
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        nn[0] = Corpus(
+            sentences=tuple(
+                AnnotatedSentence(tokens=s.tokens, variety="N", country="SE")
+                if s.country == "SE"
+                else s
+                for s in nn[0].sentences
+            )
+        )
+        assert any(s.variety == "N" for s in nn[0].sentences)
+        assert self._small_run(tmp_path, nn) == 0
+        rows = read_csv(tmp_path / "out" / "lm" / "countries.csv")
+        assert len(rows) == 8
+        assert "SE" not in {row["country"] for row in rows}
+
+    def test_too_few_test_sentences_is_a_validation_error(self, tmp_path, capsys):
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        assert self._small_run(tmp_path, nn, lm_test_sentences=100) == 1
+        err = capsys.readouterr().err
+        assert (
+            "Germanic NN test set has 100 sentences (lm_test_sentences = 100); "
+            "the paired t-test needs at least 2 chunks of 100 sentences"
+        ) in err
+        assert not (tmp_path / "out" / "lm").exists()
+
 
 class TestReportStage:
     def test_report_and_manifest(self, classify_dir, tmp_path):

@@ -261,14 +261,6 @@ class TestPerplexity:
         with pytest.raises(ValueError, match="empty"):
             ppl(model, [])
 
-    def test_end_marker_mode_flagged(self):
-        model = train_lm(HAND_CORPUS, HAND_TAGS, order=2)
-        with_end = ppl(model, [["A", "B"]])
-        without = ppl(model, [["A", "B"]], score_sentence_end=False)
-        assert with_end.scores_sentence_end
-        assert not without.scores_sentence_end
-        assert without.scored == with_end.scored - 1
-
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestPplByChunks:

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import qp_oracle_4pt
 from synthdata import variety_corpus
+from varieties import svm
 from varieties.corpus import balance
 from varieties.corpus import chunk as make_chunks
 from varieties.errors import ConvergenceError
@@ -66,12 +67,13 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match="dimension"):
             model.decision(np.array([1.0, 2.0]))
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(svm, "DEFAULT_MAX_PASSES", 1)
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         labels = ["a" if v > 0 else "b" for v in rng.normal(size=80)]
         with pytest.raises(ConvergenceError, match="iterations"):
-            train_binary(X, labels, C=100.0, tol=1e-9, max_passes=1)
+            train_binary(X, labels, C=100.0, tol=1e-9)
 
     def test_objective_nondecreasing(self):
         model = train_binary(FOUR_X, FOUR_LABELS, C=10.0)
@@ -129,23 +131,23 @@ class TestKkt:
 class TestPredict:
     def test_raw_decision_passthrough(self):
         model = SvmModel(
-            weights=np.array([1.0]), bias=0.0, C=1.0, alphas=None, labels=("p", "n")
+            weights=np.array([1.0]), bias=0.0, alphas=None, labels=("p", "n")
         )
         assert predict(model, np.array([3.0])) == ("p", 3.0)
 
     def test_boundary_goes_positive(self):
         model = SvmModel(
-            weights=np.array([1.0]), bias=0.0, C=1.0, alphas=None, labels=("p", "n")
+            weights=np.array([1.0]), bias=0.0, alphas=None, labels=("p", "n")
         )
         assert predict(model, np.array([0.0]))[0] == "p"
 
     def test_scaling_decisions_and_labels(self):
         model = SvmModel(
-            weights=np.array([2.0, -1.0]), bias=0.5, C=1.0, alphas=None,
+            weights=np.array([2.0, -1.0]), bias=0.5, alphas=None,
             labels=("p", "n"),
         )
         scaled = SvmModel(
-            weights=model.weights * 3, bias=model.bias * 3, C=1.0, alphas=None,
+            weights=model.weights * 3, bias=model.bias * 3, alphas=None,
             labels=("p", "n"),
         )
         x = np.array([1.0, 1.0])
@@ -188,7 +190,7 @@ class TestMulticlass:
         # cyclic winners: each label gets exactly one vote; magnitudes decide
         def fake(labels, w):
             return SvmModel(
-                weights=np.array([w]), bias=0.0, C=1.0, alphas=None, labels=labels
+                weights=np.array([w]), bias=0.0, alphas=None, labels=labels
             )
 
         ensemble = OvoEnsemble(
@@ -277,14 +279,14 @@ class TestCrossValidate:
 class TestRankFeatures:
     def test_sorted_by_magnitude(self):
         model = SvmModel(
-            weights=np.array([0.5, -2.0, 0.1]), bias=0.0, C=1.0, alphas=None,
+            weights=np.array([0.5, -2.0, 0.1]), bias=0.0, alphas=None,
             labels=("p", "n"), feature_names=("f1", "f2", "f3"),
         )
         assert [name for name, _ in rank_features(model)] == ["f2", "f1", "f3"]
 
     def test_all_zero_weights_keep_input_order(self):
         model = SvmModel(
-            weights=np.zeros(3), bias=0.0, C=1.0, alphas=None,
+            weights=np.zeros(3), bias=0.0, alphas=None,
             labels=("p", "n"), feature_names=("f1", "f2", "f3"),
         )
         assert [name for name, _ in rank_features(model)] == ["f1", "f2", "f3"]
