@@ -32,16 +32,40 @@ distribution over the closed vocabulary (tagset + end marker), so every
 conditional distribution sums to exactly one.
 
 Models store log10 probabilities and backoff weights, the exact quantities
-serialized in the ARPA text format.
+serialized in the ARPA text format, as arrays in the sorted-array layout of
+Heafield, "KenLM: Faster and Smaller Language Model Queries" (WMT 2011).
+Per order n, an `NgramLevel` holds the sorted keys of the order-n windows the
+model knows, packed as above (the index of the first n-1 symbols among the
+order-(n-1) keys, times the number of symbols, plus the last id; the
+unigram keys are the symbol ids), the log10 probability of each key with a
+mask of the keys that have one, and the log10 backoff with a mask of the
+keys that have one. Pure contexts (the all-begin-marker runs) have a backoff
+and no probability; a key with neither is there only as the prefix of a
+longer key. Since ids follow sorted string order, key order is string-tuple
+order. `KneserNeyModel.logprobs` and `backoffs` are read-only mappings from
+string tuples over these arrays.
+
+Scoring has one batch path, used by `ppl`, `ppl_by_chunks` and
+`KneserNeyModel.logprob`. Symbols are mapped to ids once; an out-of-vocabulary
+symbol becomes -1, which no window may cover, so it cuts the history. The
+index of the window of every length ending at every position comes from the
+prefix chain and `searchsorted`. The backoff walk then runs order by order,
+longest first: a position takes `acc + log10 P` at its longest stored n-gram,
+where `acc` has summed, in turn, the backoff of every longer context that has
+one. Each position does the per-token walk's float operations in the same
+order, and sentences, chunks and totals are summed left to right, so every
+score equals the per-token walk's to the last bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,33 +77,117 @@ EOS = "</s>"
 
 _FALLBACK_DISCOUNT = 0.5
 _PLACEHOLDER_LOG10 = -99.0
+# write_arpa formats and writes this many lines at a time, which bounds the
+# memory it adds beyond the n-gram names
+_ARPA_LINES_PER_WRITE = 8192
 
 
-@dataclass(frozen=True)
+class NgramLevel(NamedTuple):
+    """The keys of one order and what the model stores for each."""
+
+    keys: np.ndarray  # int64, sorted: prefix index * len(symbols) + last id
+    logprob: np.ndarray  # log10 P where has_prob, else 0
+    has_prob: np.ndarray
+    backoff: np.ndarray  # log10 backoff weight where has_backoff, else 0
+    has_backoff: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class KneserNeyModel:
     order: int
-    vocab: frozenset[str]  # predictable symbols: tagset + EOS
-    logprobs: dict[tuple[str, ...], float]
-    backoffs: dict[tuple[str, ...], float]
+    symbols: tuple[str, ...]  # sorted; a symbol's id is its index
+    levels: tuple[NgramLevel, ...]  # orders 1..order
     discounts: tuple[tuple[float, float, float], ...] | None = None
+
+    @cached_property
+    def vocab(self) -> frozenset[str]:
+        """Predictable symbols: those with a unigram probability, the begin
+        marker excepted (tagset + EOS for a trained model)."""
+        unigrams = np.flatnonzero(self.levels[0].has_prob).tolist()
+        return frozenset(self.symbols[i] for i in unigrams) - {BOS}
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {symbol: i for i, symbol in enumerate(self.symbols)}
+
+    @property
+    def logprobs(self) -> Mapping[tuple[str, ...], float]:
+        return _Stored(self, backoffs=False)
+
+    @property
+    def backoffs(self) -> Mapping[tuple[str, ...], float]:
+        return _Stored(self, backoffs=True)
 
     def logprob(self, word: str, history: Sequence[str]) -> float:
         """log10 P(word | history) via the standard backoff walk."""
-        h = tuple(history)[-(self.order - 1) :] if self.order > 1 else ()
-        acc = 0.0
-        while h:
-            stored = self.logprobs.get(h + (word,))
-            if stored is not None:
-                return acc + stored
-            acc += self.backoffs.get(h, 0.0)
-            h = h[1:]
-        stored = self.logprobs.get((word,))
-        if stored is None:
+        # a leading -1: the walk reads each target's context one position back
+        ids = np.array(
+            [-1] + [self._ids.get(s, -1) for s in (*history, word)], dtype=np.int64
+        )
+        value, unresolved = _walk(self, ids, np.array([len(ids) - 1]))
+        if unresolved[0]:
             raise ValueError(f"symbol {word!r} is outside the model vocabulary")
-        return acc + stored
+        return float(value[0])
 
     def prob(self, word: str, history: Sequence[str]) -> float:
         return 10.0 ** self.logprob(word, history)
+
+
+class _Stored(Mapping):
+    """Read-only view of a model's log10 probabilities or backoffs keyed by
+    string tuples. Its length is an array count; tuples are built only when
+    it is iterated."""
+
+    def __init__(self, model: KneserNeyModel, backoffs: bool):
+        self._model = model
+        self._backoffs = backoffs
+
+    def _column(self, level: NgramLevel) -> tuple[np.ndarray, np.ndarray]:
+        if self._backoffs:
+            return level.backoff, level.has_backoff
+        return level.logprob, level.has_prob
+
+    def __len__(self) -> int:
+        return sum(
+            int(np.count_nonzero(self._column(level)[1])) for level in self._model.levels
+        )
+
+    def __getitem__(self, gram: tuple[str, ...]) -> float:
+        model = self._model
+        if not isinstance(gram, tuple) or not 1 <= len(gram) <= model.order:
+            raise KeyError(gram)
+        ids = np.array([model._ids.get(s, -1) for s in gram], dtype=np.int64)
+        windows = _windows(model, ids)
+        index = int(windows[len(gram) - 1][-1]) if len(gram) <= len(windows) else -1
+        values, has = self._column(model.levels[len(gram) - 1])
+        if index < 0 or not has[index]:
+            raise KeyError(gram)
+        return float(values[index])
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return (gram for gram, _ in self._pairs())
+
+    def _pairs(self) -> Iterator[tuple[tuple[str, ...], float]]:
+        model = self._model
+        names = [(symbol,) for symbol in model.symbols]
+        for n, level in enumerate(model.levels, start=1):
+            if n > 1:
+                prefix, last = np.divmod(level.keys, len(model.symbols))
+                names = [
+                    names[p] + (model.symbols[w],)
+                    for p, w in zip(prefix.tolist(), last.tolist())
+                ]
+            values, has = self._column(level)
+            kept = np.flatnonzero(has)
+            yield from zip([names[i] for i in kept.tolist()], values[kept].tolist())
+
+    def items(self) -> ItemsView:
+        return _StoredItems(self)
+
+
+class _StoredItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
 
 
 @dataclass(frozen=True)
@@ -143,6 +251,7 @@ def _count_ngrams(
         raise ValueError("training corpus is empty")
 
     ids = np.array(padded, dtype=np.int64)
+    del padded  # 8 B per tag, freed before the counting passes that set the peak
     levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
     # prefix[i]: index of the window of length n-1 starting at i
     prefix = np.zeros(len(ids), dtype=np.int64)
@@ -254,8 +363,15 @@ def train_lm(
         discounts.append(_estimate_discounts(adjusted[n][grams[n]], n))
 
     vocab = sorted(tags) + [EOS]
-    logprobs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
+    # the model's order-1 keys are all symbol ids, seen in training or not, so
+    # an order-2 key's prefix is its first symbol's id
+    keys = [np.arange(size, dtype=np.int64)] + [level[0] for level in levels[2:]]
+    if order > 1:
+        keys[1] = lasts[1][prefixes[2]] * size + lasts[2]
+    logprob = [np.zeros(len(k)) for k in keys]
+    has_prob = [np.zeros(len(k), dtype=bool) for k in keys]
+    backoff = [np.zeros(len(k)) for k in keys]
+    has_backoff = [np.zeros(len(k), dtype=bool) for k in keys]
 
     # unigrams: interpolate with the uniform distribution over the closed
     # vocabulary so unseen tags keep positive mass
@@ -267,13 +383,13 @@ def train_lm(
     gamma = _gammas(counts, np.zeros(1, dtype=np.intp), totals, discounts[1])
     p = gamma / len(vocab) + _kept(counts, discounts[1]) / totals
     level_lp = [math.log10(x) for x in p.tolist()]
-    logprobs.update(zip([(word,) for word in vocab], level_lp))
+    logprob[0][vocab_ids] = level_lp
+    has_prob[0][vocab_ids] = True
     # 10 ** log10 P of every window of the level below, the lower-order
     # estimate a longer gram interpolates with
     powers = np.zeros(size)
     powers[vocab_ids] = [10.0**x for x in level_lp]
     powers = powers[lasts[1]]
-    names = [(symbols[w],) for w in lasts[1].tolist()]
 
     for n in range(2, order + 1):
         sel = grams[n]
@@ -288,25 +404,18 @@ def train_lm(
             + gammas[group] * powers[suffixes[n][sel]]
         )
         level_lp = [math.log10(x) for x in p.tolist()]
-        backoffs.update(
-            zip(
-                [names[c] for c in ctx[starts].tolist()],
-                [math.log10(g) for g in gammas.tolist()],
-            )
-        )
-        names = [
-            names[c] + (symbols[w],)
-            for c, w in zip(prefixes[n].tolist(), lasts[n].tolist())
-        ]
-        logprobs.update(zip([names[i] for i in sel.tolist()], level_lp))
-        powers = np.zeros(len(names))
+        logprob[n - 1][sel] = level_lp
+        has_prob[n - 1][sel] = True
+        contexts = ctx[starts] if n > 2 else lasts[1][ctx[starts]]
+        backoff[n - 2][contexts] = [math.log10(g) for g in gammas.tolist()]
+        has_backoff[n - 2][contexts] = True
+        powers = np.zeros(len(keys[n - 1]))
         powers[sel] = [10.0**x for x in level_lp]
 
     return KneserNeyModel(
         order=order,
-        vocab=frozenset(vocab),
-        logprobs=logprobs,
-        backoffs=backoffs,
+        symbols=tuple(symbols),
+        levels=tuple(map(NgramLevel, keys, logprob, has_prob, backoff, has_backoff)),
         discounts=tuple(discounts[1:]),
     )
 
@@ -315,44 +424,116 @@ def train_lm(
 # perplexity
 
 
-def _score_sentence(model: KneserNeyModel, tags: Sequence[str]) -> tuple[float, int, int]:
-    """(log10 sum, scored, excluded) for one sentence, end marker included.
-    Out-of-vocabulary positions are skipped and truncate the history at the
-    excluded symbol."""
-    history: list[str] = [BOS] * (model.order - 1)
-    log_sum = 0.0
-    scored = 0
-    excluded = 0
-    keep = max(model.order - 1, 1)
-    for tag in tags:
-        if tag not in model.vocab:
-            excluded += 1
-            history = []
-            continue
-        log_sum += model.logprob(tag, history)
-        scored += 1
-        history.append(tag)
-        if len(history) > keep:
-            history = history[-keep:]
-    log_sum += model.logprob(EOS, history)
-    scored += 1
-    return log_sum, scored, excluded
+def _lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each query in the sorted ``keys``, -1 where it is absent."""
+    if not len(keys):
+        return np.full(len(query), -1, dtype=np.int64)
+    found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[found] == query, found, -1)
 
 
-def _score(
-    model: KneserNeyModel, sentences: Iterable[Sequence[str]]
-) -> tuple[float, int, int]:
-    """(log10 sum, scored, excluded) over ``sentences``, summed sentence by
-    sentence in order."""
-    log_sum = 0.0
-    scored = 0
-    excluded = 0
-    for tags in sentences:
-        s_log, s_scored, s_excl = _score_sentence(model, tags)
-        log_sum += s_log
-        scored += s_scored
-        excluded += s_excl
-    return log_sum, scored, excluded
+def _windows(model: KneserNeyModel, ids: np.ndarray) -> list[np.ndarray]:
+    """Per order n, the index among the model's order-n keys of the window
+    of n symbols ending at each position of ``ids``, or -1 where that window
+    runs past the start, covers an id of -1 or is not a key. The list ends
+    at the first order whose windows are all -1: every longer window
+    extends one of them, so it is -1 too."""
+    size = len(model.symbols)
+    windows = [ids]
+    for level in model.levels[1:]:
+        prefix = windows[-1][:-1]
+        known = np.flatnonzero((prefix >= 0) & (ids[1:] >= 0))
+        window = np.full(len(ids), -1, dtype=np.int64)
+        window[known + 1] = _lookup(level.keys, prefix[known] * size + ids[known + 1])
+        windows.append(window)
+        if not (window >= 0).any():
+            break
+    return windows
+
+
+def _walk(
+    model: KneserNeyModel, ids: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """log10 P of the symbol at each target position of ``ids`` given the
+    symbols before it, by the backoff walk run order by order over all
+    targets at once, and a mask of the targets that no stored n-gram
+    predicts. A target's context is read one position back, so under an
+    order > 1 model targets are positions >= 1. An id of -1 is a symbol
+    outside the model, which cuts the history."""
+    windows = _windows(model, ids)
+    values = np.zeros(len(targets))
+    acc = np.zeros(len(targets))
+    todo = np.ones(len(targets), dtype=bool)
+    for n in range(len(windows), 0, -1):
+        level = model.levels[n - 1]
+        gram = windows[n - 1][targets]
+        hit = np.flatnonzero(todo & (gram >= 0))
+        hit = hit[level.has_prob[gram[hit]]]
+        values[hit] = acc[hit] + level.logprob[gram[hit]]
+        todo[hit] = False
+        if n == 1 or not todo.any():
+            break
+        below = model.levels[n - 2]
+        # the context: the n-1 symbols before the target
+        context = windows[n - 2][targets - 1]
+        miss = np.flatnonzero(todo & (context >= 0))
+        miss = miss[below.has_backoff[context[miss]]]
+        acc[miss] += below.backoff[context[miss]]
+    return values, todo
+
+
+def _in_order(values: Iterable[float]) -> float:
+    """Float sum from 0.0, left to right. ``sum()`` compensates float sums
+    from Python 3.12 on and ``np.sum`` adds pairwise, so either can change
+    the last bit."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _sentence_scores(
+    model: KneserNeyModel, sentences: Sequence[Sequence[str]]
+) -> tuple[list[float], list[int], list[int]]:
+    """Per non-empty sentence: log10 sum, scored and excluded counts. Every
+    tag and the end marker is scored; out-of-vocabulary tags are excluded
+    and truncate the history. A sentence's scores are summed in order."""
+    order = model.order
+    vocab_ids = {word: model._ids[word] for word in model.vocab}
+    lengths = np.array([len(s) for s in sentences])
+    tag_ids = np.array(
+        [vocab_ids.get(tag, -1) for s in sentences for tag in s], dtype=np.int64
+    )
+    # each sentence: order-1 begin markers, its tags, one end marker
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
+    tag_at = np.arange(len(tag_ids)) + sentence_of * order + order - 1
+    end_at = np.cumsum(lengths) + np.arange(len(sentences)) * order + order - 1
+    ids = np.full(
+        len(tag_ids) + len(sentences) * order, model._ids.get(BOS, -1), dtype=np.int64
+    )
+    ids[tag_at] = tag_ids
+    ids[end_at] = model._ids.get(EOS, -1)
+    in_vocab = tag_ids >= 0
+    is_target = np.zeros(len(ids), dtype=bool)
+    is_target[tag_at[in_vocab]] = True
+    is_target[end_at] = True
+    values, unresolved = _walk(model, ids, np.flatnonzero(is_target))
+    if unresolved.any():
+        # every scored tag is in the vocabulary, so it has a unigram
+        raise ValueError(f"symbol {EOS!r} is outside the model vocabulary")
+
+    excluded = np.bincount(sentence_of[~in_vocab], minlength=len(sentences))
+    scored = lengths - excluded + 1
+    # one row per sentence, zero-padded: adding the columns in turn sums
+    # each sentence's scores in order (a sum is never -0.0, so x + 0.0 == x)
+    row = np.repeat(np.arange(len(sentences)), scored)
+    column = np.arange(len(values)) - np.repeat(np.cumsum(scored) - scored, scored)
+    table = np.zeros((len(sentences), int(scored.max())))
+    table[row, column] = values
+    sums = np.zeros(len(sentences))
+    for scores in table.T:
+        sums += scores
+    return sums.tolist(), scored.tolist(), excluded.tolist()
 
 
 def ppl(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> PerplexityReport:
@@ -362,11 +543,12 @@ def ppl(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> Perplexity
     sentences = [tags for tags in sentences if tags]
     if not sentences:
         raise ValueError("empty test set")
-    log_sum, scored, excluded = _score(model, sentences)
+    sums, scored, excluded = _sentence_scores(model, sentences)
+    log_sum = _in_order(sums)
     return PerplexityReport(
-        perplexity=10.0 ** (-log_sum / scored),
-        scored=scored,
-        excluded=excluded,
+        perplexity=10.0 ** (-log_sum / sum(scored)),
+        scored=sum(scored),
+        excluded=sum(excluded),
         log10_sum=log_sum,
     )
 
@@ -381,32 +563,29 @@ def ppl_by_chunks(
     per-chunk sums token-weighted."""
     if chunk_size_sentences < 1:
         raise ValueError("chunk_size_sentences must be >= 1")
-    sentences = [list(s) for s in sentences if s]
+    sentences = [s for s in sentences if s]
     if not sentences:
         raise ValueError("empty test set")
-    chunks: list[ChunkPerplexity] = []
-    total_log = 0.0
-    total_scored = 0
-    total_excluded = 0
+    sums, scored, excluded = _sentence_scores(model, sentences)
+    chunks = []
     for start in range(0, len(sentences), chunk_size_sentences):
-        block = sentences[start : start + chunk_size_sentences]
-        log_sum, scored, excluded = _score(model, block)
+        block = slice(start, start + chunk_size_sentences)
+        log_sum = _in_order(sums[block])
         chunks.append(
             ChunkPerplexity(
-                perplexity=10.0 ** (-log_sum / scored),
-                scored=scored,
-                excluded=excluded,
+                perplexity=10.0 ** (-log_sum / sum(scored[block])),
+                scored=sum(scored[block]),
+                excluded=sum(excluded[block]),
                 log10_sum=log_sum,
-                short=len(block) < chunk_size_sentences,
+                short=len(sums[block]) < chunk_size_sentences,
             )
         )
-        total_log += log_sum
-        total_scored += scored
-        total_excluded += excluded
+    total_log = _in_order(c.log10_sum for c in chunks)
+    total_scored = sum(c.scored for c in chunks)
     return PerplexityReport(
         perplexity=10.0 ** (-total_log / total_scored),
         scored=total_scored,
-        excluded=total_excluded,
+        excluded=sum(c.excluded for c in chunks),
         log10_sum=total_log,
         per_chunk=tuple(chunks),
     )
@@ -417,39 +596,69 @@ def ppl_by_chunks(
 
 
 def write_arpa(model: KneserNeyModel, path: str | Path) -> None:
-    """Standard ARPA text format. Pure-context entries (the all-begin-marker
-    runs) carry the conventional placeholder probability."""
-    by_order: list[dict[tuple[str, ...], tuple[float, float | None]]] = [
-        {} for _ in range(model.order + 1)
-    ]
-    for gram, lp in model.logprobs.items():
-        by_order[len(gram)][gram] = (lp, None)
-    for ctx, bow in model.backoffs.items():
-        lp = model.logprobs.get(ctx, _PLACEHOLDER_LOG10)
-        by_order[len(ctx)][ctx] = (lp, bow)
+    """Standard ARPA text format, each section in key order, which is
+    string-tuple order. Pure-context entries (the all-begin-marker runs)
+    carry the conventional placeholder probability."""
+    size = len(model.symbols)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for n in range(1, model.order + 1):
-            fh.write(f"ngram {n}={len(by_order[n])}\n")
+        written = [np.flatnonzero(lv.has_prob | lv.has_backoff) for lv in model.levels]
+        for n, entries in enumerate(written, start=1):
+            fh.write(f"ngram {n}={len(entries)}\n")
         fh.write("\n")
-        for n in range(1, model.order + 1):
+        names = list(model.symbols)
+        for n, (level, entries) in enumerate(zip(model.levels, written), start=1):
+            if n > 1:
+                prefix, last = np.divmod(level.keys, size)
+                names = [
+                    f"{names[p]} {model.symbols[w]}"
+                    for p, w in zip(prefix.tolist(), last.tolist())
+                ]
             fh.write(f"\\{n}-grams:\n")
-            for gram in sorted(by_order[n]):
-                lp, bow = by_order[n][gram]
-                line = f"{lp:.7f}\t{' '.join(gram)}"
-                if bow is not None:
-                    line += f"\t{bow:.7f}"
-                fh.write(line + "\n")
+            logprob = np.where(level.has_prob, level.logprob, _PLACEHOLDER_LOG10)
+            for start in range(0, len(entries), _ARPA_LINES_PER_WRITE):
+                block = entries[start : start + _ARPA_LINES_PER_WRITE]
+                fh.write(
+                    "".join(
+                        f"{lp:.7f}\t{names[i]}\t{bow:.7f}\n"
+                        if has_bow
+                        else f"{lp:.7f}\t{names[i]}\n"
+                        for i, lp, bow, has_bow in zip(
+                            block.tolist(),
+                            logprob[block].tolist(),
+                            level.backoff[block].tolist(),
+                            level.has_backoff[block].tolist(),
+                        )
+                    )
+                )
             fh.write("\n")
         fh.write("\\end\\\n")
 
 
+def _pack(rows: np.ndarray, keys: list[np.ndarray], size: int) -> np.ndarray:
+    """Packed keys of the id rows (one n-gram per row), whose prefixes are
+    all among ``keys`` (the keys of orders 1..n-1)."""
+    index = rows[:, 0]
+    for j in range(1, rows.shape[1] - 1):
+        index = np.searchsorted(keys[j], index * size + rows[:, j])
+    return index * size + rows[:, -1] if rows.shape[1] > 1 else index
+
+
+def _store_last(values: np.ndarray, has: np.ndarray, at: np.ndarray, given: list[float]) -> None:
+    """values[at] = given, the last one winning where a gram is listed twice."""
+    at, last = np.unique(at[::-1], return_index=True)
+    values[at] = np.array(given)[::-1][last]
+    has[at] = True
+
+
 def read_arpa(path: str | Path) -> KneserNeyModel:
     """Parse an ARPA file back into a scoring model. Section lengths must
-    match the \\data\\ header."""
+    match the \\data\\ header. An n-gram whose (n-1)-symbol prefix has no
+    line of its own gets that prefix as a key with no probability and no
+    backoff, which scores as a missing entry does."""
     path = Path(path)
-    logprobs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
+    # per order, each line's (gram, log10 prob, log10 backoff or None)
+    listed: dict[int, list[tuple[tuple[str, ...], float, float | None]]] = {}
     declared: dict[int, int] = {}
     section: int | None = None
     seen: dict[int, int] = {}
@@ -474,6 +683,7 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
                     )
                 section = n
                 seen[n] = 0
+                listed.setdefault(n, [])
                 state = "grams"
                 continue
             if state == "counts":
@@ -500,9 +710,8 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
                     raise ValueError(
                         f"{path}:{line_no}: {len(gram)}-gram in the {section}-grams section"
                     )
-                logprobs[gram] = float(fields[0])
-                if len(fields) == 3:
-                    backoffs[gram] = float(fields[2])
+                backoff = float(fields[2]) if len(fields) == 3 else None
+                listed[section].append((gram, float(fields[0]), backoff))
                 seen[section] += 1
                 continue
     if state != "done":
@@ -515,15 +724,39 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
                 f"{path}: section {n}-grams has {seen.get(n, 0)} entries, "
                 f"header declares {count}"
             )
+
     order = max(declared)
-    vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g[0] != BOS)
-    return KneserNeyModel(
-        order=order,
-        vocab=vocab,
-        logprobs=logprobs,
-        backoffs=backoffs,
-        discounts=None,
-    )
+    lines = [listed.get(n, []) for n in range(1, order + 1)]
+    symbols = tuple(sorted({s for section in lines for gram, _, _ in section for s in gram}))
+    size = len(symbols)
+    ids = {symbol: i for i, symbol in enumerate(symbols)}
+    rows = [
+        np.array([[ids[s] for s in gram] for gram, _, _ in section], dtype=np.int64)
+        .reshape(-1, n)
+        for n, section in enumerate(lines, start=1)
+    ]
+
+    # every key's prefix is a key of the order below: collect the prefixes
+    # top down, then pack bottom up
+    needed = rows[:]
+    for n in range(order - 1, 1, -1):
+        needed[n - 1] = np.concatenate([needed[n - 1], needed[n][:, :-1]])
+    keys = [np.arange(size, dtype=np.int64)]
+    for n in range(2, order + 1):
+        keys.append(np.unique(_pack(needed[n - 1], keys, size)))
+
+    levels = []
+    for level_keys, section, level_rows in zip(keys, lines, rows):
+        at = np.searchsorted(level_keys, _pack(level_rows, keys, size))
+        logprob, has_prob = np.zeros(len(level_keys)), np.zeros(len(level_keys), dtype=bool)
+        _store_last(logprob, has_prob, at, [lp for _, lp, _ in section])
+        backoff, has_backoff = np.zeros(len(level_keys)), np.zeros(len(level_keys), dtype=bool)
+        with_backoff = [i for i, (_, _, bow) in enumerate(section) if bow is not None]
+        _store_last(
+            backoff, has_backoff, at[with_backoff], [section[i][2] for i in with_backoff]
+        )
+        levels.append(NgramLevel(level_keys, logprob, has_prob, backoff, has_backoff))
+    return KneserNeyModel(order=order, symbols=symbols, levels=tuple(levels))
 
 
 # ---------------------------------------------------------------------------

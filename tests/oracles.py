@@ -5,6 +5,8 @@ verify the production code, sharing none of its code paths.
 * jacobi_eigh: cyclic Jacobi eigendecomposition for symmetric matrices
 * ReferenceKN: modified Kneser-Ney conditional probabilities computed by
   direct recursive interpolation over brute-force counts
+* reference_score: per-sentence n-gram model scores by the per-token backoff
+  walk over string-tuple dicts
 * t_two_tailed_numeric: two-tailed t-test p-value by Simpson integration of
   the t density
 """
@@ -212,6 +214,50 @@ class ReferenceKN:
                     if gram[-1] != BOS:
                         seen.add(gram[:-1])
         return sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# n-gram model scores, per-token backoff walk
+
+
+def reference_score(model, sentences):
+    """(log10 sum, scored, excluded) of each sentence, end marker included,
+    by walking string-tuple dicts copied from ``model.logprobs`` and
+    ``model.backoffs`` token by token: each position takes its longest
+    stored n-gram plus the backoff of every longer context. Tags outside
+    ``model.vocab`` are skipped and cut the history."""
+    logprobs = dict(model.logprobs.items())
+    backoffs = dict(model.backoffs.items())
+
+    def logprob(word, history):
+        h = tuple(history)[-(model.order - 1) :] if model.order > 1 else ()
+        acc = 0.0
+        while h:
+            stored = logprobs.get(h + (word,))
+            if stored is not None:
+                return acc + stored
+            acc += backoffs.get(h, 0.0)
+            h = h[1:]
+        return acc + logprobs[(word,)]
+
+    scores = []
+    for tags in sentences:
+        history = [BOS] * (model.order - 1)
+        log_sum = 0.0
+        scored = 0
+        excluded = 0
+        for tag in tags:
+            if tag not in model.vocab:
+                excluded += 1
+                history = []
+                continue
+            log_sum += logprob(tag, history)
+            scored += 1
+            history.append(tag)
+        log_sum += logprob(EOS, history)
+        scored += 1
+        scores.append((log_sum, scored, excluded))
+    return scores
 
 
 # ---------------------------------------------------------------------------

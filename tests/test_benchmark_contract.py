@@ -31,6 +31,9 @@ noted = [span["name"] for span in rec.spans if span["notes"]]
 assert noted == [
     "svm.train_binary", "poslm.train_lm", "poslm.ppl", "poslm.ppl_by_chunks"
 ], noted
+# the ngrams note counts the entries the model yields, not its keys
+trained = next(span for span in rec.spans if span["name"] == "poslm.train_lm")
+assert trained["notes"]["ngrams"] == len(list(model.logprobs.items())), trained["notes"]
 """
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
-from oracles import ReferenceKN
+from oracles import ReferenceKN, reference_score
 from synthdata import LM_TAGS, lm_family_corpus
 from varieties.poslm import (
     BOS,
@@ -181,6 +182,23 @@ class TestTraining:
         )
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_model_holds_under_48_bytes_per_entry(self):
+        # string-tuple dicts held about 127 B per logprobs + backoffs entry
+        # here; the per-order arrays about 21
+        sentences = pos_sequences(lm_family_corpus("T", "Germanic", 1500, seed=33))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = train_lm(sentences, LM_TAGS + [",", ".", "$"], order=5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held / (len(model.logprobs) + len(model.backoffs)) < 48
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_doubling_corpus_does_not_hurt_training_fit(self):
         model_once = train_lm(HAND_CORPUS, HAND_TAGS, order=3)
         model_twice = train_lm(HAND_CORPUS * 2, HAND_TAGS, order=3)
@@ -260,6 +278,62 @@ class TestPerplexity:
         model = train_lm(HAND_CORPUS, HAND_TAGS, order=2)
         with pytest.raises(ValueError, match="empty"):
             ppl(model, [])
+
+
+# out-of-vocabulary tags first, in the middle, last, two in a row and alone;
+# the begin marker is out of vocabulary as a tag, the end marker is not
+OOV_PROBES = [
+    ["X", "DT", "NN", "VB"],
+    ["DT", "NN", "X", "VB", "IN", "DT", "NN"],
+    ["DT", "JJ", "NN", "X"],
+    ["DT", "X", "Y", "NN", "VB", "RB"],
+    ["X", "Y", "Z"],
+    ["X"],
+    [BOS, "DT", "NN"],
+    ["DT", EOS, "NN"],
+]
+
+
+def _in_order(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestBatchScorerExact:
+    @pytest.fixture(scope="class")
+    def test_set(self):
+        held_out = pos_sequences(lm_family_corpus("T", "Romance", 40, seed=8))
+        return OOV_PROBES + held_out[:20] + OOV_PROBES[::-1] + held_out[20:]
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["trained", "reloaded"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_matches_per_token_walk(self, tmp_path, test_set, order, reload):
+        train = pos_sequences(lm_family_corpus("T", "Germanic", 120, seed=4))
+        model = train_lm(train, LM_TAGS, order=order)
+        if reload:
+            write_arpa(model, tmp_path / "model.arpa")
+            model = read_arpa(tmp_path / "model.arpa")
+        expected = reference_score(model, test_set)
+
+        # one-sentence chunks give the per-sentence figures
+        single = ppl_by_chunks(model, test_set, chunk_size_sentences=1).per_chunk
+        assert [(c.log10_sum, c.scored, c.excluded) for c in single] == expected
+
+        whole = ppl(model, test_set)
+        assert whole.log10_sum == _in_order(log for log, _, _ in expected)
+        assert whole.scored == sum(scored for _, scored, _ in expected)
+        assert whole.excluded == sum(excluded for _, _, excluded in expected)
+
+        chunked = ppl_by_chunks(model, test_set, chunk_size_sentences=7)
+        for i, chunk in enumerate(chunked.per_chunk):
+            block = expected[7 * i : 7 * i + 7]
+            assert chunk.log10_sum == _in_order(log for log, _, _ in block)
+            assert chunk.scored == sum(scored for _, scored, _ in block)
+            assert chunk.excluded == sum(excluded for _, _, excluded in block)
+        assert chunked.log10_sum == _in_order(c.log10_sum for c in chunked.per_chunk)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -359,6 +433,59 @@ class TestArpa:
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\tA\n")
         with pytest.raises(ValueError, match="end"):
             read_arpa(path)
+
+    def test_unsorted_file_with_missing_prefix(self, tmp_path):
+        # sections out of key order, and a trigram "A B A" with no "A B"
+        # line; the values were recorded with the string-tuple dict reader
+        path = tmp_path / "hand.arpa"
+        path.write_text(
+            """\\data\\
+ngram 1=5
+ngram 2=4
+ngram 3=2
+
+\\1-grams:
+-0.5228787\tB\t-0.2218487
+-0.9030900\t</s>
+-99\t<s>\t-0.4771213
+-0.4259687\tA\t-0.3010300
+-1.0000000\tC
+
+\\2-grams:
+-0.4771213\tB A\t-0.1249387
+-0.3010300\t<s> A\t-0.1760913
+-0.6020600\tA </s>
+-0.3979400\tB </s>
+
+\\3-grams:
+-0.3010300\tA B A
+-0.1549020\t<s> A B
+
+\\end\\
+"""
+        )
+        model = read_arpa(path)
+        assert model.order == 3
+        assert model.vocab == {"A", "B", "C", EOS}
+        assert ("A", "B") not in model.logprobs
+        assert ("A", "B") not in model.backoffs
+        assert len(model.logprobs) == 11
+        pinned = [
+            ("A", ("A", "B"), -0.30103),
+            ("B", (BOS, "A"), -0.154902),
+            (EOS, ("A", "B"), -0.39794),
+            ("A", ("C", "B"), -0.4771213),
+            ("C", ("B", "A"), -1.4259687),
+            ("B", ("A",), -0.8239087),
+            (EOS, ("B",), -0.39794),
+            ("A", (), -0.4259687),
+        ]
+        for word, history, value in pinned:
+            assert model.logprob(word, history) == value, (word, history)
+        report = ppl(model, [["A", "B", "A"], ["A", "B"], ["C", "X", "B", "A"]])
+        assert report.log10_sum == -5.5419526999999995
+        assert (report.scored, report.excluded) == (11, 1)
+        assert report.perplexity == 3.190170405168043
 
     def test_kenlm_style_external_file_loads(self, tmp_path):
         # single-<s> convention, <unk> entry, tab separation: the format a
