@@ -12,18 +12,23 @@ Example config file:
 
 Any key can be overridden through the environment as VARIETIES_<KEY>
 (e.g. VARIETIES_SEED=7), and --seed/--out on the command line win over both.
+Any other VARIETIES_* variable changes nothing, so it draws a warning.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
 ENV_PREFIX = "VARIETIES_"
+# VARIETIES_* variables that are not config keys on purpose: the acceptance
+# tests read the Europarl corpus directory from this one
+ENV_NOT_KEYS = frozenset({"VARIETIES_EUROPARL_DIR"})
 
 
 def _positive_int(name: str, value: int) -> int:
@@ -154,6 +159,16 @@ def load_config(
         values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
     types = _field_types()
     env = os.environ if env is None else env
+    allowed = {ENV_PREFIX + key.upper() for key in types} | ENV_NOT_KEYS
+    unknown = sorted(
+        name for name in env if name.startswith(ENV_PREFIX) and name not in allowed
+    )
+    if unknown:
+        warnings.warn(
+            f"ignoring environment variables that name no config key: "
+            f"{', '.join(unknown)}",
+            stacklevel=2,
+        )
     for key, caster in types.items():
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:

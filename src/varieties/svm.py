@@ -50,47 +50,91 @@ class SvmModel:
         return float(self.weights @ x + self.bias)
 
 
+def _working_sets(alpha: np.ndarray, pos: np.ndarray, C: float):
+    """Masks of I_up (alphas that may move toward +y) and I_low (toward -y)."""
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < C))
+    return up, low
+
+
+def _textbook_zeros(yG: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """yG with every exact zero signed as -y*G signs it. G never holds -0.0
+    (it starts at -1, and x + -x is +0.0), so -y*G reads -0.0 where y = +1;
+    the incremental yG -= step*(K_i - K_j) leaves +0.0 there. Only the sign
+    of a zero differs, so comparisons and the pair choice never see it."""
+    return np.where(yG == 0.0, -0.0 * y, yG)
+
+
 def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int):
-    """Core pair-update loop. Returns (alpha, bias, objective trace, gap)."""
+    """Core pair-update loop. Returns (alpha, bias, objective trace, gap).
+
+    The loop keeps yG = -y*G and the working sets between iterations and
+    changes them only where the pair moved: yG drops by step*(K_i - K_j),
+    which is -y times the textbook G += y*step*(K_i - K_j) exactly, as
+    y = +-1, but for the sign of a zero (see _textbook_zeros); and
+    I_up/I_low are offset arrays, 0 for members and -inf/+inf otherwise, so
+    the pair is the first maximum of yG + up_off and the first minimum of
+    yG + low_off. The pair's box arithmetic runs on Python floats.
+    """
     n = y.shape[0]
     alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    # -y*G, where G, the gradient of 1/2 a'Qa - sum(a), is -1 at alpha = 0
+    yG = np.array(y, dtype=float)
+    Kt = K.T.copy()  # row k is column k of K, contiguous
+    ys = y.tolist()
+    pos = y > 0
+    up, low = _working_sets(alpha, pos, C)
+    up_off = np.where(up, 0.0, -np.inf)
+    low_off = np.where(low, 0.0, np.inf)
+    half_ay = 0.5 * (alpha * y)  # kept equal to 0.5*(alpha*y) as alpha moves
     trace = []
 
     def objective() -> float:
-        # W(a) = sum(a) - 1/2 a'Qa, and a'Qa = a.(G + 1)
-        return float(0.5 * alpha.sum() - 0.5 * alpha @ G)
+        # W(a) = sum(a) - 1/2 a'Qa, a'Qa = a.(G + 1) and a.G = -(a*y).yG; the
+        # sign flips are exact, so this equals 0.5*sum(a) - 0.5*a.G bit for bit
+        return float(0.5 * alpha.sum() + half_ay @ yG)
 
     trace.append(objective())
     gap = np.inf
-    pos = y > 0
     for _ in range(max_iter):
-        yG = -y * G
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < C))
-        if not up.any() or not low.any():
+        i = int((yG + up_off).argmax())
+        j = int((yG + low_off).argmin())
+        # i lies outside I_up, or j outside I_low, only when that set is empty
+        if up_off[i] or low_off[j]:
             gap = 0.0
             break
-        i = int(np.flatnonzero(up)[np.argmax(yG[up])])
-        j = int(np.flatnonzero(low)[np.argmin(yG[low])])
-        gap = yG[i] - yG[j]
+        y_i, y_j = ys[i], ys[j]
+        # an exact zero takes the textbook sign (see _textbook_zeros)
+        gap = (yG.item(i) or -0.0 * y_i) - (yG.item(j) or -0.0 * y_j)
         if gap <= tol:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
         step = gap / max(eta, 1e-12)
-        headroom_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        headroom_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        headroom_i = C - a_i if y_i > 0 else a_i
+        headroom_j = a_j if y_j > 0 else C - a_j
         step = min(step, headroom_i, headroom_j)
         # land exactly on the box boundary when the step is clipped there
         if step >= headroom_i:
-            alpha[i] = C if y[i] > 0 else 0.0
+            a_i = C if y_i > 0 else 0.0
         else:
-            alpha[i] += y[i] * step
+            a_i += y_i * step
         if step >= headroom_j:
-            alpha[j] = 0.0 if y[j] > 0 else C
+            a_j = 0.0 if y_j > 0 else C
         else:
-            alpha[j] -= y[j] * step
-        G += y * step * (K[:, i] - K[:, j])
+            a_j -= y_j * step
+        alpha[i] = a_i
+        alpha[j] = a_j
+        half_ay[i] = 0.5 * (a_i * y_i)
+        half_ay[j] = 0.5 * (a_j * y_j)
+        yG -= step * (Kt[i] - Kt[j])
+        for k, a_k in ((i, a_i), (j, a_j)):
+            if ys[k] > 0:
+                up_off[k] = 0.0 if a_k < C else -np.inf
+                low_off[k] = 0.0 if a_k > 0.0 else np.inf
+            else:
+                up_off[k] = 0.0 if a_k > 0.0 else -np.inf
+                low_off[k] = 0.0 if a_k < C else np.inf
         obj = objective()
         if obj < trace[-1] - 1e-9 * max(1.0, abs(obj)):
             raise AssertionError(
@@ -104,9 +148,8 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int):
         )
 
     # admissible bias lies in [m(a), M(a)]; take the midpoint
-    yG = -y * G
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
-    low = (pos & (alpha > 0.0)) | (~pos & (alpha < C))
+    yG = _textbook_zeros(yG, y)
+    up, low = _working_sets(alpha, pos, C)
     m = yG[up].max() if up.any() else 0.0
     M = yG[low].min() if low.any() else 0.0
     bias = 0.5 * (m + M)

@@ -2,6 +2,8 @@
 verify the production code, sharing none of its code paths.
 
 * qp_oracle: grid-refinement maximization of the SVM dual over 4 points
+* reference_smo: the SMO pair-update loop that rebuilds its gradient view
+  and working sets on every iteration
 * jacobi_eigh: cyclic Jacobi eigendecomposition for symmetric matrices
 * ReferenceKN: modified Kneser-Ney conditional probabilities computed by
   direct recursive interpolation over brute-force counts
@@ -14,6 +16,8 @@ verify the production code, sharing none of its code paths.
 import math
 
 import numpy as np
+
+from varieties.errors import ConvergenceError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -56,6 +60,75 @@ def qp_oracle_4pt(X, y, C, rounds=12, grid=13):
         lo = np.maximum(0.0, center - span)
         hi = np.minimum(C, center + span)
     return best_value, best_alpha
+
+
+# ---------------------------------------------------------------------------
+# SVM dual, textbook SMO loop
+
+
+def reference_smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int):
+    """SMO with the maximal-violating-pair rule as a textbook loop: every
+    iteration rebuilds yG = -y*G and the I_up/I_low masks from alpha and G.
+    Returns (alpha, bias, objective trace, gap)."""
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    G = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    trace = []
+
+    def objective() -> float:
+        # W(a) = sum(a) - 1/2 a'Qa, and a'Qa = a.(G + 1)
+        return float(0.5 * alpha.sum() - 0.5 * alpha @ G)
+
+    trace.append(objective())
+    gap = np.inf
+    pos = y > 0
+    for _ in range(max_iter):
+        yG = -y * G
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
+        low = (pos & (alpha > 0.0)) | (~pos & (alpha < C))
+        if not up.any() or not low.any():
+            gap = 0.0
+            break
+        i = int(np.flatnonzero(up)[np.argmax(yG[up])])
+        j = int(np.flatnonzero(low)[np.argmin(yG[low])])
+        gap = yG[i] - yG[j]
+        if gap <= tol:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step = gap / max(eta, 1e-12)
+        headroom_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        headroom_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        step = min(step, headroom_i, headroom_j)
+        # land exactly on the box boundary when the step is clipped there
+        if step >= headroom_i:
+            alpha[i] = C if y[i] > 0 else 0.0
+        else:
+            alpha[i] += y[i] * step
+        if step >= headroom_j:
+            alpha[j] = 0.0 if y[j] > 0 else C
+        else:
+            alpha[j] -= y[j] * step
+        G += y * step * (K[:, i] - K[:, j])
+        obj = objective()
+        if obj < trace[-1] - 1e-9 * max(1.0, abs(obj)):
+            raise AssertionError(
+                f"dual objective decreased: {trace[-1]} -> {obj}"
+            )
+        trace.append(obj)
+    else:
+        raise ConvergenceError(
+            f"SMO did not reach tol={tol} within {max_iter} iterations "
+            f"(KKT gap {gap:.3e})"
+        )
+
+    # admissible bias lies in [m(a), M(a)]; take the midpoint
+    yG = -y * G
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < C))
+    m = yG[up].max() if up.any() else 0.0
+    M = yG[low].min() if low.any() else 0.0
+    bias = 0.5 * (m + M)
+    return alpha, float(bias), tuple(trace), float(max(gap, 0.0))
 
 
 # ---------------------------------------------------------------------------

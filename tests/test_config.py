@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from varieties.config import PipelineConfig, load_config, parse_config_text
@@ -61,6 +63,31 @@ class TestPrecedence:
         cfg.write_text("seed = 3\n")
         config = load_config(cfg, overrides={"seed": None, "out": None}, env={})
         assert config.seed == 3
+
+
+class TestUnknownEnvironment:
+    def test_unknown_variables_named_in_one_warning(self):
+        env = {"VARIETIES_SVM_TOL": "1e-6", "VARIETIES_SEEED": "3", "VARIETIES_SEED": "4"}
+        with pytest.warns(UserWarning) as record:
+            config = load_config(env=env)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "VARIETIES_SEEED, VARIETIES_SVM_TOL" in message
+        assert "VARIETIES_SEED," not in message
+        assert config.seed == 4
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"VARIETIES_EUROPARL_DIR": "/data/europarl"},
+            {"VARIETIES_SEED": "7", "VARIETIES_OUT": "runs/x"},
+            {"OTHER_SVM_TOL": "1e-6", "varieties_seed": "1"},
+        ],
+    )
+    def test_keys_and_the_corpus_gate_are_quiet(self, env):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_config(env=env)
 
 
 class TestValidation:

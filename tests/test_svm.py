@@ -1,13 +1,18 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import qp_oracle_4pt
+from oracles import qp_oracle_4pt, reference_smo
 from synthdata import variety_corpus
 from varieties import svm
+from varieties.config import load_config
 from varieties.corpus import balance
 from varieties.corpus import chunk as make_chunks
 from varieties.errors import ConvergenceError
 from varieties.features import FW, FeaturePlan
+from varieties.pipeline import run_stage
 from varieties.svm import (
     OvoEnsemble,
     SvmModel,
@@ -72,7 +77,12 @@ class TestTrainBinary:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         labels = ["a" if v > 0 else "b" for v in rng.normal(size=80)]
-        with pytest.raises(ConvergenceError, match="iterations"):
+        # the cap is DEFAULT_MAX_PASSES x max(n, 10) iterations, read at call time
+        cap = svm.DEFAULT_MAX_PASSES * max(len(labels), 10)
+        with pytest.raises(
+            ConvergenceError,
+            match=rf"SMO did not reach tol=1e-09 within {cap} iterations \(KKT gap \d",
+        ):
             train_binary(X, labels, C=100.0, tol=1e-9)
 
     def test_objective_nondecreasing(self):
@@ -89,6 +99,117 @@ class TestTrainBinary:
         model = train_binary(FOUR_X, FOUR_LABELS, C=10.0)
         y = np.array([1.0 if l == model.labels[0] else -1.0 for l in FOUR_LABELS])
         assert abs(float(model.alphas @ y)) <= 1e-8 * 10.0 * len(y)
+
+
+def _assert_same_solve(K, y, C, tol=svm.DEFAULT_TOL, max_iter=None, solve=svm._smo):
+    if max_iter is None:
+        max_iter = svm.DEFAULT_MAX_PASSES * max(len(y), 10)
+    alpha, bias, path, gap = solve(K, y, C, tol, max_iter)
+    ref_alpha, ref_bias, ref_path, ref_gap = reference_smo(K, y, C, tol, max_iter)
+    assert np.array_equal(alpha, ref_alpha)
+    assert bias == ref_bias
+    assert gap == ref_gap
+    assert path == ref_path
+    # bit for bit, down to the sign of a zero bias or gap
+    assert _bits(alpha, bias, gap, *path) == _bits(ref_alpha, ref_bias, ref_gap, *ref_path)
+    return alpha, bias, path, gap
+
+
+def _bits(alpha, *values):
+    return alpha.tobytes() + np.array(values).tobytes()
+
+
+class TestSmoExact:
+    """The incremental loop against the textbook loop it replaced: every
+    iterate, hence alphas, bias, KKT gap and objective path, is equal."""
+
+    @pytest.mark.parametrize("n", [2, 11, 80, 640])
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_random_instances(self, n, separable):
+        rng = np.random.default_rng(n + 1000 * separable)
+        dim = 600 if n == 640 else 5
+        X = rng.normal(size=(n, dim))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        if separable:
+            X[:, 0] += 3.0 * y
+        path = _assert_same_solve(X @ X.T, y, C=1.0)[2]
+        assert len(path) > 1
+
+    def test_small_c_clips_most_alphas(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 4))
+        y = np.where(rng.normal(size=60) > 0, 1.0, -1.0)
+        C = 0.01
+        alpha = _assert_same_solve(X @ X.T, y, C)[0]
+        assert np.count_nonzero(alpha == C) > len(y) // 2
+
+    def test_duplicates_with_opposite_labels_hit_the_eta_floor(self):
+        # K_ii + K_jj - 2 K_ij is 0 for a duplicated pair, so eta is floored
+        # at 1e-12 and the step is clipped to the box
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [0.5, -1.0]])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        _assert_same_solve(X @ X.T, y, C=2.0)
+
+    def test_duplicates_with_the_same_label_tie_on_the_first_index(self):
+        # duplicates keep equal yG throughout, so every pick is a tie; the
+        # first of each group takes the whole step
+        X = np.array([[1.0, 1.0]] * 3 + [[-1.0, -1.0]] * 3)
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        alpha = _assert_same_solve(X @ X.T, y, C=10.0)[0]
+        assert alpha.tolist() == [0.25, 0.0, 0.0, 0.25, 0.0, 0.0]
+
+    def test_exact_zeros_in_the_gradient(self):
+        # integer data cancel exactly: the textbook loop reports a bias of
+        # -0.0 here, and so must the incremental one
+        X = np.array([[0.0, -1.0], [-2.0, 0.0], [-1.0, 0.0], [2.0, -2.0], [0.0, -2.0]])
+        y = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+        _, bias, _, _ = _assert_same_solve(X @ X.T, y, C=1.0)
+        assert np.signbit(bias)
+
+    def test_single_point_class(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(12, 3))
+        y = -np.ones(12)
+        y[5] = 1.0
+        _assert_same_solve(X @ X.T, y, C=1.0)
+
+    def test_nonconvergence_message_is_the_same(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(80, 4))
+        y = np.where(rng.normal(size=80) > 0, 1.0, -1.0)
+        messages = []
+        for solve in (svm._smo, reference_smo):
+            with pytest.raises(ConvergenceError) as info:
+                solve(X @ X.T, y, 100.0, 1e-9, 80)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_classify_stage_solves_are_exact(self, tmp_path, monkeypatch):
+        """Every SMO problem the classify stage solves on the benchmark's
+        classify_cv inputs (seed 17) gives the textbook loop's result."""
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        workloads = importlib.import_module("workloads")
+        inputs = tmp_path / "inputs"
+        workloads.generate("classify_cv", 17, inputs)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workloads.config_text("classify_cv", 17, inputs))
+        config = load_config(cfg, overrides={"out": str(tmp_path / "out")}, env={})
+
+        solve = svm._smo
+        solved = []
+
+        def checked(K, y, C, tol, max_iter):
+            result = _assert_same_solve(K, y, C, tol, max_iter, solve=solve)
+            solved.append(len(result[2]) - 1)
+            return result
+
+        monkeypatch.setattr(svm, "_smo", checked)
+        run_stage("classify", config)
+        # 8 feature rows x (3 pair tasks x (10 folds + 1 full fit)
+        #                  + 10 folds x 3 one-vs-one models of the 3-way task)
+        assert len(solved) == 504
+        assert sum(solved) > 0
 
 
 def _kkt_violation(model, X, labels, C):
