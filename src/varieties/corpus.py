@@ -3,9 +3,13 @@
 The unit of annotation is a sentence carrying its language variety (native
 "N", non-native "NN", translated "T") plus optional country / language-family
 metadata. Sentences are grouped into ~2,000-token chunks (never splitting a
-sentence) for classification; corpora can be shuffled, filtered and
-down-sampled to equal class sizes. Every randomised operation takes an
-explicit seed and is reproducible.
+sentence) for classification; a chunk is itself a ``Corpus``. Corpora can be
+shuffled, filtered and down-sampled to equal class sizes. Every randomised
+operation takes an explicit seed and is reproducible.
+
+This module is the only reader of token fields: other modules see sentence
+content through ``AnnotatedSentence.surfaces()``/``lemmas()`` and
+``Corpus.tags()``, the one validated reader of POS tags.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, UntaggedTokenError
 
 VARIETY_LABELS = ("N", "NN", "T")
 FAMILY_LABELS = ("Germanic", "Romance", "Other")
@@ -69,8 +73,10 @@ class Token:
         if self.lemma is not None and self.lemma.lower() != self.lemma:
             object.__setattr__(self, "lemma", self.lemma.lower())
 
-    @property
+    @cached_property
     def lemma_or_surface(self) -> str:
+        # cached: tokens are shared per distinct triple, and a plain attribute
+        # read is cheaper than a property call on the metrics hot path
         return self.lemma if self.lemma is not None else self.surface
 
 
@@ -124,6 +130,10 @@ class AnnotatedSentence:
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
+    def lemmas(self) -> list[str]:
+        """Lemmas; a token without one gives its surface."""
+        return [t.lemma_or_surface for t in self.tokens]
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -145,32 +155,24 @@ class Corpus:
     def token_count(self) -> int:
         return sum(s.token_count for s in self.sentences)
 
-    def tokens(self) -> Iterator[Token]:
-        for sent in self.sentences:
-            yield from sent.tokens
+    def tags(self) -> list[list[str]]:
+        """POS tags, one list per sentence. The first token without a tag
+        raises ``UntaggedTokenError`` naming its sentence, position and
+        surface."""
+        out = []
+        for s_idx, sent in enumerate(self.sentences):
+            tags = [t.pos for t in sent.tokens]
+            if None in tags:
+                t_idx = tags.index(None)
+                raise UntaggedTokenError(
+                    f"untagged token: sentence {s_idx}, token {t_idx} "
+                    f"{sent.tokens[t_idx].surface!r} is missing its POS tag"
+                )
+            out.append(tags)
+        return out
 
     def varieties(self) -> set[str]:
         return {s.variety for s in self.sentences}
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A sentence-boundary-respecting block of roughly ``target_size`` tokens.
-
-    Chunks are the unit of classification; all member sentences share one
-    variety.
-    """
-
-    sentences: tuple[AnnotatedSentence, ...]
-    token_count: int
-    variety: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
-
-    def tokens(self) -> Iterator[Token]:
-        for sent in self.sentences:
-            yield from sent.tokens
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +368,11 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
     return Corpus(sentences=tuple(order), provenance=corpus.provenance)
 
 
-def chunk(corpus: Corpus, target_size: int = 2000) -> list[Chunk]:
+def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
     """Greedy fill: append sentences until the chunk reaches ``target_size``
     tokens, then close it. A trailing chunk strictly below half the target is
-    dropped. Sentences are never split."""
+    dropped. Sentences are never split. Each chunk is a corpus with the
+    provenance of ``corpus``."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
     varieties = corpus.varieties()
@@ -377,34 +380,22 @@ def chunk(corpus: Corpus, target_size: int = 2000) -> list[Chunk]:
         raise ValueError(
             f"chunking requires a single-variety corpus, found {sorted(varieties)}"
         )
-    chunks: list[Chunk] = []
+    chunks: list[Corpus] = []
     pending: list[AnnotatedSentence] = []
     pending_tokens = 0
     for sent in corpus.sentences:
         pending.append(sent)
         pending_tokens += sent.token_count
         if pending_tokens >= target_size:
-            chunks.append(
-                Chunk(
-                    sentences=tuple(pending),
-                    token_count=pending_tokens,
-                    variety=sent.variety,
-                )
-            )
+            chunks.append(Corpus(sentences=tuple(pending), provenance=corpus.provenance))
             pending = []
             pending_tokens = 0
-    if pending and pending_tokens >= 0.5 * target_size:
-        chunks.append(
-            Chunk(
-                sentences=tuple(pending),
-                token_count=pending_tokens,
-                variety=pending[0].variety,
-            )
-        )
+    if pending_tokens >= 0.5 * target_size:
+        chunks.append(Corpus(sentences=tuple(pending), provenance=corpus.provenance))
     return chunks
 
 
-def balance(chunks_by_variety: dict[str, list[Chunk]], seed: int) -> dict[str, list[Chunk]]:
+def balance(chunks_by_variety: dict[str, list[Corpus]], seed: int) -> dict[str, list[Corpus]]:
     """Down-sample every variety to the smallest class size, uniformly without
     replacement. Retained chunks keep their original relative order."""
     for label, chunks in chunks_by_variety.items():
@@ -412,7 +403,7 @@ def balance(chunks_by_variety: dict[str, list[Chunk]], seed: int) -> dict[str, l
             raise ValueError(f"variety {label!r} has no chunks to sample from")
     smallest = min(len(chunks) for chunks in chunks_by_variety.values())
     rng = random.Random(seed)
-    balanced: dict[str, list[Chunk]] = {}
+    balanced: dict[str, list[Corpus]] = {}
     for label in sorted(chunks_by_variety):
         chunks = chunks_by_variety[label]
         keep = sorted(rng.sample(range(len(chunks)), smallest))

@@ -32,8 +32,9 @@ class DegenerateDataError(VarietiesError):
     """Input data carries no usable signal (e.g. zero variance for PCA)."""
 
 
-class UntaggedTokenError(VarietiesError):
-    """A token without a POS tag where a POS feature needs every tag."""
+class UntaggedTokenError(VarietiesError, ValueError):
+    """A token without a POS tag where a POS reader needs every tag (POS
+    trigrams, pronoun counts, POS language models)."""
 
 
 class ConvergenceError(RuntimeError):

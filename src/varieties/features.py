@@ -6,12 +6,15 @@ Families:
   POSTOK  words in the first/second/third/penultimate/last sentence positions
   COH     cohesive-marker frequencies
 
-Each chunk's raw counts are kept in one ChunkCounts record, each family
-counted on first use, so a stage counts every chunk once however many folds,
-feature rows and tasks read it. Data-dependent vocabularies (top-k trigrams,
-positional pairs) are selected on training chunks only and carried around as
-FeatureSpace objects; vectorization reads the records through the spaces and
-divides raw counts by the chunk token count.
+A chunk is a ``Corpus``; the counters read it only through its sentences'
+``surfaces()`` and the corpus's validated ``tags()``, which raises
+``UntaggedTokenError`` on the first untagged token. Each chunk's raw counts
+are kept in one ChunkCounts record, each family counted on first use, so a
+stage counts every chunk once however many folds, feature rows and tasks
+read it. Data-dependent vocabularies (top-k trigrams, positional pairs) are
+selected on training chunks only and carried around as FeatureSpace objects;
+vectorization reads the records through the spaces and divides raw counts by
+the chunk token count.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Chunk
-from .errors import UntaggedTokenError
+from .corpus import Corpus
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -71,22 +73,17 @@ class FeatureSpace:
 # raw counting per family
 
 
-def _fw_counts(chunk: Chunk) -> Counter:
+def _fw_counts(chunk: Corpus) -> Counter:
     """Every surface, so that any FW space reads its own words."""
-    return Counter(tok.surface for tok in chunk.tokens())
-
-
-def _pos3_counts(chunk: Chunk) -> Counter:
     counts: Counter = Counter()
     for sent in chunk.sentences:
-        tags = []
-        for i, tok in enumerate(sent.tokens):
-            if tok.pos is None:
-                raise UntaggedTokenError(
-                    f"POS trigrams need tags on every token; token {i} "
-                    f"({tok.surface!r}) is untagged"
-                )
-            tags.append(tok.pos)
+        counts.update(sent.surfaces())
+    return counts
+
+
+def _pos3_counts(chunk: Corpus) -> Counter:
+    counts: Counter = Counter()
+    for tags in chunk.tags():
         for i in range(len(tags) - 2):
             counts["_".join(tags[i : i + 3])] += 1
     return counts
@@ -113,7 +110,7 @@ def position_events(surfaces: Sequence[str]) -> list[tuple[str, str]]:
     return events
 
 
-def _postok_counts(chunk: Chunk) -> Counter:
+def _postok_counts(chunk: Corpus) -> Counter:
     counts: Counter = Counter()
     for sent in chunk.sentences:
         for position, word in position_events(sent.surfaces()):
@@ -121,7 +118,7 @@ def _postok_counts(chunk: Chunk) -> Counter:
     return counts
 
 
-def _coh_counts(chunk: Chunk, markers: PhraseList) -> Counter:
+def _coh_counts(chunk: Corpus, markers: PhraseList) -> Counter:
     counts: Counter = Counter()
     for sent in chunk.sentences:
         for entry, _start in match_phrases(sent.surfaces(), markers):
@@ -136,7 +133,7 @@ class ChunkCounts:
     per list, keyed by the COH space's keys.
     """
 
-    def __init__(self, chunk: Chunk):
+    def __init__(self, chunk: Corpus):
         self.chunk = chunk
         self.token_count = chunk.token_count
         self._coh: dict[tuple[str, ...], Counter] = {}
@@ -167,7 +164,7 @@ class ChunkCounts:
         return coh
 
 
-def chunk_counts(chunks: Iterable[Chunk | ChunkCounts]) -> list[ChunkCounts]:
+def chunk_counts(chunks: Iterable[Corpus | ChunkCounts]) -> list[ChunkCounts]:
     """Count records for ``chunks``; records pass through unchanged, so
     callers that hold records share their counts."""
     return [c if isinstance(c, ChunkCounts) else ChunkCounts(c) for c in chunks]
@@ -178,7 +175,7 @@ def chunk_counts(chunks: Iterable[Chunk | ChunkCounts]) -> list[ChunkCounts]:
 
 
 def select_top_pos3(
-    train_chunks: Iterable[Chunk | ChunkCounts], k: int = 3000
+    train_chunks: Iterable[Corpus | ChunkCounts], k: int = 3000
 ) -> FeatureSpace:
     """Top-k most frequent POS trigrams; ties broken lexicographically."""
     totals: Counter = Counter()
@@ -189,7 +186,7 @@ def select_top_pos3(
 
 
 def select_postok_vocab(
-    train_chunks: Iterable[Chunk | ChunkCounts], min_count: int = 5
+    train_chunks: Iterable[Corpus | ChunkCounts], min_count: int = 5
 ) -> FeatureSpace:
     totals: Counter = Counter()
     for record in chunk_counts(train_chunks):
@@ -224,7 +221,7 @@ class FeaturePlan:
             if family not in FAMILIES:
                 raise ValueError(f"unknown feature family {family!r}")
 
-    def fit(self, train_chunks: Sequence[Chunk | ChunkCounts]) -> list[FeatureSpace]:
+    def fit(self, train_chunks: Sequence[Corpus | ChunkCounts]) -> list[FeatureSpace]:
         records = chunk_counts(train_chunks)
         spaces = []
         for family in self.families:
@@ -252,7 +249,7 @@ class FeaturePlan:
 
 
 def vectorize_chunks(
-    chunks: Sequence[Chunk | ChunkCounts], spaces: Sequence[FeatureSpace]
+    chunks: Sequence[Corpus | ChunkCounts], spaces: Sequence[FeatureSpace]
 ) -> np.ndarray:
     """Dense matrix, one row per chunk: the spaces' keys in order, each raw
     count divided by the chunk token count, zeros for unseen keys."""

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Token
+from .corpus import Corpus
 from .lexicons import PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
@@ -80,22 +80,17 @@ class SizeCheck:
 # sentence)
 
 
-def _lemmas(tokens: Iterable[Token]) -> set[str]:
-    """Distinct lemmas; lemma falls back to the surface."""
-    return {tok.lemma_or_surface for tok in tokens}
-
-
 def _rank_counts(
-    tokens: Iterable[Token], ranks: RankList, fw: WordList
+    surfaces: Iterable[str], ranks: RankList, fw: WordList
 ) -> tuple[int, int]:
     """(rank sum, ranked-token count) over tokens that are neither function
     words nor missing from the rank list."""
     total = 0
     included = 0
-    for tok in tokens:
-        if tok.surface in fw:
+    for surface in surfaces:
+        if surface in fw:
             continue
-        rank = ranks.rank(tok.surface)
+        rank = ranks.rank(surface)
         if rank is None:
             continue
         total += rank
@@ -109,14 +104,8 @@ def _matched_texts(surfaces: list[str], phrases: PhraseList) -> list[str]:
     return [entry.text for entry, _ in match_phrases(surfaces, phrases)]
 
 
-def _pronoun_count(tokens: Iterable[Token]) -> int:
-    hits = 0
-    for tok in tokens:
-        if tok.pos is None:
-            raise ValueError(f"token {tok.surface!r} is missing its POS tag")
-        if tok.pos in _PRONOUN_TAGS:
-            hits += 1
-    return hits
+def _pronoun_count(tags: list[str]) -> int:
+    return sum(map(_PRONOUN_TAGS.__contains__, tags))
 
 
 def _check_markers(markers: PhraseList) -> None:
@@ -165,14 +154,16 @@ def _pronoun_value(hits: int, tokens: int) -> MetricValue:
 def ttr(corpus: Corpus) -> MetricValue:
     """Distinct (lemmatized) tokens over total tokens; lemma falls back to
     the lowercased surface."""
-    return _ttr_value(len(_lemmas(corpus.tokens())), corpus.token_count)
+    lemmas = {lemma for sent in corpus.sentences for lemma in sent.lemmas()}
+    return _ttr_value(len(lemmas), corpus.token_count)
 
 
 def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue:
     """Mean frequency rank over tokens that are neither function words nor
     missing from the rank list; excluded tokens leave both numerator and
     denominator."""
-    return _rank_value(*_rank_counts(corpus.tokens(), ranks, fw))
+    surfaces = (surface for sent in corpus.sentences for surface in sent.surfaces())
+    return _rank_value(*_rank_counts(surfaces, ranks, fw))
 
 
 def collocation_types(corpus: Corpus, idioms: PhraseList) -> MetricValue:
@@ -193,7 +184,8 @@ def transitions(corpus: Corpus, markers: PhraseList) -> MetricValue:
 def pronouns(corpus: Corpus) -> MetricValue:
     """Personal + possessive pronouns (PRP, PRP$) per token; requires POS
     tags on every token."""
-    return _pronoun_value(_pronoun_count(corpus.tokens()), corpus.token_count)
+    hits = sum(map(_pronoun_count, corpus.tags()))
+    return _pronoun_value(hits, corpus.token_count)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +274,17 @@ class SentenceStats:
         counts: dict[str, list[int]] = {name: [] for name in _COUNTS}
         lemmas = []
         idioms = []
-        for sent in corpus.sentences:
+        for sent, tags in zip(corpus.sentences, corpus.tags()):
             surfaces = sent.surfaces()
             rank_sum, ranked = _rank_counts(
-                sent.tokens, resources.word_ranks, resources.function_words
+                surfaces, resources.word_ranks, resources.function_words
             )
             counts["tokens"].append(sent.token_count)
-            counts["pronouns"].append(_pronoun_count(sent.tokens))
+            counts["pronouns"].append(_pronoun_count(tags))
             counts["rank_sum"].append(rank_sum)
             counts["ranked"].append(ranked)
             counts["transitions"].append(len(_matched_texts(surfaces, markers)))
-            lemmas.append(_lemmas(sent.tokens))
+            lemmas.append(set(sent.lemmas()))
             idioms.append(set(_matched_texts(surfaces, resources.idioms)))
         return cls(
             **{name: np.array(values, dtype=np.int64) for name, values in counts.items()},

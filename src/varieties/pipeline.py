@@ -29,7 +29,7 @@ from . import metrics as met
 from . import poslm
 from . import svm
 from .config import PipelineConfig, config_snapshot
-from .corpus import Chunk, Corpus, balance, chunk, filter_corpus, ingest, shuffle, write_jsonl
+from .corpus import Corpus, balance, chunk, filter_corpus, ingest, shuffle, write_jsonl
 from .errors import UntaggedTokenError, VarietiesError
 from .lexicons import Resources, default_manifest_path, load_resources
 
@@ -198,18 +198,22 @@ def _ingest_variety(config: PipelineConfig, variety: str) -> Corpus:
     return ingest(config.corpus_path(variety), config.format, default_variety=variety)
 
 
-def _balanced_chunks(
-    config: PipelineConfig,
-) -> tuple[list[Chunk], list[str]]:
+def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
     """Shuffle, chunk and down-sample the three corpora to equal class sizes;
     returns chunks and labels interleaved deterministically."""
-    by_variety: dict[str, list[Chunk]] = {}
+    by_variety: dict[str, list[Corpus]] = {}
     for variety in ("N", "NN", "T"):
         corpus = _ingest_variety(config, variety)
-        shuffled = shuffle(corpus, config.seed)
-        by_variety[variety] = chunk(shuffled, config.chunk_target)
+        variety_chunks = chunk(shuffle(corpus, config.seed), config.chunk_target)
+        if not variety_chunks:
+            raise VarietiesError(
+                f"variety {variety} has {corpus.token_count} tokens, under half "
+                f"of chunk_target = {config.chunk_target}, so it makes no chunk; "
+                f"lower chunk_target or supply more text"
+            )
+        by_variety[variety] = variety_chunks
     balanced = balance(by_variety, config.seed)
-    chunks: list[Chunk] = []
+    chunks: list[Corpus] = []
     labels: list[str] = []
     for variety in sorted(balanced):
         for c in balanced[variety]:
@@ -236,7 +240,7 @@ def cmd_ingest(config: PipelineConfig, out_dir: Path) -> None:
         found_any = True
         corpus = _ingest_variety(config, variety)
         stage.write(f"ingest/{variety}.jsonl", lambda tmp: write_jsonl(corpus, tmp))
-        types = len({t.surface for t in corpus.tokens()})
+        types = len({w for sent in corpus.sentences for w in sent.surfaces()})
         stats_rows.append([variety, len(corpus), corpus.token_count, types])
     if not found_any:
         raise VarietiesError("no corpus paths configured; nothing to ingest")
@@ -514,7 +518,8 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
     corpus_t = _ingest_variety(config, "T")
     corpus_nn = filter_corpus(_ingest_variety(config, "NN"), variety="NN")
 
-    # every test set is checked before any model is trained or written
+    # every test set (family and country) and training set is read, tags
+    # included, before any model is trained or written
     test_sets = {}
     for family in ("Germanic", "Romance"):
         test = filter_corpus(corpus_nn, family=family)
@@ -534,7 +539,24 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
             )
         test_sets[family] = poslm.pos_sequences(Corpus(sentences=test))
 
-    models = {}
+    countries = sorted(
+        {
+            s.country
+            for s in corpus_nn.sentences
+            if s.country is not None and s.family in ("Germanic", "Romance")
+        }
+    )
+    country_sets = {}
+    for country in countries:
+        subset = shuffle(filter_corpus(corpus_nn, country=country), config.seed)
+        country_sets[country] = (
+            subset.sentences[0].family,
+            poslm.pos_sequences(
+                Corpus(sentences=subset.sentences[: config.lm_country_sentences])
+            ),
+        )
+
+    train_sets = {}
     for family in ("Germanic", "Romance"):
         train = filter_corpus(corpus_t, variety="T", family=family)
         if len(train) == 0:
@@ -542,8 +564,12 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
         train = _take_tokens(
             shuffle(train, config.seed), config.lm_train_tokens, f"{family} T"
         )
+        train_sets[family] = poslm.pos_sequences(train)
+
+    models = {}
+    for family in ("Germanic", "Romance"):
         model = poslm.train_lm(
-            poslm.pos_sequences(train), resources.tagset, order=config.lm_order
+            train_sets.pop(family), resources.tagset, order=config.lm_order
         )
         models[family] = model
         stage.write(
@@ -589,24 +615,10 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
     stage.write_json("lm/ttest.json", ttest_payload)
 
     country_rows = []
-    countries = sorted(
-        {
-            s.country
-            for s in corpus_nn.sentences
-            if s.country is not None and s.family in ("Germanic", "Romance")
-        }
-    )
-    for country in countries:
-        subset = shuffle(filter_corpus(corpus_nn, country=country), config.seed)
-        test_sents = poslm.pos_sequences(
-            Corpus(sentences=subset.sentences[: config.lm_country_sentences])
-        )
+    for country, (family, test_sents) in country_sets.items():
         ger = poslm.ppl(models["Germanic"], test_sents).perplexity
         rom = poslm.ppl(models["Romance"], test_sents).perplexity
-        family = subset.sentences[0].family
-        country_rows.append(
-            [country, family, f"{ger:.6f}", f"{rom:.6f}"]
-        )
+        country_rows.append([country, family, f"{ger:.6f}", f"{rom:.6f}"])
     stage.write_csv(
         "lm/countries.csv",
         ["country", "family", "ppl_gert", "ppl_romt"],

@@ -764,15 +764,6 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
 
 
 def pos_sequences(corpus: Corpus) -> list[list[str]]:
-    """POS tag sequences of a tagged corpus; every token must carry a tag."""
-    out = []
-    for s_idx, sent in enumerate(corpus.sentences):
-        tags = []
-        for t_idx, tok in enumerate(sent.tokens):
-            if tok.pos is None:
-                raise ValueError(
-                    f"token {t_idx} of sentence {s_idx} is missing its POS tag"
-                )
-            tags.append(tok.pos)
-        out.append(tags)
-    return out
+    """POS tag sequences of a tagged corpus; every token must carry a tag
+    (``Corpus.tags``)."""
+    return corpus.tags()

@@ -20,7 +20,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .corpus import Chunk
+from .corpus import Corpus
 from .errors import ConvergenceError
 from .features import ChunkCounts, FeaturePlan, chunk_counts, vectorize_chunks
 
@@ -296,7 +296,7 @@ def stratified_folds(
 
 
 def cross_validate(
-    chunks: Sequence[Chunk | ChunkCounts],
+    chunks: Sequence[Corpus | ChunkCounts],
     labels: Sequence[Hashable],
     plan: FeaturePlan,
     folds: int = 10,

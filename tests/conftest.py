@@ -1,6 +1,6 @@
 import pytest
 
-from varieties.corpus import AnnotatedSentence, Chunk, Corpus, Token
+from varieties.corpus import AnnotatedSentence, Corpus, Token
 from varieties.lexicons import default_resources
 
 
@@ -26,12 +26,7 @@ def make_corpus(sentences, provenance="test"):
 
 
 def make_chunk(sentences):
-    sentences = tuple(sentences)
-    return Chunk(
-        sentences=sentences,
-        token_count=sum(s.token_count for s in sentences),
-        variety=sentences[0].variety,
-    )
+    return Corpus(sentences=tuple(sentences), provenance="chunk")
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from conftest import make_corpus, make_sentence
 from synthdata import lm_family_corpus
 from varieties.corpus import (
     AnnotatedSentence,
-    Chunk,
     Corpus,
     CorpusFormatError,
     Token,
@@ -25,6 +24,7 @@ from varieties.corpus import (
     tokenize_raw,
     write_jsonl,
 )
+from varieties.errors import UntaggedTokenError, VarietiesError
 
 
 class TestToken:
@@ -80,6 +80,40 @@ class TestAnnotatedSentence:
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
             AnnotatedSentence(tokens=(), variety="N")
+
+    def test_surfaces_and_lemmas(self):
+        sent = make_sentence(["She", "ran", "home"], lemma=["she", "run", None])
+        assert sent.surfaces() == ["she", "ran", "home"]
+        assert sent.lemmas() == ["she", "run", "home"]
+
+
+class TestTags:
+    def test_one_list_per_sentence(self):
+        corpus = make_corpus(
+            [
+                make_sentence(["he", "ran"], pos=["PRP", "VBD"]),
+                make_sentence(["go"], pos=["VB"]),
+            ]
+        )
+        assert corpus.tags() == [["PRP", "VBD"], ["VB"]]
+        assert Corpus(sentences=()).tags() == []
+
+    def test_first_untagged_token_is_named(self):
+        corpus = make_corpus(
+            [
+                make_sentence(["he", "ran"], pos=["PRP", "VBD"]),
+                make_sentence(["we", "went", "in"], pos=["PRP", "VBD", None]),
+                make_sentence(["x"]),
+            ]
+        )
+        with pytest.raises(UntaggedTokenError) as caught:
+            corpus.tags()
+        assert str(caught.value) == (
+            "untagged token: sentence 1, token 2 'in' is missing its POS tag"
+        )
+        # a validation error for the CLI, a ValueError for library callers
+        assert isinstance(caught.value, VarietiesError)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_family_table():
@@ -224,7 +258,7 @@ class TestInterning:
         path = tmp_path / f"c.{fmt}"
         _write_reused_tokens(path, fmt, lines=3)
         corpus = ingest(path, fmt)
-        tokens = list(corpus.tokens())
+        tokens = [tok for sent in corpus.sentences for tok in sent.tokens]
         assert len(tokens) == 9
         we = tokens[0]
         assert (we.surface, we.pos, we.lemma) == ("we", "PRP", "we")
@@ -342,6 +376,15 @@ class TestChunk:
     def test_empty_corpus(self):
         assert chunk(Corpus(sentences=()), 2000) == []
 
+    def test_chunks_are_corpora_with_the_source_provenance(self):
+        sentences = [make_sentence([f"s{i}_t{j}" for j in range(6)]) for i in range(5)]
+        chunks = chunk(make_corpus(sentences, provenance="data/N.jsonl"), 10)
+        assert all(type(c) is Corpus for c in chunks)
+        assert [c.provenance for c in chunks] == ["data/N.jsonl"] * 3
+        assert [c.sentences for c in chunks] == [
+            tuple(sentences[0:2]), tuple(sentences[2:4]), (sentences[4],)
+        ]
+
     def test_mixed_varieties_rejected(self):
         corpus = make_corpus(
             [make_sentence(["a"], variety="N"), make_sentence(["b"], variety="T")]
@@ -417,8 +460,7 @@ class TestBalance:
         def quick_chunks(variety, n):
             sent = make_sentence(["tok"] * 10, variety=variety)
             return [
-                Chunk(sentences=(sent,), token_count=10, variety=variety)
-                for _ in range(n)
+                Corpus(sentences=(sent,), provenance=variety) for _ in range(n)
             ]
 
         data = {

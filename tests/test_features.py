@@ -239,7 +239,7 @@ class TestVectorize:
         chunk = make_chunk([make_sentence(["the", "of", "the", "cat"])])
         space = fw_space(words("the", "of"))
         row = vectorize_chunks([chunk], [space])[0]
-        surfaces = [tok.surface for tok in chunk.tokens()]
+        surfaces = [tok.surface for sent in chunk.sentences for tok in sent.tokens]
         assert row.tolist() == [
             surfaces.count(key) / chunk.token_count for key in space.keys
         ]

@@ -156,7 +156,10 @@ class TestPronouns:
         )
         p = pronouns(corpus).raw
         non_pronoun = sum(
-            1 for t in corpus.tokens() if t.pos not in ("PRP", "PRP$")
+            1
+            for sent in corpus.sentences
+            for t in sent.tokens
+            if t.pos not in ("PRP", "PRP$")
         ) / corpus.token_count
         assert p + non_pronoun == pytest.approx(1.0)
 

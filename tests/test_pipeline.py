@@ -19,7 +19,15 @@ from synthdata import (
 from varieties import features
 from varieties.cli import main
 from varieties.config import load_config
-from varieties.corpus import AnnotatedSentence, Corpus, Token, concat, write_jsonl
+from varieties.corpus import (
+    AnnotatedSentence,
+    Corpus,
+    Token,
+    concat,
+    filter_corpus,
+    shuffle,
+    write_jsonl,
+)
 from varieties.errors import VarietiesError
 from varieties.pipeline import output_lock, run_stage
 
@@ -280,6 +288,32 @@ class TestClassifyStage:
         assert not (out / "classify").exists()
         assert not (out / ".lock").exists()
 
+    @pytest.mark.parametrize("stage", ["classify", "cluster"])
+    def test_variety_too_small_for_one_chunk_is_a_validation_error(
+        self, classify_dir, tmp_path, capsys, stage
+    ):
+        # three T sentences hold fewer than half of chunk_target = 100 tokens,
+        # so chunking T yields nothing
+        small_t = variety_corpus("T", 3, seed=5)
+        assert small_t.token_count < 50
+        root = tmp_path / "small_t"
+        root.mkdir()
+        write_jsonl(small_t, root / "T.jsonl")
+        cfg = classify_config(
+            classify_dir, tmp_path, corpus_t=root / "T.jsonl", cv_folds=4
+        )
+        assert main([stage, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"error: variety T has {small_t.token_count} tokens, under half of "
+            "chunk_target = 100"
+        ) in err
+        assert "Traceback" not in err
+        out = tmp_path / "out"
+        assert not (out / "classify").exists()
+        assert not (out / "cluster").exists()
+        assert not (out / ".lock").exists()
+
 
 @pytest.fixture(scope="module")
 def cluster_out(tmp_path_factory):
@@ -460,10 +494,15 @@ class TestMetricsStage:
                 untagged = tokens[2].surface
             write_jsonl(corpus, data / f"{variety}.jsonl")
         cfg_path = metrics_config(data, tmp_path, bootstrap_iterations=5)
-        assert main(["metrics", "--config", str(cfg_path)]) == 2
+        assert main(["metrics", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert f"ValueError: token {untagged!r} is missing its POS tag" in err
-        assert not (tmp_path / "out" / "metrics" / "metrics.csv").exists()
+        assert (
+            f"error: untagged token: sentence 5, token 2 {untagged!r} "
+            "is missing its POS tag"
+        ) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "metrics").exists()
+        assert not (tmp_path / "out" / ".lock").exists()
 
     def test_null_corpora_earn_no_stars(self, tmp_path):
         data = tmp_path / "null"
@@ -591,16 +630,17 @@ class TestLmStage:
     def test_outputs_match_recorded_digests(self, lm_out):
         assert_digests(lm_out, LM_DIGESTS)
 
-    def _small_run(self, tmp_path, nn_sentences, **extra):
+    def _small_run(self, tmp_path, nn_sentences, t=None, **extra):
         data = tmp_path / "data"
         data.mkdir()
         write_jsonl(concat(nn_sentences), data / "NN.jsonl")
-        t = concat(
-            [
-                lm_family_corpus("T", "Germanic", 400, seed=43),
-                lm_family_corpus("T", "Romance", 400, seed=44),
-            ]
-        )
+        if t is None:
+            t = concat(
+                [
+                    lm_family_corpus("T", "Germanic", 400, seed=43),
+                    lm_family_corpus("T", "Romance", 400, seed=44),
+                ]
+            )
         write_jsonl(t, data / "T.jsonl")
         values = dict(
             corpus_nn=data / "NN.jsonl",
@@ -647,6 +687,68 @@ class TestLmStage:
             "the paired t-test needs at least 2 chunks of 100 sentences"
         ) in err
         assert not (tmp_path / "out" / "lm").exists()
+
+    @staticmethod
+    def _untag(corpus: Corpus, index: int, position: int) -> tuple[Corpus, str]:
+        """``corpus`` with the POS tag of one token removed, and its surface."""
+        sentences = list(corpus.sentences)
+        sent = sentences[index]
+        tokens = list(sent.tokens)
+        tokens[position] = Token(surface=tokens[position].surface)
+        sentences[index] = AnnotatedSentence(
+            tokens=tuple(tokens), variety=sent.variety, country=sent.country
+        )
+        return Corpus(sentences=tuple(sentences)), tokens[position].surface
+
+    def _assert_untagged_run_left_nothing(self, tmp_path, capsys, surface):
+        err = capsys.readouterr().err
+        assert "error: untagged token: sentence " in err
+        assert f"{surface!r} is missing its POS tag" in err
+        assert "Traceback" not in err
+        out = tmp_path / "out"
+        assert not (out / "lm").exists()
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.filterwarnings("ignore:.*running scaled down:UserWarning")
+    def test_untagged_training_token_fails_before_any_model_is_written(
+        self, tmp_path, capsys
+    ):
+        # the Germanic model could be trained and written before the Romance
+        # training tags are read; no model may be left behind
+        romance, surface = self._untag(
+            lm_family_corpus("T", "Romance", 400, seed=44), 7, 1
+        )
+        t = concat([lm_family_corpus("T", "Germanic", 400, seed=43), romance])
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        # every T sentence is read: the training budget exceeds both families
+        assert self._small_run(tmp_path, nn, t=t, lm_train_tokens=10**6) == 1
+        self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
+
+    def test_untagged_country_token_fails_before_any_output_is_written(
+        self, tmp_path, capsys
+    ):
+        # a sentence drawn into its country's slice (40 sentences at seed 3)
+        # but not into its family's test set (200 of 300) is read only for
+        # the per-country table, after the models and perplexity tables
+        germanic = lm_family_corpus("NN", "Germanic", 300, seed=41)
+        in_test_set = {id(s) for s in shuffle(germanic, 3).sentences[:200]}
+        country = germanic.sentences[0].country
+        in_slice = {
+            id(s)
+            for s in shuffle(filter_corpus(germanic, country=country), 3).sentences[:40]
+        }
+        index = next(
+            i
+            for i, s in enumerate(germanic.sentences)
+            if id(s) in in_slice and id(s) not in in_test_set
+        )
+        germanic, surface = self._untag(germanic, index, 0)
+        nn = [germanic, lm_family_corpus("NN", "Romance", 300, seed=42)]
+        assert self._small_run(tmp_path, nn) == 1
+        self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
 
 
 class TestReportStage:
