@@ -17,10 +17,11 @@ the token target is reached; overshoot is allowed. All randomness flows
 through numpy SeedSequence spawning, so results are reproducible and
 independent of evaluation order.
 
-A draw is an array of sentence indices, and one draw serves every metric:
-``d_total_tests`` and ``d_dif_tests`` take the observed metric values of
-N, NN and T and evaluate a ``Sample`` (such as ``metrics.SentenceStats``,
-which gives all five metrics from per-sentence counts) on each draw.
+A ``Sample`` is one table of the sentences of N, NN and T laid end to end,
+each corpus a range of its rows, and a draw is an array of row indices:
+D_total draws all three samples from every row, D_dif each from its
+corpus's range. One draw serves every metric of the ``Sample`` (such as
+``metrics.SentenceStats``, which gives all five from per-sentence counts).
 D_total, the choice of K and D_dif each have one formula, shared by the
 observed values and the resample series. ``test_d_total`` and
 ``test_d_dif`` run the same engine for one metric function over corpora,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -97,27 +99,31 @@ def _distance_difference(f_n, f_k, f_nn, f_t):
 
 
 class Sample(Protocol):
-    """A fixed set of sentences to resample: per-sentence token counts, and
-    the metric values of any draw of them, given as sentence indices
-    (``metrics.SentenceStats`` is one)."""
+    """The sentences of N, NN and T laid end to end, one row each: their
+    token counts, the rows of each corpus (corpus c is rows
+    ``bounds[c]:bounds[c + 1]``), and the metric values of any draw of rows,
+    given as row indices (``metrics.SentenceStats`` is one)."""
 
     tokens: np.ndarray
+    bounds: tuple[int, ...]
 
     def values(self, indices: np.ndarray) -> Sequence[float]: ...
 
 
 class _SentencePool:
-    """Sentence-granularity sampler over fixed per-sentence token counts."""
+    """Sentence-granularity sampler over the rows ``start:stop`` of a
+    sample."""
 
-    def __init__(self, token_counts: np.ndarray):
-        if len(token_counts) == 0:
+    def __init__(self, tokens: np.ndarray, start: int, stop: int):
+        if stop <= start:
             raise ValueError("cannot resample an empty corpus")
-        self.token_counts = token_counts
-        self.mean_tokens = float(token_counts.mean())
+        self.start = start
+        self.token_counts = tokens[start:stop]
+        self.mean_tokens = float(self.token_counts.mean())
 
     def draw(self, rng: np.random.Generator, target_tokens: int) -> np.ndarray:
-        """Sentence indices of a sample grown with replacement until its
-        token count reaches the target (overshoot allowed)."""
+        """Row indices of a sample grown with replacement until its token
+        count reaches the target (overshoot allowed)."""
         picked: list[np.ndarray] = []
         got = 0
         while got < target_tokens:
@@ -132,28 +138,25 @@ class _SentencePool:
             else:
                 picked.append(batch)
                 got = int(cumulative[-1])
-        return np.concatenate(picked)
+        return self.start + np.concatenate(picked)
 
 
-def _resample(samples: Sequence[Sample], config: BootstrapConfig) -> np.ndarray:
-    """Metric values of every draw: ``[j, s, m]`` is metric m on the draw
-    from ``samples[s]`` in iteration j.
+def _resample(
+    sample: Sample, ranges: Sequence[tuple[int, int]], config: BootstrapConfig
+) -> np.ndarray:
+    """Metric values of every draw: ``[j, r, m]`` is metric m on the draw
+    from rows ``ranges[r]`` of ``sample`` in iteration j.
 
-    Iteration j draws from the samples in order with its own generator,
+    Iteration j draws from the ranges in order with its own generator,
     spawned from the config seed, so every metric sees the same draws and
     a draw does not depend on which metrics are evaluated.
     """
-    pools = [_SentencePool(sample.tokens) for sample in samples]
+    pools = [_SentencePool(sample.tokens, start, stop) for start, stop in ranges]
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
     rows = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        rows.append(
-            [
-                sample.values(pool.draw(rng, config.sample_tokens))
-                for sample, pool in zip(samples, pools)
-            ]
-        )
+        rows.append([sample.values(pool.draw(rng, config.sample_tokens)) for pool in pools])
     return np.array(rows, dtype=float)
 
 
@@ -174,16 +177,17 @@ def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
 
 
 def d_total_tests(
-    pooled: Sample, observed: Sequence[Sequence[float]], config: BootstrapConfig
+    sample: Sample, observed: Sequence[Sequence[float]], config: BootstrapConfig
 ) -> list[BootstrapResult]:
     """Percentile bootstrap for D_total, one result per metric: all three
-    per-iteration samples are drawn from the pooled corpora, so the resample
-    series estimates the null of exchangeable varieties.
+    per-iteration samples are drawn from every row of ``sample``, the pooled
+    corpora, so the resample series estimates the null of exchangeable
+    varieties.
 
     ``observed`` holds the metric values of the original N, NN and T
     corpora, one row each.
     """
-    values = _resample([pooled] * 3, config)
+    values = _resample(sample, [(0, len(sample.tokens))] * 3, config)
     series = _total_distance(values[:, 0], values[:, 1], values[:, 2])
     results = []
     for m, (f_n, f_nn, f_t) in enumerate(zip(*observed)):
@@ -204,19 +208,17 @@ def d_total_tests(
 
 
 def d_dif_tests(
-    samples: Sequence[Sample],
-    observed: Sequence[Sequence[float]],
-    config: BootstrapConfig,
+    sample: Sample, observed: Sequence[Sequence[float]], config: BootstrapConfig
 ) -> list[BootstrapResult]:
-    """Confidence-interval bootstrap for D_dif with per-corpus resampling,
-    one result per metric; ``samples`` and the rows of ``observed`` are N,
-    NN and T.
+    """Confidence-interval bootstrap for D_dif, one result per metric: each
+    corpus is resampled from its own rows of ``sample``; the rows of
+    ``observed`` are N, NN and T.
 
     K is fixed once from the original corpora. The 95% interval spans the
     nearest-rank 2.5th and 97.5th percentiles; a min-end-point above zero
     flags NN-T proximity as significant (p < 0.05).
     """
-    values = _resample(samples, config)
+    values = _resample(sample, list(zip(sample.bounds, sample.bounds[1:])), config)
     results = []
     for m, (f_n, f_nn, f_t) in enumerate(zip(*observed)):
         k_label = _k_label(f_n, f_nn, f_t)
@@ -242,12 +244,15 @@ def d_dif_tests(
 
 
 class _CorpusSample:
-    """The sentences of a corpus with one metric, ``fm``, evaluated on the
-    corpus each draw makes."""
+    """The sentences of N, NN and T laid end to end, with one metric,
+    ``fm``, evaluated on the corpus each draw makes; ``observed`` holds
+    ``fm`` of each original corpus."""
 
-    def __init__(self, sentences: tuple, fm: MetricFn):
-        self.sentences = sentences
-        self.tokens = np.array([s.token_count for s in sentences])
+    def __init__(self, fm: MetricFn, corpora: Sequence[Corpus]):
+        self.sentences = tuple(s for c in corpora for s in c.sentences)
+        self.tokens = np.array([s.token_count for s in self.sentences])
+        self.bounds = tuple(accumulate(map(len, corpora), initial=0))
+        self.observed = [[fm(c)] for c in corpora]
         self.fm = fm
 
     def values(self, indices: np.ndarray) -> tuple[float]:
@@ -267,9 +272,8 @@ def test_d_total(
 ) -> BootstrapResult:
     """Percentile bootstrap for D_total of one metric function: the
     ``d_total_tests`` engine, with each draw built as a corpus for ``fm``."""
-    observed = [[fm(c)] for c in (c_n, c_nn, c_t)]
-    pooled = _CorpusSample(c_n.sentences + c_nn.sentences + c_t.sentences, fm)
-    return d_total_tests(pooled, observed, config)[0]
+    sample = _CorpusSample(fm, (c_n, c_nn, c_t))
+    return d_total_tests(sample, sample.observed, config)[0]
 
 
 def test_d_dif(
@@ -281,10 +285,8 @@ def test_d_dif(
 ) -> BootstrapResult:
     """Confidence-interval bootstrap for D_dif of one metric function: the
     ``d_dif_tests`` engine, with each draw built as a corpus for ``fm``."""
-    corpora = (c_n, c_nn, c_t)
-    observed = [[fm(c)] for c in corpora]
-    samples = [_CorpusSample(c.sentences, fm) for c in corpora]
-    return d_dif_tests(samples, observed, config)[0]
+    sample = _CorpusSample(fm, (c_n, c_nn, c_t))
+    return d_dif_tests(sample, sample.observed, config)[0]
 
 
 def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestResult:

@@ -68,6 +68,11 @@ class Token:
             raise ValueError(
                 f"token surface must be nonempty and whitespace-free: {self.surface!r}"
             )
+        # a missing tag or lemma is None (null in JSONL, an empty field in
+        # the vertical format), so an empty one is never a value
+        for field in ("pos", "lemma"):
+            if getattr(self, field) == "":
+                raise ValueError(f"token {field} is empty; a missing {field} is null")
         if self.surface.lower() != self.surface:
             object.__setattr__(self, "surface", self.surface.lower())
         if self.lemma is not None and self.lemma.lower() != self.lemma:

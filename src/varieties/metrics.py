@@ -11,10 +11,13 @@ Each metric maps a corpus to a nonnegative scalar:
 Every metric is an aggregate of per-sentence quantities: pronoun, transition
 and rank counts are sums over sentences, TTR and collocation types count the
 distinct lemmas or idioms of the sentences. ``SentenceStats`` counts them
-once per corpus and evaluates all five metrics on any sample of its
-sentences; the metrics stage computes the observed values and every
-bootstrap resample that way. The five corpus functions (``ttr`` ...
-``pronouns``) read the same counting helpers and give one metric of one
+once, for N, NN and T laid end to end in one table with one lemma and one
+idiom id space; each corpus is a range of its rows. It evaluates all five
+metrics on any draw of rows from one multiplicity vector (how often each row
+was drawn): exact integer products give the sums, its nonzero rows the
+distinct lemmas and idioms. The metrics stage computes the observed values
+and every bootstrap resample that way. The five corpus functions (``ttr``
+... ``pronouns``) read the same counting helpers and give one metric of one
 corpus, for ``bootstrap.test_d_total``/``test_d_dif`` and library use.
 
 Metric triples over (N, T, NN) corpora are compared after dividing each
@@ -24,6 +27,7 @@ value by the triple's sum, which makes them scale-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,10 +102,11 @@ def _rank_counts(
     return total, included
 
 
-def _matched_texts(surfaces: list[str], phrases: PhraseList) -> list[str]:
+def _matched_texts(surfaces: list[str], phrases: PhraseList) -> tuple[str, ...]:
     """Texts of a sentence's phrase matches, in order (phrases never span
-    sentences)."""
-    return [entry.text for entry, _ in match_phrases(surfaces, phrases)]
+    sentences); a tuple, so the many sentences without a match share the
+    one empty tuple."""
+    return tuple([entry.text for entry, _ in match_phrases(surfaces, phrases)])
 
 
 def _pronoun_count(tags: list[str]) -> int:
@@ -194,40 +199,22 @@ def pronouns(corpus: Corpus) -> MetricValue:
 
 @dataclass(frozen=True)
 class _IdSets:
-    """One set of strings per sentence, as ids into ``vocab`` in CSR form:
+    """One set of strings per sentence, as ids of one id space in CSR form:
     sentence i holds ``ids[ptr[i]:ptr[i + 1]]``."""
 
-    vocab: tuple[str, ...]
     ptr: np.ndarray
     ids: np.ndarray
 
     @classmethod
-    def of(cls, sets: Iterable[set[str]]) -> "_IdSets":
+    def of(cls, sets: Iterable[Iterable[str]]) -> "_IdSets":
+        """Intern ``sets`` one sentence at a time, as they are produced."""
         index: dict[str, int] = {}
         ptr = [0]
         ids: list[int] = []
         for texts in sets:
-            ids.extend(index.setdefault(text, len(index)) for text in sorted(texts))
+            ids.extend(index.setdefault(text, len(index)) for text in dict.fromkeys(texts))
             ptr.append(len(ids))
-        return cls(
-            vocab=tuple(index),
-            ptr=np.array(ptr, dtype=np.int64),
-            ids=np.array(ids, dtype=np.int64),
-        )
-
-    @classmethod
-    def concat(cls, parts: Sequence["_IdSets"]) -> "_IdSets":
-        index: dict[str, int] = {}
-        ids = []
-        ptr = [np.zeros(1, dtype=np.int64)]
-        for part in parts:
-            remap = np.array(
-                [index.setdefault(text, len(index)) for text in part.vocab],
-                dtype=np.int64,
-            )
-            ids.append(remap[part.ids])
-            ptr.append(part.ptr[1:] + ptr[-1][-1])
-        return cls(vocab=tuple(index), ptr=np.concatenate(ptr), ids=np.concatenate(ids))
+        return cls(ptr=np.array(ptr, dtype=np.int64), ids=np.array(ids, dtype=np.int64))
 
     def distinct(self, rows: np.ndarray) -> int:
         """Number of distinct strings over the sentences ``rows`` (pass
@@ -242,83 +229,74 @@ class _IdSets:
         return int(np.count_nonzero(np.bincount(self.ids[positions])))
 
 
-# the integer counts of SentenceStats, one int64 array each
-_COUNTS = ("tokens", "pronouns", "rank_sum", "ranked", "transitions")
-
-
 @dataclass(frozen=True)
 class SentenceStats:
-    """Per-sentence quantities behind the five metrics, counted once per
-    corpus.
+    """Per-sentence quantities behind the five metrics, counted once for
+    corpora laid end to end: corpus c is rows ``bounds[c]:bounds[c + 1]``.
 
     Every metric is an exact integer aggregate of them, so ``values`` gives
-    the metrics of any sample of sentences (given as indices, repeats
-    allowed) without building the sampled corpus: sums of gathered counts,
-    and distinct lemma / idiom counts over the distinct sentences drawn.
+    the metrics of any sample of rows (given as indices, repeats allowed)
+    without building the sampled corpus: products of the counts with the
+    sample's row multiplicities, and distinct lemma / idiom counts over the
+    rows drawn.
     """
 
-    tokens: np.ndarray
-    pronouns: np.ndarray
-    rank_sum: np.ndarray
-    ranked: np.ndarray
-    transitions: np.ndarray
+    # int64, one row per quantity: tokens, pronouns, rank sum, ranked
+    # tokens, transitions; one column per sentence
+    counts: np.ndarray
+    bounds: tuple[int, ...]
     lemmas: _IdSets
     idioms: _IdSets
 
     @classmethod
-    def of(cls, corpus: Corpus, resources: Resources) -> "SentenceStats":
-        """Count every sentence of ``corpus``; raises on the first token
-        that lacks a POS tag, as ``pronouns`` does."""
+    def of(cls, corpora: Sequence[Corpus], resources: Resources) -> "SentenceStats":
+        """Count every sentence of ``corpora``, in order; raises on the
+        first token that lacks a POS tag, naming its sentence within its
+        corpus, as ``pronouns`` does."""
         markers = resources.sentence_transitions()
         _check_markers(markers)
-        counts: dict[str, list[int]] = {name: [] for name in _COUNTS}
-        lemmas = []
+        counts = []
         idioms = []
-        for sent, tags in zip(corpus.sentences, corpus.tags()):
-            surfaces = sent.surfaces()
-            rank_sum, ranked = _rank_counts(
-                surfaces, resources.word_ranks, resources.function_words
-            )
-            counts["tokens"].append(sent.token_count)
-            counts["pronouns"].append(_pronoun_count(tags))
-            counts["rank_sum"].append(rank_sum)
-            counts["ranked"].append(ranked)
-            counts["transitions"].append(len(_matched_texts(surfaces, markers)))
-            lemmas.append(set(sent.lemmas()))
-            idioms.append(set(_matched_texts(surfaces, resources.idioms)))
+        for corpus in corpora:
+            for sent, tags in zip(corpus.sentences, corpus.tags()):
+                surfaces = sent.surfaces()
+                rank_sum, ranked = _rank_counts(
+                    surfaces, resources.word_ranks, resources.function_words
+                )
+                transition_hits = len(_matched_texts(surfaces, markers))
+                counts.append(
+                    (sent.token_count, _pronoun_count(tags), rank_sum, ranked, transition_hits)
+                )
+                idioms.append(_matched_texts(surfaces, resources.idioms))
         return cls(
-            **{name: np.array(values, dtype=np.int64) for name, values in counts.items()},
-            lemmas=_IdSets.of(lemmas),
+            counts=np.array(counts, dtype=np.int64).reshape(-1, 5).T.copy(),
+            bounds=tuple(accumulate(map(len, corpora), initial=0)),
+            lemmas=_IdSets.of(sent.lemmas() for c in corpora for sent in c.sentences),
             idioms=_IdSets.of(idioms),
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["SentenceStats"]) -> "SentenceStats":
-        """The statistics of the concatenated corpora, from those of the
-        parts (counted with the same resources)."""
-        return cls(
-            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _COUNTS},
-            lemmas=_IdSets.concat([p.lemmas for p in parts]),
-            idioms=_IdSets.concat([p.idioms for p in parts]),
-        )
+    @property
+    def tokens(self) -> np.ndarray:
+        return self.counts[0]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return self.counts.shape[1]
 
     def values(self, indices: np.ndarray) -> tuple[float, ...]:
         """The raw metrics, in ``METRIC_NAMES`` order, of the sample made of
         the sentences at ``indices``; equal to the metric functions on that
         sample's corpus."""
-        tokens = int(self.tokens[indices].sum())
-        rows = np.unique(indices)
+        multiplicity = np.bincount(indices, minlength=len(self))
+        tokens, pronoun_hits, rank_sum, ranked, transition_hits = (
+            self.counts @ multiplicity
+        ).tolist()
+        rows = np.flatnonzero(multiplicity)
         return (
             _ttr_value(self.lemmas.distinct(rows), tokens).raw,
-            _rank_value(
-                int(self.rank_sum[indices].sum()), int(self.ranked[indices].sum())
-            ).raw,
+            _rank_value(rank_sum, ranked).raw,
             _collocation_value(self.idioms.distinct(rows), tokens).raw,
-            _transition_value(int(self.transitions[indices].sum()), tokens).raw,
-            _pronoun_value(int(self.pronouns[indices].sum()), tokens).raw,
+            _transition_value(transition_hits, tokens).raw,
+            _pronoun_value(pronoun_hits, tokens).raw,
         )
 
 

@@ -415,16 +415,17 @@ def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
     if not guard.ok:
         raise VarietiesError(f"equal-size guard failed: {guard.message}")
 
-    stats = [met.SentenceStats.of(corpora[v], resources) for v in ("N", "NN", "T")]
-    observed = [s.values(np.arange(len(s))) for s in stats]
+    stats = met.SentenceStats.of([corpora[v] for v in ("N", "NN", "T")], resources)
+    observed = [
+        stats.values(np.arange(start, stop))
+        for start, stop in zip(stats.bounds, stats.bounds[1:])
+    ]
     boot_config = boot.BootstrapConfig(
         sample_tokens=min(c.token_count for c in corpora.values()),
         iterations=config.bootstrap_iterations,
         seed=config.seed,
     )
-    total_results = boot.d_total_tests(
-        met.SentenceStats.concat(stats), observed, boot_config
-    )
+    total_results = boot.d_total_tests(stats, observed, boot_config)
     dif_results = boot.d_dif_tests(stats, observed, boot_config)
     csv_rows = []
     payload = {}
@@ -519,7 +520,8 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
     corpus_nn = filter_corpus(_ingest_variety(config, "NN"), variety="NN")
 
     # every test set (family and country) and training set is read, tags
-    # included, before any model is trained or written
+    # included and training tags checked against the tagset, before any
+    # model is trained or written
     test_sets = {}
     for family in ("Germanic", "Romance"):
         test = filter_corpus(corpus_nn, family=family)
@@ -565,6 +567,11 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
             shuffle(train, config.seed), config.lm_train_tokens, f"{family} T"
         )
         train_sets[family] = poslm.pos_sequences(train)
+        unknown = set().union(*train_sets[family]) - resources.tagset.tags
+        if unknown:
+            raise VarietiesError(
+                f"{family} T training set: tag {min(unknown)!r} is not in the tagset"
+            )
 
     models = {}
     for family in ("Germanic", "Romance"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,11 @@ from varieties.metrics import (
 
 
 class _Stub:
-    """A Sample of one one-token sentence; every draw scores 0."""
+    """A Sample of three corpora of one one-token sentence each; every draw
+    scores 0."""
 
-    tokens = np.ones(1, dtype=np.int64)
+    tokens = np.ones(3, dtype=np.int64)
+    bounds = (0, 1, 2, 3)
 
     def values(self, indices):
         return (0.0,)
@@ -40,7 +44,7 @@ def observed_d_total(f_n, f_nn, f_t):
 def chosen_k(f_n, f_nn, f_t):
     """The K that D_dif fixes from the observed values."""
     config = BootstrapConfig(sample_tokens=1, iterations=1)
-    return d_dif_tests([_Stub()] * 3, [[f_n], [f_nn], [f_t]], config)[0].k_label
+    return d_dif_tests(_Stub(), [[f_n], [f_nn], [f_t]], config)[0].k_label
 
 
 class TestDTotal:
@@ -261,34 +265,65 @@ def metric_functions(resources):
     )
 
 
+def stats_tests(corpora, resources, config):
+    """D_total and D_dif results over one SentenceStats table of
+    ``corpora``, as the metrics stage runs them."""
+    stats = SentenceStats.of(corpora, resources)
+    observed = [
+        stats.values(np.arange(start, stop))
+        for start, stop in zip(stats.bounds, stats.bounds[1:])
+    ]
+    return d_total_tests(stats, observed, config), d_dif_tests(stats, observed, config)
+
+
+def series_digest(results):
+    return hashlib.sha256(repr([r.series for r in results]).encode()).hexdigest()
+
+
+UNEQUAL_DIGESTS = {
+    "d_total": "e1bd4439ddf47d39d09fad080b7a03d57cf145d2888ecb829f5e97da1bc48cd2",
+    "d_dif": "d8e8bb13e8d4bd8953e94a1c0daaf9e8e0edc6fb382b722b844c122a52819dba",
+}
+
+
 class TestStatsEngine:
     """One draw per iteration serves all five metrics; the corpus-callable
     tests run the same engine on the same draws."""
+
+    CONFIG = BootstrapConfig(sample_tokens=500, iterations=25, seed=6)
 
     @pytest.fixture(scope="class")
     def corpora(self):
         return [metrics_corpus(v, 60, seed=4) for v in ("N", "NN", "T")]
 
     def test_series_equal_the_callable_tests(self, resources, corpora):
-        stats = [SentenceStats.of(c, resources) for c in corpora]
-        observed = [s.values(np.arange(len(s))) for s in stats]
-        config = BootstrapConfig(sample_tokens=500, iterations=25, seed=6)
-        totals = d_total_tests(SentenceStats.concat(stats), observed, config)
-        difs = d_dif_tests(stats, observed, config)
+        totals, difs = stats_tests(corpora, resources, self.CONFIG)
         for m, fm in enumerate(metric_functions(resources)):
-            assert totals[m] == run_d_total(fm, *corpora, config)
-            assert difs[m] == run_d_dif(fm, *corpora, config)
+            assert totals[m] == run_d_total(fm, *corpora, self.CONFIG)
+            assert difs[m] == run_d_dif(fm, *corpora, self.CONFIG)
+
+    def test_corpora_of_unequal_sizes(self, resources):
+        # a wrong range offset draws another corpus's rows, which corpora of
+        # equal size could hide; the digests come from an engine with one
+        # table per corpus and a pooled copy
+        corpora = [metrics_corpus(v, n, seed=4) for v, n in (("N", 60), ("NN", 90), ("T", 120))]
+        totals, difs = stats_tests(corpora, resources, self.CONFIG)
+        assert series_digest(totals) == UNEQUAL_DIGESTS["d_total"]
+        assert series_digest(difs) == UNEQUAL_DIGESTS["d_dif"]
+        for m, fm in enumerate(metric_functions(resources)):
+            assert totals[m] == run_d_total(fm, *corpora, self.CONFIG)
+            assert difs[m] == run_d_dif(fm, *corpora, self.CONFIG)
 
     def test_draw_without_ranked_token_raises(self, resources):
         ranked = make_sentence(["the", "world"], pos=["DT", "NN"])
         unranked = make_sentence(["zyzzyva", "the"], pos=["NN", "DT"])
         corpus = make_corpus([ranked, unranked, unranked])
-        stats = SentenceStats.of(corpus, resources)
-        observed = [stats.values(np.arange(len(stats)))] * 3
         # one-sentence samples: some draw of 50 holds only unranked sentences
         config = BootstrapConfig(sample_tokens=1, iterations=50, seed=0)
+        stats = SentenceStats.of([corpus] * 3, resources)
+        observed = [stats.values(np.arange(3))] * 3
         with pytest.raises(ValueError, match="rank list"):
-            d_dif_tests([stats] * 3, observed, config)
+            d_dif_tests(stats, observed, config)
         fm = metric_functions(resources)[1]
         with pytest.raises(ValueError, match="rank list"):
             run_d_dif(fm, corpus, corpus, corpus, config)

@@ -38,6 +38,10 @@ class TestToken:
             Token(surface="")
         with pytest.raises(ValueError):
             Token(surface="two words")
+        with pytest.raises(ValueError, match="token pos is empty"):
+            Token(surface="a", pos="")
+        with pytest.raises(ValueError, match="token lemma is empty"):
+            Token(surface="a", lemma="")
 
     def test_lemma_fallback(self):
         assert Token(surface="ran").lemma_or_surface == "ran"
@@ -165,6 +169,8 @@ class TestIngestJsonl:
             ('"tokens":["a","b"],"pos":["DT"]', '"pos" must be an array aligned'),
             ('"tokens":["a","b"],"pos":["DT",7]', '"pos" entries must be strings or null'),
             ('"tokens":["a","b"],"lemma":[null,5]', '"lemma" entries must be strings'),
+            ('"tokens":["a","b"],"pos":["DT",""]', "token pos is empty; a missing pos is null"),
+            ('"tokens":["a","b"],"lemma":["",null]', "token lemma is empty"),
             ('"tokens":["a","b"],"country":5', '"country" must be a string'),
             ('"tokens":["a","b"],"family":["Germanic"]', '"family" must be a string'),
             ('"text":5', '"text" must be a string'),
@@ -173,6 +179,8 @@ class TestIngestJsonl:
             "misaligned-pos",
             "pos-number",
             "lemma-number",
+            "pos-empty",
+            "lemma-empty",
             "country-number",
             "family-list",
             "text-number",

@@ -259,29 +259,32 @@ class TestSentenceStats:
     @pytest.mark.parametrize("name", sorted(STATS_CORPORA))
     def test_all_sentences_equal_the_metric_functions(self, resources, name):
         corpus = STATS_CORPORA[name]
-        stats = SentenceStats.of(corpus, resources)
+        stats = SentenceStats.of([corpus], resources)
         assert len(stats) == len(corpus)
         assert stats.values(np.arange(len(stats))) == metric_values(corpus, resources)
 
     @pytest.mark.parametrize("name", sorted(STATS_CORPORA))
     def test_index_draws_equal_the_drawn_corpus(self, resources, name):
         corpus = STATS_CORPORA[name]
-        stats = SentenceStats.of(corpus, resources)
+        stats = SentenceStats.of([corpus], resources)
         rng = np.random.default_rng(7)
         for size in (1, 5, 40, 200):
             indices = rng.integers(0, len(corpus), size=size)
             assert stats.values(indices) == metric_values(drawn(corpus, indices), resources)
 
-    def test_concat_equals_stats_of_the_concatenated_corpus(self, resources):
+    def test_one_table_over_three_corpora_equals_the_metric_functions(self, resources):
         parts = [STATS_CORPORA[name] for name in ("metrics-N", "lemmatized", "lm-planted")]
-        pooled = SentenceStats.concat([SentenceStats.of(c, resources) for c in parts])
+        table = SentenceStats.of(parts, resources)
         whole = concat(parts)
-        recounted = SentenceStats.of(whole, resources)
+        recounted = SentenceStats.of([whole], resources)
+        assert table.bounds == (0, 80, 140, 220)
+        for part, start, stop in zip(parts, table.bounds, table.bounds[1:]):
+            assert table.values(np.arange(start, stop)) == metric_values(part, resources)
         rng = np.random.default_rng(3)
         for _ in range(5):
             indices = rng.integers(0, len(whole), size=150)
             expected = metric_values(drawn(whole, indices), resources)
-            assert pooled.values(indices) == expected
+            assert table.values(indices) == expected
             assert recounted.values(indices) == expected
 
     def test_missing_pos_named_like_pronouns(self, resources):
@@ -294,7 +297,7 @@ class TestSentenceStats:
         with pytest.raises(ValueError, match="'wrote' is missing its POS tag"):
             pronouns(corpus)
         with pytest.raises(ValueError, match="'wrote' is missing its POS tag"):
-            SentenceStats.of(corpus, resources)
+            SentenceStats.of([corpus], resources)
 
     def test_draw_without_ranked_token_rejected(self, resources):
         corpus = make_corpus(
@@ -303,13 +306,13 @@ class TestSentenceStats:
                 make_sentence(["zyzzyva", "the"], pos=["NN", "DT"]),
             ]
         )
-        stats = SentenceStats.of(corpus, resources)
+        stats = SentenceStats.of([corpus], resources)
         stats.values(np.array([0, 1]))
         with pytest.raises(ValueError, match="rank list"):
             stats.values(np.array([1, 1]))
 
     def test_empty_corpus_rejected(self, resources):
-        stats = SentenceStats.of(Corpus(sentences=()), resources)
+        stats = SentenceStats.of([Corpus(sentences=())], resources)
         with pytest.raises(ValueError, match="empty corpus"):
             stats.values(np.arange(0))
 
@@ -322,4 +325,4 @@ class TestSentenceStats:
         )
         corpus = make_corpus([make_sentence(["thus"], pos=["RB"])])
         with pytest.raises(ValueError, match="empty transition-marker list"):
-            SentenceStats.of(corpus, no_transitions)
+            SentenceStats.of([corpus], no_transitions)

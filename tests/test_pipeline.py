@@ -727,6 +727,32 @@ class TestLmStage:
         assert self._small_run(tmp_path, nn, t=t, lm_train_tokens=10**6) == 1
         self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
 
+    @pytest.mark.filterwarnings("ignore:.*running scaled down:UserWarning")
+    def test_out_of_tagset_training_tag_is_a_validation_error(self, tmp_path, capsys):
+        romance = lm_family_corpus("T", "Romance", 400, seed=44)
+        sentences = list(romance.sentences)
+        sent = sentences[7]
+        tokens = list(sent.tokens)
+        tokens[0] = Token(surface=tokens[0].surface, pos="XYZ")
+        sentences[7] = AnnotatedSentence(
+            tokens=tuple(tokens), variety=sent.variety, country=sent.country
+        )
+        t = concat(
+            [lm_family_corpus("T", "Germanic", 400, seed=43), Corpus(sentences=tuple(sentences))]
+        )
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        # every T sentence is read: the training budget exceeds both families
+        assert self._small_run(tmp_path, nn, t=t, lm_train_tokens=10**6) == 1
+        err = capsys.readouterr().err
+        assert "error: Romance T training set: tag 'XYZ' is not in the tagset" in err
+        assert "Traceback" not in err
+        out = tmp_path / "out"
+        assert not (out / "lm").exists()
+        assert not (out / ".lock").exists()
+
     def test_untagged_country_token_fails_before_any_output_is_written(
         self, tmp_path, capsys
     ):
