@@ -8,17 +8,17 @@ Families:
 
 A chunk is a ``Corpus``; the counters read it only through its sentences'
 ``surfaces()`` and the corpus's validated ``tags()``, which raises
-``UntaggedTokenError`` on the first untagged token. Each chunk's raw counts
-are kept in one ChunkCounts record, each family counted on first use, so a
-stage counts every chunk once however many folds, feature rows and tasks
-read it. Data-dependent vocabularies (top-k trigrams, positional pairs) are
-selected on training chunks only and carried around as FeatureSpace objects;
-vectorization reads the records through the spaces and divides raw counts by
-the chunk token count.
+``UntaggedTokenError`` on the first untagged token. A stage counts each family
+once over all its chunks into one table of nonzero counts (ChunkCounts);
+tasks and folds are row views of it. Data-dependent vocabularies (top-k
+trigrams, positional pairs) are selected from column totals over training
+rows only and carried around as FeatureSpace objects; vectorization writes
+each space's columns, raw counts divided by the chunk token count.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,10 +53,6 @@ class FeatureSpace:
         return len(self.keys)
 
     @cached_property
-    def key_index(self) -> dict[str, int]:
-        return {key: i for i, key in enumerate(self.keys)}
-
-    @cached_property
     def phrases(self) -> PhraseList:
         """The keys as one phrase list, built once per space (COH spaces
         match chunks against it)."""
@@ -73,11 +69,10 @@ class FeatureSpace:
 # raw counting per family
 
 
-def _fw_counts(chunk: Corpus) -> Counter:
-    """Every surface, so that any FW space reads its own words."""
+def _fw_counts(chunk: Corpus, words: frozenset[str]) -> Counter:
     counts: Counter = Counter()
     for sent in chunk.sentences:
-        counts.update(sent.surfaces())
+        counts.update(w for w in sent.surfaces() if w in words)
     return counts
 
 
@@ -97,17 +92,10 @@ def position_events(surfaces: Sequence[str]) -> list[tuple[str, str]]:
     its word as both first and last).
     """
     n = len(surfaces)
-    if n == 0:
-        return []
-    events = [("first", surfaces[0])]
-    if n >= 2:
-        events.append(("second", surfaces[1]))
-    if n >= 3:
-        events.append(("third", surfaces[2]))
-    if n >= 2:
-        events.append(("penultimate", surfaces[n - 2]))
-    events.append(("last", surfaces[n - 1]))
-    return events
+    # (position, index, shortest sentence that has it)
+    slots = [("first", 0, 1), ("second", 1, 2), ("third", 2, 3),
+             ("penultimate", n - 2, 2), ("last", n - 1, 1)]
+    return [(position, surfaces[i]) for position, i, least in slots if n >= least]
 
 
 def _postok_counts(chunk: Corpus) -> Counter:
@@ -126,73 +114,96 @@ def _coh_counts(chunk: Corpus, markers: PhraseList) -> Counter:
     return counts
 
 
+class _Table:
+    """One family's nonzero counts over a stage's chunks: chunk ``row[i]``
+    holds key ``keys[col[i]]`` ``count[i]`` times. The columns are the
+    observed keys in sorted order."""
+
+    def __init__(self, per_chunk: list[dict[str, int]]):
+        self.keys = sorted(set().union(*per_chunk))
+        self.column = {key: i for i, key in enumerate(self.keys)}
+        self.row = np.repeat(np.arange(len(per_chunk)), [len(c) for c in per_chunk])
+        self.col = np.fromiter((self.column[k] for c in per_chunk for k in c), np.intp)
+        self.count = np.fromiter((v for c in per_chunk for v in c.values()), np.int64)
+
+
 class ChunkCounts:
-    """One chunk's raw counts per family, each counted on first use.
+    """A stage's chunks and one table per family, counted over every chunk on
+    first use; FW and COH tables are kept per word or phrase list (COH counts
+    by longest match). ``take`` gives a view of distinct rows that shares the
+    tables; a view iterates its chunks."""
 
-    COH counts depend on the phrase list (longest match), so they are kept
-    per list, keyed by the COH space's keys.
-    """
+    def __init__(self, chunks: Iterable[Corpus]):
+        self._chunks = list(chunks)
+        self._token_counts = np.array([c.token_count for c in self._chunks])
+        self._tables: dict[object, _Table] = {}
+        self.rows = np.arange(len(self._chunks))
 
-    def __init__(self, chunk: Corpus):
-        self.chunk = chunk
-        self.token_count = chunk.token_count
-        self._coh: dict[tuple[str, ...], Counter] = {}
+    @classmethod
+    def of(cls, chunks: Chunks) -> ChunkCounts:
+        """``chunks`` itself if it is a ChunkCounts, so views share counts."""
+        return chunks if isinstance(chunks, ChunkCounts) else cls(chunks)
 
-    @cached_property
-    def fw(self) -> Counter:
-        return _fw_counts(self.chunk)
+    def take(self, rows: Sequence[int]) -> ChunkCounts:
+        view = copy.copy(self)
+        view.rows = self.rows[np.asarray(rows, dtype=np.intp)]
+        return view
 
-    @cached_property
-    def pos3(self) -> Counter:
-        return _pos3_counts(self.chunk)
+    def __len__(self) -> int:
+        return len(self.rows)
 
-    @cached_property
-    def postok(self) -> Counter:
-        return _postok_counts(self.chunk)
+    def __iter__(self):
+        return (self._chunks[r] for r in self.rows)
 
-    def counts(self, space: FeatureSpace) -> Counter:
-        """The raw counts that ``space`` reads its keys from."""
-        if space.family == FW:
-            return self.fw
-        if space.family == POS3:
-            return self.pos3
-        if space.family == POSTOK:
-            return self.postok
-        coh = self._coh.get(space.keys)
-        if coh is None:
-            coh = self._coh[space.keys] = _coh_counts(self.chunk, space.phrases)
-        return coh
+    def _table(self, space: FeatureSpace) -> _Table:
+        family = space.family
+        key = family if family in (POS3, POSTOK) else (family, space.keys)
+        if key not in self._tables:
+            if family == FW:
+                words = frozenset(space.keys)
+                per_chunk = [_fw_counts(c, words) for c in self._chunks]
+            elif family == COH:
+                per_chunk = [_coh_counts(c, space.phrases) for c in self._chunks]
+            else:
+                count = _pos3_counts if family == POS3 else _postok_counts
+                per_chunk = [count(c) for c in self._chunks]
+            self._tables[key] = _Table(per_chunk)
+        return self._tables[key]
+
+    def _entries(self, space: FeatureSpace):
+        """``space``'s table, then the view's entries in it: row in the view, column, count."""
+        table = self._table(space)
+        at = np.full(len(self._chunks), -1)
+        at[self.rows] = np.arange(len(self.rows))
+        row = at[table.row]
+        mine = row >= 0
+        return table, row[mine], table.col[mine], table.count[mine]
+
+    def totals(self, family: str) -> tuple[list[str], np.ndarray]:
+        """The POS3 or POSTOK table's keys and their totals over this view."""
+        table, _row, col, count = self._entries(FeatureSpace(family=family, keys=()))
+        return table.keys, np.bincount(col, weights=count, minlength=len(table.keys))
 
 
-def chunk_counts(chunks: Iterable[Corpus | ChunkCounts]) -> list[ChunkCounts]:
-    """Count records for ``chunks``; records pass through unchanged, so
-    callers that hold records share their counts."""
-    return [c if isinstance(c, ChunkCounts) else ChunkCounts(c) for c in chunks]
+Chunks = Iterable[Corpus] | ChunkCounts
 
 
 # ---------------------------------------------------------------------------
 # space selection on training chunks
 
 
-def select_top_pos3(
-    train_chunks: Iterable[Corpus | ChunkCounts], k: int = 3000
-) -> FeatureSpace:
+def select_top_pos3(train_chunks: Chunks, k: int = 3000) -> FeatureSpace:
     """Top-k most frequent POS trigrams; ties broken lexicographically."""
-    totals: Counter = Counter()
-    for record in chunk_counts(train_chunks):
-        totals.update(record.pos3)
-    ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return FeatureSpace(family=POS3, keys=tuple(key for key, _ in ordered))
+    keys, totals = ChunkCounts.of(train_chunks).totals(POS3)
+    seen = np.flatnonzero(totals)
+    top = seen[np.argsort(-totals[seen], kind="stable")][:k]
+    return FeatureSpace(family=POS3, keys=tuple(keys[i] for i in top))
 
 
-def select_postok_vocab(
-    train_chunks: Iterable[Corpus | ChunkCounts], min_count: int = 5
-) -> FeatureSpace:
-    totals: Counter = Counter()
-    for record in chunk_counts(train_chunks):
-        totals.update(record.postok)
-    keys = tuple(sorted(k for k, c in totals.items() if c >= min_count))
-    return FeatureSpace(family=POSTOK, keys=keys)
+def select_postok_vocab(train_chunks: Chunks, min_count: int = 5) -> FeatureSpace:
+    keys, totals = ChunkCounts.of(train_chunks).totals(POSTOK)
+    kept = np.flatnonzero(totals >= max(min_count, 1))
+    return FeatureSpace(family=POSTOK, keys=tuple(keys[i] for i in kept))
 
 
 def fw_space(words: WordList) -> FeatureSpace:
@@ -221,54 +232,43 @@ class FeaturePlan:
             if family not in FAMILIES:
                 raise ValueError(f"unknown feature family {family!r}")
 
-    def fit(self, train_chunks: Sequence[Corpus | ChunkCounts]) -> list[FeatureSpace]:
-        records = chunk_counts(train_chunks)
+    def fit(self, train_chunks: Chunks) -> list[FeatureSpace]:
+        counts = ChunkCounts.of(train_chunks)
         spaces = []
         for family in self.families:
             if family == FW:
                 spaces.append(fw_space(self.resources.function_words))
             elif family == POS3:
-                spaces.append(select_top_pos3(records, self.top_pos3))
+                spaces.append(select_top_pos3(counts, self.top_pos3))
             elif family == POSTOK:
-                spaces.append(select_postok_vocab(records, self.postok_min_count))
+                spaces.append(select_postok_vocab(counts, self.postok_min_count))
             elif family == COH:
                 spaces.append(coh_space(self.resources.cohesive_markers))
         return spaces
-
-    def count(self, records: Sequence[ChunkCounts]) -> None:
-        """Count every family of the plan on every record, so that a chunk
-        that cannot be counted (an untagged token under POS3) fails the plan
-        before any fold is trained."""
-        for space in self.fit(records):
-            for record in records:
-                record.counts(space)
 
 
 # ---------------------------------------------------------------------------
 # vectorization
 
 
-def vectorize_chunks(
-    chunks: Sequence[Corpus | ChunkCounts], spaces: Sequence[FeatureSpace]
-) -> np.ndarray:
+def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarray:
     """Dense matrix, one row per chunk: the spaces' keys in order, each raw
     count divided by the chunk token count, zeros for unseen keys."""
-    records = chunk_counts(chunks)
-    X = np.zeros((len(records), sum(len(s) for s in spaces)))
-    for row, record in zip(X, records):
-        offset = 0
-        for space in spaces:
-            index = space.key_index
-            for key, count in record.counts(space).items():
-                idx = index.get(key)
-                if idx is not None:
-                    row[offset + idx] = count / record.token_count
-            offset += len(space)
+    counts = ChunkCounts.of(chunks)
+    X = np.zeros((len(counts), sum(len(s) for s in spaces)))
+    offset = 0
+    for space in spaces:
+        table, row, col, count = counts._entries(space)
+        # each table column's position in the space, -1 if the space lacks it
+        found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
+        where = np.full(len(table.keys), -1)
+        where[found[found >= 0]] = np.flatnonzero(found >= 0)
+        kept = where[col] >= 0
+        row, col, count = row[kept], where[col[kept]], count[kept]
+        X[row, offset + col] = count / counts._token_counts[counts.rows[row]]
+        offset += len(space)
     return X
 
 
 def space_feature_names(spaces: Sequence[FeatureSpace]) -> list[str]:
-    names: list[str] = []
-    for space in spaces:
-        names.extend(space.feature_names())
-    return names
+    return [name for space in spaces for name in space.feature_names()]

@@ -267,7 +267,7 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
             f"chunk_target, or supply more text"
         )
 
-    records = feat.chunk_counts(chunks)
+    records = feat.ChunkCounts(chunks)
     accuracy_rows = []
     confusion_rows = []
     feature_rows = []
@@ -280,16 +280,16 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
             top_pos3=config.top_pos3,
             postok_min_count=config.postok_min_count,
         )
-        # a row that cannot be counted fails before its first task, so it
-        # never leaves partial rows behind
+        # fit counts POS3, the one family that can fail, over every chunk, so
+        # a row that cannot be counted fails before it writes any task rows
         try:
-            plan.count(records)
+            plan.fit(records)
         except UntaggedTokenError as exc:
             diagnostics.append([row, str(exc)])
             continue
         for task in CLASSIFICATION_TASKS:
             keep = [i for i, lab in enumerate(labels) if lab in task]
-            task_records = [records[i] for i in keep]
+            task_records = records.take(keep)
             task_labels = [labels[i] for i in keep]
             report = svm.cross_validate(
                 task_records,

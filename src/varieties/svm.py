@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import ConvergenceError
-from .features import ChunkCounts, FeaturePlan, chunk_counts, vectorize_chunks
+from .features import ChunkCounts, FeaturePlan, vectorize_chunks
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
@@ -296,7 +296,7 @@ def stratified_folds(
 
 
 def cross_validate(
-    chunks: Sequence[Corpus | ChunkCounts],
+    chunks: Sequence[Corpus] | ChunkCounts,
     labels: Sequence[Hashable],
     plan: FeaturePlan,
     folds: int = 10,
@@ -306,7 +306,7 @@ def cross_validate(
     """Stratified k-fold CV. Feature vocabularies (top-k trigrams, positional
     pairs) are re-selected on each training split to avoid leakage; each
     chunk is counted once for all folds."""
-    chunks = chunk_counts(chunks)
+    chunks = ChunkCounts.of(chunks)
     if len(chunks) != len(labels):
         raise ValueError("chunks and labels disagree in length")
     if len(chunks) < folds:
@@ -327,11 +327,11 @@ def cross_validate(
     for test_idx in assignment:
         test_set = set(test_idx)
         train_idx = [i for i in range(len(chunks)) if i not in test_set]
-        train_chunks = [chunks[i] for i in train_idx]
+        train_chunks = chunks.take(train_idx)
         spaces = plan.fit(train_chunks)
         X_train = vectorize_chunks(train_chunks, spaces)
         y_train = [labels[i] for i in train_idx]
-        X_test = vectorize_chunks([chunks[i] for i in test_idx], spaces)
+        X_test = vectorize_chunks(chunks.take(test_idx), spaces)
         ensemble = train_multiclass(X_train, y_train, C=C)
         predictions = [predict_multiclass(ensemble, x) for x in X_test]
         hits = 0

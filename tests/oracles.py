@@ -11,9 +11,13 @@ verify the production code, sharing none of its code paths.
   walk over string-tuple dicts
 * t_two_tailed_numeric: two-tailed t-test p-value by Simpson integration of
   the t density
+* reference_select_top_pos3, reference_select_postok_vocab,
+  reference_vectorize: feature selection and vectorization from one Counter
+  per chunk, merged per call
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -359,3 +363,80 @@ def t_two_tailed_numeric(t, df, points=200_001):
     weights[2:-1:2] = 2.0
     tail = float((weights * integrand).sum() * h / 3.0)
     return 2.0 * tail
+
+
+# ---------------------------------------------------------------------------
+# feature selection and vectorization, one Counter per chunk
+
+
+def reference_chunk_counts(chunk, family, keys=()):
+    """One chunk's raw counts in ``family``: FW counts every surface, COH
+    matches the phrases in ``keys`` case-insensitively, longest first."""
+    phrases = sorted((tuple(key.split()) for key in keys), key=len, reverse=True)
+    counts = Counter()
+    for sent in chunk.sentences:
+        words = [t.surface for t in sent.tokens]
+        n = len(words)
+        if family == "FW":
+            counts.update(words)
+        elif family == "POS3":
+            tags = [t.pos for t in sent.tokens]
+            counts.update("_".join(tags[i : i + 3]) for i in range(n - 2))
+        elif family == "POSTOK":
+            if n >= 1:
+                counts[f"first:{words[0]}"] += 1
+                counts[f"last:{words[-1]}"] += 1
+            if n >= 2:
+                counts[f"second:{words[1]}"] += 1
+                counts[f"penultimate:{words[-2]}"] += 1
+            if n >= 3:
+                counts[f"third:{words[2]}"] += 1
+        else:
+            lowered = [w.lower() for w in words]
+            i = 0
+            while i < n:
+                hit = next((p for p in phrases if tuple(lowered[i : i + len(p)]) == p), None)
+                if hit is None:
+                    i += 1
+                else:
+                    counts[" ".join(hit)] += 1
+                    i += len(hit)
+    return counts
+
+
+def _reference_totals(chunks, family):
+    totals = Counter()
+    for chunk in chunks:
+        totals.update(reference_chunk_counts(chunk, family))
+    return totals
+
+
+def reference_pos3_order(chunks):
+    """(trigram, total) pairs, most frequent first, ties lexicographic."""
+    totals = _reference_totals(chunks, "POS3")
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def reference_select_top_pos3(chunks, k):
+    return tuple(key for key, _ in reference_pos3_order(chunks)[:k])
+
+
+def reference_select_postok_vocab(chunks, min_count):
+    totals = _reference_totals(chunks, "POSTOK")
+    return tuple(sorted(key for key, c in totals.items() if c >= min_count))
+
+
+def reference_vectorize(chunks, spaces):
+    """One row per chunk: each space key's raw count over the chunk's token
+    count."""
+    X = np.zeros((len(chunks), sum(len(space.keys) for space in spaces)))
+    for r, chunk in enumerate(chunks):
+        tokens = sum(len(sent.tokens) for sent in chunk.sentences)
+        offset = 0
+        for space in spaces:
+            counts = reference_chunk_counts(chunk, space.family, space.keys)
+            for i, key in enumerate(space.keys):
+                if counts[key]:
+                    X[r, offset + i] = counts[key] / tokens
+            offset += len(space.keys)
+    return X

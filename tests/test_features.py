@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import make_chunk, make_sentence
+from oracles import (
+    reference_chunk_counts,
+    reference_pos3_order,
+    reference_select_postok_vocab,
+    reference_select_top_pos3,
+    reference_vectorize,
+)
+from synthdata import variety_corpus
+from varieties.corpus import chunk as make_chunks
 from varieties.errors import UntaggedTokenError
 from varieties.features import (
     COH,
+    FAMILIES,
     FW,
     POS3,
     POSTOK,
@@ -20,6 +30,7 @@ from varieties.features import (
     vectorize_chunks,
 )
 from varieties.lexicons import PhraseEntry, PhraseList, WordList
+from varieties.svm import stratified_folds
 
 
 def words(*entries):
@@ -73,7 +84,8 @@ class TestExtractFw:
         chunk = make_chunk(sentences)
         fw_row = vectorize_chunks([chunk], [fw_space(words("the", "a", "of", "cat"))])
         assert fw_row.sum() <= 1.0 + 1e-12
-        assert sum(ChunkCounts(chunk).postok.values()) <= 5 * len(sentences)
+        _keys, totals = ChunkCounts([chunk]).totals(POSTOK)
+        assert totals.sum() <= 5 * len(sentences)
 
 
 class TestExtractPos3:
@@ -252,12 +264,123 @@ class TestVectorize:
         assert by_key["sure"] == 0.0
 
     def test_coh_counts_kept_per_phrase_list(self):
-        # one record read through two lists: longest match differs per list
-        record = ChunkCounts(make_chunk([make_sentence(["make", "sure"])]))
+        # one count store read through two lists: longest match differs per list
+        counts = ChunkCounts([make_chunk([make_sentence(["make", "sure"])])])
         longest = coh_space(phrases("make sure", "sure"))
         alone = coh_space(phrases("sure"))
-        X = vectorize_chunks([record], [longest, alone])
+        X = vectorize_chunks(counts, [longest, alone])
         assert X.tolist() == [[0.5, 0.0, 0.5]]
+
+
+@pytest.fixture(scope="module")
+def labelled_chunks():
+    chunks, labels = [], []
+    for variety in ("N", "NN", "T"):
+        for c in make_chunks(variety_corpus(variety, 120, seed=5), 100):
+            chunks.append(c)
+            labels.append(variety)
+    return chunks, labels
+
+
+def task_folds(labels):
+    """(task rows, training rows, held-out rows) as cross-validation takes
+    them: training rows in order, held-out rows as the folds deal them."""
+    for task in (("N", "T"), ("N", "NN", "T")):
+        keep = [i for i, lab in enumerate(labels) if lab in task]
+        for test in stratified_folds([labels[i] for i in keep], 4, seed=3):
+            train = [i for i in range(len(keep)) if i not in set(test)]
+            yield keep, train, test
+
+
+class TestCountTableAgainstOracle:
+    """Selection and vectorization on row views of one ChunkCounts equal the
+    per-chunk Counter reference on the same chunks."""
+
+    def views(self, labelled_chunks):
+        chunks, labels = labelled_chunks
+        counts = ChunkCounts(chunks)
+        for keep, train, test in task_folds(labels):
+            task = counts.take(keep)
+            yield (
+                (task.take(train), [chunks[keep[i]] for i in train]),
+                (task.take(test), [chunks[keep[i]] for i in test]),
+            )
+
+    def test_top_pos3_ties_and_k_beyond_the_keys(self, labelled_chunks):
+        ties = 0
+        for (train, reference), _held_out in self.views(labelled_chunks):
+            order = reference_pos3_order(reference)
+            everything = select_top_pos3(train, k=len(order) + 10)
+            assert everything.keys == reference_select_top_pos3(reference, len(order) + 10)
+            assert len(everything) == len(order)
+            # a cut between two keys of equal total keeps the smaller key
+            cuts = [k for k in range(1, len(order)) if order[k - 1][1] == order[k][1]]
+            ties += len(cuts)
+            for k in cuts[:3]:
+                assert select_top_pos3(train, k).keys == reference_select_top_pos3(reference, k)
+        assert ties
+
+    def test_postok_min_count_boundary(self, labelled_chunks):
+        for (train, reference), _held_out in self.views(labelled_chunks):
+            keys, totals = train.totals(POSTOK)
+            boundary = int(np.median(totals[totals > 0]))
+            for min_count in (1, boundary, boundary + 1):
+                space = select_postok_vocab(train, min_count)
+                assert space.keys == reference_select_postok_vocab(reference, min_count)
+            at_boundary = {k for k, t in zip(keys, totals) if t == boundary}
+            assert at_boundary <= set(select_postok_vocab(train, boundary).keys)
+            assert not at_boundary & set(select_postok_vocab(train, boundary + 1).keys)
+
+    def test_keys_seen_only_in_held_out_chunks_are_never_selected(self, labelled_chunks):
+        held_out_only = {POS3: 0, POSTOK: 0}
+        for (train, reference), (_test, test_reference) in self.views(labelled_chunks):
+            spaces = {
+                POS3: select_top_pos3(train, k=10**6),
+                POSTOK: select_postok_vocab(train, min_count=0),
+            }
+            for family, space in spaces.items():
+                seen = set().union(*(reference_chunk_counts(c, family) for c in reference))
+                unseen = set().union(
+                    *(reference_chunk_counts(c, family) for c in test_reference)
+                ) - seen
+                held_out_only[family] += len(unseen)
+                assert set(space.keys) == seen
+                assert not unseen & set(space.keys)
+        assert all(held_out_only.values())
+
+    def test_vectorize_is_exact_and_c_ordered(self, labelled_chunks, resources):
+        plan = FeaturePlan(
+            families=FAMILIES, resources=resources, top_pos3=30, postok_min_count=2
+        )
+        for (train, reference), (test, test_reference) in self.views(labelled_chunks):
+            spaces = plan.fit(train)
+            for view, chunks in ((train, reference), (test, test_reference)):
+                X = vectorize_chunks(view, spaces)
+                assert X.flags.c_contiguous
+                assert np.array_equal(X, reference_vectorize(chunks, spaces))
+
+    def test_one_entry_per_chunk_and_key_with_a_nonzero_count(
+        self, labelled_chunks, resources
+    ):
+        chunks, _labels = labelled_chunks
+        counts = ChunkCounts(chunks)
+        fw = fw_space(resources.function_words)
+        spaces = [
+            fw,
+            FeatureSpace(family=POS3, keys=()),
+            FeatureSpace(family=POSTOK, keys=()),
+            coh_space(resources.cohesive_markers),
+        ]
+        for space in spaces:
+            table = counts._table(space)
+            expected = [reference_chunk_counts(c, space.family, space.keys) for c in chunks]
+            if space is fw:
+                expected = [{k: n for k, n in e.items() if k in fw.keys} for e in expected]
+            assert len(table.row) == sum(len(e) for e in expected)
+            got = [{} for _ in chunks]
+            for row, col, count in zip(table.row, table.col, table.count):
+                got[row][table.keys[col]] = int(count)
+            assert got == expected
 
 
 class TestFeaturePlan:

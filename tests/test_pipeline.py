@@ -963,15 +963,19 @@ class TestCli:
         assert (env_out / "ingest" / "stats.csv").exists()
 
     def test_entry_point_subprocess(self, classify_dir, tmp_path):
-        import subprocess
-        import sys
-
+        # the child does not inherit pytest's pythonpath, so it gets src here
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        )
+        env = {**os.environ, "PYTHONPATH": path}
         cfg_path = classify_config(classify_dir, tmp_path)
         done = subprocess.run(
             [sys.executable, "-m", "varieties.cli", "ingest", "--config",
              str(cfg_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert done.returncode == 0, done.stderr
         assert "outputs in" in done.stdout
@@ -980,6 +984,7 @@ class TestCli:
              str(tmp_path / "absent.cfg")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert missing.returncode == 1
         assert "error:" in missing.stderr

@@ -11,7 +11,7 @@ from varieties.config import load_config
 from varieties.corpus import balance
 from varieties.corpus import chunk as make_chunks
 from varieties.errors import ConvergenceError
-from varieties.features import FW, FeaturePlan
+from varieties.features import FAMILIES, FW, ChunkCounts, FeaturePlan
 from varieties.pipeline import run_stage
 from varieties.svm import (
     OvoEnsemble,
@@ -395,6 +395,32 @@ class TestCrossValidate:
         second = cross_validate(chunks, labels, plan, folds=5, seed=3)
         assert first.fold_accuracies == second.fold_accuracies
         assert np.array_equal(first.confusion, second.confusion)
+
+    @pytest.mark.parametrize("task", [("N", "T"), ("NN", "T")])
+    def test_shared_tables_equal_fresh_counts(self, resources, task):
+        # a task view of the stage's tables, counted over every chunk first,
+        # gives the report of counting the task's chunks afresh; the varieties
+        # are interleaved so that task rows are not stage rows, and C is small
+        # enough that some folds misclassify
+        chunks, labels = _variety_chunks(n_sentences=250, target=100)
+        order = np.random.default_rng(4).permutation(len(chunks))
+        chunks, labels = [chunks[i] for i in order], [labels[i] for i in order]
+        plan = FeaturePlan(
+            families=FAMILIES, resources=resources, top_pos3=40, postok_min_count=3
+        )
+        records = ChunkCounts(chunks)
+        plan.fit(records)
+        keep = [i for i, lab in enumerate(labels) if lab in task]
+        task_labels = [labels[i] for i in keep]
+        shared = cross_validate(records.take(keep), task_labels, plan, folds=4, seed=3, C=0.2)
+        fresh = cross_validate(
+            [chunks[i] for i in keep], task_labels, plan, folds=4, seed=3, C=0.2
+        )
+        assert shared.fold_accuracies == fresh.fold_accuracies
+        assert shared.mean_accuracy == fresh.mean_accuracy
+        assert np.array_equal(shared.confusion, fresh.confusion)
+        assert shared.label_order == fresh.label_order
+        assert min(shared.fold_accuracies) < 1.0
 
 
 class TestRankFeatures:
