@@ -17,6 +17,7 @@ Any other VARIETIES_* variable changes nothing, so it draws a warning.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import warnings
@@ -29,12 +30,6 @@ ENV_PREFIX = "VARIETIES_"
 # VARIETIES_* variables that are not config keys on purpose: the acceptance
 # tests read the Europarl corpus directory from this one
 ENV_NOT_KEYS = frozenset({"VARIETIES_EUROPARL_DIR"})
-
-
-def _positive_int(name: str, value: int) -> int:
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown corpus format {self.format!r}")
         for name in (
             "chunk_target",
-            "cv_folds",
             "bootstrap_iterations",
             "lm_order",
             "lm_train_tokens",
@@ -71,9 +65,13 @@ class PipelineConfig:
             "top_pos3",
             "postok_min_count",
         ):
-            _positive_int(name, getattr(self, name))
-        if self.svm_c <= 0:
-            raise ConfigError("svm_c must be positive")
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.cv_folds < 2:
+            raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
+        # nan fails every comparison, so test for the finite positive range
+        if not 0 < self.svm_c < math.inf:
+            raise ConfigError(f"svm_c must be positive and finite, got {self.svm_c}")
 
     def corpus_path(self, variety: str) -> Path:
         key = f"corpus_{variety.lower()}"

@@ -9,24 +9,23 @@ Families:
 A chunk is a ``Corpus``; the counters read it only through its sentences'
 ``surfaces()`` and the corpus's validated ``tags()``, which raises
 ``UntaggedTokenError`` on the first untagged token. A stage counts each family
-once over all its chunks into one table of nonzero counts (ChunkCounts);
-tasks and folds are row views of it. Data-dependent vocabularies (top-k
-trigrams, positional pairs) are selected from column totals over training
-rows only and carried around as FeatureSpace objects; vectorization writes
-each space's columns, raw counts divided by the chunk token count.
+once over all its chunks into one ``corpus.KeyCounts`` (ChunkCounts); tasks
+and folds are views that gather only their rows. Data-dependent vocabularies
+(top-k trigrams, positional pairs) are selected from column totals over
+training rows only and carried around as FeatureSpace objects; vectorization
+writes each space's columns, raw counts divided by the chunk token count.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, KeyCounts
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -66,22 +65,18 @@ class FeatureSpace:
 
 
 # ---------------------------------------------------------------------------
-# raw counting per family
+# raw counting per family: each helper yields one chunk's keys
 
 
-def _fw_counts(chunk: Corpus, words: frozenset[str]) -> Counter:
-    counts: Counter = Counter()
+def _fw_counts(chunk: Corpus, words: frozenset[str]) -> Iterator[str]:
     for sent in chunk.sentences:
-        counts.update(w for w in sent.surfaces() if w in words)
-    return counts
+        yield from (w for w in sent.surfaces() if w in words)
 
 
-def _pos3_counts(chunk: Corpus) -> Counter:
-    counts: Counter = Counter()
+def _pos3_counts(chunk: Corpus) -> Iterator[str]:
     for tags in chunk.tags():
         for i in range(len(tags) - 2):
-            counts["_".join(tags[i : i + 3])] += 1
-    return counts
+            yield "_".join(tags[i : i + 3])
 
 
 def position_events(surfaces: Sequence[str]) -> list[tuple[str, str]]:
@@ -98,33 +93,16 @@ def position_events(surfaces: Sequence[str]) -> list[tuple[str, str]]:
     return [(position, surfaces[i]) for position, i, least in slots if n >= least]
 
 
-def _postok_counts(chunk: Corpus) -> Counter:
-    counts: Counter = Counter()
+def _postok_counts(chunk: Corpus) -> Iterator[str]:
     for sent in chunk.sentences:
         for position, word in position_events(sent.surfaces()):
-            counts[f"{position}:{word}"] += 1
-    return counts
+            yield f"{position}:{word}"
 
 
-def _coh_counts(chunk: Corpus, markers: PhraseList) -> Counter:
-    counts: Counter = Counter()
+def _coh_counts(chunk: Corpus, markers: PhraseList) -> Iterator[str]:
     for sent in chunk.sentences:
         for entry, _start in match_phrases(sent.surfaces(), markers):
-            counts[entry.text] += 1
-    return counts
-
-
-class _Table:
-    """One family's nonzero counts over a stage's chunks: chunk ``row[i]``
-    holds key ``keys[col[i]]`` ``count[i]`` times. The columns are the
-    observed keys in sorted order."""
-
-    def __init__(self, per_chunk: list[dict[str, int]]):
-        self.keys = sorted(set().union(*per_chunk))
-        self.column = {key: i for i, key in enumerate(self.keys)}
-        self.row = np.repeat(np.arange(len(per_chunk)), [len(c) for c in per_chunk])
-        self.col = np.fromiter((self.column[k] for c in per_chunk for k in c), np.intp)
-        self.count = np.fromiter((v for c in per_chunk for v in c.values()), np.int64)
+            yield entry.text
 
 
 class ChunkCounts:
@@ -136,7 +114,7 @@ class ChunkCounts:
     def __init__(self, chunks: Iterable[Corpus]):
         self._chunks = list(chunks)
         self._token_counts = np.array([c.token_count for c in self._chunks])
-        self._tables: dict[object, _Table] = {}
+        self._tables: dict[object, KeyCounts] = {}
         self.rows = np.arange(len(self._chunks))
 
     @classmethod
@@ -155,33 +133,26 @@ class ChunkCounts:
     def __iter__(self):
         return (self._chunks[r] for r in self.rows)
 
-    def _table(self, space: FeatureSpace) -> _Table:
+    def _table(self, space: FeatureSpace) -> KeyCounts:
         family = space.family
         key = family if family in (POS3, POSTOK) else (family, space.keys)
         if key not in self._tables:
             if family == FW:
                 words = frozenset(space.keys)
-                per_chunk = [_fw_counts(c, words) for c in self._chunks]
+                rows = (_fw_counts(c, words) for c in self._chunks)
             elif family == COH:
-                per_chunk = [_coh_counts(c, space.phrases) for c in self._chunks]
+                rows = (_coh_counts(c, space.phrases) for c in self._chunks)
             else:
                 count = _pos3_counts if family == POS3 else _postok_counts
-                per_chunk = [count(c) for c in self._chunks]
-            self._tables[key] = _Table(per_chunk)
+                rows = (count(c) for c in self._chunks)
+            self._tables[key] = KeyCounts(rows)
         return self._tables[key]
-
-    def _entries(self, space: FeatureSpace):
-        """``space``'s table, then the view's entries in it: row in the view, column, count."""
-        table = self._table(space)
-        at = np.full(len(self._chunks), -1)
-        at[self.rows] = np.arange(len(self.rows))
-        row = at[table.row]
-        mine = row >= 0
-        return table, row[mine], table.col[mine], table.count[mine]
 
     def totals(self, family: str) -> tuple[list[str], np.ndarray]:
         """The POS3 or POSTOK table's keys and their totals over this view."""
-        table, _row, col, count = self._entries(FeatureSpace(family=family, keys=()))
+        table = self._table(FeatureSpace(family=family, keys=()))
+        _lengths, at = table.gather(self.rows)
+        col, count = table.col[at], table.count[at]
         return table.keys, np.bincount(col, weights=count, minlength=len(table.keys))
 
 
@@ -256,16 +227,19 @@ def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarr
     count divided by the chunk token count, zeros for unseen keys."""
     counts = ChunkCounts.of(chunks)
     X = np.zeros((len(counts), sum(len(s) for s in spaces)))
+    tokens = counts._token_counts[counts.rows]
     offset = 0
     for space in spaces:
-        table, row, col, count = counts._entries(space)
+        table = counts._table(space)
+        lengths, at = table.gather(counts.rows)
         # each table column's position in the space, -1 if the space lacks it
         found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
         where = np.full(len(table.keys), -1)
         where[found[found >= 0]] = np.flatnonzero(found >= 0)
-        kept = where[col] >= 0
-        row, col, count = row[kept], where[col[kept]], count[kept]
-        X[row, offset + col] = count / counts._token_counts[counts.rows[row]]
+        col = where[table.col[at]]
+        kept = col >= 0
+        row = np.repeat(np.arange(len(counts)), lengths)[kept]
+        X[row, offset + col[kept]] = table.count[at[kept]] / tokens[row]
         offset += len(space)
     return X
 

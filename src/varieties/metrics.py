@@ -11,10 +11,11 @@ Each metric maps a corpus to a nonnegative scalar:
 Every metric is an aggregate of per-sentence quantities: pronoun, transition
 and rank counts are sums over sentences, TTR and collocation types count the
 distinct lemmas or idioms of the sentences. ``SentenceStats`` counts them
-once, for N, NN and T laid end to end in one table with one lemma and one
-idiom id space; each corpus is a range of its rows. It evaluates all five
-metrics on any draw of rows from one multiplicity vector (how often each row
-was drawn): exact integer products give the sums, its nonzero rows the
+once, for N, NN and T laid end to end in one table, with each sentence's
+lemmas and idioms as a row of a ``corpus.KeyCounts`` table; each corpus is a
+range of its rows. It evaluates all five metrics on any draw of rows from
+one multiplicity vector (how often each row was drawn): exact integer
+products give the sums, the columns gathered from its nonzero rows the
 distinct lemmas and idioms. The metrics stage computes the observed values
 and every bootstrap resample that way. The five corpus functions (``ttr``
 ... ``pronouns``) read the same counting helpers and give one metric of one
@@ -32,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, KeyCounts
 from .lexicons import PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
@@ -198,38 +199,6 @@ def pronouns(corpus: Corpus) -> MetricValue:
 
 
 @dataclass(frozen=True)
-class _IdSets:
-    """One set of strings per sentence, as ids of one id space in CSR form:
-    sentence i holds ``ids[ptr[i]:ptr[i + 1]]``."""
-
-    ptr: np.ndarray
-    ids: np.ndarray
-
-    @classmethod
-    def of(cls, sets: Iterable[Iterable[str]]) -> "_IdSets":
-        """Intern ``sets`` one sentence at a time, as they are produced."""
-        index: dict[str, int] = {}
-        ptr = [0]
-        ids: list[int] = []
-        for texts in sets:
-            ids.extend(index.setdefault(text, len(index)) for text in dict.fromkeys(texts))
-            ptr.append(len(ids))
-        return cls(ptr=np.array(ptr, dtype=np.int64), ids=np.array(ids, dtype=np.int64))
-
-    def distinct(self, rows: np.ndarray) -> int:
-        """Number of distinct strings over the sentences ``rows`` (pass
-        each row once: repeats only add work)."""
-        starts = self.ptr[rows]
-        lengths = self.ptr[rows + 1] - starts
-        ends = np.cumsum(lengths)
-        # position of every id of the selected sentences, row after row
-        positions = np.repeat(starts - ends + lengths, lengths) + np.arange(
-            int(lengths.sum())
-        )
-        return int(np.count_nonzero(np.bincount(self.ids[positions])))
-
-
-@dataclass(frozen=True)
 class SentenceStats:
     """Per-sentence quantities behind the five metrics, counted once for
     corpora laid end to end: corpus c is rows ``bounds[c]:bounds[c + 1]``.
@@ -245,8 +214,8 @@ class SentenceStats:
     # tokens, transitions; one column per sentence
     counts: np.ndarray
     bounds: tuple[int, ...]
-    lemmas: _IdSets
-    idioms: _IdSets
+    lemmas: KeyCounts
+    idioms: KeyCounts
 
     @classmethod
     def of(cls, corpora: Sequence[Corpus], resources: Resources) -> "SentenceStats":
@@ -271,8 +240,8 @@ class SentenceStats:
         return cls(
             counts=np.array(counts, dtype=np.int64).reshape(-1, 5).T.copy(),
             bounds=tuple(accumulate(map(len, corpora), initial=0)),
-            lemmas=_IdSets.of(sent.lemmas() for c in corpora for sent in c.sentences),
-            idioms=_IdSets.of(idioms),
+            lemmas=KeyCounts(sent.lemmas() for c in corpora for sent in c.sentences),
+            idioms=KeyCounts(idioms),
         )
 
     @property
@@ -291,10 +260,14 @@ class SentenceStats:
             self.counts @ multiplicity
         ).tolist()
         rows = np.flatnonzero(multiplicity)
+        lemmas, idioms = (
+            int(np.count_nonzero(np.bincount(table.col[table.gather(rows)[1]])))
+            for table in (self.lemmas, self.idioms)
+        )
         return (
-            _ttr_value(self.lemmas.distinct(rows), tokens).raw,
+            _ttr_value(lemmas, tokens).raw,
             _rank_value(rank_sum, ranked).raw,
-            _collocation_value(self.idioms.distinct(rows), tokens).raw,
+            _collocation_value(idioms, tokens).raw,
             _transition_value(transition_hits, tokens).raw,
             _pronoun_value(pronoun_hits, tokens).raw,
         )

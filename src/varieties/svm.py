@@ -309,6 +309,8 @@ def cross_validate(
     chunks = ChunkCounts.of(chunks)
     if len(chunks) != len(labels):
         raise ValueError("chunks and labels disagree in length")
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     if len(chunks) < folds:
         raise ValueError(f"cannot make {folds} folds from {len(chunks)} chunks")
     counts: dict[Hashable, int] = {}

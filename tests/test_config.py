@@ -102,6 +102,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="positive"):
             PipelineConfig(chunk_target=0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_svm_c_must_be_positive_and_finite(self, value):
+        # nan fails every comparison, so `<= 0` alone cannot reject it
+        with pytest.raises(ConfigError, match="svm_c must be positive and finite"):
+            load_config(env={"VARIETIES_SVM_C": value})
+
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_cv_folds_below_two_rejected(self, folds):
+        with pytest.raises(ConfigError, match=f"cv_folds must be at least 2, got {folds}"):
+            PipelineConfig(cv_folds=folds)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             PipelineConfig(format="xml")

@@ -1,10 +1,12 @@
 import gc
 import json
+import random
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
@@ -13,6 +15,7 @@ from varieties.corpus import (
     AnnotatedSentence,
     Corpus,
     CorpusFormatError,
+    KeyCounts,
     Token,
     balance,
     chunk,
@@ -504,3 +507,44 @@ class TestFilter:
         )
         kept = filter_corpus(corpus, variety="T")
         assert kept.sentences == corpus.sentences
+
+
+def test_key_counts_rows_and_gathers_equal_a_counter_per_row():
+    rng = random.Random(4)
+    # about one row in eight holds no key
+    rows = [
+        [rng.choice("pqrstuvw") + "x" * rng.randrange(2) for _ in range(rng.randrange(8))]
+        for _ in range(60)
+    ]
+    assert [] in rows
+    table = KeyCounts(iter(rows))
+    assert table.keys == sorted(set().union(*rows))
+    assert table.col.dtype == table.count.dtype == np.int32
+    assert len(table.ptr) == len(rows) + 1
+
+    def counters(lengths, col, count):
+        ends = np.cumsum(lengths)
+        return [
+            Counter({table.keys[c]: int(n) for c, n in zip(col[e - k : e], count[e - k : e])})
+            for k, e in zip(lengths, ends)
+        ]
+
+    everything = np.arange(len(rows))
+    selections = [
+        everything,
+        everything[:0],
+        np.concatenate([everything[1::2], everything[::2]]),  # interleaved
+        everything[::-1],
+        np.array([7, 3, 7, 0, 3]),  # repeats
+        np.array(rng.sample(range(len(rows)), 25)),
+        np.array([i for i, keys in enumerate(rows) if not keys]),
+    ]
+    for chosen in selections:
+        lengths, at = table.gather(chosen)
+        col, count = table.col[at], table.count[at]
+        expected = [Counter(rows[r]) for r in chosen]
+        # one entry per distinct key of each row
+        assert lengths.tolist() == [len(e) for e in expected]
+        assert counters(lengths, col, count) == expected
+        distinct = set().union(*(rows[r] for r in chosen))
+        assert np.count_nonzero(np.bincount(col)) == len(distinct)

@@ -376,10 +376,15 @@ class TestCountTableAgainstOracle:
             expected = [reference_chunk_counts(c, space.family, space.keys) for c in chunks]
             if space is fw:
                 expected = [{k: n for k, n in e.items() if k in fw.keys} for e in expected]
-            assert len(table.row) == sum(len(e) for e in expected)
-            got = [{} for _ in chunks]
-            for row, col, count in zip(table.row, table.col, table.count):
-                got[row][table.keys[col]] = int(count)
+            assert len(table.col) == sum(len(e) for e in expected)
+            # walk the CSR rows: chunk r's entries are ptr[r]:ptr[r + 1]
+            got = [
+                {
+                    table.keys[col]: int(count)
+                    for col, count in zip(table.col[a:b], table.count[a:b])
+                }
+                for a, b in zip(table.ptr[:-1], table.ptr[1:])
+            ]
             assert got == expected
 
 

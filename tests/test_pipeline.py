@@ -936,6 +936,21 @@ class TestCli:
         assert main(["metrics", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"svm_c": "nan"}, {"svm_c": "inf"}, {"cv_folds": 1}],
+        ids=["svm_c-nan", "svm_c-inf", "cv_folds-1"],
+    )
+    def test_unusable_svm_settings_exit_one(self, classify_dir, tmp_path, capsys, setting):
+        # unchecked, a nan C gives all-zero alphas and chance accuracies with
+        # exit 0, and one fold leaves no training rows (exit 2 in train_multiclass)
+        cfg_path = classify_config(classify_dir, tmp_path, **setting)
+        assert main(["classify", "--config", str(cfg_path)]) == 1
+        (key,) = setting
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "classify").exists()
+        assert not (tmp_path / "out" / ".lock").exists()
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["not-a-command"]) == 1
 

@@ -1,8 +1,11 @@
-"""Structure guard: ``corpus`` is the only module that reads token fields.
+"""Structure guard: ``corpus`` is the only module that reads token fields
+or counts keys with ``collections.Counter``.
 
 Every other module sees sentence content through
 ``AnnotatedSentence.surfaces()``/``lemmas()`` and ``Corpus.tags()``, so how a
-sentence stores its tokens can change inside ``corpus.py`` alone.
+sentence stores its tokens can change inside ``corpus.py`` alone. Count
+tables have one home too: other modules count keys per row through
+``corpus.KeyCounts``.
 """
 
 import ast
@@ -11,6 +14,7 @@ from pathlib import Path
 import varieties
 
 TOKEN_FIELDS = {"surface", "pos", "lemma", "lemma_or_surface"}
+FORBIDDEN_NAMES = {"Chunk", "Counter"}
 PACKAGE = Path(varieties.__file__).parent
 
 
@@ -26,8 +30,8 @@ def _offences(path: Path) -> list[str]:
             names = [node.attr]
         elif isinstance(node, ast.alias):
             names = [node.name, node.asname]
-        if "Chunk" in names:
-            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names Chunk")
+        for name in FORBIDDEN_NAMES.intersection(names):
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
     return found
 
 
@@ -46,8 +50,12 @@ def test_only_corpus_reads_token_fields():
 def test_the_guard_sees_what_it_forbids(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
+        "import collections\n"
+        "from collections import Counter\n"
         "from .corpus import Chunk\n"
         "def f(tok, c: Chunk):\n"
         "    return tok.surface, tok.pos, tok.lemma, tok.lemma_or_surface\n"
+        "def g():\n"
+        "    return collections.Counter()\n"
     )
-    assert len(_offences(path)) == 6
+    assert len(_offences(path)) == 8

@@ -375,6 +375,13 @@ class TestCrossValidate:
         with pytest.warns(UserWarning, match="not balanced"):
             cross_validate(chunks[3:], labels[3:], plan, folds=5, seed=0)
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, resources, folds):
+        chunks, labels = _variety_chunks()
+        plan = FeaturePlan(families=(FW,), resources=resources)
+        with pytest.raises(ValueError, match=f"folds must be at least 2, got {folds}"):
+            cross_validate(chunks, labels, plan, folds=folds, seed=1)
+
     def test_fold_sizes_balanced_354(self):
         labels = ["N"] * 354 + ["T"] * 354
         folds = stratified_folds(labels, folds=10, seed=0)
