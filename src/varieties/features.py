@@ -115,6 +115,7 @@ class ChunkCounts:
         self._chunks = list(chunks)
         self._token_counts = np.array([c.token_count for c in self._chunks])
         self._tables: dict[object, KeyCounts] = {}
+        self._maps: dict[str, tuple[FeatureSpace, np.ndarray]] = {}
         self.rows = np.arange(len(self._chunks))
 
     @classmethod
@@ -232,11 +233,14 @@ def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarr
     for space in spaces:
         table = counts._table(space)
         lengths, at = table.gather(counts.rows)
-        # each table column's position in the space, -1 if the space lacks it
-        found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
-        where = np.full(len(table.keys), -1)
-        where[found[found >= 0]] = np.flatnonzero(found >= 0)
-        col = where[table.col[at]]
+        # each table column's position in the space, -1 if the space lacks it;
+        # the last map is kept per family, so FW and COH spaces map once a stage
+        if counts._maps.get(space.family, (None,))[0] != space:
+            found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
+            where = np.full(len(table.keys), -1)
+            where[found[found >= 0]] = np.flatnonzero(found >= 0)
+            counts._maps[space.family] = (space, where)
+        col = counts._maps[space.family][1][table.col[at]]
         kept = col >= 0
         row = np.repeat(np.arange(len(counts)), lengths)[kept]
         X[row, offset + col[kept]] = table.count[at[kept]] / tokens[row]

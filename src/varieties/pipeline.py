@@ -268,12 +268,9 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
         )
 
     records = feat.ChunkCounts(chunks)
-    accuracy_rows = []
-    confusion_rows = []
-    feature_rows = []
+    plans = {}
     diagnostics = []
     for families in FEATURE_ROWS:
-        row = _row_name(families)
         plan = feat.FeaturePlan(
             families=families,
             resources=resources,
@@ -281,24 +278,29 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
             postok_min_count=config.postok_min_count,
         )
         # fit counts POS3, the one family that can fail, over every chunk, so
-        # a row that cannot be counted fails before it writes any task rows
+        # a row that cannot be counted is left out of every task
         try:
             plan.fit(records)
         except UntaggedTokenError as exc:
-            diagnostics.append([row, str(exc)])
+            diagnostics.append([_row_name(families), str(exc)])
             continue
-        for task in CLASSIFICATION_TASKS:
-            keep = [i for i, lab in enumerate(labels) if lab in task]
-            task_records = records.take(keep)
-            task_labels = [labels[i] for i in keep]
-            report = svm.cross_validate(
-                task_records,
-                task_labels,
-                plan,
-                folds=config.cv_folds,
-                seed=config.seed,
-                C=config.svm_c,
-            )
+        plans[_row_name(families)] = plan
+    accuracy_rows = []
+    confusion_rows = []
+    feature_rows = []
+    for task in CLASSIFICATION_TASKS:
+        keep = [i for i, lab in enumerate(labels) if lab in task]
+        task_records = records.take(keep)
+        task_labels = [labels[i] for i in keep]
+        reports = svm.cross_validate(
+            task_records,
+            task_labels,
+            list(plans.values()),
+            folds=config.cv_folds,
+            seed=config.seed,
+            C=config.svm_c,
+        )
+        for row, report in zip(plans, reports):
             accuracy_rows.append(
                 [row, _task_name(task), f"{report.mean_accuracy:.6f}"]
                 + [f"{a:.6f}" for a in report.fold_accuracies]
@@ -314,14 +316,11 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
                             int(report.confusion[t_idx, p_idx]),
                         ]
                     )
-            if len(task) == 2:
-                spaces = plan.fit(task_records)
-                X = feat.vectorize_chunks(task_records, spaces)
+        if len(task) == 2:
+            matrices = svm.plan_matrices(list(plans.values()), task_records, task_records)
+            for row, (spaces, X) in zip(plans, matrices):
                 model = svm.train_binary(
-                    X,
-                    task_labels,
-                    C=config.svm_c,
-                    feature_names=feat.space_feature_names(spaces),
+                    X, task_labels, C=config.svm_c, feature_names=feat.space_feature_names(spaces)
                 )
                 for rank, (name, weight) in enumerate(
                     svm.rank_features(model)[:20], start=1
@@ -329,6 +328,9 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
                     feature_rows.append(
                         [row, _task_name(task), rank, name, repr(weight)]
                     )
+    # the loop is task-major; the outputs are row-major (the sort is stable)
+    for lines in (accuracy_rows, confusion_rows, feature_rows):
+        lines.sort(key=lambda line: list(plans).index(line[0]))
 
     fold_headers = [f"fold_{i}" for i in range(config.cv_folds)]
     stage.write_csv(

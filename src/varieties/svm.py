@@ -8,21 +8,21 @@ updated analytically with clipping to the box. The gap m(a) - M(a) is the
 KKT violation; training stops when it falls below tol.
 
 Multiclass is one-vs-one with majority voting. Cross-validation refits
-data-dependent feature vocabularies on every training split.
+data-dependent feature vocabularies on every training split, once for all plans.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import ConvergenceError
-from .features import ChunkCounts, FeaturePlan, vectorize_chunks
+from .features import ChunkCounts, Chunks, FeaturePlan, FeatureSpace, vectorize_chunks
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
@@ -295,17 +295,37 @@ def stratified_folds(
     return assignment
 
 
+def plan_matrices(
+    plans: Sequence[FeaturePlan], fit_chunks: Chunks, chunks: Chunks
+) -> Iterator[tuple[list[FeatureSpace], np.ndarray]]:
+    """Each plan's spaces and matrix over ``chunks``, built as iterated. The
+    plans' families are fitted once on ``fit_chunks`` and each is vectorized
+    once, so the plans must agree in everything but their families."""
+    if not plans:
+        raise ValueError("no feature plans given")
+    for name in ("resources", "top_pos3", "postok_min_count"):
+        if any(getattr(plan, name) != getattr(plans[0], name) for plan in plans):
+            raise ValueError(f"feature plans differ in {name}, so one fit cannot serve them")
+    families = tuple(dict.fromkeys(f for plan in plans for f in plan.families))
+    spaces = {s.family: s for s in replace(plans[0], families=families).fit(fit_chunks)}
+    blocks = {family: vectorize_chunks(chunks, [s]) for family, s in spaces.items()}
+    return (
+        ([spaces[f] for f in plan.families], np.hstack([blocks[f] for f in plan.families]))
+        for plan in plans
+    )
+
+
 def cross_validate(
     chunks: Sequence[Corpus] | ChunkCounts,
     labels: Sequence[Hashable],
-    plan: FeaturePlan,
+    plans: Sequence[FeaturePlan],
     folds: int = 10,
     seed: int = 0,
     C: float = DEFAULT_C,
-) -> CvReport:
-    """Stratified k-fold CV. Feature vocabularies (top-k trigrams, positional
-    pairs) are re-selected on each training split to avoid leakage; each
-    chunk is counted once for all folds."""
+) -> list[CvReport]:
+    """Stratified k-fold CV of each plan on the same folds, one report per plan.
+    Vocabularies (top-k trigrams, positional pairs) are refit on each training
+    split, once for all plans, so held-out chunks never select features."""
     chunks = ChunkCounts.of(chunks)
     if len(chunks) != len(labels):
         raise ValueError("chunks and labels disagree in length")
@@ -323,32 +343,26 @@ def cross_validate(
         warnings.warn(f"classes are not balanced ({summary})", stacklevel=2)
     order = tuple(sorted(counts, key=repr))
     index_of = {lab: i for i, lab in enumerate(order)}
-    confusion = np.zeros((len(order), len(order)), dtype=int)
-    fold_acc = []
+    confusions = [np.zeros((len(order), len(order)), dtype=int) for _ in plans]
+    fold_accs = [[] for _ in plans]
     assignment = stratified_folds(labels, folds, seed)
     for test_idx in assignment:
-        test_set = set(test_idx)
-        train_idx = [i for i in range(len(chunks)) if i not in test_set]
-        train_chunks = chunks.take(train_idx)
-        spaces = plan.fit(train_chunks)
-        X_train = vectorize_chunks(train_chunks, spaces)
+        train_idx = sorted(set(range(len(chunks))) - set(test_idx))
+        # each plan's matrix holds the training rows, then the held-out rows
+        matrices = plan_matrices(plans, chunks.take(train_idx), chunks.take(train_idx + test_idx))
         y_train = [labels[i] for i in train_idx]
-        X_test = vectorize_chunks(chunks.take(test_idx), spaces)
-        ensemble = train_multiclass(X_train, y_train, C=C)
-        predictions = [predict_multiclass(ensemble, x) for x in X_test]
-        hits = 0
-        for idx, pred in zip(test_idx, predictions):
-            true = labels[idx]
-            confusion[index_of[true], index_of[pred]] += 1
-            hits += int(pred == true)
-        fold_acc.append(hits / len(test_idx))
-    return CvReport(
-        fold_accuracies=tuple(fold_acc),
-        mean_accuracy=float(np.mean(fold_acc)),
-        confusion=confusion,
-        label_order=order,
-        seed=seed,
-    )
+        for (_, X), confusion, fold_acc in zip(matrices, confusions, fold_accs):
+            ensemble = train_multiclass(X[: len(train_idx)], y_train, C=C)
+            hits = 0
+            for idx, x in zip(test_idx, X[len(train_idx) :]):
+                pred = predict_multiclass(ensemble, x)
+                confusion[index_of[labels[idx]], index_of[pred]] += 1
+                hits += pred == labels[idx]
+            fold_acc.append(hits / len(test_idx))
+    return [
+        CvReport(tuple(fold_acc), float(np.mean(fold_acc)), confusion, order, seed)
+        for fold_acc, confusion in zip(fold_accs, confusions)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ verify the production code, sharing none of its code paths.
 * reference_select_top_pos3, reference_select_postok_vocab,
   reference_vectorize: feature selection and vectorization from one Counter
   per chunk, merged per call
+* reference_cross_validate: cross-validation of one feature plan, selecting
+  and vectorizing each fold's training and held-out chunks apart with the
+  reference feature code; only fold dealing and the one-vs-one SVM are the
+  package's own
 """
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -440,3 +445,36 @@ def reference_vectorize(chunks, spaces):
                     X[r, offset + i] = counts[key] / tokens
             offset += len(space.keys)
     return X
+
+
+def reference_cross_validate(chunks, labels, plan, folds, seed, C):
+    """One plan's stratified k-fold CV as a loop over folds: each fold selects
+    the plan's spaces from its training chunks and vectorizes its training
+    and held-out chunks separately. Returns (fold accuracies, confusion,
+    label order)."""
+    from varieties.svm import predict_multiclass, stratified_folds, train_multiclass
+
+    order = tuple(sorted(set(labels), key=repr))
+    confusion = np.zeros((len(order), len(order)), dtype=int)
+    accuracies = []
+    for test_idx in stratified_folds(labels, folds, seed):
+        train_idx = [i for i in range(len(chunks)) if i not in set(test_idx)]
+        train = [chunks[i] for i in train_idx]
+        keys = {
+            "FW": lambda: tuple(plan.resources.function_words.sorted_entries()),
+            "POS3": lambda: reference_select_top_pos3(train, plan.top_pos3),
+            "POSTOK": lambda: reference_select_postok_vocab(train, plan.postok_min_count),
+            "COH": lambda: tuple(e.text for e in plan.resources.cohesive_markers.entries),
+        }
+        spaces = [SimpleNamespace(family=f, keys=keys[f]()) for f in plan.families]
+        ensemble = train_multiclass(
+            reference_vectorize(train, spaces), [labels[i] for i in train_idx], C=C
+        )
+        held_out = reference_vectorize([chunks[i] for i in test_idx], spaces)
+        hits = 0
+        for i, x in zip(test_idx, held_out):
+            predicted = predict_multiclass(ensemble, x)
+            confusion[order.index(labels[i]), order.index(predicted)] += 1
+            hits += predicted == labels[i]
+        accuracies.append(hits / len(test_idx))
+    return tuple(accuracies), confusion, order

@@ -208,13 +208,13 @@ def test_criterion_05_synthetic_classification(resources):
             chunks.extend(variety_chunks)
             labels.extend([variety] * len(variety_chunks))
         plan = FeaturePlan(families=(FW,), resources=resources)
-        report = cross_validate(chunks, labels, plan, folds=10, seed=1)
+        [report] = cross_validate(chunks, labels, [plan], folds=10, seed=1)
         assert report.mean_accuracy >= 0.95
 
         rng = np.random.default_rng(7)
         shuffled = list(labels)
         rng.shuffle(shuffled)
-        chance = cross_validate(chunks, shuffled, plan, folds=10, seed=1)
+        [chance] = cross_validate(chunks, shuffled, [plan], folds=10, seed=1)
         assert abs(chance.mean_accuracy - 1 / 3) <= 0.10
 
 
@@ -406,7 +406,7 @@ def test_criterion_10_europarl_headline_numbers(resources):
             for variety in task:
                 chunks.extend(balanced[variety])
                 labels.extend([variety] * len(balanced[variety]))
-            report = cross_validate(chunks, labels, plan, folds=10, seed=17)
+            [report] = cross_validate(chunks, labels, [plan], folds=10, seed=17)
             assert abs(report.mean_accuracy * 100 - target) <= 2.0, task
 
         # normalized lexical-richness triple within +/-0.01 of the published one

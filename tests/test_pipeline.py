@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from varieties.corpus import (
     write_jsonl,
 )
 from varieties.errors import VarietiesError
-from varieties.pipeline import output_lock, run_stage
+from varieties.pipeline import CLASSIFICATION_TASKS, FEATURE_ROWS, output_lock, run_stage
 
 
 def write_config(path: Path, **values) -> Path:
@@ -219,6 +220,13 @@ class TestClassifyStage:
         assert {r["features"] for r in accuracy_rows} == {
             "FW", "POSTOK", "COH", "FW+POSTOK",
         }
+        # row-major: each feature row's tasks in order, failed rows left out
+        rows = ["+".join(f) for f in FEATURE_ROWS if "POS3" not in f]
+        tasks = ["3-way" if len(t) == 3 else "-".join(t) for t in CLASSIFICATION_TASKS]
+        top = read_csv(out / "classify" / "top_features.csv")
+        for lines, wanted in ((accuracy_rows, tasks), (top, [t for t in tasks if t != "3-way"])):
+            keys = [key for key, _ in groupby((r["features"], r["task"]) for r in lines)]
+            assert keys == [(row, task) for row in rows for task in wanted]
 
     def test_row_with_untagged_variety_fails_whole(self, tmp_path):
         # N and NN are tagged, so a POS3 row could finish its N-NN task

@@ -1,18 +1,20 @@
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import qp_oracle_4pt, reference_smo
+from oracles import qp_oracle_4pt, reference_cross_validate, reference_smo
 from synthdata import variety_corpus
 from varieties import svm
 from varieties.config import load_config
 from varieties.corpus import balance
 from varieties.corpus import chunk as make_chunks
 from varieties.errors import ConvergenceError
-from varieties.features import FAMILIES, FW, ChunkCounts, FeaturePlan
-from varieties.pipeline import run_stage
+from varieties.features import FAMILIES, FW, POS3, ChunkCounts, FeaturePlan
+from varieties.lexicons import WordList
+from varieties.pipeline import FEATURE_ROWS, run_stage
 from varieties.svm import (
     OvoEnsemble,
     SvmModel,
@@ -353,7 +355,7 @@ class TestCrossValidate:
     def test_separable_synthetic_varieties(self, resources):
         chunks, labels = _variety_chunks()
         plan = FeaturePlan(families=(FW,), resources=resources)
-        report = cross_validate(chunks, labels, plan, folds=10, seed=1)
+        [report] = cross_validate(chunks, labels, [plan], folds=10, seed=1)
         assert report.mean_accuracy >= 0.95
         assert report.evaluated == len(chunks)
         assert report.mean_accuracy == pytest.approx(
@@ -366,21 +368,21 @@ class TestCrossValidate:
         shuffled = list(labels)
         rng.shuffle(shuffled)
         plan = FeaturePlan(families=(FW,), resources=resources)
-        report = cross_validate(chunks, shuffled, plan, folds=10, seed=1)
+        [report] = cross_validate(chunks, shuffled, [plan], folds=10, seed=1)
         assert abs(report.mean_accuracy - 1 / 3) <= 0.1
 
     def test_unbalanced_classes_warn(self, resources):
         chunks, labels = _variety_chunks(n_sentences=250, target=100)
         plan = FeaturePlan(families=(FW,), resources=resources)
         with pytest.warns(UserWarning, match="not balanced"):
-            cross_validate(chunks[3:], labels[3:], plan, folds=5, seed=0)
+            cross_validate(chunks[3:], labels[3:], [plan], folds=5, seed=0)
 
     @pytest.mark.parametrize("folds", [1, 0])
     def test_fewer_than_two_folds_rejected(self, resources, folds):
         chunks, labels = _variety_chunks()
         plan = FeaturePlan(families=(FW,), resources=resources)
         with pytest.raises(ValueError, match=f"folds must be at least 2, got {folds}"):
-            cross_validate(chunks, labels, plan, folds=folds, seed=1)
+            cross_validate(chunks, labels, [plan], folds=folds, seed=1)
 
     def test_fold_sizes_balanced_354(self):
         labels = ["N"] * 354 + ["T"] * 354
@@ -393,13 +395,13 @@ class TestCrossValidate:
         chunks, labels = _variety_chunks(n_sentences=20, target=60)
         plan = FeaturePlan(families=(FW,), resources=resources)
         with pytest.raises(ValueError, match="folds"):
-            cross_validate(chunks[:5], labels[:5], plan, folds=10)
+            cross_validate(chunks[:5], labels[:5], [plan], folds=10)
 
     def test_reproducible_for_fixed_seed(self, resources):
         chunks, labels = _variety_chunks(n_sentences=250, target=100)
         plan = FeaturePlan(families=(FW,), resources=resources)
-        first = cross_validate(chunks, labels, plan, folds=5, seed=3)
-        second = cross_validate(chunks, labels, plan, folds=5, seed=3)
+        [first] = cross_validate(chunks, labels, [plan], folds=5, seed=3)
+        [second] = cross_validate(chunks, labels, [plan], folds=5, seed=3)
         assert first.fold_accuracies == second.fold_accuracies
         assert np.array_equal(first.confusion, second.confusion)
 
@@ -419,15 +421,88 @@ class TestCrossValidate:
         plan.fit(records)
         keep = [i for i, lab in enumerate(labels) if lab in task]
         task_labels = [labels[i] for i in keep]
-        shared = cross_validate(records.take(keep), task_labels, plan, folds=4, seed=3, C=0.2)
-        fresh = cross_validate(
-            [chunks[i] for i in keep], task_labels, plan, folds=4, seed=3, C=0.2
+        [shared] = cross_validate(records.take(keep), task_labels, [plan], folds=4, seed=3, C=0.2)
+        [fresh] = cross_validate(
+            [chunks[i] for i in keep], task_labels, [plan], folds=4, seed=3, C=0.2
         )
         assert shared.fold_accuracies == fresh.fold_accuracies
         assert shared.mean_accuracy == fresh.mean_accuracy
         assert np.array_equal(shared.confusion, fresh.confusion)
         assert shared.label_order == fresh.label_order
         assert min(shared.fold_accuracies) < 1.0
+
+
+    @staticmethod
+    def _interleaved(resources):
+        # the varieties are interleaved so that task rows are not stage rows
+        chunks, labels = _variety_chunks(n_sentences=250, target=100)
+        order = np.random.default_rng(4).permutation(len(chunks))
+        plans = [
+            FeaturePlan(families=f, resources=resources, top_pos3=40, postok_min_count=3)
+            for f in FEATURE_ROWS
+        ]
+        return [chunks[i] for i in order], [labels[i] for i in order], plans
+
+    @pytest.mark.parametrize("view", [False, True], ids=["list", "task-view"])
+    def test_every_row_matches_the_one_plan_reference(self, resources, view):
+        # at this C some folds misclassify and the rows' reports differ, so a
+        # plan scored on another plan's matrix would show
+        chunks, labels, plans = self._interleaved(resources)
+        if view:
+            keep = [i for i, lab in enumerate(labels) if lab in ("NN", "T")]
+            given = ChunkCounts(chunks).take(keep)
+            chunks, labels = [chunks[i] for i in keep], [labels[i] for i in keep]
+        else:
+            given = chunks
+        reports = cross_validate(given, labels, plans, folds=4, seed=3, C=1.0)
+        assert len(reports) == len(plans)
+        for plan, report in zip(plans, reports):
+            accuracies, confusion, order = reference_cross_validate(
+                chunks, labels, plan, folds=4, seed=3, C=1.0
+            )
+            assert report.fold_accuracies == accuracies, plan.families
+            assert np.array_equal(report.confusion, confusion), plan.families
+            assert report.label_order == order
+        assert min(a for r in reports for a in r.fold_accuracies) < 1.0
+        assert len({r.fold_accuracies for r in reports}) > 1
+
+    def test_one_fit_and_one_vectorization_per_family_per_fold(self, resources, monkeypatch):
+        chunks, labels, plans = self._interleaved(resources)
+        fitted, vectorized = [], []
+        fit, vectorize = FeaturePlan.fit, svm.vectorize_chunks
+
+        def counting_fit(plan, train_chunks):
+            fitted.append(plan.families)
+            return fit(plan, train_chunks)
+
+        def counting_vectorize(chunks, spaces):
+            vectorized.append(tuple(space.family for space in spaces))
+            return vectorize(chunks, spaces)
+
+        monkeypatch.setattr(FeaturePlan, "fit", counting_fit)
+        monkeypatch.setattr(svm, "vectorize_chunks", counting_vectorize)
+        cross_validate(chunks, labels, plans, folds=4, seed=3, C=0.2)
+        assert len(fitted) == 4
+        assert all(sorted(families) == sorted(FAMILIES) for families in fitted)
+        assert sorted(vectorized) == sorted((family,) for family in FAMILIES * 4)
+
+    def test_no_plans_rejected(self):
+        chunks, labels = _variety_chunks(n_sentences=250, target=100)
+        with pytest.raises(ValueError, match="no feature plans"):
+            cross_validate(chunks, labels, [], folds=4, seed=3)
+
+    @pytest.mark.parametrize("field", ["resources", "top_pos3", "postok_min_count"])
+    def test_plans_that_cannot_share_a_fit_rejected(self, resources, field):
+        chunks, labels = _variety_chunks(n_sentences=250, target=100)
+        plan = FeaturePlan(families=(FW,), resources=resources)
+        other = {
+            "resources": replace(resources, function_words=WordList("fw", frozenset({"the"}))),
+            "top_pos3": 7,
+            "postok_min_count": 9,
+        }[field]
+        plans = [plan, replace(plan, families=(POS3,), **{field: other})]
+        with pytest.raises(ValueError, match=f"differ in {field}"):
+            cross_validate(chunks, labels, plans, folds=4, seed=3)
 
 
 class TestRankFeatures:
