@@ -23,6 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -103,7 +105,7 @@ class _TokenTable(dict):
         return token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     """An ordered token sequence with its variety label and speaker metadata.
 
@@ -252,6 +254,10 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
     return Corpus(sentences=tuple(sentences), provenance=str(path))
 
 
+# the scanner json.loads runs, called once per stripped line
+_scan_json = make_scanner(json.JSONDecoder())
+
+
 def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
     sentences = []
     table = _TokenTable()
@@ -260,10 +266,17 @@ def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSenten
             line = line.strip()
             if not line:
                 continue
+            # json.loads's errors: BOM first; a stripped line has no JSON whitespace
             try:
-                record = json.loads(line)
+                record, end = _scan_json(line, 0)
+            except StopIteration:
+                bom = line.startswith("\ufeff")
+                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else "Expecting value"
+                raise CorpusFormatError(f"invalid JSON: {msg}", line_no) from None
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
+            if end != len(line):
+                raise CorpusFormatError("invalid JSON: Extra data", line_no)
             sentences.append(
                 _sentence_from_record(record, line_no, default_variety, table)
             )
@@ -295,45 +308,27 @@ def _sentence_from_record(
             raise CorpusFormatError("no tokens survive raw-text tokenization", line_no)
     else:
         raise CorpusFormatError('record lacks a "tokens" or "text" field', line_no)
-
-    def _aligned(key: str) -> list | None:
-        value = record.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, list) or len(value) != len(surfaces):
-            raise CorpusFormatError(
-                f'"{key}" must be an array aligned with the tokens', line_no
-            )
-        if not _ENTRY_TYPES.issuperset(map(type, value)):
+    pos, lemma = record.get("pos"), record.get("lemma")
+    for key, value in (("pos", pos), ("lemma", lemma)):
+        if value is not None and (not isinstance(value, list) or len(value) != len(surfaces)):
+            raise CorpusFormatError(f'"{key}" must be an array aligned with the tokens', line_no)
+        if value is not None and not _ENTRY_TYPES.issuperset(map(type, value)):
             raise CorpusFormatError(f'"{key}" entries must be strings or null', line_no)
-        return value
-
-    pos = _aligned("pos")
-    lemma = _aligned("lemma")
-    for key in ("country", "family"):
-        if record.get(key) is not None and not isinstance(record[key], str):
+    country, family = record.get("country"), record.get("family")
+    for key, value in (("country", country), ("family", family)):
+        if value is not None and not isinstance(value, str):
             raise CorpusFormatError(f'"{key}" must be a string', line_no)
     variety = record.get("variety", default_variety)
     if variety not in VARIETY_LABELS:
         raise CorpusFormatError(f"unknown variety label {variety!r}", line_no)
+    triples = zip(surfaces, pos or repeat(None), lemma or repeat(None))
     try:
-        tokens = tuple(
-            map(
-                table.__getitem__,
-                zip(surfaces, pos or repeat(None), lemma or repeat(None)),
-            )
-        )
-        return AnnotatedSentence(
-            tokens=tokens,
-            variety=variety,
-            country=record.get("country"),
-            family=record.get("family"),
-        )
+        return AnnotatedSentence(tuple(map(table.__getitem__, triples)), variety, country, family)
     except ValueError as exc:
         raise CorpusFormatError(str(exc), line_no) from exc
 
 
-_VERTICAL_HEADERS = ("variety", "country", "family")
+_METADATA = ("variety", "country", "family")
 
 
 def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
@@ -375,7 +370,7 @@ def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSen
             if line.startswith("#"):
                 flush(line_no)
                 key, sep, value = line[1:].partition("=")
-                if not sep or key.strip() not in _VERTICAL_HEADERS:
+                if not sep or key.strip() not in _METADATA:
                     raise CorpusFormatError(f"unknown header {line!r}", line_no)
                 meta[key.strip()] = value.strip() or None
                 sentence_start_line = line_no + 1
@@ -393,23 +388,43 @@ def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSen
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:
-    """Serialize a corpus so that ``ingest`` reproduces it exactly."""
+    """Serialize a corpus so that ``ingest`` reproduces it exactly. Each line
+    is ``json.dumps(record, ensure_ascii=False)`` of the sentence's record."""
+    # each token object's fields as JSON, by id (the corpus keeps its tokens
+    # alive): ingest shares one object per distinct token, but a corpus built
+    # token by token has one per token, so a large cache is emptied
+    fragments: dict[int, tuple[str, str, str]] = {}
+    tails: dict[tuple, str] = {}
+    block: list[str] = []
     with open(path, "w", encoding="utf-8") as fh:
         for sent in corpus.sentences:
-            tokens = sent.tokens
-            pos = [t.pos for t in tokens]
-            lemma = [t.lemma for t in tokens]
-            record: dict = {"tokens": [t.surface for t in tokens]}
-            if pos.count(None) < len(pos):
-                record["pos"] = pos
-            if lemma.count(None) < len(lemma):
-                record["lemma"] = lemma
-            record["variety"] = sent.variety
-            if sent.country is not None:
-                record["country"] = sent.country
-            if sent.family is not None:
-                record["family"] = sent.family
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            encoded = list(map(fragments.get, map(id, sent.tokens)))
+            if None in encoded:
+                if len(fragments) > 65536:
+                    fragments.clear()
+                for i, token in enumerate(sent.tokens):
+                    if encoded[i] is None:
+                        encoded[i] = fragments[id(token)] = tuple(
+                            "null" if value is None else encode_basestring(value)
+                            for value in (token.surface, token.pos, token.lemma)
+                        )
+            surfaces, pos, lemma = zip(*encoded)
+            line = '{"tokens": [' + ", ".join(surfaces) + "]"
+            for key, values in (("pos", pos), ("lemma", lemma)):
+                if values.count("null") < len(values):
+                    line += f', "{key}": [{", ".join(values)}]'
+            meta = (sent.variety, sent.country, sent.family)
+            if meta not in tails:
+                tails[meta] = "".join(
+                    f', "{k}": {encode_basestring(v)}'
+                    for k, v in zip(_METADATA, meta) if v is not None
+                ) + "}\n"
+            block.append(line + tails[meta])
+            # one write per line costs more; one join at the end holds the file
+            if len(block) == 4096:
+                fh.write("".join(block))
+                block.clear()
+        fh.write("".join(block))
 
 
 # ---------------------------------------------------------------------------

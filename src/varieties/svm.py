@@ -310,7 +310,12 @@ def plan_matrices(
     spaces = {s.family: s for s in replace(plans[0], families=families).fit(fit_chunks)}
     blocks = {family: vectorize_chunks(chunks, [s]) for family, s in spaces.items()}
     return (
-        ([spaces[f] for f in plan.families], np.hstack([blocks[f] for f in plan.families]))
+        (
+            [spaces[f] for f in plan.families],
+            # a one-family plan's matrix is its block itself, not a copy
+            np.hstack([blocks[f] for f in plan.families])
+            if len(plan.families) > 1 else blocks[plan.families[0]],
+        )
         for plan in plans
     )
 

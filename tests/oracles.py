@@ -18,8 +18,11 @@ verify the production code, sharing none of its code paths.
   and vectorizing each fold's training and held-out chunks apart with the
   reference feature code; only fold dealing and the one-vs-one SVM are the
   package's own
+* reference_write_jsonl: canonical JSONL, one json.dumps of a record dict
+  per sentence
 """
 
+import json
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -478,3 +481,28 @@ def reference_cross_validate(chunks, labels, plan, folds, seed, C):
             hits += predicted == labels[i]
         accuracies.append(hits / len(test_idx))
     return tuple(accuracies), confusion, order
+
+
+# ---------------------------------------------------------------------------
+# canonical JSONL
+
+
+def reference_write_jsonl(corpus, path):
+    """One ``json.dumps(record, ensure_ascii=False)`` line per sentence; an
+    all-null ``pos`` or ``lemma`` array and a null country or family are
+    left out."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sent in corpus.sentences:
+            pos = [t.pos for t in sent.tokens]
+            lemma = [t.lemma for t in sent.tokens]
+            record = {"tokens": [t.surface for t in sent.tokens]}
+            if any(p is not None for p in pos):
+                record["pos"] = pos
+            if any(m is not None for m in lemma):
+                record["lemma"] = lemma
+            record["variety"] = sent.variety
+            if sent.country is not None:
+                record["country"] = sent.country
+            if sent.family is not None:
+                record["family"] = sent.family
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

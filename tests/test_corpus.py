@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
+from oracles import reference_write_jsonl
 from synthdata import lm_family_corpus
 from varieties.corpus import (
     AnnotatedSentence,
@@ -210,6 +211,56 @@ class TestIngestJsonl:
         with pytest.raises(CorpusFormatError, match="line 2"):
             ingest(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{nope", "invalid JSON: Expecting property name enclosed in double quotes"),
+            ('{"tokens":["a"]} x', "invalid JSON: Extra data"),
+            ("{}{}", "invalid JSON: Extra data"),
+            ("]", "invalid JSON: Expecting value"),
+            ('{"tokens":["a', "invalid JSON: Unterminated string starting at"),
+            ("5", "record is not a JSON object"),
+            ("[]", "record is not a JSON object"),
+        ],
+        ids=["bad-key", "trailing-word", "two-objects", "no-value", "truncated", "number", "array"],
+    )
+    def test_malformed_line_names_line_and_json_error(self, tmp_path, line, message):
+        """The message is what ``json.loads`` says about the stripped line."""
+        if message.startswith("invalid JSON: "):
+            with pytest.raises(json.JSONDecodeError) as loads_error:
+                json.loads(line)
+            assert message == f"invalid JSON: {loads_error.value.msg}"
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{{"tokens":["a"],"variety":"N"}}\n \t{line}\t \n')
+        with pytest.raises(CorpusFormatError) as error:
+            ingest(path)
+        assert str(error.value) == f"line 2: {message}"
+        assert error.value.line == 2
+
+    def test_bom_on_first_line_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"tokens":["a"],"variety":"N"}\n')
+        with pytest.raises(CorpusFormatError) as error:
+            ingest(path)
+        assert str(error.value) == (
+            "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
+
+    def test_padding_blank_lines_and_crlf(self, tmp_path):
+        records = ['{"tokens":["a"],"variety":"N"}', '{"tokens":["b"],"variety":"T"}']
+        lf = tmp_path / "lf.jsonl"
+        lf.write_text("\n".join(records) + "\n")
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text(
+            f"\n  \n\x0c{records[0]}\xa0\n\xa0\n\t\n\xa0{records[1]}\x0c\n\n"
+        )
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(("\r\n".join(records) + "\r\n").encode())
+        expected = ingest(lf).sentences
+        assert [s.variety for s in expected] == ["N", "T"]
+        assert ingest(padded).sentences == expected
+        assert ingest(crlf).sentences == expected
+
 
 class TestIngestVertical:
     def test_headers_and_sentences(self, tmp_path):
@@ -322,6 +373,77 @@ class TestInterning:
             if started:
                 tracemalloc.stop()
         assert held / back.token_count < 100
+
+
+def _sentence(tokens, **meta):
+    return AnnotatedSentence(
+        tokens=tuple(Token(*fields) for fields in tokens), variety="N", **meta
+    )
+
+
+class TestWriteJsonl:
+    @pytest.mark.parametrize(
+        "sentences",
+        [
+            [_sentence([('"q"', None, None), ("back\\slash", "X\\", '"')])],
+            [_sentence([("nul\x00", "\x00", None), ("del\x7f", None, "\x7f")])],
+            [_sentence([("é", "ADJ", "été"), ("\U0001d518", None, "a\u2028b")])],
+            [
+                _sentence([("a", "DT", None), ("b", None, None)]),
+                _sentence([("a", None, None), ("b", None, "b")]),
+                _sentence([("a", None, None)]),
+                _sentence([("a", "DT", "a")]),
+            ],
+            [
+                _sentence([("ja", None, None)], country="DE"),
+                _sentence([("ja", None, None)], family="Romance"),
+                _sentence([("ja", None, None)], country="GB", family="Other"),
+                _sentence([("ja", None, None)]),
+            ],
+        ],
+        ids=["quotes-backslashes", "control", "non-ascii", "null-pos-lemma", "country-family"],
+    )
+    def test_bytes_equal_one_json_dumps_per_line(self, tmp_path, sentences):
+        corpus = make_corpus(sentences)
+        write_jsonl(corpus, tmp_path / "out.jsonl")
+        reference_write_jsonl(corpus, tmp_path / "ref.jsonl")
+        written = (tmp_path / "out.jsonl").read_bytes()
+        assert written == (tmp_path / "ref.jsonl").read_bytes()
+        assert ingest(tmp_path / "out.jsonl").sentences == corpus.sentences
+
+    def test_long_corpus_bytes_equal_the_reference(self, tmp_path):
+        # more lines than one write block, from one token object per token
+        # (more than the writer's cache keeps) and, read back, from one per
+        # distinct token
+        corpus = lm_family_corpus("T", "Romance", 7000, seed=3)
+        assert corpus.token_count > 65536
+        reference_write_jsonl(corpus, tmp_path / "ref.jsonl")
+        expected = (tmp_path / "ref.jsonl").read_bytes()
+        write_jsonl(corpus, tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == expected
+        write_jsonl(ingest(tmp_path / "ref.jsonl"), tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == expected
+
+    def test_write_peak_is_a_small_share_of_the_file(self, tmp_path):
+        # 40,000 lines at about 22 B per token: a writer holding the whole
+        # text (one join at the end) peaks above that, one in blocks of a
+        # few thousand lines near 8
+        path = tmp_path / "c.jsonl"
+        write_jsonl(lm_family_corpus("T", "Germanic", 1000, seed=0), path)
+        corpus = Corpus(sentences=ingest(path).sentences * 40)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_jsonl(corpus, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert path.stat().st_size / corpus.token_count > 20
+        assert peak / corpus.token_count < 12
 
 
 class TestRoundTrip:
