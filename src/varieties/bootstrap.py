@@ -38,7 +38,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .corpus import Corpus
+from .corpus import Corpus, concat
 
 MetricFn = Callable[[Corpus], float]
 
@@ -249,18 +249,14 @@ class _CorpusSample:
     ``fm`` of each original corpus."""
 
     def __init__(self, fm: MetricFn, corpora: Sequence[Corpus]):
-        self.sentences = tuple(s for c in corpora for s in c.sentences)
-        self.tokens = np.array([s.token_count for s in self.sentences])
+        self.pooled = concat(corpora, provenance="bootstrap-sample")
+        self.tokens = np.diff(self.pooled.columns.ptr)
         self.bounds = tuple(accumulate(map(len, corpora), initial=0))
         self.observed = [[fm(c)] for c in corpora]
         self.fm = fm
 
     def values(self, indices: np.ndarray) -> tuple[float]:
-        sample = Corpus(
-            sentences=tuple(self.sentences[i] for i in indices),
-            provenance="bootstrap-sample",
-        )
-        return (self.fm(sample),)
+        return (self.fm(self.pooled.take(indices)),)
 
 
 def test_d_total(

@@ -8,9 +8,10 @@ shuffled, filtered and down-sampled to equal class sizes. Every randomised
 operation takes an explicit seed and is reproducible.
 
 This module is the only reader of token fields: other modules see sentence
-content through ``AnnotatedSentence.surfaces()``/``lemmas()`` and
-``Corpus.tags()``, the one validated reader of POS tags. ``KeyCounts`` is the
-one table of key counts per row (chunk feature keys, sentence lemmas/idioms).
+content through ``AnnotatedSentence.surfaces()``, ``Corpus.tags()``, the one
+validated reader of POS tags, and ``Corpus.columns``, the corpus's tokens as
+interned id arrays. ``KeyCounts`` is the one table of
+key counts per row (chunk feature keys, sentence lemmas/idioms).
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import random
 import string
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +86,8 @@ class Token:
         if self.lemma is not None and self.lemma.lower() != self.lemma:
             object.__setattr__(self, "lemma", self.lemma.lower())
 
-    @cached_property
+    @property
     def lemma_or_surface(self) -> str:
-        # cached: tokens are shared per distinct triple, and a plain attribute
-        # read is cheaper than a property call on the metrics hot path
         return self.lemma if self.lemma is not None else self.surface
 
 
@@ -142,9 +141,64 @@ class AnnotatedSentence:
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
-    def lemmas(self) -> list[str]:
-        """Lemmas; a token without one gives its surface."""
-        return [t.lemma_or_surface for t in self.tokens]
+
+def _untagged(sentence: int, position: int, surface: str) -> UntaggedTokenError:
+    return UntaggedTokenError(
+        f"untagged token: sentence {sentence}, token {position} "
+        f"{surface!r} is missing its POS tag"
+    )
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In CSR offsets ``ptr`` (row r is entries ``ptr[r]:ptr[r + 1]``): the
+    length of each of ``rows`` (in any order, repeats allowed), then the
+    positions of their entries, row after row."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return lengths, at + np.arange(len(at))
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A corpus's tokens as interned ids, in ``KeyCounts``' CSR layout:
+    sentence s is tokens ``ptr[s]:ptr[s + 1]``. Each vocabulary is sorted, so
+    ids sort like their strings; it holds the values that occur, and only
+    those unless the corpus was made by ``Corpus.take``. The id arrays are
+    int32, one entry per token. A token without a POS tag has POS id -1; a
+    token's lemma is its ``lemma_or_surface``."""
+
+    surface_vocab: tuple[str, ...]
+    pos_vocab: tuple[str, ...]
+    lemma_vocab: tuple[str, ...]
+    surface_ids: np.ndarray
+    pos_ids: np.ndarray
+    lemma_ids: np.ndarray
+    ptr: np.ndarray
+
+    def take(self, rows: np.ndarray) -> Columns:
+        """The sentences at ``rows``, sharing these vocabularies."""
+        lengths, at = _gather(self.ptr, rows)
+        return replace(
+            self,
+            surface_ids=self.surface_ids[at],
+            pos_ids=self.pos_ids[at],
+            lemma_ids=self.lemma_ids[at],
+            ptr=np.concatenate(([0], np.cumsum(lengths))),
+        )
+
+    def check_tagged(self, starts: Sequence[int] = (0,)) -> None:
+        """Raise ``UntaggedTokenError`` at the first token without a POS tag,
+        as ``Corpus.tags`` does. ``starts`` are the first sentences of the
+        corpora laid end to end here (one corpus by default); the error
+        counts the sentence from its corpus's start."""
+        untagged = np.flatnonzero(self.pos_ids < 0)
+        if len(untagged):
+            at = int(untagged[0])
+            row = int(np.searchsorted(self.ptr, at, side="right")) - 1
+            first = max(start for start in starts if start <= row)
+            surface = self.surface_vocab[self.surface_ids[at]]
+            raise _untagged(row - first, at - int(self.ptr[row]), surface)
 
 
 @dataclass(frozen=True)
@@ -176,12 +230,44 @@ class Corpus:
             tags = [t.pos for t in sent.tokens]
             if None in tags:
                 t_idx = tags.index(None)
-                raise UntaggedTokenError(
-                    f"untagged token: sentence {s_idx}, token {t_idx} "
-                    f"{sent.tokens[t_idx].surface!r} is missing its POS tag"
-                )
+                raise _untagged(s_idx, t_idx, sent.tokens[t_idx].surface)
             out.append(tags)
         return out
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The tokens as interned id arrays."""
+        lengths = np.fromiter((len(s.tokens) for s in self.sentences), np.int64, len(self))
+
+        def tokens() -> Iterator[Token]:
+            return chain.from_iterable(s.tokens for s in self.sentences)
+
+        # fields are read once per token object (ingest shares one object per
+        # distinct token); dicts keyed by id keep the pass at 4 B per token
+        distinct = dict(zip(map(id, tokens()), tokens()))
+        index = dict(zip(distinct, range(len(distinct))))
+        token_ids = np.fromiter(map(index.__getitem__, map(id, tokens())), np.int32, int(lengths.sum()))
+        vocabs, ids = [], []
+        for values in (
+            [t.surface for t in distinct.values()],
+            [t.pos for t in distinct.values()],
+            [t.lemma_or_surface for t in distinct.values()],
+        ):
+            vocab = sorted(set(values) - {None})
+            code = dict(zip(vocab, range(len(vocab))))
+            code[None] = -1
+            vocabs.append(tuple(vocab))
+            ids.append(np.fromiter(map(code.__getitem__, values), np.int32, len(values))[token_ids])
+        return Columns(*vocabs, *ids, np.concatenate(([0], np.cumsum(lengths))))
+
+    def take(self, rows: np.ndarray) -> Corpus:
+        """The sentences at ``rows`` (indices, repeats allowed) as a corpus
+        of the same provenance, whose columns are gathered from these."""
+        taken = Corpus(tuple(map(self.sentences.__getitem__, rows.tolist())), self.provenance)
+        # filled as the cached property would be: a gather costs less than a
+        # pass over the taken tokens
+        taken.__dict__["columns"] = self.columns.take(rows)
+        return taken
 
     def varieties(self) -> set[str]:
         return {s.variety for s in self.sentences}
@@ -221,15 +307,38 @@ class KeyCounts:
         self.count = np.frombuffer(counts, np.intc)
         self.ptr = np.frombuffer(ptr, np.int64)
 
+    @classmethod
+    def from_pairs(
+        cls, rows: np.ndarray, ids: np.ndarray, keys: Sequence[str], n_rows: int
+    ) -> KeyCounts:
+        """Count (row, key id) pairs, ``rows[i]`` holding key ``keys[ids[i]]``
+        once, for rows ``0:n_rows``. Ids of equal keys count as one key."""
+        table = cls.__new__(cls)
+        observed = np.unique(ids).tolist()
+        table.keys = sorted({keys[i] for i in observed})
+        table.column = {key: i for i, key in enumerate(table.keys)}
+        width = max(len(table.keys), 1)
+        to_column = np.zeros(len(keys), dtype=np.intc)
+        to_column[observed] = [table.column[keys[i]] for i in observed]
+        pairs = np.multiply(rows, width, dtype=np.int64)
+        pairs += to_column[ids]
+        # np.unique's counts without its copy of the pairs, which are as
+        # long as a corpus is: sort in place, then find the last pair of each
+        # run of equal ones
+        pairs.sort()
+        last = np.flatnonzero(np.append(pairs[1:] != pairs[:-1], len(pairs) > 0))
+        table.count = np.diff(last, prepend=-1).astype(np.intc)
+        pairs = pairs[last]
+        table.col = (pairs % width).astype(np.intc)
+        table.ptr = np.searchsorted(pairs, np.arange(n_rows + 1) * width).astype(np.int64)
+        return table
+
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entries of ``rows`` (row indices, in any order, repeats
         allowed): each row's entry count, then the entries' positions in
         ``col`` and ``count``, row after row. Costs only those rows'
         entries; the caller reads only the arrays it needs at them."""
-        starts = self.ptr[rows]
-        lengths = self.ptr[rows + 1] - starts
-        at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return lengths, at + np.arange(len(at))
+        return _gather(self.ptr, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ Families:
   COH     cohesive-marker frequencies
 
 A chunk is a ``Corpus``; the counters read it only through its sentences'
-``surfaces()`` and the corpus's validated ``tags()``, which raises
-``UntaggedTokenError`` on the first untagged token. A stage counts each family
-once over all its chunks into one ``corpus.KeyCounts`` (ChunkCounts); tasks
+``surfaces()``, the corpus's validated ``tags()``, which raises
+``UntaggedTokenError`` on the first untagged token, and, for COH, the
+``columns`` of all chunks laid end to end, matched against the markers in one
+``match_phrases`` call. A stage counts each family once over all its chunks
+into one ``corpus.KeyCounts`` (ChunkCounts); tasks
 and folds are views that gather only their rows. Data-dependent vocabularies
 (top-k trigrams, positional pairs) are selected from column totals over
 training rows only and carried around as FeatureSpace objects; vectorization
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, KeyCounts
+from .corpus import Corpus, KeyCounts, concat
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -99,10 +101,16 @@ def _postok_counts(chunk: Corpus) -> Iterator[str]:
             yield f"{position}:{word}"
 
 
-def _coh_counts(chunk: Corpus, markers: PhraseList) -> Iterator[str]:
-    for sent in chunk.sentences:
-        for entry, _start in match_phrases(sent.surfaces(), markers):
-            yield entry.text
+def _coh_table(chunks: list[Corpus], markers: PhraseList) -> KeyCounts:
+    """Each chunk's marker matches, from one match over every chunk's
+    sentences."""
+    columns = concat(chunks).columns
+    sentence, entry, _start = match_phrases(
+        columns.surface_ids, columns.ptr, columns.surface_vocab, markers
+    )
+    chunk_of = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
+    texts = [e.text for e in markers]
+    return KeyCounts.from_pairs(chunk_of[sentence], entry, texts, len(chunks))
 
 
 class ChunkCounts:
@@ -138,15 +146,15 @@ class ChunkCounts:
         family = space.family
         key = family if family in (POS3, POSTOK) else (family, space.keys)
         if key not in self._tables:
-            if family == FW:
+            if family == COH:
+                table = _coh_table(self._chunks, space.phrases)
+            elif family == FW:
                 words = frozenset(space.keys)
-                rows = (_fw_counts(c, words) for c in self._chunks)
-            elif family == COH:
-                rows = (_coh_counts(c, space.phrases) for c in self._chunks)
+                table = KeyCounts(_fw_counts(c, words) for c in self._chunks)
             else:
                 count = _pos3_counts if family == POS3 else _postok_counts
-                rows = (count(c) for c in self._chunks)
-            self._tables[key] = KeyCounts(rows)
+                table = KeyCounts(count(c) for c in self._chunks)
+            self._tables[key] = table
         return self._tables[key]
 
     def totals(self, family: str) -> tuple[list[str], np.ndarray]:

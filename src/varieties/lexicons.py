@@ -5,6 +5,14 @@ files (function words, cohesive markers, idiomatic expressions, a ranked
 word-frequency list and the closed POS tagset), wired together through a
 small JSON manifest so lists can be swapped without code changes. The
 package ships best-effort default lists under ``varieties/resources``.
+
+``match_phrases`` is the one phrase matcher. It takes many sentences at once
+as word ids into a vocabulary (the layout of ``Corpus.columns``) and finds
+every sentence's greedy longest-first matches with array operations: per
+phrase length n, each position whose first n words spell a phrase prefix is
+looked up among the list's exact n-word prefix keys, so the longest phrase
+starting at each position is known before one left-to-right pass over those
+candidates drops the ones that overlap an earlier match.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ResourceError
 
@@ -62,9 +72,43 @@ class PhraseList:
         return PhraseList(name=f"{self.name}[{category}]", entries=kept)
 
     @cached_property
+    def _index(self) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np.ndarray]]]:
+        """The phrases' distinct words, sorted, and per phrase length n = 1,
+        2, ...: the sorted keys of the distinct n-word phrase prefixes, and
+        the index in ``entries`` of the phrase each key spells in full (the
+        first in list order among entries with equal tokens), -1 if none. A
+        key is p * len(words) + the last word's index, where p is the index
+        of its first n - 1 words among the keys of length n - 1 (0 at n = 1),
+        so keys stay below len(entries) * len(words) at any phrase length.
+        Built once per list for ``match_phrases``."""
+        words = sorted({word for entry in self.entries for word in entry.tokens})
+        code = {word: i for i, word in enumerate(words)}
+        lengths = np.array([len(entry.tokens) for entry in self.entries], dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        # one row of word indices per entry, zero-padded
+        table = np.array(
+            [[code[word] for word in entry.tokens] + [0] * (width - len(entry.tokens))
+             for entry in self.entries],
+            dtype=np.int64,
+        ).reshape(len(self.entries), width)
+        prefix = np.zeros(len(self.entries), dtype=np.int64)
+        levels = []
+        for n in range(1, width + 1):
+            rows = np.flatnonzero(lengths >= n)
+            keys, prefix[rows] = np.unique(
+                prefix[rows] * len(words) + table[rows, n - 1], return_inverse=True
+            )
+            ending = rows[lengths[rows] == n]
+            spelled_keys, first = np.unique(prefix[ending], return_index=True)
+            spelled = np.full(len(keys), -1, dtype=np.int64)
+            spelled[spelled_keys] = ending[first]
+            levels.append((keys, spelled))
+        return tuple(words), levels
+
+    @cached_property
     def by_first(self) -> dict[str, tuple[PhraseEntry, ...]]:
         """Entries keyed by their first token, longest first (ties in token
-        order), built once per list for ``match_phrases``."""
+        order, then in list order)."""
         grouped: dict[str, list[PhraseEntry]] = {}
         for entry in self.entries:
             grouped.setdefault(entry.tokens[0], []).append(entry)
@@ -189,31 +233,57 @@ def load_tag_set(path: str | Path) -> TagSet:
 
 
 def match_phrases(
-    tokens: Sequence[str], phrases: PhraseList
-) -> list[tuple[PhraseEntry, int]]:
-    """Case-insensitive exact token-sequence matches, greedy longest-first.
+    ids: np.ndarray, ptr: np.ndarray, vocab: Sequence[str], phrases: PhraseList
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case-insensitive exact token-sequence matches in many sentences,
+    greedy longest-first: sentence s is the words ``vocab[ids[i]]`` for i in
+    ``ptr[s]:ptr[s + 1]``.
 
-    At each position the longest matching phrase wins and scanning resumes
-    past it, so reported spans never overlap.
+    Scanning a sentence left to right, at each position the longest phrase
+    that matches there wins, and scanning resumes past it, so matches never
+    overlap and never span two sentences. Among entries with equal tokens
+    the first in list order wins. Returns the matches in sentence and
+    position order as three int arrays: each match's sentence, its entry's
+    index in ``phrases.entries`` and its start within the sentence.
     """
-    lowered = [t.lower() for t in tokens]
-    by_first = phrases.by_first
-    matches: list[tuple[PhraseEntry, int]] = []
-    i = 0
-    n = len(lowered)
-    while i < n:
-        hit = None
-        for entry in by_first.get(lowered[i], ()):
-            width = len(entry.tokens)
-            if i + width <= n and tuple(lowered[i : i + width]) == entry.tokens:
-                hit = entry
-                break
-        if hit is None:
-            i += 1
-        else:
-            matches.append((hit, i))
-            i += len(hit.tokens)
-    return matches
+    ptr = np.asarray(ptr)
+    words, levels = phrases._index
+    code = {word: i for i, word in enumerate(words)}
+    word_of = np.array([code.get(w.lower(), -1) for w in vocab], dtype=np.int32)
+    word = word_of[ids]
+    # candidate starts (positions holding a phrase's first word, a key of
+    # length 1), the end of each one's sentence, and the entry and length of
+    # the longest phrase there
+    first_words = levels[0][0] if levels else []
+    start = np.flatnonzero(np.isin(word_of, first_words)[ids])
+    end = ptr[np.searchsorted(ptr, start, side="right")]
+    entry = np.full(len(start), -1)
+    length = np.zeros(len(start), dtype=np.int64)
+    # the candidates whose first n words spell a phrase prefix, and that
+    # prefix's index among the keys of length n
+    alive = np.arange(len(start))
+    prefix = np.zeros(len(start), dtype=np.int64)
+    for n, (keys, spelled) in enumerate(levels, start=1):
+        last = start[alive] + n - 1
+        inside = last < end[alive]
+        alive, prefix, last = alive[inside], prefix[inside], last[inside]
+        query = prefix * len(words) + word[last]
+        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        known = (keys[found] == query) & (word[last] >= 0)
+        alive, prefix = alive[known], found[known]
+        full = spelled[prefix] >= 0
+        entry[alive[full]] = spelled[prefix[full]]
+        length[alive[full]] = n
+    hits = np.flatnonzero(entry >= 0)
+    kept = []
+    resume = 0
+    for i, at, n in zip(hits.tolist(), start[hits].tolist(), length[hits].tolist()):
+        if at >= resume:
+            kept.append(i)
+            resume = at + n
+    at = start[kept]
+    sentence = np.searchsorted(ptr, at, side="right") - 1
+    return sentence, entry[kept], at - ptr[sentence]
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,22 @@ Each metric maps a corpus to a nonnegative scalar:
 
 Every metric is an aggregate of per-sentence quantities: pronoun, transition
 and rank counts are sums over sentences, TTR and collocation types count the
-distinct lemmas or idioms of the sentences. ``SentenceStats`` counts them
-once, for N, NN and T laid end to end in one table, with each sentence's
-lemmas and idioms as a row of a ``corpus.KeyCounts`` table; each corpus is a
-range of its rows. It evaluates all five metrics on any draw of rows from
-one multiplicity vector (how often each row was drawn): exact integer
-products give the sums, the columns gathered from its nonzero rows the
-distinct lemmas and idioms. The metrics stage computes the observed values
-and every bootstrap resample that way. The five corpus functions (``ttr``
-... ``pronouns``) read the same counting helpers and give one metric of one
-corpus, for ``bootstrap.test_d_total``/``test_d_dif`` and library use.
+distinct lemmas or idioms of the sentences. All of them are counted on a
+corpus's interned token columns (``Corpus.columns``), the module's only view
+of sentence content: a per-token quantity is a per-vocabulary value indexed
+by the token ids, and idioms and transition markers are matched by one batch
+``match_phrases`` call over all sentences. ``SentenceStats`` counts them once,
+for N, NN and T laid end to end in one table: ``np.add.reduceat`` over the
+sentence offsets gives each sentence's counts, and each sentence's lemmas and
+idioms are a row of a ``corpus.KeyCounts`` table built from (sentence, id)
+pairs; each corpus is a range of its rows. It evaluates all five metrics on
+any draw of rows from one multiplicity vector (how often each row was
+drawn): exact integer products give the sums, the columns gathered from its
+nonzero rows the distinct lemmas and idioms. The metrics stage computes the
+observed values and every bootstrap resample that way. The five corpus
+functions (``ttr`` ... ``pronouns``) sum the same per-vocabulary tables and
+matches over a whole corpus and give one metric of one corpus, for
+``bootstrap.test_d_total``/``test_d_dif`` and library use.
 
 Metric triples over (N, T, NN) corpora are compared after dividing each
 value by the triple's sum, which makes them scale-invariant.
@@ -29,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, KeyCounts
+from .corpus import Columns, Corpus, KeyCounts, concat
 from .lexicons import PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
@@ -80,38 +86,42 @@ class SizeCheck:
 
 
 # ---------------------------------------------------------------------------
-# counting: the one counting path behind each metric, read by the corpus
-# functions (over a corpus's whole token stream) and by SentenceStats (per
-# sentence)
+# counting: per-vocabulary tables and phrase matches on a corpus's columns,
+# the one counting path behind each metric, summed over a corpus by the
+# corpus functions and per sentence by SentenceStats
 
 
-def _rank_counts(
-    surfaces: Iterable[str], ranks: RankList, fw: WordList
-) -> tuple[int, int]:
-    """(rank sum, ranked-token count) over tokens that are neither function
-    words nor missing from the rank list."""
-    total = 0
-    included = 0
-    for surface in surfaces:
-        if surface in fw:
-            continue
-        rank = ranks.rank(surface)
-        if rank is None:
-            continue
-        total += rank
-        included += 1
-    return total, included
+def _rank_tables(
+    columns: Columns, ranks: RankList, fw: WordList
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per surface: its frequency rank and whether it is ranked, that is
+    neither a function word nor missing from the rank list (an unranked
+    surface has rank 0)."""
+    words = columns.surface_vocab
+    ranked = np.array([w not in fw and w in ranks for w in words], dtype=np.int64)
+    rank = np.array([ranks.rank(w) if r else 0 for w, r in zip(words, ranked)], dtype=np.int64)
+    return rank, ranked
 
 
-def _matched_texts(surfaces: list[str], phrases: PhraseList) -> tuple[str, ...]:
-    """Texts of a sentence's phrase matches, in order (phrases never span
-    sentences); a tuple, so the many sentences without a match share the
-    one empty tuple."""
-    return tuple([entry.text for entry, _ in match_phrases(surfaces, phrases)])
+def _pronoun_table(columns: Columns, starts: Sequence[int] = (0,)) -> np.ndarray:
+    """Per POS tag: 1 for PRP / PRP$, else 0; raises on the first token that
+    lacks a POS tag (``Columns.check_tagged``)."""
+    columns.check_tagged(starts)
+    return np.array([t in _PRONOUN_TAGS for t in columns.pos_vocab], dtype=np.int64)
 
 
-def _pronoun_count(tags: list[str]) -> int:
-    return sum(map(_PRONOUN_TAGS.__contains__, tags))
+def _total(table: np.ndarray, ids: np.ndarray) -> int:
+    """A per-vocabulary table summed over the tokens ``ids``."""
+    return int(np.bincount(ids, minlength=len(table)) @ table)
+
+
+def _matches(columns: Columns, phrases: PhraseList) -> tuple[np.ndarray, np.ndarray]:
+    """The sentence and entry index of each phrase match, in order (phrases
+    never span sentences)."""
+    sentence, entry, _start = match_phrases(
+        columns.surface_ids, columns.ptr, columns.surface_vocab, phrases
+    )
+    return sentence, entry
 
 
 def _check_markers(markers: PhraseList) -> None:
@@ -160,38 +170,41 @@ def _pronoun_value(hits: int, tokens: int) -> MetricValue:
 def ttr(corpus: Corpus) -> MetricValue:
     """Distinct (lemmatized) tokens over total tokens; lemma falls back to
     the lowercased surface."""
-    lemmas = {lemma for sent in corpus.sentences for lemma in sent.lemmas()}
-    return _ttr_value(len(lemmas), corpus.token_count)
+    lemma_ids = corpus.columns.lemma_ids
+    return _ttr_value(len(np.unique(lemma_ids)), len(lemma_ids))
 
 
 def mean_word_rank(corpus: Corpus, ranks: RankList, fw: WordList) -> MetricValue:
     """Mean frequency rank over tokens that are neither function words nor
     missing from the rank list; excluded tokens leave both numerator and
     denominator."""
-    surfaces = (surface for sent in corpus.sentences for surface in sent.surfaces())
-    return _rank_value(*_rank_counts(surfaces, ranks, fw))
+    columns = corpus.columns
+    rank, ranked = _rank_tables(columns, ranks, fw)
+    ids = columns.surface_ids
+    return _rank_value(_total(rank, ids), _total(ranked, ids))
 
 
 def collocation_types(corpus: Corpus, idioms: PhraseList) -> MetricValue:
     """Number of distinct idiom types with at least one match."""
-    types = {
-        text for sent in corpus.sentences for text in _matched_texts(sent.surfaces(), idioms)
-    }
-    return _collocation_value(len(types), corpus.token_count)
+    columns = corpus.columns
+    _sentence, entry = _matches(columns, idioms)
+    return _collocation_value(len(np.unique(entry)), len(columns.surface_ids))
 
 
 def transitions(corpus: Corpus, markers: PhraseList) -> MetricValue:
     """Sentence-transition matches per token."""
     _check_markers(markers)
-    hits = sum(len(_matched_texts(sent.surfaces(), markers)) for sent in corpus.sentences)
-    return _transition_value(hits, corpus.token_count)
+    columns = corpus.columns
+    sentence, _entry = _matches(columns, markers)
+    return _transition_value(len(sentence), len(columns.surface_ids))
 
 
 def pronouns(corpus: Corpus) -> MetricValue:
     """Personal + possessive pronouns (PRP, PRP$) per token; requires POS
     tags on every token."""
-    hits = sum(map(_pronoun_count, corpus.tags()))
-    return _pronoun_value(hits, corpus.token_count)
+    columns = corpus.columns
+    hits = _total(_pronoun_table(columns), columns.pos_ids)
+    return _pronoun_value(hits, len(columns.pos_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +232,42 @@ class SentenceStats:
 
     @classmethod
     def of(cls, corpora: Sequence[Corpus], resources: Resources) -> "SentenceStats":
-        """Count every sentence of ``corpora``, in order; raises on the
-        first token that lacks a POS tag, naming its sentence within its
-        corpus, as ``pronouns`` does."""
+        """Count every sentence of ``corpora``, in order, on the columns of
+        the corpora laid end to end; raises on the first token that lacks a
+        POS tag, naming its sentence within its corpus, as ``pronouns``
+        does."""
         markers = resources.sentence_transitions()
         _check_markers(markers)
-        counts = []
-        idioms = []
-        for corpus in corpora:
-            for sent, tags in zip(corpus.sentences, corpus.tags()):
-                surfaces = sent.surfaces()
-                rank_sum, ranked = _rank_counts(
-                    surfaces, resources.word_ranks, resources.function_words
-                )
-                transition_hits = len(_matched_texts(surfaces, markers))
-                counts.append(
-                    (sent.token_count, _pronoun_count(tags), rank_sum, ranked, transition_hits)
-                )
-                idioms.append(_matched_texts(surfaces, resources.idioms))
+        bounds = tuple(accumulate(map(len, corpora), initial=0))
+        columns = concat(corpora).columns
+        pronoun = _pronoun_table(columns, bounds)
+        rank, ranked = _rank_tables(columns, resources.word_ranks, resources.function_words)
+        transition_rows, _entry = _matches(columns, markers)
+        idiom_rows, idiom_entries = _matches(columns, resources.idioms)
+        rows = len(columns.ptr) - 1
+        starts = columns.ptr[:-1]
+        counts = np.stack(
+            [
+                np.diff(columns.ptr),
+                np.add.reduceat(pronoun[columns.pos_ids], starts),
+                np.add.reduceat(rank[columns.surface_ids], starts),
+                np.add.reduceat(ranked[columns.surface_ids], starts),
+                np.bincount(transition_rows, minlength=rows),
+            ]
+        )
+        lemma_ids, lemma_vocab = columns.lemma_ids, columns.lemma_vocab
+        # free the surface and POS ids before the lemma pairs, which set the
+        # memory peak
+        del columns
         return cls(
-            counts=np.array(counts, dtype=np.int64).reshape(-1, 5).T.copy(),
-            bounds=tuple(accumulate(map(len, corpora), initial=0)),
-            lemmas=KeyCounts(sent.lemmas() for c in corpora for sent in c.sentences),
-            idioms=KeyCounts(idioms),
+            counts=counts,
+            bounds=bounds,
+            lemmas=KeyCounts.from_pairs(
+                np.repeat(np.arange(rows, dtype=np.int32), counts[0]), lemma_ids, lemma_vocab, rows
+            ),
+            idioms=KeyCounts.from_pairs(
+                idiom_rows, idiom_entries, [e.text for e in resources.idioms], rows
+            ),
         )
 
     @property

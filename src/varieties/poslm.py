@@ -258,7 +258,15 @@ def _count_ngrams(
     for n in range(1, order + 1):
         starts = len(ids) - n + 1
         keys = prefix[:starts] * len(symbols) + ids[n - 1 :]
-        if n < order:
+        bound = len(levels[-1][0]) * len(symbols)
+        if bound <= starts:
+            # every key lies below the bound: a counting sort, in linear time
+            counts = np.bincount(keys, minlength=bound)
+            if n < order:
+                prefix[:starts] = (np.cumsum(counts > 0) - 1)[keys]
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+        elif n < order:
             keys, inverse, counts = np.unique(
                 keys, return_inverse=True, return_counts=True
             )

@@ -20,6 +20,11 @@ verify the production code, sharing none of its code paths.
   package's own
 * reference_write_jsonl: canonical JSONL, one json.dumps of a record dict
   per sentence
+* reference_match_phrases: greedy longest-first phrase matching in one
+  sentence, a loop over its positions and the entries that start with each
+  word
+* reference_sentence_counts: the per-sentence metric quantities from token
+  fields, one loop per sentence
 """
 
 import json
@@ -506,3 +511,63 @@ def reference_write_jsonl(corpus, path):
             if sent.family is not None:
                 record["family"] = sent.family
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# phrase matching and per-sentence metric counts, one sentence at a time
+
+
+def reference_match_phrases(tokens, phrases):
+    """(entry, start) pairs of one sentence: at each position the longest
+    entry whose tokens follow (ties: token order, then list order) wins and
+    scanning resumes past it."""
+    by_first = {}
+    for entry in phrases.entries:
+        by_first.setdefault(entry.tokens[0], []).append(entry)
+    for candidates in by_first.values():
+        candidates.sort(key=lambda e: (-len(e.tokens), e.tokens))
+    lowered = [t.lower() for t in tokens]
+    matches = []
+    i = 0
+    n = len(lowered)
+    while i < n:
+        hit = None
+        for entry in by_first.get(lowered[i], ()):
+            width = len(entry.tokens)
+            if i + width <= n and tuple(lowered[i : i + width]) == entry.tokens:
+                hit = entry
+                break
+        if hit is None:
+            i += 1
+        else:
+            matches.append((hit, i))
+            i += len(hit.tokens)
+    return matches
+
+
+PRONOUN_TAGS = ("PRP", "PRP$")
+
+
+def reference_sentence_counts(corpora, resources):
+    """Per sentence of ``corpora`` laid end to end: (tokens, pronouns, rank
+    sum, ranked tokens, transitions), its lemmas and its idiom match texts."""
+    markers = [e for e in resources.cohesive_markers.entries if e.category == "sentence_transition"]
+    markers = SimpleNamespace(entries=tuple(markers))
+    counts, lemmas, idioms = [], [], []
+    for corpus in corpora:
+        for sent in corpus.sentences:
+            surfaces = [t.surface for t in sent.tokens]
+            rank_sum = ranked = 0
+            for surface in surfaces:
+                rank = resources.word_ranks.ranks.get(surface)
+                if surface not in resources.function_words.entries and rank is not None:
+                    rank_sum += rank
+                    ranked += 1
+            pronouns = sum(t.pos in PRONOUN_TAGS for t in sent.tokens)
+            transitions = len(reference_match_phrases(surfaces, markers))
+            counts.append((len(surfaces), pronouns, rank_sum, ranked, transitions))
+            lemmas.append([t.lemma if t.lemma is not None else t.surface for t in sent.tokens])
+            idioms.append(
+                [e.text for e, _ in reference_match_phrases(surfaces, resources.idioms)]
+            )
+    return counts, lemmas, idioms

@@ -92,7 +92,8 @@ class TestAnnotatedSentence:
     def test_surfaces_and_lemmas(self):
         sent = make_sentence(["She", "ran", "home"], lemma=["she", "run", None])
         assert sent.surfaces() == ["she", "ran", "home"]
-        assert sent.lemmas() == ["she", "run", "home"]
+        columns = make_corpus([sent]).columns
+        assert [columns.lemma_vocab[i] for i in columns.lemma_ids] == ["she", "run", "home"]
 
 
 class TestTags:
@@ -670,3 +671,113 @@ def test_key_counts_rows_and_gathers_equal_a_counter_per_row():
         assert counters(lengths, col, count) == expected
         distinct = set().union(*(rows[r] for r in chosen))
         assert np.count_nonzero(np.bincount(col)) == len(distinct)
+
+
+def key_count_rows(table):
+    return [
+        Counter({table.keys[c]: int(n) for c, n in zip(table.col[a:b], table.count[a:b])})
+        for a, b in zip(table.ptr, table.ptr[1:])
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_counts_from_pairs_equal_the_string_rows(seed):
+    rng = random.Random(seed)
+    rows = [
+        [rng.choice("pqrstuvw") + "x" * rng.randrange(2) for _ in range(rng.randrange(8))]
+        for _ in range(rng.randrange(1, 60))
+    ]
+    # key ids in no sorted order, one key under two ids, one id never used
+    keys = sorted(set().union(*rows), key=lambda k: (k[::-1], len(k))) + ["unused"]
+    keys.append(keys[0])
+    code = {key: i for i, key in enumerate(keys[:-2])}
+    pairs = [(r, len(keys) - 1 if key == keys[0] and rng.random() < 0.5 else code[key])
+             for r, row in enumerate(rows) for key in row]
+    rng.shuffle(pairs)
+    row_of = np.array([r for r, _ in pairs], dtype=np.int64)
+    id_of = np.array([i for _, i in pairs], dtype=np.int64)
+    table = KeyCounts.from_pairs(row_of, id_of, keys, len(rows))
+    by_rows = KeyCounts(iter(rows))
+    assert table.keys == by_rows.keys
+    assert table.column == by_rows.column
+    assert key_count_rows(table) == key_count_rows(by_rows) == [Counter(r) for r in rows]
+    assert table.col.dtype == table.count.dtype == np.int32
+    assert table.ptr.dtype == np.int64 and len(table.ptr) == len(rows) + 1
+
+
+def test_key_counts_from_no_pairs():
+    none = np.zeros(0, dtype=np.int64)
+    table = KeyCounts.from_pairs(none, none, ["a", "b"], 3)
+    assert table.keys == [] and table.ptr.tolist() == [0, 0, 0, 0]
+    assert len(table.col) == len(table.count) == 0
+
+
+class TestColumns:
+    def corpus(self):
+        shared = Token("the", "DT")
+        return make_corpus(
+            [
+                AnnotatedSentence((shared, Token("Cats", "NNS", "cat"), Token("ran")), "N"),
+                AnnotatedSentence((Token("cats", "NNS"), shared), "N"),
+                AnnotatedSentence((Token("ran", "VBD", "run"),), "N"),
+            ]
+        )
+
+    def test_ids_decode_to_the_token_fields(self):
+        corpus = self.corpus()
+        columns = corpus.columns
+        assert corpus.columns is columns
+        assert columns.surface_vocab == ("cats", "ran", "the")
+        assert columns.pos_vocab == ("DT", "NNS", "VBD")
+        assert columns.lemma_vocab == ("cat", "cats", "ran", "run", "the")
+        assert columns.ptr.tolist() == [0, 3, 5, 6] and columns.ptr.dtype == np.int64
+        tokens = [t for s in corpus.sentences for t in s.tokens]
+        for ids, vocab, field in (
+            (columns.surface_ids, columns.surface_vocab, "surface"),
+            (columns.pos_ids, columns.pos_vocab, "pos"),
+            (columns.lemma_ids, columns.lemma_vocab, "lemma_or_surface"),
+        ):
+            assert ids.dtype == np.int32
+            assert [vocab[i] if i >= 0 else None for i in ids] == [
+                getattr(t, field) for t in tokens
+            ]
+        assert columns.pos_ids.tolist()[2] == -1
+
+    def test_empty_corpus(self):
+        columns = Corpus(sentences=()).columns
+        assert columns.surface_vocab == columns.pos_vocab == columns.lemma_vocab == ()
+        assert columns.ptr.tolist() == [0]
+        assert len(columns.surface_ids) == len(columns.pos_ids) == len(columns.lemma_ids) == 0
+        columns.check_tagged()
+
+    def test_untagged_error_names_the_token_as_tags_does(self):
+        corpus = self.corpus()
+        with pytest.raises(UntaggedTokenError) as by_tags:
+            corpus.tags()
+        with pytest.raises(UntaggedTokenError) as by_columns:
+            corpus.columns.check_tagged()
+        assert str(by_columns.value) == str(by_tags.value) == (
+            "untagged token: sentence 0, token 2 'ran' is missing its POS tag"
+        )
+        # counted from the start of the corpus that holds it
+        tagged = make_corpus([make_sentence(["a", "b"], pos=["DT", "NN"])] * 2)
+        laid = concat([tagged, corpus])
+        with pytest.raises(UntaggedTokenError, match="sentence 0, token 2 'ran'"):
+            laid.columns.check_tagged((0, 2))
+
+    def test_take_gathers_the_drawn_sentences(self):
+        corpus = self.corpus()
+        rows = np.array([2, 0, 2, 1])
+        taken = corpus.take(rows)
+        assert taken.sentences == tuple(corpus.sentences[i] for i in rows)
+        assert taken.provenance == corpus.provenance
+        fresh = make_corpus(taken.sentences).columns
+        for name in ("surface", "pos", "lemma"):
+            vocab = getattr(taken.columns, f"{name}_vocab")
+            assert vocab == getattr(corpus.columns, f"{name}_vocab")
+            decoded = [vocab[i] if i >= 0 else None for i in getattr(taken.columns, f"{name}_ids")]
+            fresh_vocab = getattr(fresh, f"{name}_vocab")
+            assert decoded == [
+                fresh_vocab[i] if i >= 0 else None for i in getattr(fresh, f"{name}_ids")
+            ]
+        assert taken.columns.ptr.tolist() == fresh.ptr.tolist()

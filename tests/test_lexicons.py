@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from oracles import reference_match_phrases
 from varieties.errors import ResourceError
 from varieties.lexicons import (
     PhraseEntry,
@@ -96,25 +100,38 @@ def _phrases(*texts_categories):
     return PhraseList(name="test", entries=tuple(entries))
 
 
+def matched(sentences, phrases):
+    """``match_phrases`` over sentences given as word lists: per sentence,
+    its (entry, start) matches."""
+    vocab = sorted({word for sentence in sentences for word in sentence})
+    code = {word: i for i, word in enumerate(vocab)}
+    ids = np.array([code[w] for sentence in sentences for w in sentence], dtype=np.int32)
+    ptr = np.cumsum([0] + [len(sentence) for sentence in sentences])
+    found = [[] for _ in sentences]
+    for s, e, start in zip(*(a.tolist() for a in match_phrases(ids, ptr, vocab, phrases))):
+        found[s].append((phrases.entries[e], start))
+    return found
+
+
 class TestMatchPhrases:
     def test_single_match(self):
         phrases = _phrases("bear in mind")
-        hits = match_phrases(["bear", "in", "mind", "that"], phrases)
+        hits = matched([["bear", "in", "mind", "that"]], phrases)[0]
         assert [(e.text, i) for e, i in hits] == [("bear in mind", 0)]
 
     def test_repeated_matches(self):
         phrases = _phrases("in light of")
-        hits = match_phrases(["in", "light", "of", "in", "light", "of"], phrases)
+        hits = matched([["in", "light", "of", "in", "light", "of"]], phrases)[0]
         assert [i for _, i in hits] == [0, 3]
 
     def test_longest_match_wins(self):
         phrases = _phrases("make sure", "sure")
-        hits = match_phrases(["make", "sure"], phrases)
+        hits = matched([["make", "sure"]], phrases)[0]
         assert [(e.text, i) for e, i in hits] == [("make sure", 0)]
 
     def test_case_insensitive(self):
         phrases = _phrases("red tape")
-        assert match_phrases(["Red", "TAPE"], phrases)
+        assert matched([["Red", "TAPE"]], phrases)[0]
 
     def test_index_built_once_longest_first(self):
         phrases = _phrases("in", "in light of", "in addition", "red tape")
@@ -126,12 +143,110 @@ class TestMatchPhrases:
     def test_no_overlap_and_verbatim_spans(self):
         phrases = _phrases("a b", "b a")
         tokens = ["a", "b", "a", "b"]
-        hits = match_phrases(tokens, phrases)
+        hits = matched([tokens], phrases)[0]
         spans = [(i, i + len(e.tokens)) for e, i in hits]
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
         for entry, start in hits:
             assert tuple(tokens[start : start + len(entry.tokens)]) == entry.tokens
+
+
+def _identities(matches):
+    return [(id(entry), start) for entry, start in matches]
+
+
+class TestAgainstReferenceMatcher:
+    """The batch matcher against the per-sentence greedy loop of
+    ``oracles.reference_match_phrases``."""
+
+    def check(self, sentences, phrases):
+        batch = matched(sentences, phrases)
+        for sentence, found in zip(sentences, batch):
+            expected = reference_match_phrases(sentence, phrases)
+            assert _identities(found) == _identities(expected), sentence
+        return batch
+
+    def test_overlapping_phrases(self):
+        phrases = _phrases("a b", "b c", "c d e")
+        found = self.check([["a", "b", "c", "d", "e"], ["b", "c", "d", "e"]], phrases)
+        assert [[(e.text, i) for e, i in hits] for hits in found] == [
+            [("a b", 0), ("c d e", 2)],
+            [("b c", 0)],
+        ]
+
+    def test_shared_prefixes(self):
+        phrases = _phrases("in", "in light", "in light of", "in addition", "in the light of")
+        sentence = "in light in light of in addition in the light in the light of".split()
+        found = self.check([sentence], phrases)[0]
+        assert [(e.text, i) for e, i in found] == [
+            ("in light", 0),
+            ("in light of", 2),
+            ("in addition", 5),
+            ("in", 7),
+            ("in the light of", 10),
+        ]
+
+    def test_phrase_longer_than_its_sentence(self):
+        phrases = _phrases("at the same time", "the")
+        found = self.check([["at", "the"], ["at", "the", "same"]], phrases)
+        assert [[i for _, i in hits] for hits in found] == [[1], [1]]
+
+    def test_no_match_runs_into_the_next_sentence(self):
+        phrases = _phrases("in light of", "of")
+        found = self.check([["x", "in", "light"], ["of", "y"], ["in", "light", "of"]], phrases)
+        assert [[(e.text, i) for e, i in hits] for hits in found] == [
+            [],
+            [("of", 0)],
+            [("in light of", 0)],
+        ]
+
+    def test_phrase_tokens_absent_from_the_corpus(self):
+        phrases = _phrases("red tape", "zyzzyva", "tape measure")
+        found = self.check([["red", "ribbon"], ["measure", "tape"]], phrases)
+        assert found == [[], []]
+
+    def test_uppercase_input(self):
+        phrases = _phrases("red tape", "make sure")
+        found = self.check([["RED", "Tape", "make", "SURE"]], phrases)[0]
+        assert [(e.text, i) for e, i in found] == [("red tape", 0), ("make sure", 2)]
+
+    def test_duplicate_entries_first_in_list_wins(self):
+        entries = (
+            PhraseEntry(tokens=("make", "sure"), category="a"),
+            PhraseEntry(tokens=("sure",)),
+            PhraseEntry(tokens=("make", "sure"), category="b"),
+            PhraseEntry(tokens=("make", "sure"), category="a"),
+        )
+        phrases = PhraseList(name="dup", entries=entries)
+        found = self.check([["make", "sure", "sure"]], phrases)[0]
+        assert [(e, i) for e, i in found] == [(entries[0], 0), (entries[1], 2)]
+        assert found[0][0] is entries[0]
+
+    def test_empty_inputs(self):
+        assert self.check([], _phrases("a b")) == []
+        assert self.check([["a"]], PhraseList(name="none", entries=())) == [[]]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_token_streams(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(2, 7))]
+        texts = [
+            " ".join(rng.choices(words, k=rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 25))
+        ]
+        phrases = PhraseList(
+            name="random",
+            entries=tuple(
+                PhraseEntry(tokens=tuple(t.split()), category=rng.choice(("a", "b")))
+                for t in texts
+            ),
+        )
+        sentences = [
+            [rng.choice(words).upper() if rng.random() < 0.1 else rng.choice(words)
+             for _ in range(rng.randint(1, 12))]
+            for _ in range(rng.randint(1, 40))
+        ]
+        self.check(sentences, phrases)
 
 
 class TestTagSet:

@@ -1,9 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_corpus, make_sentence
+from oracles import reference_sentence_counts
 from synthdata import lm_family_corpus, metrics_corpus, variety_corpus
 from varieties.corpus import Corpus, concat
 from varieties.lexicons import PhraseEntry, PhraseList, RankList, WordList
@@ -326,3 +328,40 @@ class TestSentenceStats:
         corpus = make_corpus([make_sentence(["thus"], pos=["RB"])])
         with pytest.raises(ValueError, match="empty transition-marker list"):
             SentenceStats.of([corpus], no_transitions)
+
+
+def table_rows(table):
+    """Each row of a KeyCounts table as a key -> count Counter."""
+    return [
+        Counter(
+            {table.keys[c]: n for c, n in zip(table.col[start:stop], table.count[start:stop])}
+        )
+        for start, stop in zip(table.ptr, table.ptr[1:])
+    ]
+
+
+# the metrics_bootstrap benchmark workload's corpora, at its reference seed
+BENCHMARK_SHAPED = [metrics_corpus(v, 250, seed=17) for v in ("N", "NN", "T")]
+
+
+class TestSentenceCountsAgainstReference:
+    """``SentenceStats.of`` against one loop per sentence over token fields
+    (``oracles.reference_sentence_counts``)."""
+
+    def check(self, corpora, resources):
+        stats = SentenceStats.of(corpora, resources)
+        counts, lemmas, idioms = reference_sentence_counts(corpora, resources)
+        assert stats.counts.dtype == np.int64
+        assert stats.counts.T.tolist() == [list(row) for row in counts]
+        assert table_rows(stats.lemmas) == [Counter(row) for row in lemmas]
+        assert table_rows(stats.idioms) == [Counter(row) for row in idioms]
+
+    @pytest.mark.parametrize("name", sorted(STATS_CORPORA))
+    def test_each_stats_corpus(self, resources, name):
+        self.check([STATS_CORPORA[name]], resources)
+
+    def test_benchmark_shaped_corpora(self, resources):
+        self.check(BENCHMARK_SHAPED, resources)
+
+    def test_corpora_laid_end_to_end(self, resources):
+        self.check([STATS_CORPORA[name] for name in sorted(STATS_CORPORA)], resources)

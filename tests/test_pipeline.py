@@ -264,8 +264,18 @@ class TestClassifyStage:
 
             return wrapper
 
-        for name in ("_fw_counts", "_pos3_counts", "_postok_counts", "_coh_counts"):
+        def counted_table(name, count):
+            def wrapper(chunks, markers):
+                # COH: one match over all chunks per phrase list
+                for chunk in chunks:
+                    calls[(name, id(chunk), markers)] += 1
+                return count(chunks, markers)
+
+            return wrapper
+
+        for name in ("_fw_counts", "_pos3_counts", "_postok_counts"):
             monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
+        monkeypatch.setattr(features, "_coh_table", counted_table("_coh_table", features._coh_table))
         root = tmp_path / "small"
         root.mkdir()
         for variety in ("N", "NN", "T"):
@@ -273,7 +283,7 @@ class TestClassifyStage:
         cfg = load_config(classify_config(root, tmp_path, cv_folds=3), env={})
         run_stage("classify", cfg)
         assert {key[0] for key in calls} == {
-            "_fw_counts", "_pos3_counts", "_postok_counts", "_coh_counts",
+            "_fw_counts", "_pos3_counts", "_postok_counts", "_coh_table",
         }
         assert max(calls.values()) == 1
 

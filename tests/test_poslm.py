@@ -547,3 +547,64 @@ class TestPosIO:
         corpus = make_corpus([make_sentence(["the", "cat"], pos=["DT", None])])
         with pytest.raises(ValueError, match="sentence 0"):
             pos_sequences(corpus)
+
+
+_TAGS36 = [f"T{i:02d}" for i in range(36)]
+_rng36 = np.random.default_rng(5)
+# each counts its low orders under the key bound and its top order above it
+COUNTING_INPUTS = {
+    "8-tag chain": (pos_sequences(lm_family_corpus("T", "Romance", 300, seed=8)), LM_TAGS, 5),
+    # fully connected: from order 3 on the bound exceeds the windows
+    "36 tags": (
+        [list(_rng36.choice(_TAGS36, size=_rng36.integers(3, 15))) for _ in range(300)],
+        _TAGS36,
+        5,
+    ),
+    "hand": (HAND_CORPUS, HAND_TAGS, 4),
+}
+
+
+def unique_levels(sentences, tags, order):
+    """The levels of ``_count_ngrams`` counted by ``np.unique`` at every
+    order, and whether each order's key bound is at most its window count."""
+    symbols = sorted(set(tags) | {BOS, EOS})
+    code = {symbol: i for i, symbol in enumerate(symbols)}
+    padded = []
+    for sentence in sentences:
+        padded += [code[BOS]] * (order - 1) + [code[t] for t in sentence] + [code[EOS]]
+    ids = np.array(padded)
+    levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
+    prefix = np.zeros(len(ids), dtype=np.int64)
+    under_bound = []
+    for n in range(1, order + 1):
+        starts = len(ids) - n + 1
+        under_bound.append(len(levels[-1][0]) * len(symbols) <= starts)
+        keys, inverse, counts = np.unique(
+            prefix[:starts] * len(symbols) + ids[n - 1 :], return_inverse=True, return_counts=True
+        )
+        prefix[:starts] = inverse
+        levels.append((keys, counts))
+    return symbols, levels, under_bound
+
+
+class TestCountNgrams:
+    """An order whose key bound is at most its window count is counted by a
+    counting sort, any other by ``np.unique``; both give ``np.unique``'s
+    keys and counts."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTING_INPUTS))
+    def test_levels_equal_unique_counting(self, name):
+        sentences, tags, order = COUNTING_INPUTS[name]
+        symbols, levels = _count_ngrams(sentences, frozenset(tags), order)
+        expected_symbols, expected, _ = unique_levels(sentences, tags, order)
+        assert symbols == expected_symbols
+        assert len(levels) == len(expected)
+        for (keys, counts), (want_keys, want_counts) in zip(levels, expected):
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(counts, want_counts)
+            assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
+
+    @pytest.mark.parametrize("name", sorted(COUNTING_INPUTS))
+    def test_inputs_cover_both_sides_of_the_bound(self, name):
+        under_bound = unique_levels(*COUNTING_INPUTS[name])[2]
+        assert under_bound[0] and not under_bound[-1]

@@ -1,11 +1,16 @@
 """Structure guard: ``corpus`` is the only module that reads token fields
-or counts keys with ``collections.Counter``.
+or counts keys with ``collections.Counter``, and ``lexicons`` the only one
+that matches phrases.
 
 Every other module sees sentence content through
-``AnnotatedSentence.surfaces()``/``lemmas()`` and ``Corpus.tags()``, so how a
-sentence stores its tokens can change inside ``corpus.py`` alone. Count
-tables have one home too: other modules count keys per row through
-``corpus.KeyCounts``.
+``AnnotatedSentence.surfaces()``, ``Corpus.tags()`` and ``Corpus.columns``, so
+how a sentence stores its tokens can change inside ``corpus.py`` alone;
+``metrics`` reads it through ``Corpus.columns`` only.
+Count tables have one home too: other modules count keys per row through
+``corpus.KeyCounts``. Phrase matching has one: the ``by_first`` index and the
+greedy scan over token positions live in ``lexicons.py``, and a module that
+uses phrase lists calls ``lexicons.match_phrases`` instead of looping over
+positions itself.
 """
 
 import ast
@@ -15,12 +20,19 @@ import varieties
 
 TOKEN_FIELDS = {"surface", "pos", "lemma", "lemma_or_surface"}
 FORBIDDEN_NAMES = {"Chunk", "Counter"}
+# sentence readers metrics.py may not call: it reads Corpus.columns
+SENTENCE_READERS = {"surfaces", "lemmas", "tags"}
 PACKAGE = Path(varieties.__file__).parent
 
 
 def _offences(path: Path) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses_lexicons = any(
+        isinstance(node, ast.ImportFrom) and node.module == "lexicons"
+        for node in ast.walk(tree)
+    )
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in TOKEN_FIELDS:
             found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
         names = []
@@ -32,6 +44,18 @@ def _offences(path: Path) -> list[str]:
             names = [node.name, node.asname]
         for name in FORBIDDEN_NAMES.intersection(names):
             found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
+        if path.name != "lexicons.py":
+            if "by_first" in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names by_first")
+            if uses_lexicons and isinstance(node, ast.While):
+                found.append(f"{path.name}:{node.lineno} scans positions")
+        if (
+            path.name == "metrics.py"
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SENTENCE_READERS
+        ):
+            found.append(f"{path.name}:{node.lineno} calls .{node.func.attr}()")
     return found
 
 
@@ -59,3 +83,20 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
         "    return collections.Counter()\n"
     )
     assert len(_offences(path)) == 8
+    metrics = tmp_path / "metrics.py"
+    metrics.write_text(
+        "from .lexicons import PhraseList\n"
+        "def h(corpus, sent, phrases: PhraseList):\n"
+        "    index = phrases.by_first\n"
+        "    i = 0\n"
+        "    while i < len(sent.surfaces()):\n"
+        "        i += 1\n"
+        "    return corpus.tags(), sent.lemmas(), corpus.columns, index\n"
+    )
+    assert sorted(offence.split(" ", 1)[1] for offence in _offences(metrics)) == [
+        "calls .lemmas()",
+        "calls .surfaces()",
+        "calls .tags()",
+        "names by_first",
+        "scans positions",
+    ]
