@@ -10,8 +10,8 @@ operation takes an explicit seed and is reproducible.
 This module is the only reader of token fields: other modules see sentence
 content through ``AnnotatedSentence.surfaces()``, ``Corpus.tags()``, the one
 validated reader of POS tags, and ``Corpus.columns``, the corpus's tokens as
-interned id arrays. ``KeyCounts`` is the one table of
-key counts per row (chunk feature keys, sentence lemmas/idioms).
+interned id arrays. ``KeyCounts`` is the one table of key counts per row
+(chunk feature keys, sentence lemmas/idioms), built from (row, key id) pairs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 import random
 import string
-from array import array
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
@@ -273,39 +271,12 @@ class Corpus:
         return {s.variety for s in self.sentences}
 
 
-class _FirstSeen(dict):
-    """Ids of keys in order of first appearance: a new key gets the next id."""
-
-    def __missing__(self, key: str) -> int:
-        new = self[key] = len(self)
-        return new
-
-
 class KeyCounts:
     """Counts of string keys per row in CSR form: row r holds key
     ``keys[col[i]]`` ``count[i]`` times for i in ``ptr[r]:ptr[r + 1]``, one
     entry per distinct key of the row. The columns are the observed keys in
-    sorted order; ``col`` and ``count`` are int32."""
-
-    def __init__(self, rows: Iterable[Iterable[str]]):
-        """Count one iterable of keys per row, one row at a time."""
-        index = _FirstSeen()
-        ids, counts, ptr = array("i"), array("i"), array("q", [0])
-        row: Counter = Counter()
-        for keys in rows:
-            # refill one Counter: building a new one per row costs more than
-            # counting a sentence's keys
-            row.clear()
-            row.update(keys)
-            ids.extend(map(index.__getitem__, row))
-            counts.extend(row.values())
-            ptr.append(len(ids))
-        self.keys = sorted(index)
-        self.column = {key: i for i, key in enumerate(self.keys)}
-        sorted_id = np.fromiter(map(self.column.__getitem__, index), np.intc, len(index))
-        self.col = sorted_id[np.frombuffer(ids, np.intc)]
-        self.count = np.frombuffer(counts, np.intc)
-        self.ptr = np.frombuffer(ptr, np.int64)
+    sorted order; ``col`` and ``count`` are int32. ``from_pairs`` is the
+    one way to build a table."""
 
     @classmethod
     def from_pairs(

@@ -6,16 +6,17 @@ Families:
   POSTOK  words in the first/second/third/penultimate/last sentence positions
   COH     cohesive-marker frequencies
 
-A chunk is a ``Corpus``; the counters read it only through its sentences'
-``surfaces()``, the corpus's validated ``tags()``, which raises
-``UntaggedTokenError`` on the first untagged token, and, for COH, the
-``columns`` of all chunks laid end to end, matched against the markers in one
-``match_phrases`` call. A stage counts each family once over all its chunks
-into one ``corpus.KeyCounts`` (ChunkCounts); tasks
-and folds are views that gather only their rows. Data-dependent vocabularies
-(top-k trigrams, positional pairs) are selected from column totals over
-training rows only and carried around as FeatureSpace objects; vectorization
-writes each space's columns, raw counts divided by the chunk token count.
+A chunk is a ``Corpus``. A stage counts each family once over all its
+chunks into one ``corpus.KeyCounts`` (ChunkCounts), reading tokens only
+through the ``columns`` of all chunks laid end to end: FW keys are surface
+ids, POS3 keys three POS ids (``Columns.check_tagged`` raises
+``UntaggedTokenError`` on the first untagged token), POSTOK keys a position
+and a surface id, and COH keys the markers matched in one ``match_phrases``
+call. Tasks and folds are views that gather only their rows. Data-dependent
+vocabularies (top-k trigrams, positional pairs) are selected from column
+totals over training rows only and carried around as FeatureSpace objects;
+vectorization writes each space's columns, raw counts divided by the chunk
+token count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,61 +68,38 @@ class FeatureSpace:
 
 
 # ---------------------------------------------------------------------------
-# raw counting per family: each helper yields one chunk's keys
+# raw counting per family, on the columns of every chunk laid end to end
+
+# each sentence position: its name, its token's offset from the sentence's
+# start (>= 0) or end (< 0), and the shortest sentence that has it
+_SLOTS = (("first", 0, 1), ("second", 1, 2), ("third", 2, 3),
+          ("penultimate", -2, 2), ("last", -1, 1))
 
 
-def _fw_counts(chunk: Corpus, words: frozenset[str]) -> Iterator[str]:
-    for sent in chunk.sentences:
-        yield from (w for w in sent.surfaces() if w in words)
-
-
-def _pos3_counts(chunk: Corpus) -> Iterator[str]:
-    for tags in chunk.tags():
-        for i in range(len(tags) - 2):
-            yield "_".join(tags[i : i + 3])
-
-
-def position_events(surfaces: Sequence[str]) -> list[tuple[str, str]]:
-    """(position, word) events for one sentence.
-
-    Only positions that exist are emitted; in short sentences one token may
-    fill several positions and each is emitted (a one-word sentence yields
-    its word as both first and last).
-    """
-    n = len(surfaces)
-    # (position, index, shortest sentence that has it)
-    slots = [("first", 0, 1), ("second", 1, 2), ("third", 2, 3),
-             ("penultimate", n - 2, 2), ("last", n - 1, 1)]
-    return [(position, surfaces[i]) for position, i, least in slots if n >= least]
-
-
-def _postok_counts(chunk: Corpus) -> Iterator[str]:
-    for sent in chunk.sentences:
-        for position, word in position_events(sent.surfaces()):
-            yield f"{position}:{word}"
-
-
-def _coh_table(chunks: list[Corpus], markers: PhraseList) -> KeyCounts:
-    """Each chunk's marker matches, from one match over every chunk's
-    sentences."""
-    columns = concat(chunks).columns
-    sentence, entry, _start = match_phrases(
-        columns.surface_ids, columns.ptr, columns.surface_vocab, markers
-    )
-    chunk_of = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
-    texts = [e.text for e in markers]
-    return KeyCounts.from_pairs(chunk_of[sentence], entry, texts, len(chunks))
+def _spelled(packed: np.ndarray, spell) -> tuple[np.ndarray, list[str]]:
+    """Each integer key of ``packed`` as an index into the distinct keys,
+    and those keys spelled by ``spell``."""
+    distinct = np.unique(packed)
+    return np.searchsorted(distinct, packed), [spell(k) for k in distinct.tolist()]
 
 
 class ChunkCounts:
     """A stage's chunks and one table per family, counted over every chunk on
     first use; FW and COH tables are kept per word or phrase list (COH counts
     by longest match). ``take`` gives a view of distinct rows that shares the
-    tables; a view iterates its chunks."""
+    tables; a view iterates its chunks. The chunks' columns are built once,
+    on first use, and only the distinct integer keys are spelled as strings."""
 
     def __init__(self, chunks: Iterable[Corpus]):
         self._chunks = list(chunks)
         self._token_counts = np.array([c.token_count for c in self._chunks])
+        # of the chunks' sentences laid end to end: each chunk's first one,
+        # and each one's chunk
+        sizes = [len(c) for c in self._chunks]
+        self._first = np.cumsum([0] + sizes[:-1])
+        self._chunk_of = np.repeat(np.arange(len(sizes), dtype=np.intc), sizes)
+        # shared by views, so its columns are built once
+        self._laid = concat(self._chunks)
         self._tables: dict[object, KeyCounts] = {}
         self._maps: dict[str, tuple[FeatureSpace, np.ndarray]] = {}
         self.rows = np.arange(len(self._chunks))
@@ -146,16 +124,78 @@ class ChunkCounts:
         family = space.family
         key = family if family in (POS3, POSTOK) else (family, space.keys)
         if key not in self._tables:
-            if family == COH:
-                table = _coh_table(self._chunks, space.phrases)
-            elif family == FW:
-                words = frozenset(space.keys)
-                table = KeyCounts(_fw_counts(c, words) for c in self._chunks)
+            if family == FW:
+                table = self._fw_table(frozenset(space.keys))
+            elif family == POS3:
+                table = self._pos3_table()
+            elif family == POSTOK:
+                table = self._postok_table()
             else:
-                count = _pos3_counts if family == POS3 else _postok_counts
-                table = KeyCounts(count(c) for c in self._chunks)
+                table = self._coh_table(space.phrases)
             self._tables[key] = table
         return self._tables[key]
+
+    def _fw_table(self, words: frozenset[str]) -> KeyCounts:
+        columns = self._laid.columns
+        vocab = columns.surface_vocab
+        wanted = np.fromiter((w in words for w in vocab), bool, len(vocab))[columns.surface_ids]
+        # per sentence (never empty), its count of wanted tokens
+        found = np.add.reduceat(wanted, columns.ptr[:-1], dtype=np.intp)
+        return KeyCounts.from_pairs(
+            np.repeat(self._chunk_of, found), columns.surface_ids[wanted], vocab, len(self._chunks)
+        )
+
+    def _pos3_table(self) -> KeyCounts:
+        """POS trigrams within sentences. The first untagged token raises
+        ``UntaggedTokenError`` as its chunk's ``tags()`` would."""
+        columns = self._laid.columns
+        columns.check_tagged(self._first)
+        tags = columns.pos_vocab
+        width = len(tags)
+        # a key is the three tag ids, in int32 while that holds every key
+        pos = columns.pos_ids.astype(np.int32 if width**3 < 2**31 else np.int64, copy=False)
+        # a trigram starts at every token but the last two of its sentence
+        # (in a one-token sentence, the second-to-last is the previous
+        # sentence's last token)
+        ends = columns.ptr[1:]
+        starts = np.ones(len(pos), dtype=bool)
+        starts[ends - 1] = False
+        starts[ends[ends >= 2] - 2] = False
+        ids, keys = _spelled(
+            ((pos[:-2] * width + pos[1:-1]) * width + pos[2:])[starts[:-2]],
+            lambda k: f"{tags[k // width // width]}_{tags[k // width % width]}_{tags[k % width]}",
+        )
+        rows = np.repeat(self._chunk_of, np.maximum(np.diff(columns.ptr) - 2, 0))
+        return KeyCounts.from_pairs(rows, ids, keys, len(self._chunks))
+
+    def _postok_table(self) -> KeyCounts:
+        """Each sentence's word in every position it has: in a short sentence
+        one word may fill several (a one-word sentence's word is both first
+        and last), and no sentence has more than five."""
+        columns = self._laid.columns
+        words = columns.surface_vocab
+        width = len(words)
+        lengths = np.diff(columns.ptr)
+        rows, packed = [], []
+        for position, (_name, offset, least) in enumerate(_SLOTS):
+            sentence = np.flatnonzero(lengths >= least)
+            at = (columns.ptr[sentence] if offset >= 0 else columns.ptr[sentence + 1]) + offset
+            rows.append(self._chunk_of[sentence])
+            packed.append(np.add(columns.surface_ids[at], position * width, dtype=np.int64))
+        ids, keys = _spelled(
+            np.concatenate(packed), lambda k: f"{_SLOTS[k // width][0]}:{words[k % width]}"
+        )
+        return KeyCounts.from_pairs(np.concatenate(rows), ids, keys, len(self._chunks))
+
+    def _coh_table(self, markers: PhraseList) -> KeyCounts:
+        """Each chunk's marker matches, from one match over every chunk's
+        sentences."""
+        columns = self._laid.columns
+        sentence, entry, _start = match_phrases(
+            columns.surface_ids, columns.ptr, columns.surface_vocab, markers
+        )
+        texts = [e.text for e in markers]
+        return KeyCounts.from_pairs(self._chunk_of[sentence], entry, texts, len(self._chunks))
 
     def totals(self, family: str) -> tuple[list[str], np.ndarray]:
         """The POS3 or POSTOK table's keys and their totals over this view."""

@@ -105,18 +105,6 @@ class PhraseList:
             levels.append((keys, spelled))
         return tuple(words), levels
 
-    @cached_property
-    def by_first(self) -> dict[str, tuple[PhraseEntry, ...]]:
-        """Entries keyed by their first token, longest first (ties in token
-        order, then in list order)."""
-        grouped: dict[str, list[PhraseEntry]] = {}
-        for entry in self.entries:
-            grouped.setdefault(entry.tokens[0], []).append(entry)
-        return {
-            first: tuple(sorted(candidates, key=lambda e: (-len(e.tokens), e.tokens)))
-            for first, candidates in grouped.items()
-        }
-
 
 @dataclass(frozen=True)
 class RankList:

@@ -632,6 +632,16 @@ class TestFilter:
         assert kept.sentences == corpus.sentences
 
 
+def table_of(rows):
+    """``KeyCounts.from_pairs`` over rows of string keys: one pair per key
+    in a row, key ids in order of first appearance, not sorted."""
+    keys = list(dict.fromkeys(key for row in rows for key in row))
+    code = {key: i for i, key in enumerate(keys)}
+    row_of = np.array([r for r, row in enumerate(rows) for _ in row], dtype=np.int64)
+    id_of = np.array([code[key] for row in rows for key in row], dtype=np.int64)
+    return KeyCounts.from_pairs(row_of, id_of, keys, len(rows))
+
+
 def test_key_counts_rows_and_gathers_equal_a_counter_per_row():
     rng = random.Random(4)
     # about one row in eight holds no key
@@ -640,7 +650,7 @@ def test_key_counts_rows_and_gathers_equal_a_counter_per_row():
         for _ in range(60)
     ]
     assert [] in rows
-    table = KeyCounts(iter(rows))
+    table = table_of(rows)
     assert table.keys == sorted(set().union(*rows))
     assert table.col.dtype == table.count.dtype == np.int32
     assert len(table.ptr) == len(rows) + 1
@@ -697,10 +707,9 @@ def test_key_counts_from_pairs_equal_the_string_rows(seed):
     row_of = np.array([r for r, _ in pairs], dtype=np.int64)
     id_of = np.array([i for _, i in pairs], dtype=np.int64)
     table = KeyCounts.from_pairs(row_of, id_of, keys, len(rows))
-    by_rows = KeyCounts(iter(rows))
-    assert table.keys == by_rows.keys
-    assert table.column == by_rows.column
-    assert key_count_rows(table) == key_count_rows(by_rows) == [Counter(r) for r in rows]
+    assert table.keys == sorted(set().union(*rows))
+    assert table.column == {key: i for i, key in enumerate(table.keys)}
+    assert key_count_rows(table) == [Counter(r) for r in rows]
     assert table.col.dtype == table.count.dtype == np.int32
     assert table.ptr.dtype == np.int64 and len(table.ptr) == len(rows) + 1
 

@@ -23,7 +23,6 @@ from varieties.features import (
     FeatureSpace,
     coh_space,
     fw_space,
-    position_events,
     select_postok_vocab,
     select_top_pos3,
     space_feature_names,
@@ -150,33 +149,6 @@ class TestSelectTopPos3:
                                       pos=["A", "B", "C"] * 10)])
         ]
         assert select_top_pos3(chunks, 10).keys == select_top_pos3(chunks, 10).keys
-
-
-class TestPositionEvents:
-    def test_three_token_sentence(self):
-        assert position_events(["we", "must", "act"]) == [
-            ("first", "we"),
-            ("second", "must"),
-            ("third", "act"),
-            ("penultimate", "must"),
-            ("last", "act"),
-        ]
-
-    def test_single_token_sentence(self):
-        assert position_events(["yes"]) == [("first", "yes"), ("last", "yes")]
-
-    def test_two_token_sentence(self):
-        assert position_events(["go", "home"]) == [
-            ("first", "go"),
-            ("second", "home"),
-            ("penultimate", "go"),
-            ("last", "home"),
-        ]
-
-    def test_event_budget_per_sentence(self):
-        # never more than 5 events
-        for n in range(1, 9):
-            assert len(position_events([f"w{i}" for i in range(n)])) <= 5
 
 
 class TestExtractPostok:
@@ -362,30 +334,116 @@ class TestCountTableAgainstOracle:
     def test_one_entry_per_chunk_and_key_with_a_nonzero_count(
         self, labelled_chunks, resources
     ):
-        chunks, _labels = labelled_chunks
+        assert_tables_equal_the_reference(labelled_chunks[0], resources)
+
+    def test_sentences_of_one_to_three_tokens(self, resources):
+        assert_tables_equal_the_reference(short_sentence_chunks(), resources)
+
+    def test_no_trigram_spans_a_sentence_or_chunk(self):
+        # each sentence has its own tags, so a trigram across a sentence or
+        # chunk boundary would mix two sentences' tags
+        keys, _totals = ChunkCounts(short_sentence_chunks()).totals(POS3)
+        assert keys
+        assert all(len({tag.split("t")[0] for tag in key.split("_")}) == 1 for key in keys)
+
+    def test_no_sentence_has_more_than_five_positions(self):
+        chunks = short_sentence_chunks()
+        table = ChunkCounts(chunks)._table(FeatureSpace(family=POSTOK, keys=()))
+        events = [int(table.count[a:b].sum()) for a, b in zip(table.ptr, table.ptr[1:])]
+        # a sentence of n tokens has min(2n, 5) positions
+        assert events == [sum(min(2 * len(s.tokens), 5) for s in c.sentences) for c in chunks]
+        assert max(e for e, c in zip(events, chunks) if len(c) == 1) == 5
+
+    def test_columns_in_sorted_string_order(self):
+        # "NN" < "NNS" as ids, but "NNS_..." < "NN_..." as strings; a tag
+        # may hold the "_" that joins a trigram, and a word a ":"
+        chunk = make_chunk(
+            [
+                make_sentence(["a:", "b", "c", "d"], pos=["NN", "NN", "NN_X", "NNS"]),
+                make_sentence(["a", "b", ":c"], pos=["NNS", "NN", "X"]),
+            ]
+        )
+        for family in (POS3, POSTOK):
+            keys, totals = ChunkCounts([chunk]).totals(family)
+            assert keys == sorted(reference_chunk_counts(chunk, family))
+            assert totals.tolist() == [reference_chunk_counts(chunk, family)[k] for k in keys]
+
+    def test_untagged_token_fails_pos3_alone(self, resources):
+        def tagged(*words):
+            return make_sentence(list(words), pos=["DT"] * len(words))
+
+        chunks = [
+            make_chunk([tagged("the", "cat", "sat")] * 3),
+            make_chunk(
+                [
+                    tagged("in", "addition", "the", "dog"),
+                    tagged("of", "course"),
+                    make_sentence(["a", "b", "c"], pos=["DT", None, "NN"]),
+                    tagged("however", "the", "end"),
+                ]
+            ),
+        ]
+        with pytest.raises(UntaggedTokenError) as by_tags:
+            chunks[1].tags()
         counts = ChunkCounts(chunks)
-        fw = fw_space(resources.function_words)
+        with pytest.raises(UntaggedTokenError) as by_counts:
+            counts.totals(POS3)
+        assert str(by_counts.value) == str(by_tags.value) == (
+            "untagged token: sentence 2, token 1 'b' is missing its POS tag"
+        )
         spaces = [
-            fw,
-            FeatureSpace(family=POS3, keys=()),
-            FeatureSpace(family=POSTOK, keys=()),
+            fw_space(resources.function_words),
+            select_postok_vocab(counts, min_count=1),
             coh_space(resources.cohesive_markers),
         ]
-        for space in spaces:
-            table = counts._table(space)
-            expected = [reference_chunk_counts(c, space.family, space.keys) for c in chunks]
-            if space is fw:
-                expected = [{k: n for k, n in e.items() if k in fw.keys} for e in expected]
-            assert len(table.col) == sum(len(e) for e in expected)
-            # walk the CSR rows: chunk r's entries are ptr[r]:ptr[r + 1]
-            got = [
-                {
-                    table.keys[col]: int(count)
-                    for col, count in zip(table.col[a:b], table.count[a:b])
-                }
-                for a, b in zip(table.ptr[:-1], table.ptr[1:])
-            ]
-            assert got == expected
+        X = vectorize_chunks(counts, spaces)
+        assert np.array_equal(X, reference_vectorize(chunks, spaces))
+        ends = np.cumsum([len(space) for space in spaces])
+        assert all(block.any() for block in np.split(X, ends[:-1], axis=1))
+
+
+def short_sentence_chunks():
+    """Chunks of sentences of one, two and three tokens, then one chunk per
+    sentence of one to eight tokens. Sentence s tags its tokens s0t0, s0t1,
+    ...; its words recur in other sentences."""
+    sizes = [[1, 2, 3], [3, 1, 1, 2], [2, 2], [1], [3, 3, 1]] + [[n] for n in range(1, 9)]
+    chunks, s = [], 0
+    for chunk_sizes in sizes:
+        sentences = []
+        for n in chunk_sizes:
+            words = [f"w{i}" for i in range(n)]
+            sentences.append(make_sentence(words, pos=[f"s{s}t{i}" for i in range(n)]))
+            s += 1
+        chunks.append(make_chunk(sentences))
+    return chunks
+
+
+def assert_tables_equal_the_reference(chunks, resources):
+    """Every family's table has one entry per chunk and key with a nonzero
+    count, equal to the per-chunk Counter reference."""
+    counts = ChunkCounts(chunks)
+    fw = fw_space(resources.function_words)
+    spaces = [
+        fw,
+        FeatureSpace(family=POS3, keys=()),
+        FeatureSpace(family=POSTOK, keys=()),
+        coh_space(resources.cohesive_markers),
+    ]
+    for space in spaces:
+        table = counts._table(space)
+        expected = [reference_chunk_counts(c, space.family, space.keys) for c in chunks]
+        if space is fw:
+            expected = [{k: n for k, n in e.items() if k in fw.keys} for e in expected]
+        assert len(table.col) == sum(len(e) for e in expected)
+        # walk the CSR rows: chunk r's entries are ptr[r]:ptr[r + 1]
+        got = [
+            {
+                table.keys[col]: int(count)
+                for col, count in zip(table.col[a:b], table.count[a:b])
+            }
+            for a, b in zip(table.ptr[:-1], table.ptr[1:])
+        ]
+        assert got == expected
 
 
 class TestFeaturePlan:

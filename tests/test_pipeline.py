@@ -255,36 +255,27 @@ class TestClassifyStage:
 
     def test_each_chunk_counted_once_per_family(self, tmp_path, monkeypatch):
         calls = Counter()
+        names = ("_fw_table", "_pos3_table", "_postok_table", "_coh_table")
 
         def counted(name, count):
-            def wrapper(chunk, *lists):
-                # FW and COH: once per chunk and word or phrase list
-                calls[(name, id(chunk)) + lists] += 1
-                return count(chunk, *lists)
+            def wrapper(counts, *lists):
+                # one table over all chunks; FW and COH per word or phrase list
+                for chunk in counts._chunks:
+                    calls[(name, id(chunk)) + lists] += 1
+                return count(counts, *lists)
 
             return wrapper
 
-        def counted_table(name, count):
-            def wrapper(chunks, markers):
-                # COH: one match over all chunks per phrase list
-                for chunk in chunks:
-                    calls[(name, id(chunk), markers)] += 1
-                return count(chunks, markers)
-
-            return wrapper
-
-        for name in ("_fw_counts", "_pos3_counts", "_postok_counts"):
-            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
-        monkeypatch.setattr(features, "_coh_table", counted_table("_coh_table", features._coh_table))
+        for name in names:
+            table = getattr(features.ChunkCounts, name)
+            monkeypatch.setattr(features.ChunkCounts, name, counted(name, table))
         root = tmp_path / "small"
         root.mkdir()
         for variety in ("N", "NN", "T"):
             write_jsonl(variety_corpus(variety, 120, seed=5), root / f"{variety}.jsonl")
         cfg = load_config(classify_config(root, tmp_path, cv_folds=3), env={})
         run_stage("classify", cfg)
-        assert {key[0] for key in calls} == {
-            "_fw_counts", "_pos3_counts", "_postok_counts", "_coh_table",
-        }
+        assert {key[0] for key in calls} == set(names)
         assert max(calls.values()) == 1
 
     def test_too_few_chunks_for_the_folds_is_a_validation_error(

@@ -5,12 +5,12 @@ that matches phrases.
 Every other module sees sentence content through
 ``AnnotatedSentence.surfaces()``, ``Corpus.tags()`` and ``Corpus.columns``, so
 how a sentence stores its tokens can change inside ``corpus.py`` alone;
-``metrics`` reads it through ``Corpus.columns`` only.
+``features`` and ``metrics`` read it through ``Corpus.columns`` only.
 Count tables have one home too: other modules count keys per row through
-``corpus.KeyCounts``. Phrase matching has one: the ``by_first`` index and the
-greedy scan over token positions live in ``lexicons.py``, and a module that
-uses phrase lists calls ``lexicons.match_phrases`` instead of looping over
-positions itself.
+``corpus.KeyCounts``. Phrase matching has one: the ``_index`` of phrase
+prefixes and the greedy scan over token positions live in ``lexicons.py``,
+and a module that uses phrase lists calls ``lexicons.match_phrases`` instead
+of looping over positions itself.
 """
 
 import ast
@@ -20,8 +20,9 @@ import varieties
 
 TOKEN_FIELDS = {"surface", "pos", "lemma", "lemma_or_surface"}
 FORBIDDEN_NAMES = {"Chunk", "Counter"}
-# sentence readers metrics.py may not call: it reads Corpus.columns
+# sentence readers these modules may not call: they read Corpus.columns
 SENTENCE_READERS = {"surfaces", "lemmas", "tags"}
+COLUMN_READERS = {"features.py", "metrics.py"}
 PACKAGE = Path(varieties.__file__).parent
 
 
@@ -45,12 +46,12 @@ def _offences(path: Path) -> list[str]:
         for name in FORBIDDEN_NAMES.intersection(names):
             found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
         if path.name != "lexicons.py":
-            if "by_first" in names:
-                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names by_first")
+            if "_index" in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names _index")
             if uses_lexicons and isinstance(node, ast.While):
                 found.append(f"{path.name}:{node.lineno} scans positions")
         if (
-            path.name == "metrics.py"
+            path.name in COLUMN_READERS
             and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in SENTENCE_READERS
@@ -87,7 +88,7 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
     metrics.write_text(
         "from .lexicons import PhraseList\n"
         "def h(corpus, sent, phrases: PhraseList):\n"
-        "    index = phrases.by_first\n"
+        "    index = phrases._index\n"
         "    i = 0\n"
         "    while i < len(sent.surfaces()):\n"
         "        i += 1\n"
@@ -97,6 +98,19 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
         "calls .lemmas()",
         "calls .surfaces()",
         "calls .tags()",
-        "names by_first",
+        "names _index",
         "scans positions",
+    ]
+    features = tmp_path / "features.py"
+    features.write_text(
+        "def k(chunk):\n"
+        "    for sent in chunk.sentences:\n"
+        "        yield sent.surfaces(), sent.lemmas()\n"
+        "    yield from chunk.tags()\n"
+        "    yield chunk.columns\n"
+    )
+    assert sorted(offence.split(" ", 1)[1] for offence in _offences(features)) == [
+        "calls .lemmas()",
+        "calls .surfaces()",
+        "calls .tags()",
     ]
