@@ -264,6 +264,33 @@ def task_folds(labels):
             yield keep, train, test
 
 
+def position_counts(tokens):
+    keys, totals = ChunkCounts([make_chunk([make_sentence(tokens)])]).totals(POSTOK)
+    return dict(zip(keys, totals.tolist()))
+
+
+class TestPositionEvents:
+    def test_three_token_sentence(self):
+        assert position_counts(["we", "must", "act"]) == {
+            "first:we": 1,
+            "second:must": 1,
+            "third:act": 1,
+            "penultimate:must": 1,
+            "last:act": 1,
+        }
+
+    def test_single_token_sentence(self):
+        assert position_counts(["yes"]) == {"first:yes": 1, "last:yes": 1}
+
+    def test_two_token_sentence(self):
+        assert position_counts(["go", "home"]) == {
+            "first:go": 1,
+            "second:home": 1,
+            "penultimate:go": 1,
+            "last:home": 1,
+        }
+
+
 class TestCountTableAgainstOracle:
     """Selection and vectorization on row views of one ChunkCounts equal the
     per-chunk Counter reference on the same chunks."""
