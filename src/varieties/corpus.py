@@ -2,15 +2,20 @@
 
 The unit of annotation is a sentence carrying its language variety (native
 "N", non-native "NN", translated "T") plus optional country / language-family
-metadata. Sentences are grouped into ~2,000-token chunks (never splitting a
-sentence) for classification; a chunk is itself a ``Corpus``. Corpora can be
-shuffled, filtered and down-sampled to equal class sizes. Every randomised
-operation takes an explicit seed and is reproducible.
+metadata. A ``Corpus`` has one representation, ``Corpus.columns``: sorted
+surface, POS and lemma vocabularies with one int32 id array each and CSR
+sentence offsets, plus per-sentence variety, country and family codes. The
+readers intern each record straight into those columns, and shuffling,
+filtering, chunking (~2,000-token chunks, never splitting a sentence),
+slicing and concatenation are index arithmetic on them. ``Token`` and
+``AnnotatedSentence`` are the validated construction and inspection API:
+``Corpus(sentences)`` interns them, and ``Corpus.sentences`` builds them from
+the columns on first use. Every randomised operation takes an explicit seed
+and is reproducible.
 
 This module is the only reader of token fields: other modules see sentence
-content through ``AnnotatedSentence.surfaces()``, ``Corpus.tags()``, the one
-validated reader of POS tags, and ``Corpus.columns``, the corpus's tokens as
-interned id arrays. ``KeyCounts`` is the one table of key counts per row
+content through ``Corpus.columns`` and ``Corpus.tags()``, the one validated
+reader of POS tags. ``KeyCounts`` is the one table of key counts per row
 (chunk feature keys, sentence lemmas/idioms), built from (row, key id) pairs.
 """
 
@@ -19,13 +24,14 @@ from __future__ import annotations
 import json
 import random
 import string
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +65,20 @@ def tokenize_raw(text: str) -> list[str]:
     ]
 
 
+def _token_fault(surface: str, pos: str | None, lemma: str | None) -> str | None:
+    """Why ``Token`` rejects these fields, or None."""
+    # split() drops str.isspace runs, so only a nonempty surface with no
+    # whitespace character splits into itself
+    if surface.split() != [surface]:
+        return f"token surface must be nonempty and whitespace-free: {surface!r}"
+    # a missing tag or lemma is None (null in JSONL, an empty field in the
+    # vertical format), so an empty one is never a value
+    for field, value in (("pos", pos), ("lemma", lemma)):
+        if value == "":
+            return f"token {field} is empty; a missing {field} is null"
+    return None
+
+
 @dataclass(frozen=True)
 class Token:
     """A single lowercased token with optional POS tag and lemma."""
@@ -68,17 +88,9 @@ class Token:
     lemma: str | None = None
 
     def __post_init__(self):
-        # split() drops str.isspace runs, so only a nonempty surface with no
-        # whitespace character splits into itself
-        if self.surface.split() != [self.surface]:
-            raise ValueError(
-                f"token surface must be nonempty and whitespace-free: {self.surface!r}"
-            )
-        # a missing tag or lemma is None (null in JSONL, an empty field in
-        # the vertical format), so an empty one is never a value
-        for field in ("pos", "lemma"):
-            if getattr(self, field) == "":
-                raise ValueError(f"token {field} is empty; a missing {field} is null")
+        fault = _token_fault(self.surface, self.pos, self.lemma)
+        if fault is not None:
+            raise ValueError(fault)
         if self.surface.lower() != self.surface:
             object.__setattr__(self, "surface", self.surface.lower())
         if self.lemma is not None and self.lemma.lower() != self.lemma:
@@ -89,17 +101,21 @@ class Token:
         return self.lemma if self.lemma is not None else self.surface
 
 
-class _TokenTable(dict):
-    """One validated ``Token`` per distinct raw (surface, pos, lemma) triple.
-
-    A reader keeps one table per file, so equal tokens share one immutable
-    object. A triple whose ``Token`` raises is not stored, so it raises again
-    wherever it recurs.
-    """
-
-    def __missing__(self, key: tuple[str, str | None, str | None]) -> Token:
-        token = self[key] = Token(*key)
-        return token
+def _sentence_fault(
+    length: int, variety: object, country: str | None, family: str | None
+) -> str | None:
+    """Why ``AnnotatedSentence`` rejects a sentence of ``length`` tokens with
+    this metadata, or None."""
+    if not length:
+        return "sentence must contain at least one token"
+    if variety not in VARIETY_LABELS:
+        return f"unknown variety label {variety!r}"
+    if family is not None:
+        if family not in FAMILY_LABELS:
+            return f"unknown family label {family!r}"
+        if country is not None and family_of(country) != family:
+            return f"family {family!r} inconsistent with country {country!r}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,20 +133,11 @@ class AnnotatedSentence:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
-            raise ValueError("sentence must contain at least one token")
-        if self.variety not in VARIETY_LABELS:
-            raise ValueError(f"unknown variety label {self.variety!r}")
-        if self.family is None:
-            if self.country is not None:
-                object.__setattr__(self, "family", family_of(self.country))
-        else:
-            if self.family not in FAMILY_LABELS:
-                raise ValueError(f"unknown family label {self.family!r}")
-            if self.country is not None and family_of(self.country) != self.family:
-                raise ValueError(
-                    f"family {self.family!r} inconsistent with country {self.country!r}"
-                )
+        fault = _sentence_fault(len(self.tokens), self.variety, self.country, self.family)
+        if fault is not None:
+            raise ValueError(fault)
+        if self.family is None and self.country is not None:
+            object.__setattr__(self, "family", family_of(self.country))
 
     @property
     def token_count(self) -> int:
@@ -159,12 +166,18 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """A corpus's tokens as interned ids, in ``KeyCounts``' CSR layout:
-    sentence s is tokens ``ptr[s]:ptr[s + 1]``. Each vocabulary is sorted, so
-    ids sort like their strings; it holds the values that occur, and only
-    those unless the corpus was made by ``Corpus.take``. The id arrays are
-    int32, one entry per token. A token without a POS tag has POS id -1; a
-    token's lemma is its ``lemma_or_surface``."""
+    """A corpus as interned ids.
+
+    Per token, in ``KeyCounts``' CSR layout (sentence s is tokens
+    ``ptr[s]:ptr[s + 1]``, int64 ``ptr``): int32 ids into the surface, POS
+    and lemma vocabularies. A token without a POS tag has POS id -1; a
+    token's lemma id is that of its ``lemma_or_surface``, and ``lemma_given``
+    says whether the token has a lemma of its own. Per sentence: its variety
+    and family as int8 indices into ``VARIETY_LABELS`` and ``FAMILY_LABELS``
+    and its country as an int32 index into ``country_vocab``; a missing
+    country or family is -1. Each vocabulary is sorted, so ids sort like
+    their strings; it holds the values that occur, and only those unless the
+    corpus was cut from a larger one (``Corpus.take``)."""
 
     surface_vocab: tuple[str, ...]
     pos_vocab: tuple[str, ...]
@@ -173,6 +186,11 @@ class Columns:
     pos_ids: np.ndarray
     lemma_ids: np.ndarray
     ptr: np.ndarray
+    lemma_given: np.ndarray
+    variety: np.ndarray
+    country_vocab: tuple[str, ...]
+    country: np.ndarray
+    family: np.ndarray
 
     def take(self, rows: np.ndarray) -> Columns:
         """The sentences at ``rows``, sharing these vocabularies."""
@@ -183,6 +201,10 @@ class Columns:
             pos_ids=self.pos_ids[at],
             lemma_ids=self.lemma_ids[at],
             ptr=np.concatenate(([0], np.cumsum(lengths))),
+            lemma_given=self.lemma_given[at],
+            variety=self.variety[rows],
+            country=self.country[rows],
+            family=self.family[rows],
         )
 
     def check_tagged(self, starts: Sequence[int] = (0,)) -> None:
@@ -199,76 +221,251 @@ class Columns:
             raise _untagged(row - first, at - int(self.ptr[row]), surface)
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# interning
+
+
+class _Fault(Exception):
+    """A raw value that a reader's cheap check rejects; the reader then
+    rebuilds the error through the full validation order."""
+
+
+class _Interned(dict):
+    """Values -> ids, in order of first appearance."""
+
+    def __missing__(self, value) -> int:
+        self[value] = i = len(self)
+        return i
+
+
+class _Checked(dict):
+    """Raw field values -> the ids of their normal forms in ``interned``.
+    ``normal`` runs once per distinct raw value and returns its normal form,
+    or None for a value it rejects, which raises ``_Fault`` and is never
+    stored. An unhashable raw value raises ``TypeError``."""
+
+    def __init__(self, interned: _Interned, normal: Callable):
+        super().__init__()
+        self.interned = interned
+        self.normal = normal
+
+    def __missing__(self, raw) -> int:
+        value = self.normal(raw)
+        if value is None:
+            raise _Fault
+        self[raw] = i = self.interned[value]
+        return i
+
+
+def _surface(raw) -> str | None:
+    return raw.lower() if type(raw) is str and raw.split() == [raw] else None
+
+
+def _tag(raw) -> str | None:
+    return raw if type(raw) is str and raw else None
+
+
+def _lemma(raw) -> str | None:
+    return raw.lower() if type(raw) is str and raw else None
+
+
+def _metadata(raw: tuple) -> tuple | None:
+    """A sentence's (variety, country, family) with the family derived."""
+    variety, country, family = raw
+    if any(value is not None and type(value) is not str for value in (country, family)):
+        return None
+    if _sentence_fault(1, variety, country, family) is not None:
+        return None
+    if family is None and country is not None:
+        family = family_of(country)
+    return variety, country, family
+
+
+def _sorted_ids(values: list, ids: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The ``values`` that ``ids`` use, sorted, and ``ids`` as int32 indices
+    into them; -1 stays -1."""
+    seen = np.zeros(len(values) + 1, dtype=bool)
+    seen[ids] = True
+    used = sorted(np.flatnonzero(seen[:-1]).tolist(), key=values.__getitem__)
+    # the last entry maps -1 to -1
+    code = np.full(len(values) + 1, -1, dtype=np.int32)
+    code[used] = np.arange(len(used))
+    return tuple(values[i] for i in used), code[ids]
+
+
+class _Builder:
+    """Interns sentences into the arrays of their ``Columns``: provisional
+    ids in order of first appearance, sorted once at the end. A word's
+    surface and lemma share one table, and a missing tag or lemma is id -1;
+    each raw field value is checked and lowercased once per distinct value."""
+
+    def __init__(self):
+        words = _Interned()
+        self.surface_of = _Checked(words, _surface)
+        self.lemma_of = _Checked(words, _lemma)
+        self.pos_of = _Checked(_Interned(), _tag)
+        self.metadata_of = _Checked(_Interned(), _metadata)
+        # a missing tag or lemma is None in a record
+        self.lemma_of[None] = self.pos_of[None] = -1
+        self.surface, self.pos, self.lemma = array("i"), array("i"), array("i")
+        self.lengths, self.metadata = array("q"), array("i")
+
+    def append(self, surface: list[int], pos: list[int], lemma: list[int], metadata: int):
+        self.surface.fromlist(surface)
+        self.pos.fromlist(pos)
+        self.lemma.fromlist(lemma)
+        self.lengths.append(len(surface))
+        self.metadata.append(metadata)
+
+    def add(self, sentence: AnnotatedSentence) -> None:
+        """Intern a validated sentence."""
+        words, tags = self.surface_of.interned, self.pos_of.interned
+        tokens = sentence.tokens
+        self.append(
+            [words[t.surface] for t in tokens],
+            [-1 if t.pos is None else tags[t.pos] for t in tokens],
+            [-1 if t.lemma is None else words[t.lemma] for t in tokens],
+            self.metadata_of[sentence.variety, sentence.country, sentence.family],
+        )
+
+    def columns(self) -> Columns:
+        # each provisional array is let go once its ids are sorted, so about
+        # two of them are alive at a time beside the columns
+        words = list(self.surface_of.interned)
+        surface = np.frombuffer(self.surface, np.intc)
+        lemma = np.frombuffer(self.lemma, np.intc)
+        lemma_given = lemma >= 0
+        np.copyto(lemma, surface, where=~lemma_given)
+        lemma_vocab, lemma_ids = _sorted_ids(words, lemma)
+        del lemma, self.lemma
+        surface_vocab, surface_ids = _sorted_ids(words, surface)
+        del surface, self.surface
+        pos_vocab, pos_ids = _sorted_ids(
+            list(self.pos_of.interned), np.frombuffer(self.pos, np.intc)
+        )
+        del self.pos
+        metadata = np.frombuffer(self.metadata, np.intc)
+        triples = list(self.metadata_of.interned)
+        country_vocab = tuple(sorted({country for _, country, _ in triples} - {None}))
+        country_index = {country: i for i, country in enumerate(country_vocab)}
+        return Columns(
+            surface_vocab=surface_vocab,
+            pos_vocab=pos_vocab,
+            lemma_vocab=lemma_vocab,
+            surface_ids=surface_ids,
+            pos_ids=pos_ids,
+            lemma_ids=lemma_ids,
+            ptr=np.concatenate(([0], np.cumsum(np.frombuffer(self.lengths, np.int64)))),
+            lemma_given=lemma_given,
+            variety=np.array([VARIETY_LABELS.index(v) for v, _, _ in triples], np.int8)[metadata],
+            country_vocab=country_vocab,
+            country=np.array([country_index.get(c, -1) for _, c, _ in triples], np.int32)[metadata],
+            family=np.array(
+                [-1 if f is None else FAMILY_LABELS.index(f) for _, _, f in triples], np.int8
+            )[metadata],
+        )
+
+
+def _materialize(columns: Columns) -> tuple[AnnotatedSentence, ...]:
+    """The sentences of ``columns`` as objects, with one ``Token`` per
+    distinct (surface, POS, lemma)."""
+    c = columns
+    lemma = np.where(c.lemma_given, c.lemma_ids, -1)
+    pos_width, lemma_width = len(c.pos_vocab) + 1, len(c.lemma_vocab) + 1
+    keys = (c.surface_ids.astype(np.int64) * pos_width + c.pos_ids + 1) * lemma_width + lemma + 1
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    rest, lemma_of = np.divmod(distinct, lemma_width)
+    surface_of, pos_of = np.divmod(rest, pos_width)
+    tags, lemmas = (None,) + c.pos_vocab, (None,) + c.lemma_vocab
+    tokens = [
+        Token(c.surface_vocab[s], tags[p], lemmas[m])
+        for s, p, m in zip(surface_of.tolist(), pos_of.tolist(), lemma_of.tolist())
+    ]
+    laid = list(map(tokens.__getitem__, inverse.ravel().tolist()))
+    bounds = c.ptr.tolist()
+    countries, families = c.country_vocab + (None,), FAMILY_LABELS + (None,)
+    return tuple(
+        AnnotatedSentence(tuple(laid[a:b]), VARIETY_LABELS[v], countries[k], families[f])
+        for a, b, v, k, f in zip(
+            bounds, bounds[1:], c.variety.tolist(), c.country.tolist(), c.family.tolist()
+        )
+    )
+
+
 class Corpus:
-    """An immutable ordered collection of annotated sentences."""
+    """An ordered collection of annotated sentences, held as ``columns`` and
+    never changed. ``Corpus(sentences)`` interns validated sentences; a
+    corpus read from a file or cut from another builds its ``sentences`` on
+    first use, and a corpus cut from one that holds them shares them."""
 
-    sentences: tuple[AnnotatedSentence, ...]
-    provenance: str = ""
+    def __init__(self, sentences: Iterable[AnnotatedSentence] = (), provenance: str = ""):
+        sentences = tuple(sentences)
+        built = _Builder()
+        for sentence in sentences:
+            built.add(sentence)
+        self.columns = built.columns()
+        self.provenance = provenance
+        self.__dict__["sentences"] = sentences
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    @classmethod
+    def _of(
+        cls,
+        columns: Columns,
+        provenance: str,
+        sentences: tuple[AnnotatedSentence, ...] | None = None,
+    ) -> Corpus:
+        corpus = cls.__new__(cls)
+        corpus.columns = columns
+        corpus.provenance = provenance
+        if sentences is not None:
+            corpus.__dict__["sentences"] = sentences
+        return corpus
+
+    @cached_property
+    def sentences(self) -> tuple[AnnotatedSentence, ...]:
+        return _materialize(self.columns)
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.columns.ptr) - 1
 
     def __iter__(self) -> Iterator[AnnotatedSentence]:
         return iter(self.sentences)
 
-    @cached_property
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.provenance == other.provenance and self.sentences == other.sentences
+
+    __hash__ = None
+
+    @property
     def token_count(self) -> int:
-        return sum(s.token_count for s in self.sentences)
+        return len(self.columns.surface_ids)
 
     def tags(self) -> list[list[str]]:
         """POS tags, one list per sentence. The first token without a tag
         raises ``UntaggedTokenError`` naming its sentence, position and
         surface."""
-        out = []
-        for s_idx, sent in enumerate(self.sentences):
-            tags = [t.pos for t in sent.tokens]
-            if None in tags:
-                t_idx = tags.index(None)
-                raise _untagged(s_idx, t_idx, sent.tokens[t_idx].surface)
-            out.append(tags)
-        return out
-
-    @cached_property
-    def columns(self) -> Columns:
-        """The tokens as interned id arrays."""
-        lengths = np.fromiter((len(s.tokens) for s in self.sentences), np.int64, len(self))
-
-        def tokens() -> Iterator[Token]:
-            return chain.from_iterable(s.tokens for s in self.sentences)
-
-        # fields are read once per token object (ingest shares one object per
-        # distinct token); dicts keyed by id keep the pass at 4 B per token
-        distinct = dict(zip(map(id, tokens()), tokens()))
-        index = dict(zip(distinct, range(len(distinct))))
-        token_ids = np.fromiter(map(index.__getitem__, map(id, tokens())), np.int32, int(lengths.sum()))
-        vocabs, ids = [], []
-        for values in (
-            [t.surface for t in distinct.values()],
-            [t.pos for t in distinct.values()],
-            [t.lemma_or_surface for t in distinct.values()],
-        ):
-            vocab = sorted(set(values) - {None})
-            code = dict(zip(vocab, range(len(vocab))))
-            code[None] = -1
-            vocabs.append(tuple(vocab))
-            ids.append(np.fromiter(map(code.__getitem__, values), np.int32, len(values))[token_ids])
-        return Columns(*vocabs, *ids, np.concatenate(([0], np.cumsum(lengths))))
+        columns = self.columns
+        columns.check_tagged()
+        tags = list(map(columns.pos_vocab.__getitem__, columns.pos_ids.tolist()))
+        bounds = columns.ptr.tolist()
+        return [tags[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def take(self, rows: np.ndarray) -> Corpus:
         """The sentences at ``rows`` (indices, repeats allowed) as a corpus
         of the same provenance, whose columns are gathered from these."""
-        taken = Corpus(tuple(map(self.sentences.__getitem__, rows.tolist())), self.provenance)
-        # filled as the cached property would be: a gather costs less than a
-        # pass over the taken tokens
-        taken.__dict__["columns"] = self.columns.take(rows)
-        return taken
+        sentences = self.__dict__.get("sentences")
+        if sentences is not None:
+            sentences = tuple(map(sentences.__getitem__, rows.tolist()))
+        return Corpus._of(self.columns.take(rows), self.provenance, sentences)
 
     def varieties(self) -> set[str]:
-        return {s.variety for s in self.sentences}
+        return {VARIETY_LABELS[v] for v in np.unique(self.columns.variety).tolist()}
+
+    def countries(self) -> set[str]:
+        vocab = self.columns.country_vocab
+        return {vocab[c] for c in np.unique(self.columns.country).tolist() if c >= 0}
 
 
 class KeyCounts:
@@ -324,23 +521,34 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
     """
     path = Path(path)
     if fmt == "jsonl":
-        sentences = _read_jsonl(path, default_variety)
+        read = _read_jsonl
     elif fmt == "vertical":
-        sentences = _read_vertical(path, default_variety)
+        read = _read_vertical
     else:
         raise CorpusFormatError(f"unknown corpus format {fmt!r}")
-    if not sentences:
+    # the reader's frame is gone by now, so nothing else holds the builder's
+    # arrays, and columns() lets each go as soon as it has its ids
+    columns = read(path, default_variety).columns()
+    if len(columns.ptr) == 1:
         raise CorpusFormatError(f"empty corpus file: {path}")
-    return Corpus(sentences=tuple(sentences), provenance=str(path))
+    return Corpus._of(columns, str(path))
 
 
 # the scanner json.loads runs, called once per stripped line
 _scan_json = make_scanner(json.JSONDecoder())
+# one id -1, a missing tag or lemma, as array("i") bytes
+_MISSING = array("i", [-1]).tobytes()
 
 
-def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
-    sentences = []
-    table = _TokenTable()
+def _read_jsonl(path: Path, default_variety: str | None) -> _Builder:
+    built = _Builder()
+    surface_of = built.surface_of.__getitem__
+    pos_of = built.pos_of.__getitem__
+    lemma_of = built.lemma_of.__getitem__
+    metadata_of = built.metadata_of
+    add_surface, add_pos, add_lemma = (a.fromlist for a in (built.surface, built.pos, built.lemma))
+    add_missing_pos, add_missing_lemma = built.pos.frombytes, built.lemma.frombytes
+    add_length, add_metadata = built.lengths.append, built.metadata.append
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -357,10 +565,49 @@ def _read_jsonl(path: Path, default_variety: str | None) -> list[AnnotatedSenten
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
             if end != len(line):
                 raise CorpusFormatError("invalid JSON: Extra data", line_no)
-            sentences.append(
-                _sentence_from_record(record, line_no, default_variety, table)
-            )
-    return sentences
+            # the cheap checks: each distinct raw field value is checked once,
+            # as it is interned; a record that fails one is validated again
+            # in full for its first fault
+            try:
+                if type(record) is not dict:
+                    raise _Fault
+                surfaces = record.get("tokens")
+                if surfaces is None:
+                    text = record.get("text")
+                    if "tokens" in record or type(text) is not str:
+                        raise _Fault
+                    surfaces = tokenize_raw(text)
+                if type(surfaces) is not list or not surfaces:
+                    raise _Fault
+                n = len(surfaces)
+                metadata = metadata_of[
+                    record.get("variety", default_variety),
+                    record.get("country"),
+                    record.get("family"),
+                ]
+                add_surface(list(map(surface_of, surfaces)))
+                pos = record.get("pos")
+                if pos is None:
+                    add_missing_pos(_MISSING * n)
+                elif type(pos) is list and len(pos) == n:
+                    add_pos(list(map(pos_of, pos)))
+                else:
+                    raise _Fault
+                lemma = record.get("lemma")
+                if lemma is None:
+                    add_missing_lemma(_MISSING * n)
+                elif type(lemma) is list and len(lemma) == n:
+                    add_lemma(list(map(lemma_of, lemma)))
+                else:
+                    raise _Fault
+            except (_Fault, TypeError):
+                fault = _record_fault(record, default_variety)
+                if fault is None:
+                    raise
+                raise CorpusFormatError(fault, line_no) from None
+            add_length(n)
+            add_metadata(metadata)
+    return built
 
 
 # the JSON types an entry of "tokens", and of an aligned "pos" or "lemma"
@@ -369,86 +616,78 @@ _SURFACE_TYPES = frozenset({str})
 _ENTRY_TYPES = frozenset({str, type(None)})
 
 
-def _sentence_from_record(
-    record: object, line_no: int, default_variety: str | None, table: _TokenTable
-) -> AnnotatedSentence:
+def _record_fault(record: object, default_variety: str | None) -> str | None:
+    """The first fault of a JSONL record, or None. The order: the record's
+    structure and field types, its variety, each token in turn, then the
+    sentence's metadata."""
     if not isinstance(record, dict):
-        raise CorpusFormatError("record is not a JSON object", line_no)
+        return "record is not a JSON object"
     if "tokens" in record:
         surfaces = record["tokens"]
         if not isinstance(surfaces, list) or not _SURFACE_TYPES.issuperset(
             map(type, surfaces)
         ):
-            raise CorpusFormatError('"tokens" must be an array of strings', line_no)
+            return '"tokens" must be an array of strings'
     elif "text" in record:
         if not isinstance(record["text"], str):
-            raise CorpusFormatError('"text" must be a string', line_no)
+            return '"text" must be a string'
         surfaces = tokenize_raw(record["text"])
         if not surfaces:
-            raise CorpusFormatError("no tokens survive raw-text tokenization", line_no)
+            return "no tokens survive raw-text tokenization"
     else:
-        raise CorpusFormatError('record lacks a "tokens" or "text" field', line_no)
+        return 'record lacks a "tokens" or "text" field'
     pos, lemma = record.get("pos"), record.get("lemma")
     for key, value in (("pos", pos), ("lemma", lemma)):
         if value is not None and (not isinstance(value, list) or len(value) != len(surfaces)):
-            raise CorpusFormatError(f'"{key}" must be an array aligned with the tokens', line_no)
+            return f'"{key}" must be an array aligned with the tokens'
         if value is not None and not _ENTRY_TYPES.issuperset(map(type, value)):
-            raise CorpusFormatError(f'"{key}" entries must be strings or null', line_no)
+            return f'"{key}" entries must be strings or null'
     country, family = record.get("country"), record.get("family")
     for key, value in (("country", country), ("family", family)):
         if value is not None and not isinstance(value, str):
-            raise CorpusFormatError(f'"{key}" must be a string', line_no)
+            return f'"{key}" must be a string'
     variety = record.get("variety", default_variety)
     if variety not in VARIETY_LABELS:
-        raise CorpusFormatError(f"unknown variety label {variety!r}", line_no)
-    triples = zip(surfaces, pos or repeat(None), lemma or repeat(None))
-    try:
-        return AnnotatedSentence(tuple(map(table.__getitem__, triples)), variety, country, family)
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc), line_no) from exc
+        return f"unknown variety label {variety!r}"
+    for fields in zip(surfaces, pos or repeat(None), lemma or repeat(None)):
+        fault = _token_fault(*fields)
+        if fault is not None:
+            return fault
+    return _sentence_fault(len(surfaces), variety, country, family)
 
 
 _METADATA = ("variety", "country", "family")
 
 
-def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSentence]:
-    sentences = []
-    table = _TokenTable()
-    current: list[Token] = []
+def _read_vertical(path: Path, default_variety: str | None) -> _Builder:
+    built = _Builder()
+    surface, pos, lemma = [], [], []
     meta: dict[str, str | None] = {"variety": default_variety, "country": None, "family": None}
     sentence_start_line = 1
 
-    def flush(line_no: int):
-        if not current:
+    def flush():
+        if not surface:
             return
-        variety = meta["variety"]
-        if variety not in VARIETY_LABELS:
-            raise CorpusFormatError(
-                f"unknown variety label {variety!r}", sentence_start_line
-            )
+        key = (meta["variety"], meta["country"], meta["family"])
         try:
-            sentences.append(
-                AnnotatedSentence(
-                    tokens=tuple(current),
-                    variety=variety,
-                    country=meta["country"],
-                    family=meta["family"],
-                )
-            )
-        except ValueError as exc:
-            raise CorpusFormatError(str(exc), sentence_start_line) from exc
-        current.clear()
+            metadata = built.metadata_of[key]
+        except _Fault:
+            raise CorpusFormatError(
+                _sentence_fault(len(surface), *key), sentence_start_line
+            ) from None
+        built.append(surface[:], pos[:], lemma[:], metadata)
+        for pending in (surface, pos, lemma):
+            pending.clear()
 
-    line_no = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
-                flush(line_no)
+                flush()
                 sentence_start_line = line_no + 1
                 continue
             if line.startswith("#"):
-                flush(line_no)
+                flush()
                 key, sep, value = line[1:].partition("=")
                 if not sep or key.strip() not in _METADATA:
                     raise CorpusFormatError(f"unknown header {line!r}", line_no)
@@ -459,52 +698,62 @@ def _read_vertical(path: Path, default_variety: str | None) -> list[AnnotatedSen
             if len(fields) > 3:
                 raise CorpusFormatError("expected surface<TAB>pos<TAB>lemma", line_no)
             fields += [""] * (3 - len(fields))
+            fields[1:] = [value or None for value in fields[1:]]
             try:
-                current.append(table[fields[0], fields[1] or None, fields[2] or None])
-            except ValueError as exc:
-                raise CorpusFormatError(str(exc), line_no) from exc
-        flush(line_no)
-    return sentences
+                surface.append(built.surface_of[fields[0]])
+            except _Fault:
+                raise CorpusFormatError(_token_fault(*fields), line_no) from None
+            pos.append(built.pos_of[fields[1]])
+            lemma.append(built.lemma_of[fields[2]])
+        flush()
+    return built
+
+
+# write_jsonl formats and writes this many lines at a time: one write per
+# line costs more, one join at the end holds the file
+_JSONL_LINES_PER_WRITE = 4096
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Serialize a corpus so that ``ingest`` reproduces it exactly. Each line
-    is ``json.dumps(record, ensure_ascii=False)`` of the sentence's record."""
-    # each token object's fields as JSON, by id (the corpus keeps its tokens
-    # alive): ingest shares one object per distinct token, but a corpus built
-    # token by token has one per token, so a large cache is emptied
-    fragments: dict[int, tuple[str, str, str]] = {}
-    tails: dict[tuple, str] = {}
-    block: list[str] = []
+    is ``json.dumps(record, ensure_ascii=False)`` of the sentence's record,
+    joined from one JSON fragment per vocabulary entry."""
+    c = corpus.columns
+    surfaces = [encode_basestring(w) for w in c.surface_vocab]
+    # the last fragment is id -1's: a missing tag or lemma
+    tags = [encode_basestring(t) for t in c.pos_vocab] + ["null"]
+    lemmas = [encode_basestring(w) for w in c.lemma_vocab] + ["null"]
+    countries, families = c.country_vocab + (None,), FAMILY_LABELS + (None,)
+    tails: dict[tuple[int, int, int], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus.sentences:
-            encoded = list(map(fragments.get, map(id, sent.tokens)))
-            if None in encoded:
-                if len(fragments) > 65536:
-                    fragments.clear()
-                for i, token in enumerate(sent.tokens):
-                    if encoded[i] is None:
-                        encoded[i] = fragments[id(token)] = tuple(
-                            "null" if value is None else encode_basestring(value)
-                            for value in (token.surface, token.pos, token.lemma)
-                        )
-            surfaces, pos, lemma = zip(*encoded)
-            line = '{"tokens": [' + ", ".join(surfaces) + "]"
-            for key, values in (("pos", pos), ("lemma", lemma)):
-                if values.count("null") < len(values):
-                    line += f', "{key}": [{", ".join(values)}]'
-            meta = (sent.variety, sent.country, sent.family)
-            if meta not in tails:
-                tails[meta] = "".join(
-                    f', "{k}": {encode_basestring(v)}'
-                    for k, v in zip(_METADATA, meta) if v is not None
-                ) + "}\n"
-            block.append(line + tails[meta])
-            # one write per line costs more; one join at the end holds the file
-            if len(block) == 4096:
-                fh.write("".join(block))
-                block.clear()
-        fh.write("".join(block))
+        for start in range(0, len(corpus), _JSONL_LINES_PER_WRITE):
+            rows = slice(start, start + _JSONL_LINES_PER_WRITE)
+            ptr = c.ptr[start : start + _JSONL_LINES_PER_WRITE + 1]
+            tokens = slice(int(ptr[0]), int(ptr[-1]))
+            bounds = (ptr - ptr[0]).tolist()
+            pos = c.pos_ids[tokens]
+            lemma = np.where(c.lemma_given[tokens], c.lemma_ids[tokens], -1)
+            any_pos = np.logical_or.reduceat(pos >= 0, bounds[:-1]).tolist()
+            any_lemma = np.logical_or.reduceat(lemma >= 0, bounds[:-1]).tolist()
+            surface_ids = c.surface_ids[tokens].tolist()
+            pos_ids, lemma_ids = pos.tolist(), lemma.tolist()
+            metas = zip(c.variety[rows].tolist(), c.country[rows].tolist(), c.family[rows].tolist())
+            lines = []
+            # each line's tail closes its last array
+            for a, b, has_pos, has_lemma, meta in zip(bounds, bounds[1:], any_pos, any_lemma, metas):
+                line = '{"tokens": [' + ", ".join(map(surfaces.__getitem__, surface_ids[a:b]))
+                if has_pos:
+                    line += '], "pos": [' + ", ".join(map(tags.__getitem__, pos_ids[a:b]))
+                if has_lemma:
+                    line += '], "lemma": [' + ", ".join(map(lemmas.__getitem__, lemma_ids[a:b]))
+                if meta not in tails:
+                    values = (VARIETY_LABELS[meta[0]], countries[meta[1]], families[meta[2]])
+                    tails[meta] = "]" + "".join(
+                        f', "{k}": {encode_basestring(v)}'
+                        for k, v in zip(_METADATA, values) if v is not None
+                    ) + "}\n"
+                lines.append(line + tails[meta])
+            fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +762,9 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
     """Deterministic random permutation of the corpus sentences."""
-    order = list(corpus.sentences)
+    order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
-    return Corpus(sentences=tuple(order), provenance=corpus.provenance)
+    return corpus.take(np.array(order, dtype=np.intp))
 
 
 def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
@@ -530,19 +779,17 @@ def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
         raise ValueError(
             f"chunking requires a single-variety corpus, found {sorted(varieties)}"
         )
-    chunks: list[Corpus] = []
-    pending: list[AnnotatedSentence] = []
+    # each chunk's first sentence, then the end of the last one
+    bounds = [0]
     pending_tokens = 0
-    for sent in corpus.sentences:
-        pending.append(sent)
-        pending_tokens += sent.token_count
+    for end, length in enumerate(np.diff(corpus.columns.ptr).tolist(), start=1):
+        pending_tokens += length
         if pending_tokens >= target_size:
-            chunks.append(Corpus(sentences=tuple(pending), provenance=corpus.provenance))
-            pending = []
+            bounds.append(end)
             pending_tokens = 0
     if pending_tokens >= 0.5 * target_size:
-        chunks.append(Corpus(sentences=tuple(pending), provenance=corpus.provenance))
-    return chunks
+        bounds.append(len(corpus))
+    return [corpus.take(np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def balance(chunks_by_variety: dict[str, list[Corpus]], seed: int) -> dict[str, list[Corpus]]:
@@ -568,18 +815,59 @@ def filter_corpus(
     family: str | None = None,
 ) -> Corpus:
     """Order-preserving subsequence of sentences matching every given field."""
-    kept = tuple(
-        s
-        for s in corpus.sentences
-        if (variety is None or s.variety == variety)
-        and (country is None or s.country == country)
-        and (family is None or s.family == family)
-    )
-    return Corpus(sentences=kept, provenance=corpus.provenance)
+    c = corpus.columns
+    keep = np.ones(len(corpus), dtype=bool)
+    for codes, labels, wanted in (
+        (c.variety, VARIETY_LABELS, variety),
+        (c.country, c.country_vocab, country),
+        (c.family, FAMILY_LABELS, family),
+    ):
+        if wanted is not None:
+            # -2 is no code, so a value that never occurs keeps nothing
+            keep &= codes == (labels.index(wanted) if wanted in labels else -2)
+    return corpus.take(np.flatnonzero(keep))
+
+
+def _merged(vocabs: list[tuple[str, ...]]) -> tuple[tuple[str, ...], list[np.ndarray | None]]:
+    """One sorted vocabulary holding all of ``vocabs``, and per vocabulary
+    the int32 array that maps its ids into it (its last entry maps -1 to -1),
+    or None where all of them are one vocabulary."""
+    distinct = {id(vocab): vocab for vocab in vocabs}
+    if len(distinct) == 1:
+        return vocabs[0], [None] * len(vocabs)
+    merged = tuple(sorted(set().union(*distinct.values())))
+    index = {value: i for i, value in enumerate(merged)}
+    codes = {
+        key: np.array([index[value] for value in vocab] + [-1], dtype=np.int32)
+        for key, vocab in distinct.items()
+    }
+    return merged, [codes[id(vocab)] for vocab in vocabs]
 
 
 def concat(corpora: Iterable[Corpus], provenance: str = "") -> Corpus:
-    sentences: list[AnnotatedSentence] = []
-    for corpus in corpora:
-        sentences.extend(corpus.sentences)
-    return Corpus(sentences=tuple(sentences), provenance=provenance)
+    """The sentences of ``corpora`` laid end to end. Corpora cut from one
+    corpus keep its vocabularies; different vocabularies are merged."""
+    parts = [corpus.columns for corpus in corpora]
+    if not parts:
+        return Corpus((), provenance)
+    fields = {}
+    for ids, vocab in (
+        ("surface_ids", "surface_vocab"),
+        ("pos_ids", "pos_vocab"),
+        ("lemma_ids", "lemma_vocab"),
+        ("country", "country_vocab"),
+    ):
+        fields[vocab], codes = _merged([getattr(part, vocab) for part in parts])
+        fields[ids] = np.concatenate(
+            [
+                getattr(part, ids) if code is None else code[getattr(part, ids)]
+                for part, code in zip(parts, codes)
+            ]
+        )
+    for name in ("lemma_given", "variety", "family"):
+        fields[name] = np.concatenate([getattr(part, name) for part in parts])
+    ends = np.cumsum([int(part.ptr[-1]) for part in parts])
+    fields["ptr"] = np.concatenate(
+        [[0]] + [part.ptr[1:] + end - part.ptr[-1] for part, end in zip(parts, ends)]
+    )
+    return Corpus._of(Columns(**fields), provenance)

@@ -87,8 +87,8 @@ class ChunkCounts:
     """A stage's chunks and one table per family, counted over every chunk on
     first use; FW and COH tables are kept per word or phrase list (COH counts
     by longest match). ``take`` gives a view of distinct rows that shares the
-    tables; a view iterates its chunks. The chunks' columns are built once,
-    on first use, and only the distinct integer keys are spelled as strings."""
+    tables; a view iterates its chunks. The chunks' columns are laid end to
+    end once, and only the distinct integer keys are spelled as strings."""
 
     def __init__(self, chunks: Iterable[Corpus]):
         self._chunks = list(chunks)
@@ -98,7 +98,7 @@ class ChunkCounts:
         sizes = [len(c) for c in self._chunks]
         self._first = np.cumsum([0] + sizes[:-1])
         self._chunk_of = np.repeat(np.arange(len(sizes), dtype=np.intc), sizes)
-        # shared by views, so its columns are built once
+        # shared by views, so the chunks are laid end to end once
         self._laid = concat(self._chunks)
         self._tables: dict[object, KeyCounts] = {}
         self._maps: dict[str, tuple[FeatureSpace, np.ndarray]] = {}

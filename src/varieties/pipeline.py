@@ -29,7 +29,16 @@ from . import metrics as met
 from . import poslm
 from . import svm
 from .config import PipelineConfig, config_snapshot
-from .corpus import Corpus, balance, chunk, filter_corpus, ingest, shuffle, write_jsonl
+from .corpus import (
+    Corpus,
+    balance,
+    chunk,
+    family_of,
+    filter_corpus,
+    ingest,
+    shuffle,
+    write_jsonl,
+)
 from .errors import UntaggedTokenError, VarietiesError
 from .lexicons import Resources, default_manifest_path, load_resources
 
@@ -240,7 +249,8 @@ def cmd_ingest(config: PipelineConfig, out_dir: Path) -> None:
         found_any = True
         corpus = _ingest_variety(config, variety)
         stage.write(f"ingest/{variety}.jsonl", lambda tmp: write_jsonl(corpus, tmp))
-        types = len({w for sent in corpus.sentences for w in sent.surfaces()})
+        # a corpus as read holds the surfaces that occur, and only those
+        types = len(corpus.columns.surface_vocab)
         stats_rows.append([variety, len(corpus), corpus.token_count, types])
     if not found_any:
         raise VarietiesError("no corpus paths configured; nothing to ingest")
@@ -496,20 +506,22 @@ def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
     stage.finish(resources_manifest)
 
 
+def _head(corpus: Corpus, sentences: int) -> Corpus:
+    return corpus.take(np.arange(min(sentences, len(corpus))))
+
+
 def _take_tokens(corpus: Corpus, budget: int, what: str) -> Corpus:
-    kept = []
-    got = 0
-    for sent in corpus.sentences:
-        if got >= budget:
-            break
-        kept.append(sent)
-        got += sent.token_count
+    """The shortest prefix of ``corpus`` that holds ``budget`` tokens, or all
+    of it."""
+    totals = np.cumsum(np.diff(corpus.columns.ptr))
+    kept = min(int(np.searchsorted(totals, budget)) + 1, len(corpus))
+    got = int(totals[kept - 1]) if kept else 0
     if got < budget:
         warnings.warn(
             f"{what}: only {got} tokens available of the requested {budget}; "
             "running scaled down"
         )
-    return Corpus(sentences=tuple(kept), provenance=corpus.provenance)
+    return _head(corpus, kept)
 
 
 def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
@@ -525,39 +537,32 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
     # included and training tags checked against the tagset, before any
     # model is trained or written
     test_sets = {}
+    countries = set()
     for family in ("Germanic", "Romance"):
         test = filter_corpus(corpus_nn, family=family)
         if len(test) == 0:
             raise VarietiesError(f"no non-native sentences with family {family}")
+        countries |= test.countries()
         if len(test) < config.lm_test_sentences:
             warnings.warn(
                 f"{family} NN: only {len(test)} sentences of the requested "
                 f"{config.lm_test_sentences}"
             )
-        test = shuffle(test, config.seed).sentences[: config.lm_test_sentences]
+        test = _head(shuffle(test, config.seed), config.lm_test_sentences)
         if len(test) <= LM_CHUNK_SENTENCES:
             raise VarietiesError(
                 f"{family} NN test set has {len(test)} sentences "
                 f"(lm_test_sentences = {config.lm_test_sentences}); the paired "
                 f"t-test needs at least 2 chunks of {LM_CHUNK_SENTENCES} sentences"
             )
-        test_sets[family] = poslm.pos_sequences(Corpus(sentences=test))
+        test_sets[family] = poslm.pos_sequences(test)
 
-    countries = sorted(
-        {
-            s.country
-            for s in corpus_nn.sentences
-            if s.country is not None and s.family in ("Germanic", "Romance")
-        }
-    )
     country_sets = {}
-    for country in countries:
+    for country in sorted(countries):
         subset = shuffle(filter_corpus(corpus_nn, country=country), config.seed)
         country_sets[country] = (
-            subset.sentences[0].family,
-            poslm.pos_sequences(
-                Corpus(sentences=subset.sentences[: config.lm_country_sentences])
-            ),
+            family_of(country),
+            poslm.pos_sequences(_head(subset, config.lm_country_sentences)),
         )
 
     train_sets = {}
@@ -569,7 +574,7 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
             shuffle(train, config.seed), config.lm_train_tokens, f"{family} T"
         )
         train_sets[family] = poslm.pos_sequences(train)
-        unknown = set().union(*train_sets[family]) - resources.tagset.tags
+        unknown = train_sets[family].distinct_tags() - resources.tagset.tags
         if unknown:
             raise VarietiesError(
                 f"{family} T training set: tag {min(unknown)!r} is not in the tagset"

@@ -64,6 +64,7 @@ import warnings
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -228,30 +229,33 @@ def _count_ngrams(
     runs past an end marker ends among the order-1 begin markers that follow
     it, so it is never a predicted gram nor the context or left extension of
     one, and needs no masking."""
+    sentences = TagSequences.of(sentences)
     symbols = sorted(tags | {BOS, EOS})
-    ids_of = {tag: i for i, tag in enumerate(symbols) if tag in tags}
     bos, eos = symbols.index(BOS), symbols.index(EOS)
-    pad = [bos] * (order - 1)
-    padded: list[int] = []
-    for s_idx, sentence in enumerate(sentences):
-        sentence = list(sentence)
-        if not sentence:
-            continue
-        padded.extend(pad)
-        try:
-            padded.extend(map(ids_of.__getitem__, sentence))
-        except KeyError:
-            t_idx = next(i for i, tag in enumerate(sentence) if tag not in ids_of)
-            raise ValueError(
-                f"out-of-tagset tag {sentence[t_idx]!r} at sentence {s_idx}, "
-                f"position {t_idx}"
-            ) from None
-        padded.append(eos)
-    if not padded:
+    code = {tag: i for i, tag in enumerate(symbols) if tag in tags}
+    tag_ids = np.array([code.get(tag, -1) for tag in sentences.vocab], np.int64)[sentences.ids]
+    outside = np.flatnonzero(tag_ids < 0)
+    if len(outside):
+        at = int(outside[0])
+        s_idx = int(np.searchsorted(sentences.ptr, at, side="right")) - 1
+        raise ValueError(
+            f"out-of-tagset tag {sentences.vocab[sentences.ids[at]]!r} at sentence "
+            f"{s_idx}, position {at - int(sentences.ptr[s_idx])}"
+        )
+    # each non-empty sentence: order-1 begin markers, its tags, one end marker
+    lengths = np.diff(sentences.ptr)
+    lengths = lengths[lengths > 0]
+    if not len(lengths):
         raise ValueError("training corpus is empty")
-
-    ids = np.array(padded, dtype=np.int64)
-    del padded  # 8 B per tag, freed before the counting passes that set the peak
+    ends = np.cumsum(lengths + order) - 1
+    ids = np.full(int(ends[-1]) + 1, bos, dtype=np.int64)
+    is_tag = np.ones(len(ids), dtype=bool)
+    is_tag[ends] = False
+    for back in range(1, order):
+        is_tag[ends - lengths - back] = False
+    ids[is_tag] = tag_ids
+    ids[ends] = eos
+    del tag_ids, is_tag
     levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
     # prefix[i]: index of the window of length n-1 starting at i
     prefix = np.zeros(len(ids), dtype=np.int64)
@@ -501,17 +505,18 @@ def _in_order(values: Iterable[float]) -> float:
 
 
 def _sentence_scores(
-    model: KneserNeyModel, sentences: Sequence[Sequence[str]]
+    model: KneserNeyModel, sentences: TagSequences
 ) -> tuple[list[float], list[int], list[int]]:
-    """Per non-empty sentence: log10 sum, scored and excluded counts. Every
-    tag and the end marker is scored; out-of-vocabulary tags are excluded
-    and truncate the history. A sentence's scores are summed in order."""
+    """Per sentence, none of them empty: log10 sum, scored and excluded
+    counts. Every tag and the end marker is scored; out-of-vocabulary tags
+    are excluded and truncate the history. A sentence's scores are summed in
+    order."""
     order = model.order
     vocab_ids = {word: model._ids[word] for word in model.vocab}
-    lengths = np.array([len(s) for s in sentences])
-    tag_ids = np.array(
-        [vocab_ids.get(tag, -1) for s in sentences for tag in s], dtype=np.int64
-    )
+    lengths = np.diff(sentences.ptr)
+    tag_ids = np.array([vocab_ids.get(tag, -1) for tag in sentences.vocab], np.int64)[
+        sentences.ids
+    ]
     # each sentence: order-1 begin markers, its tags, one end marker
     sentence_of = np.repeat(np.arange(len(sentences)), lengths)
     tag_at = np.arange(len(tag_ids)) + sentence_of * order + order - 1
@@ -548,8 +553,8 @@ def ppl(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> Perplexity
     """Perplexity 10^(-avg log10 P) over all scoring positions (every tag
     and each sentence's end marker), excluding out-of-vocabulary symbols from
     both the sum and the token count."""
-    sentences = [tags for tags in sentences if tags]
-    if not sentences:
+    sentences = TagSequences.of(sentences).nonempty()
+    if not len(sentences):
         raise ValueError("empty test set")
     sums, scored, excluded = _sentence_scores(model, sentences)
     log_sum = _in_order(sums)
@@ -571,8 +576,8 @@ def ppl_by_chunks(
     per-chunk sums token-weighted."""
     if chunk_size_sentences < 1:
         raise ValueError("chunk_size_sentences must be >= 1")
-    sentences = [s for s in sentences if s]
-    if not sentences:
+    sentences = TagSequences.of(sentences).nonempty()
+    if not len(sentences):
         raise ValueError("empty test set")
     sums, scored, excluded = _sentence_scores(model, sentences)
     chunks = []
@@ -771,7 +776,56 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
 # POS sequences
 
 
-def pos_sequences(corpus: Corpus) -> list[list[str]]:
-    """POS tag sequences of a tagged corpus; every token must carry a tag
-    (``Corpus.tags``)."""
-    return corpus.tags()
+class TagSequences:
+    """POS tag sentences as ids: sentence s is ``ids[ptr[s]:ptr[s + 1]]``, in
+    the CSR layout of ``Corpus.columns``, each id an index into ``vocab``.
+    It stands for the list of tag lists it holds: iterating it gives each
+    sentence's tags as a list."""
+
+    def __init__(self, vocab: Sequence[str], ids: np.ndarray, ptr: np.ndarray):
+        self.vocab = vocab
+        self.ids = ids
+        self.ptr = ptr
+
+    @classmethod
+    def of(cls, sentences: Iterable[Sequence[str]]) -> TagSequences:
+        """``sentences`` itself if it is a TagSequences, else its tag lists
+        interned."""
+        if isinstance(sentences, TagSequences):
+            return sentences
+        sentences = [list(tags) for tags in sentences]
+        vocab = list(dict.fromkeys(chain.from_iterable(sentences)))
+        code = {tag: i for i, tag in enumerate(vocab)}
+        lengths = [len(tags) for tags in sentences]
+        ids = np.fromiter(
+            map(code.__getitem__, chain.from_iterable(sentences)), np.int64, sum(lengths)
+        )
+        return cls(vocab, ids, np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __iter__(self) -> Iterator[list[str]]:
+        tags = list(map(self.vocab.__getitem__, self.ids.tolist()))
+        bounds = self.ptr.tolist()
+        return (tags[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def nonempty(self) -> TagSequences:
+        """The sentences that have tags."""
+        lengths = np.diff(self.ptr)
+        if lengths.all():
+            return self
+        return TagSequences(self.vocab, self.ids, self.ptr[np.append(True, lengths > 0)])
+
+    def distinct_tags(self) -> set[str]:
+        seen = np.zeros(len(self.vocab), dtype=bool)
+        seen[self.ids] = True
+        return {self.vocab[i] for i in np.flatnonzero(seen).tolist()}
+
+
+def pos_sequences(corpus: Corpus) -> TagSequences:
+    """POS tag sequences of a tagged corpus, on its POS id column; every
+    token must carry a tag (``Corpus.tags``)."""
+    columns = corpus.columns
+    columns.check_tagged()
+    return TagSequences(columns.pos_vocab, columns.pos_ids, columns.ptr)

@@ -20,6 +20,9 @@ verify the production code, sharing none of its code paths.
   package's own
 * reference_write_jsonl: canonical JSONL, one json.dumps of a record dict
   per sentence
+* reference_ingest: the object reader, one validated ``Token`` per token and
+  one ``AnnotatedSentence`` per record, checking each record field by field
+  in order
 * reference_match_phrases: greedy longest-first phrase matching in one
   sentence, a loop over its positions and the entries that start with each
   word
@@ -30,11 +33,14 @@ verify the production code, sharing none of its code paths.
 import json
 import math
 from collections import Counter
+from itertools import repeat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from varieties.errors import ConvergenceError
+from varieties.corpus import VARIETY_LABELS, AnnotatedSentence, Corpus, Token, tokenize_raw
+from varieties.errors import ConvergenceError, CorpusFormatError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -511,6 +517,122 @@ def reference_write_jsonl(corpus, path):
             if sent.family is not None:
                 record["family"] = sent.family
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def reference_ingest(path, fmt="jsonl", default_variety=None):
+    """A corpus file read into ``AnnotatedSentence`` objects, a record or
+    sentence at a time; the first check that fails raises. A JSONL record is
+    checked for its structure and field types, then its variety, then its
+    tokens in order (``Token``), then its metadata (``AnnotatedSentence``). A
+    vertical token line raises as it is read, a sentence's metadata when the
+    sentence ends."""
+    path = Path(path)
+    read = _reference_jsonl if fmt == "jsonl" else _reference_vertical
+    sentences = read(path, default_variety)
+    if not sentences:
+        raise CorpusFormatError(f"empty corpus file: {path}")
+    return Corpus(sentences, provenance=str(path))
+
+
+def _reference_jsonl(path, default_variety):
+    sentences = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from None
+            sentences.append(_reference_record(record, line_no, default_variety))
+    return sentences
+
+
+def _reference_record(record, line_no, default_variety):
+    def fail(message):
+        return CorpusFormatError(message, line_no)
+
+    if not isinstance(record, dict):
+        raise fail("record is not a JSON object")
+    if "tokens" in record:
+        surfaces = record["tokens"]
+        if not isinstance(surfaces, list) or any(type(s) is not str for s in surfaces):
+            raise fail('"tokens" must be an array of strings')
+    elif "text" in record:
+        if not isinstance(record["text"], str):
+            raise fail('"text" must be a string')
+        surfaces = tokenize_raw(record["text"])
+        if not surfaces:
+            raise fail("no tokens survive raw-text tokenization")
+    else:
+        raise fail('record lacks a "tokens" or "text" field')
+    for key in ("pos", "lemma"):
+        value = record.get(key)
+        if value is not None and (not isinstance(value, list) or len(value) != len(surfaces)):
+            raise fail(f'"{key}" must be an array aligned with the tokens')
+        if value is not None and any(v is not None and type(v) is not str for v in value):
+            raise fail(f'"{key}" entries must be strings or null')
+    for key in ("country", "family"):
+        value = record.get(key)
+        if value is not None and not isinstance(value, str):
+            raise fail(f'"{key}" must be a string')
+    variety = record.get("variety", default_variety)
+    if variety not in VARIETY_LABELS:
+        raise fail(f"unknown variety label {variety!r}")
+    try:
+        tokens = [
+            Token(*fields)
+            for fields in zip(
+                surfaces, record.get("pos") or repeat(None), record.get("lemma") or repeat(None)
+            )
+        ]
+        return AnnotatedSentence(tokens, variety, record.get("country"), record.get("family"))
+    except ValueError as exc:
+        raise fail(str(exc)) from None
+
+
+def _reference_vertical(path, default_variety):
+    sentences = []
+    tokens = []
+    meta = {"variety": default_variety, "country": None, "family": None}
+    start_line = 1
+
+    def flush():
+        if not tokens:
+            return
+        if meta["variety"] not in VARIETY_LABELS:
+            raise CorpusFormatError(f"unknown variety label {meta['variety']!r}", start_line)
+        try:
+            sentences.append(
+                AnnotatedSentence(tokens[:], meta["variety"], meta["country"], meta["family"])
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), start_line) from None
+        tokens.clear()
+
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                flush()
+                if line.startswith("#"):
+                    key, sep, value = line[1:].partition("=")
+                    if not sep or key.strip() not in meta:
+                        raise CorpusFormatError(f"unknown header {line!r}", line_no)
+                    meta[key.strip()] = value.strip() or None
+                start_line = line_no + 1
+                continue
+            fields = line.split("\t")
+            if len(fields) > 3:
+                raise CorpusFormatError("expected surface<TAB>pos<TAB>lemma", line_no)
+            fields += [""] * (3 - len(fields))
+            try:
+                tokens.append(Token(fields[0], fields[1] or None, fields[2] or None))
+            except ValueError as exc:
+                raise CorpusFormatError(str(exc), line_no) from None
+        flush()
+    return sentences
 
 
 # ---------------------------------------------------------------------------

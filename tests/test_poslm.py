@@ -305,7 +305,7 @@ def _in_order(values):
 class TestBatchScorerExact:
     @pytest.fixture(scope="class")
     def test_set(self):
-        held_out = pos_sequences(lm_family_corpus("T", "Romance", 40, seed=8))
+        held_out = list(pos_sequences(lm_family_corpus("T", "Romance", 40, seed=8)))
         return OOV_PROBES + held_out[:20] + OOV_PROBES[::-1] + held_out[20:]
 
     @pytest.mark.parametrize("reload", [False, True], ids=["trained", "reloaded"])
@@ -541,7 +541,7 @@ class TestPosIO:
         corpus = make_corpus(
             [make_sentence(["the", "cat"], pos=["DT", "NN"])]
         )
-        assert pos_sequences(corpus) == [["DT", "NN"]]
+        assert list(pos_sequences(corpus)) == [["DT", "NN"]]
 
     def test_pos_sequences_requires_tags(self):
         corpus = make_corpus([make_sentence(["the", "cat"], pos=["DT", None])])

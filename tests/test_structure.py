@@ -5,7 +5,8 @@ that matches phrases.
 Every other module sees sentence content through
 ``AnnotatedSentence.surfaces()``, ``Corpus.tags()`` and ``Corpus.columns``, so
 how a sentence stores its tokens can change inside ``corpus.py`` alone;
-``features`` and ``metrics`` read it through ``Corpus.columns`` only.
+``features``, ``metrics`` and ``pipeline`` read it through ``Corpus.columns``
+only, and ``pipeline`` never asks a corpus for its sentence objects.
 Count tables have one home too: other modules count keys per row through
 ``corpus.KeyCounts``. Phrase matching has one: the ``_index`` of phrase
 prefixes and the greedy scan over token positions live in ``lexicons.py``,
@@ -22,7 +23,7 @@ TOKEN_FIELDS = {"surface", "pos", "lemma", "lemma_or_surface"}
 FORBIDDEN_NAMES = {"Chunk", "Counter"}
 # sentence readers these modules may not call: they read Corpus.columns
 SENTENCE_READERS = {"surfaces", "lemmas", "tags"}
-COLUMN_READERS = {"features.py", "metrics.py"}
+COLUMN_READERS = {"features.py", "metrics.py", "pipeline.py"}
 PACKAGE = Path(varieties.__file__).parent
 
 
@@ -57,6 +58,8 @@ def _offences(path: Path) -> list[str]:
             and node.func.attr in SENTENCE_READERS
         ):
             found.append(f"{path.name}:{node.lineno} calls .{node.func.attr}()")
+        if path.name == "pipeline.py" and isinstance(node, ast.Attribute) and node.attr == "sentences":
+            found.append(f"{path.name}:{node.lineno} reads .sentences")
     return found
 
 
@@ -113,4 +116,15 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
         "calls .lemmas()",
         "calls .surfaces()",
         "calls .tags()",
+    ]
+    pipeline = tmp_path / "pipeline.py"
+    pipeline.write_text(
+        "def stage(corpus):\n"
+        "    first = corpus.sentences[0]\n"
+        "    return first.surfaces(), corpus.tags(), corpus.columns.ptr, len(corpus)\n"
+    )
+    assert sorted(offence.split(" ", 1)[1] for offence in _offences(pipeline)) == [
+        "calls .surfaces()",
+        "calls .tags()",
+        "reads .sentences",
     ]
