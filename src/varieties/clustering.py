@@ -126,7 +126,10 @@ def bisecting_kmeans(vectors: np.ndarray, k: int, seed: int) -> ClusteringResult
     for cid, members in enumerate(clusters):
         assignment[members] = cid
         centroids[cid] = X[members].mean(axis=0)
-    total = sum(_sse(X[m], centroids[c]) for c, m in enumerate(clusters))
+    # left to right: sum() compensates float sums from Python 3.12 on
+    total = 0.0
+    for c, m in enumerate(clusters):
+        total += _sse(X[m], centroids[c])
     return ClusteringResult(assignment=assignment, centroids=centroids, total_sse=total)
 
 

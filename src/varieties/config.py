@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, undecodable_line
 
 ENV_PREFIX = "VARIETIES_"
 # VARIETIES_* variables that are not config keys on purpose: the acceptance
@@ -81,6 +81,8 @@ class PipelineConfig:
         path = Path(value)
         if not path.exists():
             raise ConfigError(f"{key}: no such file: {path}")
+        if not path.is_file():
+            raise ConfigError(f"{key}: not a regular file: {path}")
         return path
 
     def require_corpora(self, *varieties: str) -> None:
@@ -154,7 +156,11 @@ def load_config(
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"no such config file: {path}")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{undecodable_line(path)}: not UTF-8 text") from None
+        values.update(parse_config_text(text, str(path)))
     types = _field_types()
     env = os.environ if env is None else env
     allowed = {ENV_PREFIX + key.upper() for key in types} | ENV_NOT_KEYS

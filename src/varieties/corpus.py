@@ -14,9 +14,10 @@ the columns on first use. Every randomised operation takes an explicit seed
 and is reproducible.
 
 This module is the only reader of token fields: other modules see sentence
-content through ``Corpus.columns`` and ``Corpus.tags()``, the one validated
-reader of POS tags. ``KeyCounts`` is the one table of key counts per row
-(chunk feature keys, sentence lemmas/idioms), built from (row, key id) pairs.
+content through ``Corpus.columns``, whose ``check_tagged`` is the one check
+that every token has a POS tag. ``KeyCounts`` is the one table of key counts
+per row (chunk feature keys, sentence lemmas/idioms), built from (row, key
+id) pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, UntaggedTokenError
+from .errors import CorpusFormatError, UntaggedTokenError, undecodable_line
 
 VARIETY_LABELS = ("N", "NN", "T")
 FAMILY_LABELS = ("Germanic", "Romance", "Other")
@@ -209,9 +210,9 @@ class Columns:
 
     def check_tagged(self, starts: Sequence[int] = (0,)) -> None:
         """Raise ``UntaggedTokenError`` at the first token without a POS tag,
-        as ``Corpus.tags`` does. ``starts`` are the first sentences of the
-        corpora laid end to end here (one corpus by default); the error
-        counts the sentence from its corpus's start."""
+        naming its sentence, position and surface. ``starts`` are the first
+        sentences of the corpora laid end to end here (one corpus by
+        default); the error counts the sentence from its corpus's start."""
         untagged = np.flatnonzero(self.pos_ids < 0)
         if len(untagged):
             at = int(untagged[0])
@@ -394,31 +395,22 @@ def _materialize(columns: Columns) -> tuple[AnnotatedSentence, ...]:
 
 class Corpus:
     """An ordered collection of annotated sentences, held as ``columns`` and
-    never changed. ``Corpus(sentences)`` interns validated sentences; a
-    corpus read from a file or cut from another builds its ``sentences`` on
-    first use, and a corpus cut from one that holds them shares them."""
+    never changed. ``Corpus(sentences)`` interns validated sentences and
+    keeps only their columns; ``sentences`` is built from the columns on
+    first use."""
 
     def __init__(self, sentences: Iterable[AnnotatedSentence] = (), provenance: str = ""):
-        sentences = tuple(sentences)
         built = _Builder()
         for sentence in sentences:
             built.add(sentence)
         self.columns = built.columns()
         self.provenance = provenance
-        self.__dict__["sentences"] = sentences
 
     @classmethod
-    def _of(
-        cls,
-        columns: Columns,
-        provenance: str,
-        sentences: tuple[AnnotatedSentence, ...] | None = None,
-    ) -> Corpus:
+    def _of(cls, columns: Columns, provenance: str) -> Corpus:
         corpus = cls.__new__(cls)
         corpus.columns = columns
         corpus.provenance = provenance
-        if sentences is not None:
-            corpus.__dict__["sentences"] = sentences
         return corpus
 
     @cached_property
@@ -442,23 +434,10 @@ class Corpus:
     def token_count(self) -> int:
         return len(self.columns.surface_ids)
 
-    def tags(self) -> list[list[str]]:
-        """POS tags, one list per sentence. The first token without a tag
-        raises ``UntaggedTokenError`` naming its sentence, position and
-        surface."""
-        columns = self.columns
-        columns.check_tagged()
-        tags = list(map(columns.pos_vocab.__getitem__, columns.pos_ids.tolist()))
-        bounds = columns.ptr.tolist()
-        return [tags[a:b] for a, b in zip(bounds, bounds[1:])]
-
     def take(self, rows: np.ndarray) -> Corpus:
         """The sentences at ``rows`` (indices, repeats allowed) as a corpus
         of the same provenance, whose columns are gathered from these."""
-        sentences = self.__dict__.get("sentences")
-        if sentences is not None:
-            sentences = tuple(map(sentences.__getitem__, rows.tolist()))
-        return Corpus._of(self.columns.take(rows), self.provenance, sentences)
+        return Corpus._of(self.columns.take(rows), self.provenance)
 
     def varieties(self) -> set[str]:
         return {VARIETY_LABELS[v] for v in np.unique(self.columns.variety).tolist()}
@@ -526,9 +505,13 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
         read = _read_vertical
     else:
         raise CorpusFormatError(f"unknown corpus format {fmt!r}")
-    # the reader's frame is gone by now, so nothing else holds the builder's
-    # arrays, and columns() lets each go as soon as it has its ids
-    columns = read(path, default_variety).columns()
+    try:
+        built = read(path, default_variety)
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path} is not UTF-8 text", undecodable_line(path)) from None
+    # the reader's frame is gone by now, so columns() lets each of the
+    # builder's arrays go as soon as it has its ids
+    columns = built.columns()
     if len(columns.ptr) == 1:
         raise CorpusFormatError(f"empty corpus file: {path}")
     return Corpus._of(columns, str(path))

@@ -2,8 +2,12 @@
 
 Validation-style failures (bad input files, bad configuration, violated
 preconditions) derive from VarietiesError so the CLI can map them to exit
-code 1; anything else is treated as a runtime failure (exit code 2).
+code 1; anything else is treated as a runtime failure (exit code 2). A
+reader that meets bytes that are not UTF-8 raises its own validation error at
+the line ``undecodable_line`` finds.
 """
+
+from pathlib import Path
 
 
 class VarietiesError(Exception):
@@ -39,3 +43,16 @@ class UntaggedTokenError(VarietiesError, ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative optimizer exhausted its budget before reaching tolerance."""
+
+
+def undecodable_line(path: Path) -> int:
+    """The first line of ``path`` that is not UTF-8, counted as a text-mode
+    reader counts lines (universal newlines). For use once strict decoding
+    has failed, as its ``UnicodeDecodeError`` names no line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    raise ValueError(f"{path} is UTF-8 text")

@@ -147,7 +147,7 @@ class ChunkCounts:
 
     def _pos3_table(self) -> KeyCounts:
         """POS trigrams within sentences. The first untagged token raises
-        ``UntaggedTokenError`` as its chunk's ``tags()`` would."""
+        ``UntaggedTokenError``, its sentence counted from its chunk's start."""
         columns = self._laid.columns
         columns.check_tagged(self._first)
         tags = columns.pos_vocab

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, undecodable_line
 
 SENTENCE_TRANSITION = "sentence_transition"
 
@@ -137,12 +137,15 @@ class TagSet:
 
 
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield line_no, line
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                yield line_no, line
+    except UnicodeDecodeError:
+        raise ResourceError(f"{path}:{undecodable_line(path)}: not UTF-8 text") from None
 
 
 def load_word_list(path: str | Path, name: str | None = None) -> WordList:

@@ -124,8 +124,12 @@ def _write(path: Path, fill: Callable[[Path], object]) -> None:
     """Write ``path`` whole or not at all: ``fill`` writes a temp file beside
     it, which then replaces it. The one writer of every file of a run."""
     tmp = path.with_name(path.name + ".tmp")
-    fill(tmp)
-    os.replace(tmp, path)
+    try:
+        fill(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_fill(payload) -> Callable[[Path], object]:

@@ -824,8 +824,9 @@ class TagSequences:
 
 
 def pos_sequences(corpus: Corpus) -> TagSequences:
-    """POS tag sequences of a tagged corpus, on its POS id column; every
-    token must carry a tag (``Corpus.tags``)."""
+    """POS tag sequences of a tagged corpus, on its POS id column. The first
+    token without a tag raises ``UntaggedTokenError`` naming its sentence,
+    position and surface."""
     columns = corpus.columns
     columns.check_tagged()
     return TagSequences(columns.pos_vocab, columns.pos_ids, columns.ptr)

@@ -7,14 +7,17 @@ i maximizes -y G over I_up, j minimizes it over I_low, and the pair is
 updated analytically with clipping to the box. The gap m(a) - M(a) is the
 KKT violation; training stops when it falls below tol.
 
-Multiclass is one-vs-one with majority voting. Cross-validation refits
-data-dependent feature vocabularies on every training split, once for all plans.
+Multiclass is one-vs-one with majority voting: cross-validation scores each
+fold's held-out examples with one product per pair model and votes on the
+decision matrix. It refits data-dependent feature vocabularies on every
+training split, once for all plans.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 from random import Random
 from typing import Hashable, Iterator, Sequence
 
@@ -192,13 +195,6 @@ def train_binary(
     return model
 
 
-def predict(model: SvmModel, x: np.ndarray) -> tuple[Hashable, float]:
-    """(label, raw decision value); the boundary itself goes to the positive
-    class."""
-    value = model.decision(x)
-    return (model.labels[0] if value >= 0 else model.labels[1]), value
-
-
 def dual_objective(model: SvmModel, X: np.ndarray, labels: Sequence[Hashable]) -> float:
     """W(a) recomputed from stored alphas (for verification)."""
     if model.alphas is None:
@@ -214,48 +210,42 @@ def dual_objective(model: SvmModel, X: np.ndarray, labels: Sequence[Hashable]) -
 # one-vs-one multiclass
 
 
-@dataclass
-class OvoEnsemble:
-    models: dict[tuple[Hashable, Hashable], SvmModel]
-    label_order: tuple[Hashable, ...]
-
-
-def train_multiclass(
-    X: np.ndarray,
-    labels: Sequence[Hashable],
-    C: float = DEFAULT_C,
-) -> OvoEnsemble:
-    X = np.asarray(X, dtype=float)
+def _train_pairs(
+    X: np.ndarray, labels: Sequence[Hashable], C: float
+) -> tuple[tuple[Hashable, ...], list[SvmModel]]:
+    """The labels in sorted order, and one binary model per label pair in
+    pair order, each trained on its pair's rows of ``X``."""
     order = tuple(sorted(set(labels), key=repr))
     if len(order) < 2:
         raise ValueError("need at least 2 classes")
-    labels = list(labels)
-    models = {}
-    for a_idx in range(len(order)):
-        for b_idx in range(a_idx + 1, len(order)):
-            pair = (order[a_idx], order[b_idx])
-            in_pair = [lab in pair for lab in labels]
-            if all(in_pair):
-                X_pair, y_pair = X, labels
-            else:
-                X_pair = X[np.array(in_pair)]
-                y_pair = [lab for lab in labels if lab in pair]
-            models[pair] = train_binary(X_pair, y_pair, C=C)
-    return OvoEnsemble(models=models, label_order=order)
+    models = []
+    for pair in combinations(order, 2):
+        rows = [i for i, lab in enumerate(labels) if lab in pair]
+        if len(rows) == len(labels):
+            # the one pair of two labels trains on X itself, not a copy
+            models.append(train_binary(X, labels, C=C))
+        else:
+            models.append(train_binary(X[rows], [labels[i] for i in rows], C=C))
+    return order, models
 
 
-def predict_multiclass(ensemble: OvoEnsemble, x: np.ndarray) -> Hashable:
-    """Majority vote; ties broken by the largest sum of winning decision
-    magnitudes, then by fixed label order."""
-    votes: dict[Hashable, int] = {lab: 0 for lab in ensemble.label_order}
-    magnitude: dict[Hashable, float] = {lab: 0.0 for lab in ensemble.label_order}
-    for model in ensemble.models.values():
-        winner, value = predict(model, x)
-        votes[winner] += 1
-        magnitude[winner] += abs(value)
-    # max keeps the first of equal keys, so a full tie goes to the label
-    # earliest in label_order
-    return max(ensemble.label_order, key=lambda lab: (votes[lab], magnitude[lab]))
+def _vote(decisions: np.ndarray, n_labels: int) -> np.ndarray:
+    """One-vs-one votes over a (label pairs x examples) decision matrix, the
+    pairs of label indices in ``combinations`` order: each example's label
+    index. A decision >= 0 votes for the pair's first label. The majority
+    wins; a tie goes to the larger sum of |decision| over a label's wins,
+    added in pair order, then to the label first in order."""
+    n = decisions.shape[1]
+    votes = np.zeros((n_labels, n), dtype=int)
+    magnitude = np.zeros((n_labels, n))
+    examples = np.arange(n)
+    for (a, b), values in zip(combinations(range(n_labels), 2), decisions):
+        winner = np.where(values >= 0, a, b)
+        votes[winner, examples] += 1
+        magnitude[winner, examples] += np.abs(values)
+    # argmax keeps the first of equal maxima; magnitudes are >= 0 > -inf
+    leading = votes == votes.max(axis=0)
+    return np.where(leading, magnitude, -np.inf).argmax(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +338,27 @@ def cross_validate(
         warnings.warn(f"classes are not balanced ({summary})", stacklevel=2)
     order = tuple(sorted(counts, key=repr))
     index_of = {lab: i for i, lab in enumerate(order)}
-    confusions = [np.zeros((len(order), len(order)), dtype=int) for _ in plans]
-    fold_accs = [[] for _ in plans]
-    assignment = stratified_folds(labels, folds, seed)
-    for test_idx in assignment:
+    confusions = np.zeros((len(plans), len(order), len(order)), dtype=int)
+    fold_accs = []
+    for test_idx in stratified_folds(labels, folds, seed):
         train_idx = sorted(set(range(len(chunks))) - set(test_idx))
         # each plan's matrix holds the training rows, then the held-out rows
         matrices = plan_matrices(plans, chunks.take(train_idx), chunks.take(train_idx + test_idx))
         y_train = [labels[i] for i in train_idx]
-        for (_, X), confusion, fold_acc in zip(matrices, confusions, fold_accs):
-            ensemble = train_multiclass(X[: len(train_idx)], y_train, C=C)
-            hits = 0
-            for idx, x in zip(test_idx, X[len(train_idx) :]):
-                pred = predict_multiclass(ensemble, x)
-                confusion[index_of[labels[idx]], index_of[pred]] += 1
-                hits += pred == labels[idx]
-            fold_acc.append(hits / len(test_idx))
+        decisions = []
+        for _, X in matrices:
+            train_order, models = _train_pairs(X[: len(train_idx)], y_train, C)
+            held_out = X[len(train_idx) :]
+            decisions.append([held_out @ m.weights + m.bias for m in models])
+        # one vote for every plan's held-out chunks, a plan's after another's
+        voted = _vote(np.concatenate(decisions, axis=1), len(train_order))
+        predicted = np.array([index_of[lab] for lab in train_order])[voted].reshape(len(plans), -1)
+        truth = np.array([index_of[labels[i]] for i in test_idx])
+        np.add.at(confusions, (np.arange(len(plans))[:, None], truth, predicted), 1)
+        fold_accs.append((predicted == truth).sum(axis=1) / len(test_idx))
     return [
-        CvReport(tuple(fold_acc), float(np.mean(fold_acc)), confusion, order, seed)
-        for fold_acc, confusion in zip(fold_accs, confusions)
+        CvReport(tuple(accs), float(np.mean(accs)), confusion, order, seed)
+        for accs, confusion in zip(np.array(fold_accs).T.tolist(), confusions)
     ]
 
 

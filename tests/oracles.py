@@ -14,10 +14,13 @@ verify the production code, sharing none of its code paths.
 * reference_select_top_pos3, reference_select_postok_vocab,
   reference_vectorize: feature selection and vectorization from one Counter
   per chunk, merged per call
+* reference_train_pairs, reference_vote: one-vs-one training on each label
+  pair's masked rows, and the vote of one example, a loop over the pair
+  models' ``decision`` values
 * reference_cross_validate: cross-validation of one feature plan, selecting
   and vectorizing each fold's training and held-out chunks apart with the
-  reference feature code; only fold dealing and the one-vs-one SVM are the
-  package's own
+  reference feature code and voting chunk by chunk; only fold dealing and
+  ``train_binary`` are the package's own
 * reference_write_jsonl: canonical JSONL, one json.dumps of a record dict
   per sentence
 * reference_ingest: the object reader, one validated ``Token`` per token and
@@ -461,12 +464,44 @@ def reference_vectorize(chunks, spaces):
     return X
 
 
+def reference_train_pairs(X, labels, C):
+    """The labels in sorted order and one ``train_binary`` model per label
+    pair, each on the pair's rows picked by a boolean mask."""
+    from varieties.svm import train_binary
+
+    order = tuple(sorted(set(labels), key=repr))
+    models = []
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            in_pair = np.array([lab in (order[a], order[b]) for lab in labels])
+            models.append(
+                train_binary(X[in_pair], [lab for lab, keep in zip(labels, in_pair) if keep], C=C)
+            )
+    return order, models
+
+
+def reference_vote(models, order, x):
+    """One example's one-vs-one vote, one ``decision`` call per pair model:
+    the majority wins, then the larger sum of winning |decision|, then the
+    label first in ``order``; a decision of 0 goes to the model's first
+    label."""
+    votes = {lab: 0 for lab in order}
+    magnitude = {lab: 0.0 for lab in order}
+    for model in models:
+        value = model.decision(x)
+        winner = model.labels[0] if value >= 0 else model.labels[1]
+        votes[winner] += 1
+        magnitude[winner] += abs(value)
+    # max keeps the first of equal keys
+    return max(order, key=lambda lab: (votes[lab], magnitude[lab]))
+
+
 def reference_cross_validate(chunks, labels, plan, folds, seed, C):
     """One plan's stratified k-fold CV as a loop over folds: each fold selects
     the plan's spaces from its training chunks and vectorizes its training
-    and held-out chunks separately. Returns (fold accuracies, confusion,
-    label order)."""
-    from varieties.svm import predict_multiclass, stratified_folds, train_multiclass
+    and held-out chunks separately, then votes chunk by chunk. Returns (fold
+    accuracies, confusion, label order)."""
+    from varieties.svm import stratified_folds
 
     order = tuple(sorted(set(labels), key=repr))
     confusion = np.zeros((len(order), len(order)), dtype=int)
@@ -481,13 +516,13 @@ def reference_cross_validate(chunks, labels, plan, folds, seed, C):
             "COH": lambda: tuple(e.text for e in plan.resources.cohesive_markers.entries),
         }
         spaces = [SimpleNamespace(family=f, keys=keys[f]()) for f in plan.families]
-        ensemble = train_multiclass(
-            reference_vectorize(train, spaces), [labels[i] for i in train_idx], C=C
+        train_order, models = reference_train_pairs(
+            reference_vectorize(train, spaces), [labels[i] for i in train_idx], C
         )
         held_out = reference_vectorize([chunks[i] for i in test_idx], spaces)
         hits = 0
         for i, x in zip(test_idx, held_out):
-            predicted = predict_multiclass(ensemble, x)
+            predicted = reference_vote(models, train_order, x)
             confusion[order.index(labels[i]), order.index(predicted)] += 1
             hits += predicted == labels[i]
         accuracies.append(hits / len(test_idx))

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import jacobi_eigh
 from synthdata import clustering_corpora, gaussian_blobs
+from varieties import clustering
 from varieties.clustering import (
     bisecting_kmeans,
     best_label_map,
@@ -61,6 +63,26 @@ class TestBisectingKmeans:
             for c in range(result.k)
         )
         assert result.total_sse == pytest.approx(recomputed, rel=1e-12)
+
+    def test_total_sse_adds_left_to_right(self, monkeypatch):
+        # sum() compensates float sums from Python 3.12 on; the total must
+        # not change with it. Here a compensated sum differs from adding the
+        # three cluster SSEs in order.
+        X, _ = gaussian_blobs(
+            centers=[(0, 0), (12, 0), (0, 12)], points_per_blob=40, spread=1.0,
+            seed=0,
+        )
+        monkeypatch.setattr(
+            clustering, "sum", lambda values, start=0: math.fsum(values) + start,
+            raising=False,
+        )
+        result = bisecting_kmeans(X, k=3, seed=1)
+        parts = []
+        for c in range(3):
+            diff = X[result.assignment == c] - result.centroids[c]
+            parts.append(float(np.einsum("ij,ij->", diff, diff)))
+        assert math.fsum(parts) != parts[0] + parts[1] + parts[2]
+        assert result.total_sse == parts[0] + parts[1] + parts[2]
 
     def test_splits_never_increase_sse(self):
         # total SSE after k clusters is monotone non-increasing in k

@@ -42,6 +42,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="no such config"):
             load_config(tmp_path / "absent.cfg", env={})
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\nout = caf\xe9\n")
+        with pytest.raises(ConfigError) as error:
+            load_config(cfg, env={})
+        assert str(error.value) == f"{cfg}:2: not UTF-8 text"
+
 
 class TestPrecedence:
     def test_env_overrides_file(self, tmp_path):
@@ -126,3 +133,9 @@ class TestValidation:
         config = PipelineConfig(corpus_n=str(tmp_path / "gone.jsonl"))
         with pytest.raises(ConfigError, match="no such file"):
             config.corpus_path("N")
+
+    def test_directory_corpus_path(self, tmp_path):
+        config = PipelineConfig(corpus_n=str(tmp_path))
+        with pytest.raises(ConfigError) as error:
+            config.corpus_path("N")
+        assert str(error.value) == f"corpus_n: not a regular file: {tmp_path}"

@@ -29,6 +29,7 @@ from varieties.corpus import (
     write_jsonl,
 )
 from varieties.errors import UntaggedTokenError, VarietiesError
+from varieties.poslm import pos_sequences
 
 
 class TestToken:
@@ -104,8 +105,8 @@ class TestTags:
                 make_sentence(["go"], pos=["VB"]),
             ]
         )
-        assert corpus.tags() == [["PRP", "VBD"], ["VB"]]
-        assert Corpus(sentences=()).tags() == []
+        assert list(pos_sequences(corpus)) == [["PRP", "VBD"], ["VB"]]
+        assert list(pos_sequences(Corpus(sentences=()))) == []
 
     def test_first_untagged_token_is_named(self):
         corpus = make_corpus(
@@ -116,7 +117,7 @@ class TestTags:
             ]
         )
         with pytest.raises(UntaggedTokenError) as caught:
-            corpus.tags()
+            pos_sequences(corpus)
         assert str(caught.value) == (
             "untagged token: sentence 1, token 2 'in' is missing its POS tag"
         )
@@ -261,6 +262,39 @@ class TestIngestJsonl:
         assert [s.variety for s in expected] == ["N", "T"]
         assert ingest(padded).sentences == expected
         assert ingest(crlf).sentences == expected
+
+
+class TestNotUtf8:
+    """A file with a byte that is not UTF-8 is a ``CorpusFormatError`` naming
+    the file and its first such line, lines counted as text-mode reading
+    counts them."""
+
+    RECORD = b'{"tokens": ["a"], "variety": "N"}'
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_jsonl(self, tmp_path, newline):
+        path = tmp_path / "c.jsonl"
+        bad = b'{"tokens": ["caf\xe9"], "variety": "N"}'
+        path.write_bytes(newline.join([self.RECORD, b"", self.RECORD, bad, self.RECORD]))
+        with pytest.raises(CorpusFormatError) as error:
+            ingest(path)
+        assert str(error.value) == f"line 4: {path} is not UTF-8 text"
+        assert error.value.line == 4
+
+    def test_vertical(self, tmp_path):
+        path = tmp_path / "c.vert"
+        path.write_bytes(b"#variety=N\nwe\tPRP\n\ncaf\xe9\tNN\n")
+        with pytest.raises(CorpusFormatError) as error:
+            ingest(path, "vertical")
+        assert str(error.value) == f"line 4: {path} is not UTF-8 text"
+
+    def test_line_past_the_first_decoded_block(self, tmp_path):
+        # the reader decodes blocks of several kilobytes, so the error comes
+        # up far from the line; the line is counted again
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join([self.RECORD] * 5000 + [b"\xff", self.RECORD]))
+        with pytest.raises(CorpusFormatError, match="^line 5001: "):
+            ingest(path)
 
 
 class TestIngestVertical:
@@ -762,7 +796,7 @@ class TestColumns:
     def test_untagged_error_names_the_token_as_tags_does(self):
         corpus = self.corpus()
         with pytest.raises(UntaggedTokenError) as by_tags:
-            corpus.tags()
+            pos_sequences(corpus)
         with pytest.raises(UntaggedTokenError) as by_columns:
             corpus.columns.check_tagged()
         assert str(by_columns.value) == str(by_tags.value) == (

@@ -29,6 +29,7 @@ from varieties.features import (
     vectorize_chunks,
 )
 from varieties.lexicons import PhraseEntry, PhraseList, WordList
+from varieties.poslm import pos_sequences
 from varieties.svm import stratified_folds
 
 
@@ -411,7 +412,7 @@ class TestCountTableAgainstOracle:
             ),
         ]
         with pytest.raises(UntaggedTokenError) as by_tags:
-            chunks[1].tags()
+            pos_sequences(chunks[1])
         counts = ChunkCounts(chunks)
         with pytest.raises(UntaggedTokenError) as by_counts:
             counts.totals(POS3)

@@ -45,6 +45,16 @@ class TestWordList:
         with pytest.raises(ResourceError, match="single word"):
             load_word_list(path)
 
+    @pytest.mark.parametrize(
+        "load", [load_word_list, load_phrase_list, load_rank_list, load_tag_set]
+    )
+    def test_not_utf8_names_file_and_line(self, tmp_path, load):
+        path = tmp_path / "list.txt"
+        path.write_bytes(b"# a comment\r\nthe\t1\r\ncaf\xe9\t2\r\n")
+        with pytest.raises(ResourceError) as error:
+            load(path)
+        assert str(error.value) == f"{path}:3: not UTF-8 text"
+
 
 class TestPhraseList:
     def test_categories(self, tmp_path):

@@ -18,6 +18,7 @@ from synthdata import (
     variety_corpus,
 )
 from varieties import features
+from varieties import pipeline as pipeline_module
 from varieties.cli import main
 from varieties.config import load_config
 from varieties.corpus import (
@@ -769,17 +770,19 @@ class TestLmStage:
         # but not into its family's test set (200 of 300) is read only for
         # the per-country table, after the models and perplexity tables
         germanic = lm_family_corpus("NN", "Germanic", 300, seed=41)
-        in_test_set = {id(s) for s in shuffle(germanic, 3).sentences[:200]}
-        country = germanic.sentences[0].country
-        in_slice = {
-            id(s)
-            for s in shuffle(filter_corpus(germanic, country=country), 3).sentences[:40]
-        }
-        index = next(
-            i
+        # the same draws from a corpus whose sentence i is the one token "i"
+        marked = Corpus(
+            AnnotatedSentence((Token(str(i)),), "NN", s.country)
             for i, s in enumerate(germanic.sentences)
-            if id(s) in in_slice and id(s) not in in_test_set
         )
+
+        def drawn(corpus, n):
+            return {int(s.tokens[0].surface) for s in corpus.sentences[:n]}
+
+        in_test_set = drawn(shuffle(marked, 3), 200)
+        country = germanic.sentences[0].country
+        in_slice = drawn(shuffle(filter_corpus(marked, country=country), 3), 40)
+        index = min(in_slice - in_test_set)
         germanic, surface = self._untag(germanic, index, 0)
         nn = [germanic, lm_family_corpus("NN", "Romance", 300, seed=42)]
         assert self._small_run(tmp_path, nn) == 1
@@ -839,6 +842,19 @@ class TestLocking:
         assert not leftover.exists()
         assert (out_dir / "ingest" / "stats.csv").exists()
         assert not (out_dir / ".lock").exists()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "stats.csv"
+        target.write_text("before")
+
+        def fill(tmp):
+            tmp.write_text("half-written")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            pipeline_module._write(target, fill)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
+        assert target.read_text() == "before"
 
     @pytest.mark.parametrize("holder", ["live pid", "no pid yet"])
     def test_live_or_unreadable_lock_blocks(self, classify_dir, tmp_path, holder):
@@ -952,7 +968,8 @@ class TestCli:
     )
     def test_unusable_svm_settings_exit_one(self, classify_dir, tmp_path, capsys, setting):
         # unchecked, a nan C gives all-zero alphas and chance accuracies with
-        # exit 0, and one fold leaves no training rows (exit 2 in train_multiclass)
+        # exit 0, and one fold leaves no training rows (exit 2 in the
+        # one-vs-one training)
         cfg_path = classify_config(classify_dir, tmp_path, **setting)
         assert main(["classify", "--config", str(cfg_path)]) == 1
         (key,) = setting
@@ -960,12 +977,34 @@ class TestCli:
         assert not (tmp_path / "out" / "classify").exists()
         assert not (tmp_path / "out" / ".lock").exists()
 
+    def test_corpus_path_that_is_a_directory_exits_one(self, classify_dir, tmp_path, capsys):
+        cfg_path = classify_config(classify_dir, tmp_path, corpus_n=tmp_path)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert f"error: corpus_n: not a regular file: {tmp_path}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "vertical"])
+    def test_corpus_that_is_not_utf8_exits_one(self, classify_dir, tmp_path, capsys, fmt):
+        bad = tmp_path / f"N.{fmt}"
+        if fmt == "jsonl":
+            bad.write_bytes(b'{"tokens": ["a"]}\n{"tokens": ["caf\xe9"]}\n')
+        else:
+            bad.write_bytes(b"a\tDT\n\ncaf\xe9\tNN\n")
+        cfg_path = classify_config(classify_dir, tmp_path, corpus_n=bad, format=fmt)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        line = 2 if fmt == "jsonl" else 3
+        assert err == f"error: line {line}: {bad} is not UTF-8 text\n"
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"# caf\xe9\n")
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}:1: not UTF-8 text\n"
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["not-a-command"]) == 1
 
     def test_runtime_failure_exit_two(self, classify_dir, tmp_path, monkeypatch):
-        import varieties.pipeline as pipeline_module
-
         def boom(config, out_dir):
             raise RuntimeError("sabotage")
 

@@ -5,7 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import qp_oracle_4pt, reference_cross_validate, reference_smo
+from oracles import (
+    qp_oracle_4pt,
+    reference_cross_validate,
+    reference_smo,
+    reference_train_pairs,
+    reference_vote,
+)
 from synthdata import variety_corpus
 from varieties import svm
 from varieties.config import load_config
@@ -16,16 +22,14 @@ from varieties.features import FAMILIES, FW, POS3, ChunkCounts, FeaturePlan
 from varieties.lexicons import WordList
 from varieties.pipeline import FEATURE_ROWS, run_stage
 from varieties.svm import (
-    OvoEnsemble,
     SvmModel,
+    _train_pairs,
+    _vote,
     cross_validate,
     dual_objective,
-    predict,
-    predict_multiclass,
     rank_features,
     stratified_folds,
     train_binary,
-    train_multiclass,
 )
 
 # fixed 4-point separable problem; the dual optimum is the hard-margin value
@@ -34,6 +38,12 @@ FOUR_X = np.array([[1.0, 1.0], [2.0, 2.5], [-1.0, -1.0], [-2.0, -1.0]])
 FOUR_Y = np.array([1.0, 1.0, -1.0, -1.0])
 FOUR_LABELS = ["pos" if v > 0 else "neg" for v in FOUR_Y]
 FOUR_DUAL = 0.25
+
+
+def predict(model, x):
+    """(label, decision) of one example by the two-label vote."""
+    value = model.decision(x)
+    return model.labels[int(_vote(np.array([[value]]), 2)[0])], value
 
 
 class TestTrainBinary:
@@ -252,17 +262,21 @@ class TestKkt:
 
 
 class TestPredict:
+    """A binary model's decision and the two-label vote on it."""
+
     def test_raw_decision_passthrough(self):
         model = SvmModel(
             weights=np.array([1.0]), bias=0.0, alphas=None, labels=("p", "n")
         )
         assert predict(model, np.array([3.0])) == ("p", 3.0)
+        assert predict(model, np.array([-3.0])) == ("n", -3.0)
 
     def test_boundary_goes_positive(self):
         model = SvmModel(
             weights=np.array([1.0]), bias=0.0, alphas=None, labels=("p", "n")
         )
         assert predict(model, np.array([0.0]))[0] == "p"
+        assert _vote(np.array([[0.0, -0.0, -1e-300]]), 2).tolist() == [0, 0, 1]
 
     def test_scaling_decisions_and_labels(self):
         model = SvmModel(
@@ -279,6 +293,17 @@ class TestPredict:
         assert predict(scaled, x)[1] == pytest.approx(3 * predict(model, x)[1])
 
 
+def _fake(pair, weights, bias=0.0):
+    return SvmModel(weights=np.array(weights, dtype=float), bias=bias, alphas=None, labels=pair)
+
+
+def _voted(models, order, X):
+    """The labels ``_vote`` gives the rows of ``X``, from one product per
+    pair model."""
+    decisions = np.array([X @ m.weights + m.bias for m in models])
+    return [order[i] for i in _vote(decisions, len(order))]
+
+
 class TestMulticlass:
     def test_three_tight_clusters(self):
         rng = np.random.default_rng(0)
@@ -288,54 +313,85 @@ class TestMulticlass:
             X.extend(rng.normal(loc=center, scale=0.2, size=(15, 2)))
             labels.extend([lab] * 15)
         X = np.array(X)
-        ensemble = train_multiclass(X, labels)
-        hits = sum(predict_multiclass(ensemble, x) == l for x, l in zip(X, labels))
-        assert hits == len(labels)
+        order, models = _train_pairs(X, labels, C=1.0)
+        assert order == ("a", "b", "c")
+        assert _voted(models, order, X) == labels
 
-    def test_pair_models_train_on_the_pair_rows(self):
+    def test_pair_models_train_on_the_pair_rows(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(12, 3))
         labels = ["a", "b", "c", "a", "b", "c", "c", "a", "b", "a", "c", "b"]
-        ensemble = train_multiclass(X, labels, C=5.0)
-        for pair, model in ensemble.models.items():
-            rows = [i for i, lab in enumerate(labels) if lab in pair]
-            alone = train_binary(X[rows], [labels[i] for i in rows], C=5.0)
-            assert np.array_equal(model.weights, alone.weights)
-            assert model.bias == alone.bias
-        # two labels: the one pair covers every row
+        order, models = _train_pairs(X, labels, C=5.0)
+        ref_order, ref_models = reference_train_pairs(X, labels, C=5.0)
+        assert order == ref_order
+        assert [m.labels for m in models] == [("a", "b"), ("a", "c"), ("b", "c")]
+        for model, ref in zip(models, ref_models):
+            assert np.array_equal(model.weights, ref.weights)
+            assert model.bias == ref.bias
+        # two labels: the one pair trains on the matrix itself, not a copy
+        given = []
+        train = svm.train_binary
+
+        def recording(X, labels, C):
+            given.append(X)
+            return train(X, labels, C=C)
+
+        monkeypatch.setattr(svm, "train_binary", recording)
         two = [lab if lab != "c" else "b" for lab in labels]
-        (model,) = train_multiclass(X, two, C=5.0).models.values()
-        alone = train_binary(X, two, C=5.0)
+        (model,) = _train_pairs(X, two, C=5.0)[1]
+        assert len(given) == 1 and given[0] is X
+        alone = train(X, two, C=5.0)
         assert np.array_equal(model.weights, alone.weights)
         assert model.bias == alone.bias
 
     def test_vote_tie_break_is_deterministic(self):
         # cyclic winners: each label gets exactly one vote; magnitudes decide
-        def fake(labels, w):
-            return SvmModel(
-                weights=np.array([w]), bias=0.0, alphas=None, labels=labels
-            )
+        order = ("a", "b", "c")
+        models = [
+            _fake(("a", "b"), [1.0]),  # votes a, |dec| = x
+            _fake(("a", "c"), [-5.0]),  # votes c, |dec| = 5x
+            _fake(("b", "c"), [3.0]),  # votes b, |dec| = 3x
+        ]
+        x = np.array([[1.0]])
+        assert _voted(models, order, x) == ["c"]
+        # zero decision values everywhere: each pair votes its first label,
+        # a 2-1-0 majority for a
+        zero = [_fake(pair, [0.0]) for pair in (("a", "b"), ("a", "c"), ("b", "c"))]
+        assert _voted(zero, order, x) == ["a"]
+        # equal votes and equal magnitudes: the label first in order
+        even = [_fake(("a", "b"), [2.0]), _fake(("a", "c"), [-2.0]), _fake(("b", "c"), [2.0])]
+        assert _voted(even, order, x) == ["a"]
 
-        ensemble = OvoEnsemble(
-            models={
-                ("a", "b"): fake(("a", "b"), 1.0),    # predicts a, |dec| = x
-                ("a", "c"): fake(("c", "a"), 5.0),    # predicts c, |dec| = 5x
-                ("b", "c"): fake(("b", "c"), 3.0),    # predicts b, |dec| = 3x
-            },
-            label_order=("a", "b", "c"),
-        )
-        x = np.array([1.0])
-        assert predict_multiclass(ensemble, x) == "c"
-        # zero decision values everywhere: falls through to fixed label order
-        zero = OvoEnsemble(
-            models={
-                ("a", "b"): fake(("a", "b"), 0.0),
-                ("a", "c"): fake(("c", "a"), 0.0),
-                ("b", "c"): fake(("b", "c"), 0.0),
-            },
-            label_order=("a", "b", "c"),
-        )
-        assert predict_multiclass(zero, x) == "a"
+    @pytest.mark.parametrize("n_labels", [2, 3, 4, 5])
+    def test_vote_matches_the_per_example_oracle_on_exact_ties(self, n_labels):
+        # small integers make decisions exact, so zeros, vote counts and
+        # magnitude sums tie often, and every rule of the vote decides some
+        # examples
+        rng = np.random.default_rng(n_labels)
+        order = tuple("abcde"[:n_labels])
+        X = rng.integers(-2, 3, size=(300, 3)).astype(float)
+        ties = {"zero": 0, "votes": 0, "full": 0}
+        for _ in range(5):
+            models = [
+                _fake(pair, rng.integers(-1, 2, size=3), float(rng.integers(-1, 2)))
+                for pair in svm.combinations(order, 2)
+            ]
+            assert _voted(models, order, X) == [reference_vote(models, order, x) for x in X]
+            for x in X:
+                votes = dict.fromkeys(order, 0)
+                magnitude = dict.fromkeys(order, 0.0)
+                for m in models:
+                    value = m.decision(x)
+                    ties["zero"] += value == 0
+                    winner = m.labels[value < 0]
+                    votes[winner] += 1
+                    magnitude[winner] += abs(value)
+                top = max(votes.values())
+                leading = [lab for lab in order if votes[lab] == top]
+                ties["votes"] += len(leading) > 1
+                ties["full"] += len({magnitude[lab] for lab in leading}) < len(leading)
+        # one pair never ties in votes
+        assert ties["zero"] and (n_labels == 2 or ties["votes"] and ties["full"]), ties
 
 
 def _variety_chunks(n_sentences=700, seed=0, target=120):
