@@ -47,9 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     except VarietiesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception:
         traceback.print_exc()
         return 2

@@ -28,10 +28,6 @@ class ClusteringResult:
     centroids: np.ndarray  # k x d
     total_sse: float
 
-    @property
-    def k(self) -> int:
-        return int(self.centroids.shape[0])
-
 
 @dataclass(frozen=True)
 class Projection2D:

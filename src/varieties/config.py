@@ -85,30 +85,13 @@ class PipelineConfig:
             raise ConfigError(f"{key}: not a regular file: {path}")
         return path
 
-    def require_corpora(self, *varieties: str) -> None:
-        for variety in varieties:
-            self.corpus_path(variety)
 
-
-_CASTS = {
-    str: lambda raw: raw,
-    int: lambda raw: int(raw),
-    float: lambda raw: float(raw),
-}
+# each field's annotation -> the type that parses its text value
+_TYPES = {"str | None": str, "str": str, "int": int, "float": float}
 
 
 def _field_types() -> dict[str, type]:
-    out = {}
-    for f in fields(PipelineConfig):
-        if f.type in ("str | None", "str"):
-            out[f.name] = str
-        elif f.type == "int":
-            out[f.name] = int
-        elif f.type == "float":
-            out[f.name] = float
-        else:
-            raise AssertionError(f"unhandled config field type {f.type}")
-    return out
+    return {f.name: _TYPES[f.type] for f in fields(PipelineConfig)}
 
 
 # key = "value" or 'value', then an optional comment
@@ -137,7 +120,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key not in types:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _CASTS[types[key]](raw)
+            values[key] = types[key](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{source}:{line_no}: bad value for {key}: {raw!r}"
@@ -156,6 +139,8 @@ def load_config(
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"no such config file: {path}")
+        if not path.is_file():
+            raise ConfigError(f"config file is not a regular file: {path}")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
@@ -173,11 +158,11 @@ def load_config(
             f"{', '.join(unknown)}",
             stacklevel=2,
         )
-    for key, caster in types.items():
+    for key, cast in types.items():
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
             try:
-                values[key] = _CASTS[caster](env[env_key])
+                values[key] = cast(env[env_key])
             except ValueError as exc:
                 raise ConfigError(f"bad {env_key}: {env[env_key]!r}") from exc
     if overrides:

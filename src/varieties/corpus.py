@@ -97,10 +97,6 @@ class Token:
         if self.lemma is not None and self.lemma.lower() != self.lemma:
             object.__setattr__(self, "lemma", self.lemma.lower())
 
-    @property
-    def lemma_or_surface(self) -> str:
-        return self.lemma if self.lemma is not None else self.surface
-
 
 def _sentence_fault(
     length: int, variety: object, country: str | None, family: str | None
@@ -144,9 +140,6 @@ class AnnotatedSentence:
     def token_count(self) -> int:
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 def _untagged(sentence: int, position: int, surface: str) -> UntaggedTokenError:
     return UntaggedTokenError(
@@ -172,13 +165,14 @@ class Columns:
     Per token, in ``KeyCounts``' CSR layout (sentence s is tokens
     ``ptr[s]:ptr[s + 1]``, int64 ``ptr``): int32 ids into the surface, POS
     and lemma vocabularies. A token without a POS tag has POS id -1; a
-    token's lemma id is that of its ``lemma_or_surface``, and ``lemma_given``
-    says whether the token has a lemma of its own. Per sentence: its variety
-    and family as int8 indices into ``VARIETY_LABELS`` and ``FAMILY_LABELS``
-    and its country as an int32 index into ``country_vocab``; a missing
-    country or family is -1. Each vocabulary is sorted, so ids sort like
-    their strings; it holds the values that occur, and only those unless the
-    corpus was cut from a larger one (``Corpus.take``)."""
+    token's lemma id is that of its lemma, or of its surface if it has none,
+    and ``lemma_given`` says whether the token has a lemma of its own. Per
+    sentence: its variety and family as int8 indices into ``VARIETY_LABELS``
+    and ``FAMILY_LABELS`` and its country as an int32 index into
+    ``country_vocab``; a missing country or family is -1. Each vocabulary is
+    sorted, so ids sort like their strings; it holds the values that occur,
+    and only those unless the corpus was cut from a larger one
+    (``Corpus.take``)."""
 
     surface_vocab: tuple[str, ...]
     pos_vocab: tuple[str, ...]
@@ -496,7 +490,8 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
     """Read a corpus file in ``jsonl`` or ``vertical`` format.
 
     ``default_variety`` applies to records that do not declare their own
-    variety; records with neither are rejected with their line number.
+    variety; records with neither are rejected. A ``CorpusFormatError``
+    names the file and line: ``path:line: message``.
     """
     path = Path(path)
     if fmt == "jsonl":
@@ -508,12 +503,14 @@ def ingest(path: str | Path, fmt: str = "jsonl", default_variety: str | None = N
     try:
         built = read(path, default_variety)
     except UnicodeDecodeError:
-        raise CorpusFormatError(f"{path} is not UTF-8 text", undecodable_line(path)) from None
+        raise CorpusFormatError("not UTF-8 text", undecodable_line(path), path) from None
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(exc.reason, exc.line, path) from exc.__cause__
     # the reader's frame is gone by now, so columns() lets each of the
     # builder's arrays go as soon as it has its ids
     columns = built.columns()
     if len(columns.ptr) == 1:
-        raise CorpusFormatError(f"empty corpus file: {path}")
+        raise CorpusFormatError("empty corpus file", path=path)
     return Corpus._of(columns, str(path))
 
 

@@ -15,13 +15,16 @@ class VarietiesError(Exception):
 
 
 class CorpusFormatError(VarietiesError):
-    """Unparseable or invalid corpus input. Carries the offending line number."""
+    """Unparseable or invalid corpus input. Carries the offending line number
+    and, once ``ingest`` names it, the file: ``path:line: message``."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
+    def __init__(self, message: str, line: int | None = None, path: Path | None = None):
+        self.reason, self.line, self.path = message, line, path
+        if path is not None:
+            message = f"{path}:{line}: {message}" if line is not None else f"{path}: {message}"
+        elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ResourceError(VarietiesError):

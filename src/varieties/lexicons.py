@@ -146,6 +146,8 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
     except UnicodeDecodeError:
         raise ResourceError(f"{path}:{undecodable_line(path)}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ResourceError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def load_word_list(path: str | Path, name: str | None = None) -> WordList:

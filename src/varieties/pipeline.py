@@ -1,11 +1,12 @@
 """The end-to-end experiment stages behind the CLI subcommands.
 
 Every stage is a pure function of (config, input files, seeds): outputs are
-written atomically (temp file + rename), recorded in a run manifest with
-content hashes, and are byte-identical across reruns. The manifest itself is
-the single exception: it carries wall-clock stage timings.
-
-A lock file serializes access to the output directory.
+byte-identical across reruns. ``run_stage`` drives every stage: under a lock
+on the output directory it checks the corpora the stage reads, loads the
+resources and runs the stage's body, which writes each output to a temp
+file. Only when the body returns are the temp files renamed onto their
+outputs and recorded, with content hashes, in the manifest (which alone
+carries wall-clock timings); a stage that raises leaves no new output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -120,10 +121,14 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
+def _temp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
 def _write(path: Path, fill: Callable[[Path], object]) -> None:
     """Write ``path`` whole or not at all: ``fill`` writes a temp file beside
-    it, which then replaces it. The one writer of every file of a run."""
-    tmp = path.with_name(path.name + ".tmp")
+    it, which then replaces it."""
+    tmp = _temp(path)
     try:
         fill(tmp)
         os.replace(tmp, path)
@@ -153,22 +158,26 @@ def _load_manifest(out_dir: Path) -> dict:
 
 
 class _Stage:
-    """Writes the output files of one stage and records them, with the
-    stage's time, in the manifest."""
+    """The output files of one stage. Each is written whole to a temp file
+    beside it; ``finish`` renames them onto their outputs and records them,
+    with the stage's time, in the manifest, and ``discard`` removes them."""
 
     def __init__(self, name: str, config: PipelineConfig, out_dir: Path):
         self.name = name
         self.config = config
         self.out_dir = out_dir
         self.outputs: list[Path] = []
+        self.made_dirs: list[Path] = []
         self.start = time.monotonic()
 
     def write(self, relative: str, fill: Callable[[Path], object]) -> None:
         """Write the output ``relative`` through ``fill(temp_path)``."""
         p = self.out_dir / relative
-        p.parent.mkdir(parents=True, exist_ok=True)
+        if not p.parent.is_dir():
+            p.parent.mkdir(parents=True)
+            self.made_dirs.append(p.parent)
         self.outputs.append(p)
-        _write(p, fill)
+        fill(_temp(p))
 
     def write_csv(self, relative: str, header: Sequence[str], rows) -> None:
         def fill(tmp: Path) -> None:
@@ -184,6 +193,8 @@ class _Stage:
 
     def finish(self, resources_manifest: Path) -> None:
         seconds = time.monotonic() - self.start
+        for p in self.outputs:
+            os.replace(_temp(p), p)
         manifest = _load_manifest(self.out_dir)
         manifest["config"] = config_snapshot(self.config)
         resource_dir = resources_manifest.parent
@@ -199,12 +210,13 @@ class _Stage:
         }
         _write(self.out_dir / MANIFEST_NAME, _json_fill(manifest))
 
-
-def _resources_for(config: PipelineConfig) -> tuple[Resources, Path]:
-    manifest = (
-        Path(config.resources) if config.resources else default_manifest_path()
-    )
-    return load_resources(manifest), manifest
+    def discard(self) -> None:
+        for p in self.outputs:
+            _temp(p).unlink(missing_ok=True)
+        for d in self.made_dirs:
+            # not empty when finish renamed an output into it
+            with suppress(OSError):
+                d.rmdir()
 
 
 def _ingest_variety(config: PipelineConfig, variety: str) -> Corpus:
@@ -239,11 +251,9 @@ def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
 # stages
 
 
-def cmd_ingest(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_ingest(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Validate and normalize the configured corpora; emit canonical JSONL
     plus a stats table."""
-    stage = _Stage("ingest", config, out_dir)
-    _, resources_manifest = _resources_for(config)
     stats_rows = []
     found_any = False
     for variety in ("N", "NN", "T"):
@@ -261,15 +271,11 @@ def cmd_ingest(config: PipelineConfig, out_dir: Path) -> None:
     stage.write_csv(
         "ingest/stats.csv", ["variety", "sentences", "tokens", "types"], stats_rows
     )
-    stage.finish(resources_manifest)
 
 
-def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_classify(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Pairwise and three-way cross-validated accuracies for every feature
     row, plus confusion matrices and top-ranked features per pair."""
-    config.require_corpora("N", "NN", "T")
-    resources, resources_manifest = _resources_for(config)
-    stage = _Stage("classify", config, out_dir)
     chunks, labels = _balanced_chunks(config)
     per_variety = len(chunks) // 3
     if 2 * per_variety < config.cv_folds:
@@ -364,15 +370,11 @@ def cmd_classify(config: PipelineConfig, out_dir: Path) -> None:
     )
     if diagnostics:
         stage.write_csv("classify/diagnostics.csv", ["features", "error"], diagnostics)
-    stage.finish(resources_manifest)
 
 
-def cmd_cluster(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_cluster(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Bisecting k-means over function-word vectors (k=3 and k=2) with a 2-D
     PCA projection for plotting."""
-    config.require_corpora("N", "NN", "T")
-    resources, resources_manifest = _resources_for(config)
-    stage = _Stage("cluster", config, out_dir)
     chunks, labels = _balanced_chunks(config)
     space = feat.fw_space(resources.function_words)
     X = feat.vectorize_chunks(chunks, [space])
@@ -408,7 +410,6 @@ def cmd_cluster(config: PipelineConfig, out_dir: Path) -> None:
         }
     summary["explained_variance"] = list(projection.explained)
     stage.write_json("cluster/summary.json", summary)
-    stage.finish(resources_manifest)
 
 
 # pipeline names of the metrics, in metrics.METRIC_NAMES order
@@ -421,11 +422,8 @@ METRIC_ROWS = (
 )
 
 
-def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Raw and normalized metric triples with bootstrap significance."""
-    config.require_corpora("N", "NN", "T")
-    resources, resources_manifest = _resources_for(config)
-    stage = _Stage("metrics", config, out_dir)
     corpora = {v: _ingest_variety(config, v) for v in ("N", "NN", "T")}
     guard = met.check_sizes(corpora["N"], corpora["NN"], corpora["T"])
     if not guard.ok:
@@ -507,7 +505,6 @@ def cmd_metrics(config: PipelineConfig, out_dir: Path) -> None:
         csv_rows,
     )
     stage.write_json("metrics/metrics.json", payload)
-    stage.finish(resources_manifest)
 
 
 def _head(corpus: Corpus, sentences: int) -> Corpus:
@@ -528,12 +525,9 @@ def _take_tokens(corpus: Corpus, budget: int, what: str) -> Corpus:
     return _head(corpus, kept)
 
 
-def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Family POS language models: train on Germanic/Romance translationese,
     score the family NN test sets and per-country slices."""
-    config.require_corpora("NN", "T")
-    resources, resources_manifest = _resources_for(config)
-    stage = _Stage("lm", config, out_dir)
     corpus_t = _ingest_variety(config, "T")
     corpus_nn = filter_corpus(_ingest_variety(config, "NN"), variety="NN")
 
@@ -642,25 +636,25 @@ def cmd_lm(config: PipelineConfig, out_dir: Path) -> None:
         ["country", "family", "ppl_gert", "ppl_romt"],
         country_rows,
     )
-    stage.finish(resources_manifest)
 
 
-def cmd_report(config: PipelineConfig, out_dir: Path) -> None:
+def cmd_report(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Consolidate stage outputs into one markdown report plus the final run
     manifest; missing recorded outputs are named explicitly."""
+    out_dir = stage.out_dir
     manifest = _load_manifest(out_dir)
     if not manifest["stages"]:
         raise VarietiesError("no stage outputs recorded; run other stages first")
+    inventory = {}
     missing = []
     for stage_name, entry in sorted(manifest["stages"].items()):
-        for rel in entry["outputs"]:
+        for rel, digest in entry["outputs"].items():
+            inventory[rel] = digest
             if not (out_dir / rel).exists():
                 missing.append(f"{stage_name}: {rel}")
     if missing:
         raise VarietiesError("missing stage outputs: " + "; ".join(missing))
 
-    stage = _Stage("report", config, out_dir)
-    _, resources_manifest = _resources_for(config)
     lines = ["# Variety analysis report", ""]
     for stage_name, entry in sorted(manifest["stages"].items()):
         if stage_name == "report":
@@ -682,18 +676,12 @@ def cmd_report(config: PipelineConfig, out_dir: Path) -> None:
             lines.append("")
     report = "\n".join(lines) + "\n"
     stage.write("report.md", lambda tmp: tmp.write_text(report, encoding="utf-8"))
-
-    inventory = {}
-    for stage_name, entry in sorted(manifest["stages"].items()):
-        for rel, digest in entry["outputs"].items():
-            inventory[rel] = digest
     run_manifest = {
         "config": config_snapshot(config),
         "resources": manifest["resources"],
         "files": inventory,
     }
     stage.write_json("run_manifest.json", run_manifest)
-    stage.finish(resources_manifest)
 
 
 def _csv_to_markdown(path: Path) -> list[str]:
@@ -710,7 +698,7 @@ def _csv_to_markdown(path: Path) -> list[str]:
     return out
 
 
-STAGES: dict[str, Callable[[PipelineConfig, Path], None]] = {
+STAGES: dict[str, Callable[[PipelineConfig, _Stage, Resources], None]] = {
     "ingest": cmd_ingest,
     "classify": cmd_classify,
     "cluster": cmd_cluster,
@@ -720,8 +708,31 @@ STAGES: dict[str, Callable[[PipelineConfig, Path], None]] = {
 }
 
 
+# the corpora each stage reads, checked before anything else
+STAGE_CORPORA = {
+    "classify": ("N", "NN", "T"),
+    "cluster": ("N", "NN", "T"),
+    "metrics": ("N", "NN", "T"),
+    "lm": ("NN", "T"),
+}
+
+
 def run_stage(name: str, config: PipelineConfig) -> Path:
+    """Run one stage: under the output lock, check the corpora it reads, load
+    the resources, run its body, then commit its outputs. A stage that raises
+    leaves no new output, and the manifest as it was."""
+    body = STAGES[name]
     out_dir = Path(config.out)
     with output_lock(out_dir):
-        STAGES[name](config, out_dir)
+        for variety in STAGE_CORPORA.get(name, ()):
+            config.corpus_path(variety)
+        resources_manifest = Path(config.resources) if config.resources else default_manifest_path()
+        resources = load_resources(resources_manifest)
+        stage = _Stage(name, config, out_dir)
+        try:
+            body(config, stage, resources)
+            stage.finish(resources_manifest)
+        except BaseException:
+            stage.discard()
+            raise
     return out_dir

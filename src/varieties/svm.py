@@ -260,10 +260,6 @@ class CvReport:
     label_order: tuple[Hashable, ...]
     seed: int
 
-    @property
-    def evaluated(self) -> int:
-        return int(self.confusion.sum())
-
 
 def stratified_folds(
     labels: Sequence[Hashable], folds: int, seed: int

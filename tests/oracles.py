@@ -560,12 +560,15 @@ def reference_ingest(path, fmt="jsonl", default_variety=None):
     checked for its structure and field types, then its variety, then its
     tokens in order (``Token``), then its metadata (``AnnotatedSentence``). A
     vertical token line raises as it is read, a sentence's metadata when the
-    sentence ends."""
+    sentence ends. Every error names the file: ``path:line: message``."""
     path = Path(path)
     read = _reference_jsonl if fmt == "jsonl" else _reference_vertical
-    sentences = read(path, default_variety)
+    try:
+        sentences = read(path, default_variety)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(exc.reason, exc.line, path) from None
     if not sentences:
-        raise CorpusFormatError(f"empty corpus file: {path}")
+        raise CorpusFormatError("empty corpus file", path=path)
     return Corpus(sentences, provenance=str(path))
 
 

@@ -60,7 +60,7 @@ class TestBisectingKmeans:
         result = bisecting_kmeans(X, k=3, seed=0)
         recomputed = sum(
             float(((X[result.assignment == c] - result.centroids[c]) ** 2).sum())
-            for c in range(result.k)
+            for c in range(len(result.centroids))
         )
         assert result.total_sse == pytest.approx(recomputed, rel=1e-12)
 

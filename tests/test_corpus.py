@@ -49,8 +49,10 @@ class TestToken:
             Token(surface="a", lemma="")
 
     def test_lemma_fallback(self):
-        assert Token(surface="ran").lemma_or_surface == "ran"
-        assert Token(surface="ran", lemma="run").lemma_or_surface == "run"
+        # a token without a lemma of its own is counted under its surface
+        columns = make_corpus([make_sentence(["ran", "ran"], lemma=[None, "Run"])]).columns
+        assert [columns.lemma_vocab[i] for i in columns.lemma_ids] == ["ran", "run"]
+        assert columns.lemma_given.tolist() == [False, True]
 
     def test_whitespace_check_matches_isspace(self):
         chars = [chr(c) for c in range(sys.maxunicode + 1)]
@@ -92,7 +94,7 @@ class TestAnnotatedSentence:
 
     def test_surfaces_and_lemmas(self):
         sent = make_sentence(["She", "ran", "home"], lemma=["she", "run", None])
-        assert sent.surfaces() == ["she", "ran", "home"]
+        assert [t.surface for t in sent.tokens] == ["she", "ran", "home"]
         columns = make_corpus([sent]).columns
         assert [columns.lemma_vocab[i] for i in columns.lemma_ids] == ["she", "run", "home"]
 
@@ -153,8 +155,9 @@ class TestIngestJsonl:
         path.write_text(
             '{"tokens":["a"],"variety":"N"}\n{"tokens":["b"],"variety":"X"}\n'
         )
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path)
+        assert str(error.value) == f"{path}:2: unknown variety label 'X'"
 
     def test_default_variety_applies(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -198,8 +201,9 @@ class TestIngestJsonl:
             '{"tokens":["a","b"],"variety":"N"}\n'
             f'{{{fields},"variety":"N"}}\n'
         )
-        with pytest.raises(CorpusFormatError, match=f"^line 2: {message}"):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path)
+        assert str(error.value).startswith(f"{path}:2: {message}")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -210,8 +214,9 @@ class TestIngestJsonl:
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"tokens":["a"],"variety":"N"}\n{nope\n')
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path)
+        assert str(error.value).startswith(f"{path}:2: invalid JSON")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -236,7 +241,7 @@ class TestIngestJsonl:
         path.write_text(f'{{"tokens":["a"],"variety":"N"}}\n \t{line}\t \n')
         with pytest.raises(CorpusFormatError) as error:
             ingest(path)
-        assert str(error.value) == f"line 2: {message}"
+        assert str(error.value) == f"{path}:2: {message}"
         assert error.value.line == 2
 
     def test_bom_on_first_line_rejected(self, tmp_path):
@@ -245,7 +250,7 @@ class TestIngestJsonl:
         with pytest.raises(CorpusFormatError) as error:
             ingest(path)
         assert str(error.value) == (
-            "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            f"{path}:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
         )
 
     def test_padding_blank_lines_and_crlf(self, tmp_path):
@@ -278,7 +283,7 @@ class TestNotUtf8:
         path.write_bytes(newline.join([self.RECORD, b"", self.RECORD, bad, self.RECORD]))
         with pytest.raises(CorpusFormatError) as error:
             ingest(path)
-        assert str(error.value) == f"line 4: {path} is not UTF-8 text"
+        assert str(error.value) == f"{path}:4: not UTF-8 text"
         assert error.value.line == 4
 
     def test_vertical(self, tmp_path):
@@ -286,15 +291,16 @@ class TestNotUtf8:
         path.write_bytes(b"#variety=N\nwe\tPRP\n\ncaf\xe9\tNN\n")
         with pytest.raises(CorpusFormatError) as error:
             ingest(path, "vertical")
-        assert str(error.value) == f"line 4: {path} is not UTF-8 text"
+        assert str(error.value) == f"{path}:4: not UTF-8 text"
 
     def test_line_past_the_first_decoded_block(self, tmp_path):
         # the reader decodes blocks of several kilobytes, so the error comes
         # up far from the line; the line is counted again
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"\n".join([self.RECORD] * 5000 + [b"\xff", self.RECORD]))
-        with pytest.raises(CorpusFormatError, match="^line 5001: "):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path)
+        assert str(error.value) == f"{path}:5001: not UTF-8 text"
 
 
 class TestIngestVertical:
@@ -317,8 +323,9 @@ class TestIngestVertical:
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "c.vert"
         path.write_text("#speaker=alice\nwe\n")
-        with pytest.raises(CorpusFormatError, match="line 1"):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path, "vertical")
+        assert str(error.value) == f"{path}:1: unknown header '#speaker=alice'"
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "c"
@@ -381,10 +388,9 @@ class TestInterning:
     def test_bad_surface_after_reuse_names_its_line(self, tmp_path, fmt, bad):
         path = tmp_path / f"c.{fmt}"
         line = _write_reused_tokens(path, fmt, lines=200, bad_surface=bad)
-        with pytest.raises(
-            CorpusFormatError, match=f"^line {line}: token surface must be nonempty"
-        ):
+        with pytest.raises(CorpusFormatError) as error:
             ingest(path, fmt)
+        assert str(error.value).startswith(f"{path}:{line}: token surface must be nonempty")
 
     def test_ingest_holds_under_100_bytes_per_token(self, tmp_path):
         # one Token object per token costs about 235 B/token here; one per
@@ -775,15 +781,13 @@ class TestColumns:
         assert columns.lemma_vocab == ("cat", "cats", "ran", "run", "the")
         assert columns.ptr.tolist() == [0, 3, 5, 6] and columns.ptr.dtype == np.int64
         tokens = [t for s in corpus.sentences for t in s.tokens]
-        for ids, vocab, field in (
-            (columns.surface_ids, columns.surface_vocab, "surface"),
-            (columns.pos_ids, columns.pos_vocab, "pos"),
-            (columns.lemma_ids, columns.lemma_vocab, "lemma_or_surface"),
+        for ids, vocab, values in (
+            (columns.surface_ids, columns.surface_vocab, [t.surface for t in tokens]),
+            (columns.pos_ids, columns.pos_vocab, [t.pos for t in tokens]),
+            (columns.lemma_ids, columns.lemma_vocab, [t.lemma or t.surface for t in tokens]),
         ):
             assert ids.dtype == np.int32
-            assert [vocab[i] if i >= 0 else None for i in ids] == [
-                getattr(t, field) for t in tokens
-            ]
+            assert [vocab[i] if i >= 0 else None for i in ids] == values
         assert columns.pos_ids.tolist()[2] == -1
 
     def test_empty_corpus(self):

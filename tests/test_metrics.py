@@ -223,7 +223,7 @@ def lemmatized(corpus):
     return make_corpus(
         [
             make_sentence(
-                s.surfaces(),
+                [t.surface for t in s.tokens],
                 variety=s.variety,
                 pos=[t.pos for t in s.tokens],
                 lemma=[t.surface[:3] if i % 3 == 0 else None for i, t in enumerate(s.tokens)],

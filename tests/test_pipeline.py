@@ -30,7 +30,8 @@ from varieties.corpus import (
     shuffle,
     write_jsonl,
 )
-from varieties.errors import VarietiesError
+from varieties.errors import CorpusFormatError, VarietiesError
+from varieties.lexicons import default_manifest_path
 from varieties.pipeline import CLASSIFICATION_TASKS, FEATURE_ROWS, output_lock, run_stage
 
 
@@ -130,6 +131,33 @@ class TestIngestStage:
         )
         with pytest.raises(VarietiesError, match="nothing to ingest"):
             run_stage("ingest", cfg)
+
+    def test_malformed_corpus_leaves_no_output(self, classify_dir, tmp_path, capsys):
+        # N and NN are read and written before T is read
+        bad = tmp_path / "T.jsonl"
+        bad.write_text('{"tokens": ["a"]}\n{"tokens": [""]}\n')
+        cfg_path = classify_config(classify_dir, tmp_path, corpus_t=bad)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: token surface must be nonempty and whitespace-free: ''\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_rerun_keeps_the_recorded_outputs(self, classify_dir, tmp_path):
+        out = run_stage("ingest", load_config(classify_config(classify_dir, tmp_path), env={}))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        # the rerun writes a different N.jsonl before it fails on T
+        write_jsonl(variety_corpus("N", 50, seed=6), tmp_path / "N.jsonl")
+        (tmp_path / "T.jsonl").write_text('{"tokens": [""]}\n')
+        cfg_path = classify_config(
+            classify_dir, tmp_path, corpus_n=tmp_path / "N.jsonl", corpus_t=tmp_path / "T.jsonl"
+        )
+        with pytest.raises(CorpusFormatError):
+            run_stage("ingest", load_config(cfg_path, env={}))
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]["outputs"]
+        for rel, digest in recorded.items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 # sha256 of the classify and cluster stages' outputs on the classify_out and
@@ -788,6 +816,20 @@ class TestLmStage:
         assert self._small_run(tmp_path, nn) == 1
         self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
 
+    def test_failed_t_test_leaves_no_model(self, tmp_path, monkeypatch):
+        # the models are written before they are scored; paired_ttest raises
+        # ValueError when the perplexity differences have zero variance
+        def zero_variance(first, second):
+            raise ValueError("zero variance")
+
+        monkeypatch.setattr(pipeline_module.boot, "paired_ttest", zero_variance)
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        assert self._small_run(tmp_path, nn) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestReportStage:
     def test_report_and_manifest(self, classify_dir, tmp_path):
@@ -993,7 +1035,32 @@ class TestCli:
         assert main(["ingest", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         line = 2 if fmt == "jsonl" else 3
-        assert err == f"error: line {line}: {bad} is not UTF-8 text\n"
+        assert err == f"error: {bad}:{line}: not UTF-8 text\n"
+
+    def test_config_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["ingest", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file is not a regular file: {tmp_path}\n"
+        )
+
+    @pytest.mark.parametrize("idioms", ["directory", "missing"])
+    def test_unreadable_resource_list_exits_one(self, classify_dir, tmp_path, capsys, idioms):
+        shipped = default_manifest_path()
+        entries = {
+            key: str(shipped.parent / name)
+            for key, name in json.loads(shipped.read_text()).items()
+        }
+        unreadable = tmp_path / "idioms" if idioms == "directory" else tmp_path / "absent.txt"
+        if idioms == "directory":
+            unreadable.mkdir()
+        entries["idioms"] = str(unreadable)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        cfg_path = classify_config(classify_dir, tmp_path, resources=manifest)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {unreadable.resolve()}: cannot read: ")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -1005,7 +1072,7 @@ class TestCli:
         assert main(["not-a-command"]) == 1
 
     def test_runtime_failure_exit_two(self, classify_dir, tmp_path, monkeypatch):
-        def boom(config, out_dir):
+        def boom(config, stage, resources):
             raise RuntimeError("sabotage")
 
         monkeypatch.setitem(pipeline_module.STAGES, "ingest", boom)

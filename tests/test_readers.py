@@ -166,7 +166,7 @@ def test_bom_raises_as_the_reference(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'\xef\xbb\xbf{"tokens":["a"],"variety":"N"}\n')
     assert assert_same_outcome(path) == (
-        "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 1
+        f"{path}:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 1
     )
 
 

@@ -2,8 +2,7 @@
 or counts keys with ``collections.Counter``, and ``lexicons`` the only one
 that matches phrases.
 
-Every other module sees sentence content through
-``AnnotatedSentence.surfaces()`` and ``Corpus.columns``, so
+Every other module sees sentence content through ``Corpus.columns``, so
 how a sentence stores its tokens can change inside ``corpus.py`` alone;
 ``features``, ``metrics`` and ``pipeline`` read it through ``Corpus.columns``
 only, and ``pipeline`` never asks a corpus for its sentence objects.
