@@ -39,6 +39,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .corpus import Corpus, concat
+from .errors import DegenerateDataError
 
 MetricFn = Callable[[Corpus], float]
 
@@ -297,7 +298,7 @@ def paired_ttest(series_a: Sequence[float], series_b: Sequence[float]) -> TTestR
     d = a - b
     sd = float(d.std(ddof=1))
     if sd == 0.0:
-        raise ValueError("differences have zero variance; t is undefined")
+        raise DegenerateDataError("differences have zero variance; t is undefined")
     n = len(d)
     t = float(d.mean() / (sd / math.sqrt(n)))
     df = n - 1

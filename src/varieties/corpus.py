@@ -141,11 +141,12 @@ class AnnotatedSentence:
         return len(self.tokens)
 
 
-def _untagged(sentence: int, position: int, surface: str) -> UntaggedTokenError:
-    return UntaggedTokenError(
+def _untagged(sentence: int, position: int, surface: str, path: str) -> UntaggedTokenError:
+    message = (
         f"untagged token: sentence {sentence}, token {position} "
         f"{surface!r} is missing its POS tag"
     )
+    return UntaggedTokenError(f"{path}: {message}" if path else message)
 
 
 def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,18 +203,32 @@ class Columns:
             family=self.family[rows],
         )
 
-    def check_tagged(self, starts: Sequence[int] = (0,)) -> None:
-        """Raise ``UntaggedTokenError`` at the first token without a POS tag,
-        naming its sentence, position and surface. ``starts`` are the first
-        sentences of the corpora laid end to end here (one corpus by
-        default); the error counts the sentence from its corpus's start."""
+    def check_tagged(
+        self,
+        starts: Sequence[int] = (0,),
+        paths: Sequence[str] = (),
+        rows: np.ndarray | None = None,
+    ) -> None:
+        """Raise ``UntaggedTokenError`` at the first token without a POS tag
+        in the sentences at ``rows`` (all by default), in the order they have
+        here, naming its sentence, position and surface. ``starts`` are the
+        first sentences of the corpora laid end to end here (one corpus by
+        default), and ``paths`` their files, if they were read from files:
+        the error counts the sentence from its corpus's start and opens with
+        its corpus's file, as ``CorpusFormatError`` does."""
         untagged = np.flatnonzero(self.pos_ids < 0)
+        sentence = np.searchsorted(self.ptr, untagged, side="right") - 1
+        if rows is not None:
+            checked = np.zeros(len(self.ptr) - 1, dtype=bool)
+            checked[rows] = True
+            untagged = untagged[checked[sentence]]
+            sentence = sentence[checked[sentence]]
         if len(untagged):
-            at = int(untagged[0])
-            row = int(np.searchsorted(self.ptr, at, side="right")) - 1
-            first = max(start for start in starts if start <= row)
+            at, row = int(untagged[0]), int(sentence[0])
+            corpus = int(np.searchsorted(starts, row, side="right")) - 1
             surface = self.surface_vocab[self.surface_ids[at]]
-            raise _untagged(row - first, at - int(self.ptr[row]), surface)
+            path = paths[corpus] if paths else ""
+            raise _untagged(row - int(starts[corpus]), at - int(self.ptr[row]), surface, path)
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +755,18 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
 # preparation
 
 
+def shuffle_rows(rows: np.ndarray, seed: int) -> np.ndarray:
+    """Deterministic random permutation of ``rows``: a corpus of the
+    sentences at ``rows``, shuffled, holds the sentences at the rows this
+    returns."""
+    order = list(range(len(rows)))
+    random.Random(seed).shuffle(order)
+    return rows[np.array(order, dtype=np.intp)]
+
+
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
     """Deterministic random permutation of the corpus sentences."""
-    order = list(range(len(corpus)))
-    random.Random(seed).shuffle(order)
-    return corpus.take(np.array(order, dtype=np.intp))
+    return corpus.take(shuffle_rows(np.arange(len(corpus)), seed))
 
 
 def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
@@ -795,6 +817,16 @@ def filter_corpus(
     family: str | None = None,
 ) -> Corpus:
     """Order-preserving subsequence of sentences matching every given field."""
+    return corpus.take(matching_rows(corpus, variety, country, family))
+
+
+def matching_rows(
+    corpus: Corpus,
+    variety: str | None = None,
+    country: str | None = None,
+    family: str | None = None,
+) -> np.ndarray:
+    """The rows, in order, of the sentences matching every given field."""
     c = corpus.columns
     keep = np.ones(len(corpus), dtype=bool)
     for codes, labels, wanted in (
@@ -805,7 +837,7 @@ def filter_corpus(
         if wanted is not None:
             # -2 is no code, so a value that never occurs keeps nothing
             keep &= codes == (labels.index(wanted) if wanted in labels else -2)
-    return corpus.take(np.flatnonzero(keep))
+    return np.flatnonzero(keep)
 
 
 def _merged(vocabs: list[tuple[str, ...]]) -> tuple[tuple[str, ...], list[np.ndarray | None]]:

@@ -35,8 +35,9 @@ class ConfigError(VarietiesError):
     """Invalid pipeline configuration."""
 
 
-class DegenerateDataError(VarietiesError):
-    """Input data carries no usable signal (e.g. zero variance for PCA)."""
+class DegenerateDataError(VarietiesError, ValueError):
+    """Input data carries no usable signal (e.g. zero variance for PCA or
+    for the paired t-test)."""
 
 
 class UntaggedTokenError(VarietiesError, ValueError):

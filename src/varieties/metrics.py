@@ -103,10 +103,12 @@ def _rank_tables(
     return rank, ranked
 
 
-def _pronoun_table(columns: Columns, starts: Sequence[int] = (0,)) -> np.ndarray:
+def _pronoun_table(
+    columns: Columns, starts: Sequence[int] = (0,), paths: Sequence[str] = ()
+) -> np.ndarray:
     """Per POS tag: 1 for PRP / PRP$, else 0; raises on the first token that
     lacks a POS tag (``Columns.check_tagged``)."""
-    columns.check_tagged(starts)
+    columns.check_tagged(starts, paths)
     return np.array([t in _PRONOUN_TAGS for t in columns.pos_vocab], dtype=np.int64)
 
 
@@ -234,13 +236,13 @@ class SentenceStats:
     def of(cls, corpora: Sequence[Corpus], resources: Resources) -> "SentenceStats":
         """Count every sentence of ``corpora``, in order, on the columns of
         the corpora laid end to end; raises on the first token that lacks a
-        POS tag, naming its sentence within its corpus, as ``pronouns``
-        does."""
+        POS tag, naming its corpus's file and its sentence within that
+        corpus."""
         markers = resources.sentence_transitions()
         _check_markers(markers)
         bounds = tuple(accumulate(map(len, corpora), initial=0))
         columns = concat(corpora).columns
-        pronoun = _pronoun_table(columns, bounds)
+        pronoun = _pronoun_table(columns, bounds, [c.provenance for c in corpora])
         rank, ranked = _rank_tables(columns, resources.word_ranks, resources.function_words)
         transition_rows, _entry = _matches(columns, markers)
         idiom_rows, idiom_entries = _matches(columns, resources.idioms)

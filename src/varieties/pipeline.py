@@ -35,12 +35,13 @@ from .corpus import (
     balance,
     chunk,
     family_of,
-    filter_corpus,
     ingest,
+    matching_rows,
     shuffle,
+    shuffle_rows,
     write_jsonl,
 )
-from .errors import UntaggedTokenError, VarietiesError
+from .errors import DegenerateDataError, UntaggedTokenError, VarietiesError
 from .lexicons import Resources, default_manifest_path, load_resources
 
 MANIFEST_NAME = "manifest.json"
@@ -507,109 +508,119 @@ def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> 
     stage.write_json("metrics/metrics.json", payload)
 
 
-def _head(corpus: Corpus, sentences: int) -> Corpus:
-    return corpus.take(np.arange(min(sentences, len(corpus))))
-
-
-def _take_tokens(corpus: Corpus, budget: int, what: str) -> Corpus:
-    """The shortest prefix of ``corpus`` that holds ``budget`` tokens, or all
-    of it."""
-    totals = np.cumsum(np.diff(corpus.columns.ptr))
-    kept = min(int(np.searchsorted(totals, budget)) + 1, len(corpus))
+def _token_prefix(lengths: np.ndarray, budget: int, what: str) -> int:
+    """How many of the sentences of these ``lengths`` the shortest prefix
+    that holds ``budget`` tokens takes, or all of them."""
+    totals = np.cumsum(lengths)
+    kept = min(int(np.searchsorted(totals, budget)) + 1, len(lengths))
     got = int(totals[kept - 1]) if kept else 0
     if got < budget:
         warnings.warn(
             f"{what}: only {got} tokens available of the requested {budget}; "
             "running scaled down"
         )
-    return _head(corpus, kept)
+    return kept
 
 
 def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Family POS language models: train on Germanic/Romance translationese,
     score the family NN test sets and per-country slices."""
     corpus_t = _ingest_variety(config, "T")
-    corpus_nn = filter_corpus(_ingest_variety(config, "NN"), variety="NN")
+    corpus_nn = _ingest_variety(config, "NN")
 
-    # every test set (family and country) and training set is read, tags
-    # included and training tags checked against the tagset, before any
-    # model is trained or written
-    test_sets = {}
+    # every test set (family and country) and training set is a row index
+    # array into its corpus as read, drawn in shuffle's order; all of them
+    # are selected, and their tags checked, before any model is trained or
+    # written
+    nn = corpus_nn.columns
+    test_rows = {}
     countries = set()
     for family in ("Germanic", "Romance"):
-        test = filter_corpus(corpus_nn, family=family)
-        if len(test) == 0:
+        rows = matching_rows(corpus_nn, variety="NN", family=family)
+        if len(rows) == 0:
             raise VarietiesError(f"no non-native sentences with family {family}")
-        countries |= test.countries()
-        if len(test) < config.lm_test_sentences:
+        codes = np.unique(nn.country[rows]).tolist()
+        countries |= {nn.country_vocab[c] for c in codes if c >= 0}
+        if len(rows) < config.lm_test_sentences:
             warnings.warn(
-                f"{family} NN: only {len(test)} sentences of the requested "
+                f"{family} NN: only {len(rows)} sentences of the requested "
                 f"{config.lm_test_sentences}"
             )
-        test = _head(shuffle(test, config.seed), config.lm_test_sentences)
-        if len(test) <= LM_CHUNK_SENTENCES:
+        rows = shuffle_rows(rows, config.seed)[: config.lm_test_sentences]
+        if len(rows) <= LM_CHUNK_SENTENCES:
             raise VarietiesError(
-                f"{family} NN test set has {len(test)} sentences "
+                f"{family} NN test set has {len(rows)} sentences "
                 f"(lm_test_sentences = {config.lm_test_sentences}); the paired "
                 f"t-test needs at least 2 chunks of {LM_CHUNK_SENTENCES} sentences"
             )
-        test_sets[family] = poslm.pos_sequences(test)
+        test_rows[family] = rows
 
-    country_sets = {}
-    for country in sorted(countries):
-        subset = shuffle(filter_corpus(corpus_nn, country=country), config.seed)
-        country_sets[country] = (
-            family_of(country),
-            poslm.pos_sequences(_head(subset, config.lm_country_sentences)),
-        )
+    country_rows = {
+        country: shuffle_rows(
+            matching_rows(corpus_nn, variety="NN", country=country), config.seed
+        )[: config.lm_country_sentences]
+        for country in sorted(countries)
+    }
+    # the NN sentences some set draws, each scored once per model
+    scored = np.unique(np.concatenate([*test_rows.values(), *country_rows.values()]))
+    nn.check_tagged(paths=(corpus_nn.provenance,), rows=scored)
+    scored_tags = poslm.pos_sequences(corpus_nn.take(scored))
 
     train_sets = {}
+    lengths_t = np.diff(corpus_t.columns.ptr)
     for family in ("Germanic", "Romance"):
-        train = filter_corpus(corpus_t, variety="T", family=family)
-        if len(train) == 0:
+        rows = matching_rows(corpus_t, variety="T", family=family)
+        if len(rows) == 0:
             raise VarietiesError(f"no translated sentences with family {family}")
-        train = _take_tokens(
-            shuffle(train, config.seed), config.lm_train_tokens, f"{family} T"
-        )
-        train_sets[family] = poslm.pos_sequences(train)
+        rows = shuffle_rows(rows, config.seed)
+        rows = rows[: _token_prefix(lengths_t[rows], config.lm_train_tokens, f"{family} T")]
+        corpus_t.columns.check_tagged(paths=(corpus_t.provenance,), rows=rows)
+        train_sets[family] = poslm.pos_sequences(corpus_t.take(rows))
         unknown = train_sets[family].distinct_tags() - resources.tagset.tags
         if unknown:
             raise VarietiesError(
                 f"{family} T training set: tag {min(unknown)!r} is not in the tagset"
             )
 
-    models = {}
+    scores = {}
     for family in ("Germanic", "Romance"):
         model = poslm.train_lm(
             train_sets.pop(family), resources.tagset, order=config.lm_order
         )
-        models[family] = model
         stage.write(
             f"lm/{family.lower()}_t.arpa", lambda tmp: poslm.write_arpa(model, tmp)
         )
+        scores[family] = poslm.ppl(model, scored_tags).per_sentence
+
+    def report(family: str, rows: np.ndarray, chunks: int | None = None):
+        return scores[family].report(np.searchsorted(scored, rows), chunks)
 
     table_rows = []
     ttest_payload = {}
-    for family, test_sents in test_sets.items():
+    for family, rows in test_rows.items():
         reports = {
-            model_family: poslm.ppl_by_chunks(
-                models[model_family], test_sents, LM_CHUNK_SENTENCES
-            )
+            model_family: report(model_family, rows, LM_CHUNK_SENTENCES)
             for model_family in ("Germanic", "Romance")
         }
-        for model_family, report in reports.items():
+        for model_family, family_report in reports.items():
             table_rows.append(
                 [
                     f"{model_family[:3]}T",
                     f"{family[:3]}NN",
-                    f"{report.perplexity:.6f}",
-                    report.scored,
-                    report.excluded,
+                    f"{family_report.perplexity:.6f}",
+                    family_report.scored,
+                    family_report.excluded,
                 ]
             )
         ger_series = [c.perplexity for c in reports["Germanic"].per_chunk]
         rom_series = [c.perplexity for c in reports["Romance"].per_chunk]
-        ttest = boot.paired_ttest(ger_series, rom_series)
+        try:
+            ttest = boot.paired_ttest(ger_series, rom_series)
+        except DegenerateDataError as exc:
+            raise DegenerateDataError(
+                f"{family} NN test set: the GerT and RomT chunk perplexities "
+                f"give no paired t-test: {exc}"
+            ) from None
         ttest_payload[f"{family[:3]}NN"] = {
             "t": ttest.t,
             "df": ttest.df,
@@ -626,15 +637,15 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     )
     stage.write_json("lm/ttest.json", ttest_payload)
 
-    country_rows = []
-    for country, (family, test_sents) in country_sets.items():
-        ger = poslm.ppl(models["Germanic"], test_sents).perplexity
-        rom = poslm.ppl(models["Romance"], test_sents).perplexity
-        country_rows.append([country, family, f"{ger:.6f}", f"{rom:.6f}"])
+    country_table = []
+    for country, rows in country_rows.items():
+        ger = report("Germanic", rows).perplexity
+        rom = report("Romance", rows).perplexity
+        country_table.append([country, family_of(country), f"{ger:.6f}", f"{rom:.6f}"])
     stage.write_csv(
         "lm/countries.csv",
         ["country", "family", "ppl_gert", "ppl_romt"],
-        country_rows,
+        country_table,
     )
 
 

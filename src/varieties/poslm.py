@@ -55,6 +55,11 @@ where `acc` has summed, in turn, the backoff of every longer context that has
 one. Each position does the per-token walk's float operations in the same
 order, and sentences, chunks and totals are summed left to right, so every
 score equals the per-token walk's to the last bit.
+
+Every figure is added up from per-sentence scores (`SentenceScores`). A
+sentence's scores do not depend on the sentences scored with it, so
+`SentenceScores.report` gives any subset of a scored set, in any order, the
+figures that `ppl` or `ppl_by_chunks` give that subset alone.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -207,6 +212,8 @@ class PerplexityReport:
     excluded: int
     log10_sum: float
     per_chunk: tuple[ChunkPerplexity, ...] | None = None
+    # the scores of every sentence of the set, in order
+    per_sentence: SentenceScores | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +511,66 @@ def _in_order(values: Iterable[float]) -> float:
     return total
 
 
-def _sentence_scores(
-    model: KneserNeyModel, sentences: TagSequences
-) -> tuple[list[float], list[int], list[int]]:
-    """Per sentence, none of them empty: log10 sum, scored and excluded
+@dataclass(frozen=True, eq=False)
+class SentenceScores:
+    """Per sentence of a scored set, in order: its log10 sum and its scored
+    and excluded counts."""
+
+    log10_sum: np.ndarray
+    scored: np.ndarray
+    excluded: np.ndarray
+
+    def report(
+        self, rows: np.ndarray | None = None, chunk_sentences: int | None = None
+    ) -> PerplexityReport:
+        """The report of the sentences at ``rows`` (all by default), in that
+        order: ``ppl``'s, or with ``chunk_sentences`` ``ppl_by_chunks``'s,
+        equal to the last bit to what they give for those sentences alone."""
+        sums, scored, excluded = (
+            (self.log10_sum, self.scored, self.excluded)
+            if rows is None
+            else (self.log10_sum[rows], self.scored[rows], self.excluded[rows])
+        )
+        if chunk_sentences is None:
+            return PerplexityReport(*_aggregate(sums.tolist(), scored, excluded))
+        chunks = []
+        for start in range(0, len(sums), chunk_sentences):
+            block = slice(start, start + chunk_sentences)
+            chunks.append(
+                ChunkPerplexity(
+                    *_aggregate(sums[block].tolist(), scored[block], excluded[block]),
+                    short=block.stop > len(sums),
+                )
+            )
+        return PerplexityReport(
+            *_aggregate(
+                [c.log10_sum for c in chunks],
+                [c.scored for c in chunks],
+                [c.excluded for c in chunks],
+            ),
+            per_chunk=tuple(chunks),
+        )
+
+
+def _aggregate(
+    log10_sums: list[float], scored: Iterable[int], excluded: Iterable[int]
+) -> tuple[float, int, int, float]:
+    """Perplexity 10^(-log10 sum / scored) of the parts (sentences or
+    chunks) with these log10 sums, added in order, and these counts; then
+    the scored and excluded totals and the log10 sum."""
+    log_sum = _in_order(log10_sums)
+    total = int(np.sum(scored))
+    return 10.0 ** (-log_sum / total), total, int(np.sum(excluded)), log_sum
+
+
+def _sentence_scores(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> SentenceScores:
+    """Per sentence, empty ones dropped: log10 sum, scored and excluded
     counts. Every tag and the end marker is scored; out-of-vocabulary tags
     are excluded and truncate the history. A sentence's scores are summed in
     order."""
+    sentences = TagSequences.of(sentences).nonempty()
+    if not len(sentences):
+        raise ValueError("empty test set")
     order = model.order
     vocab_ids = {word: model._ids[word] for word in model.vocab}
     lengths = np.diff(sentences.ptr)
@@ -546,24 +606,16 @@ def _sentence_scores(
     sums = np.zeros(len(sentences))
     for scores in table.T:
         sums += scores
-    return sums.tolist(), scored.tolist(), excluded.tolist()
+    return SentenceScores(sums, scored, excluded)
 
 
 def ppl(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) -> PerplexityReport:
     """Perplexity 10^(-avg log10 P) over all scoring positions (every tag
     and each sentence's end marker), excluding out-of-vocabulary symbols from
-    both the sum and the token count."""
-    sentences = TagSequences.of(sentences).nonempty()
-    if not len(sentences):
-        raise ValueError("empty test set")
-    sums, scored, excluded = _sentence_scores(model, sentences)
-    log_sum = _in_order(sums)
-    return PerplexityReport(
-        perplexity=10.0 ** (-log_sum / sum(scored)),
-        scored=sum(scored),
-        excluded=sum(excluded),
-        log10_sum=log_sum,
-    )
+    both the sum and the token count. ``per_sentence`` holds each non-empty
+    sentence's scores, whose ``report`` gives any subset's figures."""
+    scores = _sentence_scores(model, sentences)
+    return replace(scores.report(), per_sentence=scores)
 
 
 def ppl_by_chunks(
@@ -576,32 +628,7 @@ def ppl_by_chunks(
     per-chunk sums token-weighted."""
     if chunk_size_sentences < 1:
         raise ValueError("chunk_size_sentences must be >= 1")
-    sentences = TagSequences.of(sentences).nonempty()
-    if not len(sentences):
-        raise ValueError("empty test set")
-    sums, scored, excluded = _sentence_scores(model, sentences)
-    chunks = []
-    for start in range(0, len(sentences), chunk_size_sentences):
-        block = slice(start, start + chunk_size_sentences)
-        log_sum = _in_order(sums[block])
-        chunks.append(
-            ChunkPerplexity(
-                perplexity=10.0 ** (-log_sum / sum(scored[block])),
-                scored=sum(scored[block]),
-                excluded=sum(excluded[block]),
-                log10_sum=log_sum,
-                short=len(sums[block]) < chunk_size_sentences,
-            )
-        )
-    total_log = _in_order(c.log10_sum for c in chunks)
-    total_scored = sum(c.scored for c in chunks)
-    return PerplexityReport(
-        perplexity=10.0 ** (-total_log / total_scored),
-        scored=total_scored,
-        excluded=sum(c.excluded for c in chunks),
-        log10_sum=total_log,
-        per_chunk=tuple(chunks),
-    )
+    return _sentence_scores(model, sentences).report(chunk_sentences=chunk_size_sentences)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from varieties.corpus import (
     family_of,
     filter_corpus,
     ingest,
+    matching_rows,
     shuffle,
+    shuffle_rows,
     tokenize_raw,
     write_jsonl,
 )
@@ -530,6 +532,18 @@ class TestShuffle:
         corpus = make_corpus([make_sentence([f"w{i}"]) for i in range(1000)])
         assert shuffle(corpus, 7).sentences != shuffle(corpus, 8).sentences
 
+    def test_shuffled_rows_are_the_shuffled_selection(self):
+        corpus = make_corpus(
+            [
+                make_sentence([f"w{i}"], variety="NN", country="FR" if i % 3 else "DE")
+                for i in range(60)
+            ]
+        )
+        rows = matching_rows(corpus, variety="NN", family="Romance")
+        assert rows.tolist() == [i for i in range(60) if i % 3]
+        drawn = corpus.take(shuffle_rows(rows, 7))
+        assert drawn.sentences == shuffle(filter_corpus(corpus, family="Romance"), 7).sentences
+
 
 class TestChunk:
     def test_greedy_fill_and_trailing_drop(self):
@@ -811,6 +825,25 @@ class TestColumns:
         laid = concat([tagged, corpus])
         with pytest.raises(UntaggedTokenError, match="sentence 0, token 2 'ran'"):
             laid.columns.check_tagged((0, 2))
+        # a corpus read from a file opens the error with that file
+        with pytest.raises(UntaggedTokenError) as named:
+            laid.columns.check_tagged((0, 2), ("tagged.jsonl", "corpus.jsonl"))
+        assert str(named.value) == (
+            "corpus.jsonl: untagged token: sentence 0, token 2 'ran' is missing its POS tag"
+        )
+
+    def test_untagged_check_reads_only_the_given_rows(self):
+        tagged = make_sentence(["a", "b"], pos=["DT", "NN"])
+        corpus = make_corpus(
+            [tagged, make_sentence(["x", "y"]), tagged, make_sentence(["z"]), tagged]
+        )
+        corpus.columns.check_tagged(rows=np.array([4, 0, 2]))
+        # the first untagged sentence among the rows in corpus order, named
+        # by its row
+        with pytest.raises(UntaggedTokenError, match="sentence 3, token 0 'z'"):
+            corpus.columns.check_tagged(rows=np.array([4, 3, 0]))
+        with pytest.raises(UntaggedTokenError, match="sentence 1, token 0 'x'"):
+            corpus.columns.check_tagged(rows=np.array([3, 1]))
 
     def test_take_gathers_the_drawn_sentences(self):
         corpus = self.corpus()

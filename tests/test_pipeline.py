@@ -535,12 +535,33 @@ class TestMetricsStage:
         assert main(["metrics", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert (
-            f"error: untagged token: sentence 5, token 2 {untagged!r} "
-            "is missing its POS tag"
+            f"error: {data / 'NN.jsonl'}: untagged token: sentence 5, token 2 "
+            f"{untagged!r} is missing its POS tag"
         ) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics").exists()
         assert not (tmp_path / "out" / ".lock").exists()
+
+    def test_untagged_token_error_names_its_file(self, tmp_path, capsys):
+        # T is laid after N and NN; its sentence is counted within T's file
+        data = tmp_path / "untagged"
+        data.mkdir()
+        for variety in ("N", "NN", "T"):
+            corpus = metrics_corpus(variety, 60, seed=4)
+            if variety == "T":
+                sentences = list(corpus.sentences)
+                tokens = list(sentences[41].tokens)
+                tokens[0] = Token(surface=tokens[0].surface)
+                sentences[41] = AnnotatedSentence(tokens=tuple(tokens), variety="T")
+                corpus = Corpus(sentences=tuple(sentences))
+                untagged = tokens[0].surface
+            write_jsonl(corpus, data / f"{variety}.jsonl")
+        cfg_path = metrics_config(data, tmp_path, bootstrap_iterations=5)
+        assert main(["metrics", "--config", str(cfg_path)]) == 1
+        assert (
+            f"error: {data / 'T.jsonl'}: untagged token: sentence 41, token 0 "
+            f"{untagged!r} is missing its POS tag"
+        ) in capsys.readouterr().err.splitlines()
 
     def test_null_corpora_earn_no_stars(self, tmp_path):
         data = tmp_path / "null"
@@ -738,10 +759,15 @@ class TestLmStage:
         )
         return Corpus(sentences=tuple(sentences)), tokens[position].surface
 
-    def _assert_untagged_run_left_nothing(self, tmp_path, capsys, surface):
+    def _assert_untagged_run_left_nothing(
+        self, tmp_path, capsys, corpus, sentence, position, surface
+    ):
+        # the sentence is counted within the file the stage read
         err = capsys.readouterr().err
-        assert "error: untagged token: sentence " in err
-        assert f"{surface!r} is missing its POS tag" in err
+        assert (
+            f"error: {tmp_path / 'data' / corpus}: untagged token: sentence "
+            f"{sentence}, token {position} {surface!r} is missing its POS tag"
+        ) in err.splitlines()
         assert "Traceback" not in err
         out = tmp_path / "out"
         assert not (out / "lm").exists()
@@ -763,7 +789,7 @@ class TestLmStage:
         ]
         # every T sentence is read: the training budget exceeds both families
         assert self._small_run(tmp_path, nn, t=t, lm_train_tokens=10**6) == 1
-        self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
+        self._assert_untagged_run_left_nothing(tmp_path, capsys, "T.jsonl", 407, 1, surface)
 
     @pytest.mark.filterwarnings("ignore:.*running scaled down:UserWarning")
     def test_out_of_tagset_training_tag_is_a_validation_error(self, tmp_path, capsys):
@@ -791,30 +817,142 @@ class TestLmStage:
         assert not (out / "lm").exists()
         assert not (out / ".lock").exists()
 
+    @staticmethod
+    def _drawn_rows(nn: Corpus) -> tuple[set[int], set[int]]:
+        """The rows of the NN file that ``_small_run``'s family test sets and
+        country slices draw, replayed on a corpus whose sentence i is the one
+        token "i"."""
+        marked = Corpus(
+            AnnotatedSentence((Token(str(i)),), s.variety, s.country)
+            for i, s in enumerate(nn.sentences)
+        )
+
+        def drawn(corpus, n):
+            return {int(s.tokens[0].surface) for s in shuffle(corpus, 3).sentences[:n]}
+
+        test_sets, slices = set(), set()
+        for family in ("Germanic", "Romance"):
+            family_set = filter_corpus(marked, variety="NN", family=family)
+            test_sets |= drawn(family_set, 200)
+            for country in family_set.countries():
+                slices |= drawn(filter_corpus(marked, variety="NN", country=country), 40)
+        return test_sets, slices
+
     def test_untagged_country_token_fails_before_any_output_is_written(
         self, tmp_path, capsys
     ):
         # a sentence drawn into its country's slice (40 sentences at seed 3)
-        # but not into its family's test set (200 of 300) is read only for
-        # the per-country table, after the models and perplexity tables
-        germanic = lm_family_corpus("NN", "Germanic", 300, seed=41)
-        # the same draws from a corpus whose sentence i is the one token "i"
-        marked = Corpus(
-            AnnotatedSentence((Token(str(i)),), "NN", s.country)
-            for i, s in enumerate(germanic.sentences)
+        # but not into its family's test set (200 of 300) was read at the
+        # parent only for the per-country table, after the models and
+        # perplexity tables
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        test_sets, slices = self._drawn_rows(concat(nn))
+        index = min(slices - test_sets)
+        nn[0], surface = self._untag(nn[0], index, 0)
+        assert self._small_run(tmp_path, nn) == 1
+        self._assert_untagged_run_left_nothing(tmp_path, capsys, "NN.jsonl", index, 0, surface)
+
+    def test_each_nn_sentence_is_scored_once_per_model(self, tmp_path, monkeypatch):
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        sentences = concat(nn).sentences
+        test_sets, slices = self._drawn_rows(concat(nn))
+        # scoring each set on its own would score these sentences twice
+        assert test_sets & slices
+        received = []
+
+        def counting(score):
+            def counted(model, tag_sentences, *args):
+                received.append(sum(map(len, tag_sentences)))
+                return score(model, tag_sentences, *args)
+
+            return counted
+
+        for name in ("ppl", "ppl_by_chunks"):
+            monkeypatch.setattr(
+                pipeline_module.poslm, name, counting(getattr(pipeline_module.poslm, name))
+            )
+        assert self._small_run(tmp_path, nn) == 0
+        drawn_tokens = sum(sentences[i].token_count for i in test_sets | slices)
+        assert received == [drawn_tokens, drawn_tokens]
+
+    def test_untagged_token_that_no_set_draws_is_not_read(self, tmp_path):
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        test_sets, slices = self._drawn_rows(concat(nn))
+        undrawn = min(set(range(300, 600)) - test_sets - slices)
+        nn[1], _surface = self._untag(nn[1], undrawn - 300, 0)
+        assert self._small_run(tmp_path, nn) == 0
+        assert (tmp_path / "out" / "lm" / "countries.csv").exists()
+
+    def test_untagged_test_set_token_names_the_nn_file(self, tmp_path, capsys):
+        # two untagged sentences of the Romance test set: the first in the
+        # file is named, counted from the start of the file
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        test_sets, _slices = self._drawn_rows(concat(nn))
+        romance_rows = sorted(i for i in test_sets if i >= 300)
+        nn[1], _surface = self._untag(nn[1], romance_rows[-1] - 300, 1)
+        nn[1], surface = self._untag(nn[1], romance_rows[0] - 300, 2)
+        assert self._small_run(tmp_path, nn) == 1
+        self._assert_untagged_run_left_nothing(
+            tmp_path, capsys, "NN.jsonl", romance_rows[0], 2, surface
         )
 
-        def drawn(corpus, n):
-            return {int(s.tokens[0].surface) for s in corpus.sentences[:n]}
+    def test_untagged_training_token_names_the_t_file(self, tmp_path, capsys):
+        # of two untagged Germanic T sentences, the earlier one in the file is
+        # not in the 3000-token training prefix and is not read
+        germanic = lm_family_corpus("T", "Germanic", 400, seed=43)
+        marked = Corpus(
+            AnnotatedSentence((Token(str(i)),), "T", s.country)
+            for i, s in enumerate(germanic.sentences)
+        )
+        order = [int(s.tokens[0].surface) for s in shuffle(marked, 3).sentences]
+        lengths = [germanic.sentences[i].token_count for i in order]
+        kept = next(k for k in range(1, 401) if sum(lengths[:k]) >= 3000)
+        prefix = set(order[:kept])
+        outside = min(set(range(400)) - prefix)
+        inside = min(i for i in prefix if i > outside)
+        germanic, _surface = self._untag(germanic, outside, 0)
+        germanic, surface = self._untag(germanic, inside, 1)
+        t = concat([germanic, lm_family_corpus("T", "Romance", 400, seed=44)])
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        assert self._small_run(tmp_path, nn, t=t) == 1
+        self._assert_untagged_run_left_nothing(tmp_path, capsys, "T.jsonl", inside, 1, surface)
 
-        in_test_set = drawn(shuffle(marked, 3), 200)
-        country = germanic.sentences[0].country
-        in_slice = drawn(shuffle(filter_corpus(marked, country=country), 3), 40)
-        index = min(in_slice - in_test_set)
-        germanic, surface = self._untag(germanic, index, 0)
-        nn = [germanic, lm_family_corpus("NN", "Romance", 300, seed=42)]
-        assert self._small_run(tmp_path, nn) == 1
-        self._assert_untagged_run_left_nothing(tmp_path, capsys, surface)
+    def test_zero_variance_t_test_is_a_validation_error(self, tmp_path, capsys):
+        # the Romance T sentences repeat the Germanic ones' tag sequences, so
+        # the two models are one model and every paired difference is 0
+        germanic = lm_family_corpus("T", "Germanic", 400, seed=43)
+        romance_of = {"AT": "FR", "DE": "IT", "NL": "ES", "SE": "PT"}
+        romance = Corpus(
+            AnnotatedSentence(s.tokens, "T", romance_of[s.country])
+            for s in germanic.sentences
+        )
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 300, seed=42),
+        ]
+        assert self._small_run(tmp_path, nn, t=concat([germanic, romance])) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: Germanic NN test set: the GerT and RomT chunk perplexities "
+            "give no paired t-test: differences have zero variance; t is undefined"
+        ) in err.splitlines()
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_failed_t_test_leaves_no_model(self, tmp_path, monkeypatch):
         # the models are written before they are scored; paired_ttest raises

@@ -335,6 +335,22 @@ class TestBatchScorerExact:
             assert chunk.excluded == sum(excluded for _, _, excluded in block)
         assert chunked.log10_sum == _in_order(c.log10_sum for c in chunked.per_chunk)
 
+    def test_subset_reports_equal_scoring_the_subset(self, test_set):
+        # a subset's report from the whole set's per-sentence scores is what
+        # scoring that subset alone gives, to the last bit
+        train = pos_sequences(lm_family_corpus("T", "Germanic", 120, seed=4))
+        model = train_lm(train, LM_TAGS, order=3)
+        scores = ppl(model, test_set).per_sentence
+        rows = np.random.default_rng(5).permutation(len(test_set))[:37]
+        subset = [test_set[i] for i in rows]
+        for report, alone in (
+            (scores.report(rows), ppl(model, subset)),
+            (scores.report(rows, 10), ppl_by_chunks(model, subset, 10)),
+        ):
+            assert report == alone
+            assert report.perplexity == alone.perplexity
+            assert report.per_chunk == alone.per_chunk
+
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestPplByChunks:
