@@ -13,6 +13,9 @@ phrase length n, each position whose first n words spell a phrase prefix is
 looked up among the list's exact n-word prefix keys, so the longest phrase
 starting at each position is known before one left-to-right pass over those
 candidates drops the ones that overlap an earlier match.
+
+``prefix_keys`` and ``lookup`` build and search those packed prefix keys.
+``poslm`` stores its n-gram levels as the same keys.
 """
 
 from __future__ import annotations
@@ -72,38 +75,23 @@ class PhraseList:
         return PhraseList(name=f"{self.name}[{category}]", entries=kept)
 
     @cached_property
-    def _index(self) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np.ndarray]]]:
-        """The phrases' distinct words, sorted, and per phrase length n = 1,
-        2, ...: the sorted keys of the distinct n-word phrase prefixes, and
-        the index in ``entries`` of the phrase each key spells in full (the
-        first in list order among entries with equal tokens), -1 if none. A
-        key is p * len(words) + the last word's index, where p is the index
-        of its first n - 1 words among the keys of length n - 1 (0 at n = 1),
-        so keys stay below len(entries) * len(words) at any phrase length.
-        Built once per list for ``match_phrases``."""
+    def _index(self) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+        """Each of the phrases' distinct words -> its index in sorted order,
+        and per phrase length n = 1, 2, ...: the ``prefix_keys`` of the
+        distinct n-word phrase prefixes over those indices, and the index in
+        ``entries`` of the phrase each key spells in full (the first in list
+        order among entries with equal tokens), -1 if none. Built once per
+        list for ``match_phrases``."""
         words = sorted({word for entry in self.entries for word in entry.tokens})
         code = {word: i for i, word in enumerate(words)}
-        lengths = np.array([len(entry.tokens) for entry in self.entries], dtype=np.int64)
-        width = int(lengths.max(initial=0))
-        # one row of word indices per entry, zero-padded
-        table = np.array(
-            [[code[word] for word in entry.tokens] + [0] * (width - len(entry.tokens))
-             for entry in self.entries],
-            dtype=np.int64,
-        ).reshape(len(self.entries), width)
-        prefix = np.zeros(len(self.entries), dtype=np.int64)
-        levels = []
-        for n in range(1, width + 1):
-            rows = np.flatnonzero(lengths >= n)
-            keys, prefix[rows] = np.unique(
-                prefix[rows] * len(words) + table[rows, n - 1], return_inverse=True
-            )
-            ending = rows[lengths[rows] == n]
-            spelled_keys, first = np.unique(prefix[ending], return_index=True)
-            spelled = np.full(len(keys), -1, dtype=np.int64)
-            spelled[spelled_keys] = ending[first]
-            levels.append((keys, spelled))
-        return tuple(words), levels
+        rows = [[code[word] for word in entry.tokens] for entry in self.entries]
+        keys, index = prefix_keys(rows, len(words), max(map(len, rows), default=0))
+        spelled = [np.full(len(level), -1, dtype=np.int64) for level in keys]
+        # last to first, so the first in list order wins
+        for entry in reversed(range(len(rows))):
+            if rows[entry]:
+                spelled[len(rows[entry]) - 1][index[entry]] = entry
+        return code, list(zip(keys, spelled))
 
 
 @dataclass(frozen=True)
@@ -225,6 +213,34 @@ def load_tag_set(path: str | Path) -> TagSet:
 # phrase matching
 
 
+def prefix_keys(
+    rows: Sequence[Sequence[int]], size: int, width: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per length n = 1 .. width, the sorted distinct keys of the n-id
+    prefixes of ``rows`` (ids in ``range(size)``, at most ``width`` per row),
+    and each row's index among the keys of its length (0 if it is empty). A
+    key is p * size + the n-th id, p being the index of the first n - 1 ids
+    among the keys of length n - 1 (0 at n = 1): keys sort like the id
+    prefixes they spell and stay below len(rows) * size at any length."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    index = np.zeros(len(rows), dtype=np.int64)
+    keys = []
+    for n in range(1, width + 1):
+        longer = np.flatnonzero(lengths >= n)
+        last = np.array([rows[i][n - 1] for i in longer.tolist()], dtype=np.int64)
+        level, index[longer] = np.unique(index[longer] * size + last, return_inverse=True)
+        keys.append(level)
+    return keys, index
+
+
+def lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each query in the sorted ``keys``, -1 where it is absent."""
+    if not len(keys):
+        return np.full(len(query), -1, dtype=np.int64)
+    found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[found] == query, found, -1)
+
+
 def match_phrases(
     ids: np.ndarray, ptr: np.ndarray, vocab: Sequence[str], phrases: PhraseList
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,8 +256,7 @@ def match_phrases(
     index in ``phrases.entries`` and its start within the sentence.
     """
     ptr = np.asarray(ptr)
-    words, levels = phrases._index
-    code = {word: i for i, word in enumerate(words)}
+    code, levels = phrases._index
     word_of = np.array([code.get(w.lower(), -1) for w in vocab], dtype=np.int32)
     word = word_of[ids]
     # candidate starts (positions holding a phrase's first word, a key of
@@ -260,9 +275,9 @@ def match_phrases(
         last = start[alive] + n - 1
         inside = last < end[alive]
         alive, prefix, last = alive[inside], prefix[inside], last[inside]
-        query = prefix * len(words) + word[last]
-        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        known = (keys[found] == query) & (word[last] >= 0)
+        found = lookup(keys, prefix * len(code) + word[last])
+        # a word outside every phrase is -1, which can spell a real key
+        known = (found >= 0) & (word[last] >= 0)
         alive, prefix = alive[known], found[known]
         full = spelled[prefix] >= 0
         entry[alive[full]] = spelled[prefix[full]]

@@ -40,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Columns, Corpus, KeyCounts, concat
-from .lexicons import PhraseList, RankList, Resources, WordList, match_phrases
+from .errors import DegenerateDataError
+from .lexicons import SENTENCE_TRANSITION, PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
 MEAN_WORD_RANK = "MEAN_WORD_RANK"
@@ -128,7 +129,9 @@ def _matches(columns: Columns, phrases: PhraseList) -> tuple[np.ndarray, np.ndar
 
 def _check_markers(markers: PhraseList) -> None:
     if len(markers) == 0:
-        raise ValueError("empty transition-marker list")
+        raise DegenerateDataError(
+            f"transitions: empty transition-marker list (no {SENTENCE_TRANSITION} marker)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def _ttr_value(distinct: int, tokens: int) -> MetricValue:
 
 def _rank_value(total: int, included: int) -> MetricValue:
     if included == 0:
-        raise ValueError("no token is covered by the rank list")
+        raise DegenerateDataError("mean_word_rank: no token is covered by the rank list")
     return MetricValue(metric=MEAN_WORD_RANK, raw=total / included, basis=included)
 
 
@@ -342,7 +345,7 @@ def normalize_triple(
     """Total-sum normalization of a metric triple; values then sum to 1."""
     total = raw_n + raw_t + raw_nn
     if total <= 0:
-        raise ValueError("cannot normalize an all-zero metric triple")
+        raise DegenerateDataError(f"{metric}: cannot normalize an all-zero metric triple")
     return MetricTriple(
         metric=metric,
         raw_n=raw_n,

@@ -159,9 +159,10 @@ def _load_manifest(out_dir: Path) -> dict:
 
 
 class _Stage:
-    """The output files of one stage. Each is written whole to a temp file
-    beside it; ``finish`` renames them onto their outputs and records them,
-    with the stage's time, in the manifest, and ``discard`` removes them."""
+    """The output files of one stage, each written whole to a temp file
+    beside it. ``finish`` renames them onto their outputs, records them with
+    the stage's time in the manifest, and removes what the stage's previous
+    run recorded and this one did not write; ``discard`` removes them."""
 
     def __init__(self, name: str, config: PipelineConfig, out_dir: Path):
         self.name = name
@@ -197,6 +198,7 @@ class _Stage:
         for p in self.outputs:
             os.replace(_temp(p), p)
         manifest = _load_manifest(self.out_dir)
+        previous = manifest["stages"].get(self.name, {}).get("outputs", {})
         manifest["config"] = config_snapshot(self.config)
         resource_dir = resources_manifest.parent
         resource_hashes = {str(resources_manifest): _sha256(resources_manifest)}
@@ -210,6 +212,8 @@ class _Stage:
             },
         }
         _write(self.out_dir / MANIFEST_NAME, _json_fill(manifest))
+        for stale in set(previous) - set(manifest["stages"][self.name]["outputs"]):
+            (self.out_dir / stale).unlink(missing_ok=True)
 
     def discard(self) -> None:
         for p in self.outputs:
@@ -230,6 +234,12 @@ def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
     by_variety: dict[str, list[Corpus]] = {}
     for variety in ("N", "NN", "T"):
         corpus = _ingest_variety(config, variety)
+        if corpus.varieties() - {variety}:
+            raise VarietiesError(
+                f"{config.corpus_path(variety)}: the {variety} corpus holds sentences "
+                f"of varieties {', '.join(sorted(corpus.varieties()))}; chunking needs "
+                f"one variety per file"
+            )
         variety_chunks = chunk(shuffle(corpus, config.seed), config.chunk_target)
         if not variety_chunks:
             raise VarietiesError(
@@ -289,23 +299,25 @@ def cmd_classify(config: PipelineConfig, stage: _Stage, resources: Resources) ->
         )
 
     records = feat.ChunkCounts(chunks)
+    # POS3, the one family that can fail, is counted over every chunk once,
+    # so a row that needs it and cannot be counted is left out of every task
+    try:
+        records.totals(feat.POS3)
+        untagged = None
+    except UntaggedTokenError as exc:
+        untagged = str(exc)
     plans = {}
     diagnostics = []
     for families in FEATURE_ROWS:
-        plan = feat.FeaturePlan(
+        if untagged is not None and feat.POS3 in families:
+            diagnostics.append([_row_name(families), untagged])
+            continue
+        plans[_row_name(families)] = feat.FeaturePlan(
             families=families,
             resources=resources,
             top_pos3=config.top_pos3,
             postok_min_count=config.postok_min_count,
         )
-        # fit counts POS3, the one family that can fail, over every chunk, so
-        # a row that cannot be counted is left out of every task
-        try:
-            plan.fit(records)
-        except UntaggedTokenError as exc:
-            diagnostics.append([_row_name(families), str(exc)])
-            continue
-        plans[_row_name(families)] = plan
     accuracy_rows = []
     confusion_rows = []
     feature_rows = []
@@ -431,9 +443,16 @@ def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> 
         raise VarietiesError(f"equal-size guard failed: {guard.message}")
 
     stats = met.SentenceStats.of([corpora[v] for v in ("N", "NN", "T")], resources)
-    observed = [
-        stats.values(np.arange(start, stop))
-        for start, stop in zip(stats.bounds, stats.bounds[1:])
+    observed = []
+    for variety, start, stop in zip(corpora, stats.bounds, stats.bounds[1:]):
+        try:
+            observed.append(stats.values(np.arange(start, stop)))
+        except DegenerateDataError as exc:
+            raise DegenerateDataError(f"{corpora[variety].provenance}: {exc}") from None
+    # every triple is checked before any resample is drawn
+    triples = [
+        met.normalize_triple(name, observed[0][m], observed[2][m], observed[1][m])
+        for m, name in enumerate(METRIC_ROWS)
     ]
     boot_config = boot.BootstrapConfig(
         sample_tokens=min(c.token_count for c in corpora.values()),
@@ -444,11 +463,8 @@ def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> 
     dif_results = boot.d_dif_tests(stats, observed, boot_config)
     csv_rows = []
     payload = {}
-    for m, name in enumerate(METRIC_ROWS):
-        raw = dict(zip(("N", "NN", "T"), (values[m] for values in observed)))
-        triple = met.normalize_triple(name, raw["N"], raw["T"], raw["NN"])
-        total_result = total_results[m]
-        dif_result = dif_results[m]
+    results = zip(METRIC_ROWS, triples, total_results, dif_results)
+    for name, triple, total_result, dif_result in results:
         star = bool(dif_result.significant)
         csv_rows.append(
             [
@@ -467,12 +483,8 @@ def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> 
             ]
         )
         payload[name] = {
-            "raw": {"N": raw["N"], "T": raw["T"], "NN": raw["NN"]},
-            "normalized": {
-                "N": triple.norm_n,
-                "T": triple.norm_t,
-                "NN": triple.norm_nn,
-            },
+            "raw": {"N": triple.raw_n, "T": triple.raw_t, "NN": triple.raw_nn},
+            "normalized": {"N": triple.norm_n, "T": triple.norm_t, "NN": triple.norm_nn},
             "d_total": {
                 "observed": total_result.observed,
                 "p_value": total_result.p_value,

@@ -35,15 +35,15 @@ Models store log10 probabilities and backoff weights, the exact quantities
 serialized in the ARPA text format, as arrays in the sorted-array layout of
 Heafield, "KenLM: Faster and Smaller Language Model Queries" (WMT 2011).
 Per order n, an `NgramLevel` holds the sorted keys of the order-n windows the
-model knows, packed as above (the index of the first n-1 symbols among the
-order-(n-1) keys, times the number of symbols, plus the last id; the
-unigram keys are the symbol ids), the log10 probability of each key with a
-mask of the keys that have one, and the log10 backoff with a mask of the
-keys that have one. Pure contexts (the all-begin-marker runs) have a backoff
-and no probability; a key with neither is there only as the prefix of a
-longer key. Since ids follow sorted string order, key order is string-tuple
-order. `KneserNeyModel.logprobs` and `backoffs` are read-only mappings from
-string tuples over these arrays.
+model knows, packed as `lexicons.prefix_keys` packs them (the unigram keys
+are the symbol ids), the log10 probability of each key with a mask of the
+keys that have one, and the log10 backoff with a mask of the keys that have
+one. Pure contexts (the all-begin-marker runs) have a backoff and no
+probability; a key with neither is there only as the prefix of a longer
+key. Since ids follow sorted string order, key order is string-tuple order.
+`KneserNeyModel.logprobs` and `backoffs` are read-only mappings from string
+tuples over these arrays. Every sentence, in training or scoring, is padded
+by one function (`_padded`), and every key is spelled by one (`_spelled`).
 
 Scoring has one batch path, used by `ppl`, `ppl_by_chunks` and
 `KneserNeyModel.logprob`. Symbols are mapped to ids once; an out-of-vocabulary
@@ -76,7 +76,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .lexicons import TagSet
+from .lexicons import TagSet, lookup, prefix_keys
 
 BOS = "<s>"
 EOS = "</s>"
@@ -174,15 +174,7 @@ class _Stored(Mapping):
         return (gram for gram, _ in self._pairs())
 
     def _pairs(self) -> Iterator[tuple[tuple[str, ...], float]]:
-        model = self._model
-        names = [(symbol,) for symbol in model.symbols]
-        for n, level in enumerate(model.levels, start=1):
-            if n > 1:
-                prefix, last = np.divmod(level.keys, len(model.symbols))
-                names = [
-                    names[p] + (model.symbols[w],)
-                    for p, w in zip(prefix.tolist(), last.tolist())
-                ]
+        for level, names in zip(self._model.levels, _spelled(self._model, joined=False)):
             values, has = self._column(level)
             kept = np.flatnonzero(has)
             yield from zip([names[i] for i in kept.tolist()], values[kept].tolist())
@@ -194,6 +186,21 @@ class _Stored(Mapping):
 class _StoredItems(ItemsView):
     def __iter__(self):
         return self._mapping._pairs()
+
+
+def _spelled(model: KneserNeyModel, joined: bool) -> Iterator[list]:
+    """Per order, the n-gram each of the model's keys spells, in key order:
+    a tuple of symbols, or with ``joined`` the symbols joined by spaces."""
+    symbols = model.symbols
+    names = list(symbols) if joined else [(symbol,) for symbol in symbols]
+    for level in model.levels[1:]:
+        yield names
+        prefix, last = np.divmod(level.keys, len(symbols))
+        if joined:
+            names = [f"{names[p]} {symbols[w]}" for p, w in zip(prefix.tolist(), last.tolist())]
+        else:
+            names = [names[p] + (symbols[w],) for p, w in zip(prefix.tolist(), last.tolist())]
+    yield names
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,24 @@ class PerplexityReport:
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def _padded(
+    tag_ids: np.ndarray, lengths: np.ndarray, order: int, bos: int, eos: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sentences of these (nonzero) lengths, whose tags are ``tag_ids`` laid
+    end to end, each padded to order-1 begin markers, its tags and one end
+    marker: the padded ids, a mask of the tags in them, and the position of
+    each end marker."""
+    ends = np.cumsum(lengths + order) - 1
+    ids = np.full(int(ends[-1]) + 1, bos, dtype=np.int64)
+    is_tag = np.ones(len(ids), dtype=bool)
+    is_tag[ends] = False
+    for back in range(1, order):
+        is_tag[ends - lengths - back] = False
+    ids[is_tag] = tag_ids
+    ids[ends] = eos
+    return ids, is_tag, ends
 
 
 def _count_ngrams(
@@ -249,20 +274,11 @@ def _count_ngrams(
             f"out-of-tagset tag {sentences.vocab[sentences.ids[at]]!r} at sentence "
             f"{s_idx}, position {at - int(sentences.ptr[s_idx])}"
         )
-    # each non-empty sentence: order-1 begin markers, its tags, one end marker
-    lengths = np.diff(sentences.ptr)
-    lengths = lengths[lengths > 0]
+    lengths = np.diff(sentences.nonempty().ptr)
     if not len(lengths):
         raise ValueError("training corpus is empty")
-    ends = np.cumsum(lengths + order) - 1
-    ids = np.full(int(ends[-1]) + 1, bos, dtype=np.int64)
-    is_tag = np.ones(len(ids), dtype=bool)
-    is_tag[ends] = False
-    for back in range(1, order):
-        is_tag[ends - lengths - back] = False
-    ids[is_tag] = tag_ids
-    ids[ends] = eos
-    del tag_ids, is_tag
+    ids = _padded(tag_ids, lengths, order, bos, eos)[0]
+    del tag_ids
     levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
     # prefix[i]: index of the window of length n-1 starting at i
     prefix = np.zeros(len(ids), dtype=np.int64)
@@ -443,14 +459,6 @@ def train_lm(
 # perplexity
 
 
-def _lookup(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Index of each query in the sorted ``keys``, -1 where it is absent."""
-    if not len(keys):
-        return np.full(len(query), -1, dtype=np.int64)
-    found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[found] == query, found, -1)
-
-
 def _windows(model: KneserNeyModel, ids: np.ndarray) -> list[np.ndarray]:
     """Per order n, the index among the model's order-n keys of the window
     of n symbols ending at each position of ``ids``, or -1 where that window
@@ -463,7 +471,7 @@ def _windows(model: KneserNeyModel, ids: np.ndarray) -> list[np.ndarray]:
         prefix = windows[-1][:-1]
         known = np.flatnonzero((prefix >= 0) & (ids[1:] >= 0))
         window = np.full(len(ids), -1, dtype=np.int64)
-        window[known + 1] = _lookup(level.keys, prefix[known] * size + ids[known + 1])
+        window[known + 1] = lookup(level.keys, prefix[known] * size + ids[known + 1])
         windows.append(window)
         if not (window >= 0).any():
             break
@@ -526,11 +534,8 @@ class SentenceScores:
         """The report of the sentences at ``rows`` (all by default), in that
         order: ``ppl``'s, or with ``chunk_sentences`` ``ppl_by_chunks``'s,
         equal to the last bit to what they give for those sentences alone."""
-        sums, scored, excluded = (
-            (self.log10_sum, self.scored, self.excluded)
-            if rows is None
-            else (self.log10_sum[rows], self.scored[rows], self.excluded[rows])
-        )
+        rows = slice(None) if rows is None else rows
+        sums, scored, excluded = self.log10_sum[rows], self.scored[rows], self.excluded[rows]
         if chunk_sentences is None:
             return PerplexityReport(*_aggregate(sums.tolist(), scored, excluded))
         chunks = []
@@ -571,31 +576,24 @@ def _sentence_scores(model: KneserNeyModel, sentences: Iterable[Sequence[str]]) 
     sentences = TagSequences.of(sentences).nonempty()
     if not len(sentences):
         raise ValueError("empty test set")
-    order = model.order
     vocab_ids = {word: model._ids[word] for word in model.vocab}
     lengths = np.diff(sentences.ptr)
     tag_ids = np.array([vocab_ids.get(tag, -1) for tag in sentences.vocab], np.int64)[
         sentences.ids
     ]
-    # each sentence: order-1 begin markers, its tags, one end marker
-    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
-    tag_at = np.arange(len(tag_ids)) + sentence_of * order + order - 1
-    end_at = np.cumsum(lengths) + np.arange(len(sentences)) * order + order - 1
-    ids = np.full(
-        len(tag_ids) + len(sentences) * order, model._ids.get(BOS, -1), dtype=np.int64
+    # a model read without a marker pads with -1
+    ids, is_tag, ends = _padded(
+        tag_ids, lengths, model.order, model._ids.get(BOS, -1), model._ids.get(EOS, -1)
     )
-    ids[tag_at] = tag_ids
-    ids[end_at] = model._ids.get(EOS, -1)
-    in_vocab = tag_ids >= 0
-    is_target = np.zeros(len(ids), dtype=bool)
-    is_target[tag_at[in_vocab]] = True
-    is_target[end_at] = True
+    # the targets: the tags in the vocabulary and the end markers
+    is_target = is_tag & (ids >= 0)
+    is_target[ends] = True
     values, unresolved = _walk(model, ids, np.flatnonzero(is_target))
     if unresolved.any():
         # every scored tag is in the vocabulary, so it has a unigram
         raise ValueError(f"symbol {EOS!r} is outside the model vocabulary")
 
-    excluded = np.bincount(sentence_of[~in_vocab], minlength=len(sentences))
+    excluded = np.add.reduceat(tag_ids < 0, sentences.ptr[:-1], dtype=np.int64)
     scored = lengths - excluded + 1
     # one row per sentence, zero-padded: adding the columns in turn sums
     # each sentence's scores in order (a sum is never -0.0, so x + 0.0 == x)
@@ -639,21 +637,14 @@ def write_arpa(model: KneserNeyModel, path: str | Path) -> None:
     """Standard ARPA text format, each section in key order, which is
     string-tuple order. Pure-context entries (the all-begin-marker runs)
     carry the conventional placeholder probability."""
-    size = len(model.symbols)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
         written = [np.flatnonzero(lv.has_prob | lv.has_backoff) for lv in model.levels]
         for n, entries in enumerate(written, start=1):
             fh.write(f"ngram {n}={len(entries)}\n")
         fh.write("\n")
-        names = list(model.symbols)
-        for n, (level, entries) in enumerate(zip(model.levels, written), start=1):
-            if n > 1:
-                prefix, last = np.divmod(level.keys, size)
-                names = [
-                    f"{names[p]} {model.symbols[w]}"
-                    for p, w in zip(prefix.tolist(), last.tolist())
-                ]
+        levels = zip(model.levels, written, _spelled(model, joined=True))
+        for n, (level, entries, names) in enumerate(levels, start=1):
             fh.write(f"\\{n}-grams:\n")
             logprob = np.where(level.has_prob, level.logprob, _PLACEHOLDER_LOG10)
             for start in range(0, len(entries), _ARPA_LINES_PER_WRITE):
@@ -675,15 +666,6 @@ def write_arpa(model: KneserNeyModel, path: str | Path) -> None:
         fh.write("\\end\\\n")
 
 
-def _pack(rows: np.ndarray, keys: list[np.ndarray], size: int) -> np.ndarray:
-    """Packed keys of the id rows (one n-gram per row), whose prefixes are
-    all among ``keys`` (the keys of orders 1..n-1)."""
-    index = rows[:, 0]
-    for j in range(1, rows.shape[1] - 1):
-        index = np.searchsorted(keys[j], index * size + rows[:, j])
-    return index * size + rows[:, -1] if rows.shape[1] > 1 else index
-
-
 def _store_last(values: np.ndarray, has: np.ndarray, at: np.ndarray, given: list[float]) -> None:
     """values[at] = given, the last one winning where a gram is listed twice."""
     at, last = np.unique(at[::-1], return_index=True)
@@ -700,8 +682,6 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
     # per order, each line's (gram, log10 prob, log10 backoff or None)
     listed: dict[int, list[tuple[tuple[str, ...], float, float | None]]] = {}
     declared: dict[int, int] = {}
-    section: int | None = None
-    seen: dict[int, int] = {}
     state = "preamble"
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -722,7 +702,6 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
                         f"{path}:{line_no}: section {n}-grams not declared in header"
                     )
                 section = n
-                seen[n] = 0
                 listed.setdefault(n, [])
                 state = "grams"
                 continue
@@ -752,42 +731,29 @@ def read_arpa(path: str | Path) -> KneserNeyModel:
                     )
                 backoff = float(fields[2]) if len(fields) == 3 else None
                 listed[section].append((gram, float(fields[0]), backoff))
-                seen[section] += 1
-                continue
     if state != "done":
         raise ValueError(f"{path}: missing \\end\\ marker")
     if not declared:
         raise ValueError(f"{path}: no n-gram sections declared")
     for n, count in declared.items():
-        if seen.get(n, 0) != count:
+        if len(listed.get(n, [])) != count:
             raise ValueError(
-                f"{path}: section {n}-grams has {seen.get(n, 0)} entries, "
+                f"{path}: section {n}-grams has {len(listed.get(n, []))} entries, "
                 f"header declares {count}"
             )
 
     order = max(declared)
     lines = [listed.get(n, []) for n in range(1, order + 1)]
-    symbols = tuple(sorted({s for section in lines for gram, _, _ in section for s in gram}))
-    size = len(symbols)
+    grams = [gram for section in lines for gram, _, _ in section]
+    symbols = tuple(sorted({s for gram in grams for s in gram}))
     ids = {symbol: i for i, symbol in enumerate(symbols)}
-    rows = [
-        np.array([[ids[s] for s in gram] for gram, _, _ in section], dtype=np.int64)
-        .reshape(-1, n)
-        for n, section in enumerate(lines, start=1)
-    ]
-
-    # every key's prefix is a key of the order below: collect the prefixes
-    # top down, then pack bottom up
-    needed = rows[:]
-    for n in range(order - 1, 1, -1):
-        needed[n - 1] = np.concatenate([needed[n - 1], needed[n][:, :-1]])
-    keys = [np.arange(size, dtype=np.int64)]
-    for n in range(2, order + 1):
-        keys.append(np.unique(_pack(needed[n - 1], keys, size)))
+    # every symbol is an order-1 key, and every prefix of a gram is a key
+    rows = [(i,) for i in range(len(symbols))] + [[ids[s] for s in gram] for gram in grams]
+    keys, index = prefix_keys(rows, len(symbols), order)
+    sections = np.split(index[len(symbols) :], np.cumsum([len(s) for s in lines])[:-1])
 
     levels = []
-    for level_keys, section, level_rows in zip(keys, lines, rows):
-        at = np.searchsorted(level_keys, _pack(level_rows, keys, size))
+    for level_keys, section, at in zip(keys, lines, sections):
         logprob, has_prob = np.zeros(len(level_keys)), np.zeros(len(level_keys), dtype=bool)
         _store_last(logprob, has_prob, at, [lp for _, lp, _ in section])
         backoff, has_backoff = np.zeros(len(level_keys)), np.zeros(len(level_keys), dtype=bool)

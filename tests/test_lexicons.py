@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_match_phrases
 from varieties.errors import ResourceError
@@ -14,7 +16,9 @@ from varieties.lexicons import (
     load_resources,
     load_tag_set,
     load_word_list,
+    lookup,
     match_phrases,
+    prefix_keys,
 )
 
 
@@ -250,6 +254,40 @@ class TestAgainstReferenceMatcher:
             for _ in range(rng.randint(1, 40))
         ]
         self.check(sentences, phrases)
+
+
+class TestPrefixKeys:
+    """The packed prefix keys and their lookup against a brute force over
+    the id tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_against_brute_force(self, data):
+        size = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.lists(st.integers(0, size - 1), max_size=5), max_size=12))
+        width = data.draw(st.integers(max(map(len, rows), default=0), 6))
+        keys, index = prefix_keys(rows, size, width)
+        assert len(keys) == width
+        # per length, the distinct prefixes of the rows at least that long, sorted
+        prefixes = [
+            sorted({tuple(r[:n]) for r in rows if len(r) >= n}) for n in range(1, width + 1)
+        ]
+        for n, (level, spelled) in enumerate(zip(keys, prefixes), start=1):
+            parent = [0 if n == 1 else prefixes[n - 2].index(p[:-1]) for p in spelled]
+            assert level.tolist() == [q * size + p[-1] for q, p in zip(parent, spelled)]
+        assert index.tolist() == [
+            prefixes[len(r) - 1].index(tuple(r)) if r else 0 for r in rows
+        ]
+        for level in keys:
+            query = np.arange(-2, len(rows) * size + 2)
+            listed = level.tolist()
+            assert lookup(level, query).tolist() == [
+                listed.index(q) if q in listed else -1 for q in query.tolist()
+            ]
+
+    def test_lookup_in_no_keys(self):
+        found = lookup(np.zeros(0, dtype=np.int64), np.array([0, 3]))
+        assert found.tolist() == [-1, -1]
 
 
 class TestTagSet:

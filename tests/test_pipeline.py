@@ -282,6 +282,44 @@ class TestClassifyStage:
             rows = read_csv(out / "classify" / name)
             assert not {r["features"] for r in rows} & pos3_rows, name
 
+    def test_rerun_removes_the_outputs_it_no_longer_writes(self, tmp_path):
+        # an untagged T leaves classify/diagnostics.csv; a rerun on tagged
+        # data into the same directory writes none, and must not leave the
+        # old one behind
+        root = tmp_path / "data"
+        root.mkdir()
+        tagged = {v: variety_corpus(v, 200, seed=3) for v in ("N", "NN", "T")}
+        for variety, corpus in tagged.items():
+            write_jsonl(strip_pos(corpus) if variety == "T" else corpus, root / f"{variety}.jsonl")
+        cfg = load_config(classify_config(root, tmp_path, cv_folds=4), env={})
+        out = run_stage("classify", cfg)
+        assert (out / "classify" / "diagnostics.csv").exists()
+        write_jsonl(tagged["T"], root / "T.jsonl")
+        run_stage("classify", cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        recorded = set(manifest["stages"]["classify"]["outputs"])
+        assert "classify/diagnostics.csv" not in recorded
+        files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert files - {"manifest.json"} == recorded
+
+    @pytest.mark.parametrize("stage", ["classify", "cluster"])
+    def test_file_holding_another_variety_is_a_validation_error(
+        self, classify_dir, tmp_path, capsys, stage
+    ):
+        root = tmp_path / "mixed"
+        root.mkdir()
+        corpus = variety_corpus("N", 100, seed=5)
+        stray = variety_corpus("T", 1, seed=5).sentences
+        write_jsonl(Corpus(sentences=corpus.sentences + stray), root / "N.jsonl")
+        cfg = classify_config(classify_dir, tmp_path, corpus_n=root / "N.jsonl", cv_folds=4)
+        assert main([stage, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {root / 'N.jsonl'}: the N corpus holds sentences of varieties N, T; "
+            "chunking needs one variety per file"
+        ]
+        assert not (tmp_path / "out" / stage).exists()
+
     def test_each_chunk_counted_once_per_family(self, tmp_path, monkeypatch):
         calls = Counter()
         names = ("_fw_table", "_pos3_table", "_postok_table", "_coh_table")
@@ -562,6 +600,50 @@ class TestMetricsStage:
             f"error: {data / 'T.jsonl'}: untagged token: sentence 41, token 0 "
             f"{untagged!r} is missing its POS tag"
         ) in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(
+        "resource,text,message",
+        [
+            (
+                "idioms",
+                "zzqx never\n",
+                "collocation_types: cannot normalize an all-zero metric triple",
+            ),
+            (
+                "word_ranks",
+                "zzqx\t1\n",
+                "{data}/N.jsonl: mean_word_rank: no token is covered by the rank list",
+            ),
+            (
+                "cohesive_markers",
+                "thus\tother\n",
+                "transitions: empty transition-marker list (no sentence_transition marker)",
+            ),
+        ],
+        ids=["no_idiom_occurs", "no_ranked_token", "no_transition_marker"],
+    )
+    def test_data_no_metric_can_summarise_is_a_validation_error(
+        self, tmp_path, capsys, resource, text, message
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for variety in ("N", "NN", "T"):
+            write_jsonl(metrics_corpus(variety, 60, seed=4), data / f"{variety}.jsonl")
+        shipped = default_manifest_path()
+        entries = {
+            key: str(shipped.parent / name)
+            for key, name in json.loads(shipped.read_text()).items()
+        }
+        entries[resource] = str(tmp_path / "list.txt")
+        (tmp_path / "list.txt").write_text(text)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        cfg_path = metrics_config(data, tmp_path, bootstrap_iterations=5, resources=manifest)
+        assert main(["metrics", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(data=data)
+        ]
+        assert not (tmp_path / "out" / "metrics").exists()
 
     def test_null_corpora_earn_no_stars(self, tmp_path):
         data = tmp_path / "null"

@@ -552,6 +552,53 @@ ngram 3=2
         assert report.perplexity > 1.0
 
 
+    def test_gram_listed_twice_takes_its_last_line(self, tmp_path):
+        path = tmp_path / "twice.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=4\nngram 2=3\n\n"
+            "\\1-grams:\n-0.5\tA\t-0.1\n-0.6\t</s>\n-0.7\tA\t-0.2\n-99\t<s>\t-0.3\n\n"
+            "\\2-grams:\n-0.4\t<s> A\n-0.8\tA </s>\n-0.9\t<s> A\n\n"
+            "\\end\\\n"
+        )
+        model = read_arpa(path)
+        assert dict(model.logprobs) == {
+            ("</s>",): -0.6,
+            ("<s>",): -99.0,
+            ("A",): -0.7,
+            ("<s>", "A"): -0.9,
+            ("A", "</s>"): -0.8,
+        }
+        assert dict(model.backoffs) == {("<s>",): -0.3, ("A",): -0.2}
+
+    def test_repeated_section_header_counts_every_line_against_the_header(self, tmp_path):
+        path = tmp_path / "repeated.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=2\n\n"
+            "\\1-grams:\n-0.5\tA\n-0.6\t</s>\n\n"
+            "\\1-grams:\n-0.7\tB\n-0.8\tC\n\n"
+            "\\end\\\n"
+        )
+        with pytest.raises(ValueError, match="section 1-grams has 4 entries, header declares 2"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("header", [True, False], ids=["section_header", "no_section_header"])
+    def test_declared_empty_top_section_keeps_the_order(self, tmp_path, header):
+        path = tmp_path / "empty_top.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=3\nngram 2=1\nngram 3=0\n\n"
+            "\\1-grams:\n-0.3\tA\t-0.1\n-0.6\t</s>\n-99\t<s>\t-0.2\n\n"
+            "\\2-grams:\n-0.4\t<s> A\n\n"
+            + ("\\3-grams:\n\n" if header else "")
+            + "\\end\\\n"
+        )
+        model = read_arpa(path)
+        assert model.order == 3 and len(model.levels) == 3
+        assert len(model.levels[2].keys) == 0
+        assert len(model.logprobs) == 4
+        assert model.logprob("A", (BOS, BOS)) == -0.4
+        assert model.logprob(EOS, (BOS, "A")) == -0.1 + -0.6
+
+
 class TestPosIO:
     def test_pos_sequences_from_corpus(self):
         corpus = make_corpus(
