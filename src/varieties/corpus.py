@@ -203,19 +203,12 @@ class Columns:
             family=self.family[rows],
         )
 
-    def check_tagged(
-        self,
-        starts: Sequence[int] = (0,),
-        paths: Sequence[str] = (),
-        rows: np.ndarray | None = None,
-    ) -> None:
+    def check_tagged(self, path: str = "", rows: np.ndarray | None = None) -> None:
         """Raise ``UntaggedTokenError`` at the first token without a POS tag
         in the sentences at ``rows`` (all by default), in the order they have
-        here, naming its sentence, position and surface. ``starts`` are the
-        first sentences of the corpora laid end to end here (one corpus by
-        default), and ``paths`` their files, if they were read from files:
-        the error counts the sentence from its corpus's start and opens with
-        its corpus's file, as ``CorpusFormatError`` does."""
+        here, naming its sentence, position and surface. The error opens with
+        ``path``, the corpus's file if it was read from one, as
+        ``CorpusFormatError`` does."""
         untagged = np.flatnonzero(self.pos_ids < 0)
         sentence = np.searchsorted(self.ptr, untagged, side="right") - 1
         if rows is not None:
@@ -225,10 +218,8 @@ class Columns:
             sentence = sentence[checked[sentence]]
         if len(untagged):
             at, row = int(untagged[0]), int(sentence[0])
-            corpus = int(np.searchsorted(starts, row, side="right")) - 1
             surface = self.surface_vocab[self.surface_ids[at]]
-            path = paths[corpus] if paths else ""
-            raise _untagged(row - int(starts[corpus]), at - int(self.ptr[row]), surface, path)
+            raise _untagged(row, at - int(self.ptr[row]), surface, path)
 
 
 # ---------------------------------------------------------------------------

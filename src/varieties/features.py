@@ -9,8 +9,8 @@ Families:
 A chunk is a ``Corpus``. A stage counts each family once over all its
 chunks into one ``corpus.KeyCounts`` (ChunkCounts), reading tokens only
 through the ``columns`` of all chunks laid end to end: FW keys are surface
-ids, POS3 keys three POS ids (``Columns.check_tagged`` raises
-``UntaggedTokenError`` on the first untagged token), POSTOK keys a position
+ids, POS3 keys three POS ids (each chunk's ``Columns.check_tagged`` raises
+``UntaggedTokenError`` on its first untagged token), POSTOK keys a position
 and a surface id, and COH keys the markers matched in one ``match_phrases``
 call. Tasks and folds are views that gather only their rows. Data-dependent
 vocabularies (top-k trigrams, positional pairs) are selected from column
@@ -93,15 +93,12 @@ class ChunkCounts:
     def __init__(self, chunks: Iterable[Corpus]):
         self._chunks = list(chunks)
         self._token_counts = np.array([c.token_count for c in self._chunks])
-        # of the chunks' sentences laid end to end: each chunk's first one,
-        # and each one's chunk
+        # each of the chunks' sentences laid end to end: its chunk
         sizes = [len(c) for c in self._chunks]
-        self._first = np.cumsum([0] + sizes[:-1])
         self._chunk_of = np.repeat(np.arange(len(sizes), dtype=np.intc), sizes)
         # shared by views, so the chunks are laid end to end once
         self._laid = concat(self._chunks)
         self._tables: dict[object, KeyCounts] = {}
-        self._maps: dict[str, tuple[FeatureSpace, np.ndarray]] = {}
         self.rows = np.arange(len(self._chunks))
 
     @classmethod
@@ -146,10 +143,12 @@ class ChunkCounts:
         )
 
     def _pos3_table(self) -> KeyCounts:
-        """POS trigrams within sentences. The first untagged token raises
-        ``UntaggedTokenError``, its sentence counted from its chunk's start."""
+        """POS trigrams within sentences. Each chunk is checked in turn: the
+        first untagged token raises ``UntaggedTokenError``, its sentence
+        counted from its chunk's start."""
+        for c in self._chunks:
+            c.columns.check_tagged()
         columns = self._laid.columns
-        columns.check_tagged(self._first)
         tags = columns.pos_vocab
         width = len(tags)
         # a key is the three tag ids, in int32 while that holds every key
@@ -281,14 +280,11 @@ def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarr
     for space in spaces:
         table = counts._table(space)
         lengths, at = table.gather(counts.rows)
-        # each table column's position in the space, -1 if the space lacks it;
-        # the last map is kept per family, so FW and COH spaces map once a stage
-        if counts._maps.get(space.family, (None,))[0] != space:
-            found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
-            where = np.full(len(table.keys), -1)
-            where[found[found >= 0]] = np.flatnonzero(found >= 0)
-            counts._maps[space.family] = (space, where)
-        col = counts._maps[space.family][1][table.col[at]]
+        # each table column's position in the space, -1 if the space lacks it
+        found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
+        where = np.full(len(table.keys), -1)
+        where[found[found >= 0]] = np.flatnonzero(found >= 0)
+        col = where[table.col[at]]
         kept = col >= 0
         row = np.repeat(np.arange(len(counts)), lengths)[kept]
         X[row, offset + col[kept]] = table.count[at[kept]] / tokens[row]

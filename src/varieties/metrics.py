@@ -104,12 +104,8 @@ def _rank_tables(
     return rank, ranked
 
 
-def _pronoun_table(
-    columns: Columns, starts: Sequence[int] = (0,), paths: Sequence[str] = ()
-) -> np.ndarray:
-    """Per POS tag: 1 for PRP / PRP$, else 0; raises on the first token that
-    lacks a POS tag (``Columns.check_tagged``)."""
-    columns.check_tagged(starts, paths)
+def _pronoun_table(columns: Columns) -> np.ndarray:
+    """Per POS tag: 1 for PRP / PRP$, else 0."""
     return np.array([t in _PRONOUN_TAGS for t in columns.pos_vocab], dtype=np.int64)
 
 
@@ -208,6 +204,7 @@ def pronouns(corpus: Corpus) -> MetricValue:
     """Personal + possessive pronouns (PRP, PRP$) per token; requires POS
     tags on every token."""
     columns = corpus.columns
+    columns.check_tagged()
     hits = _total(_pronoun_table(columns), columns.pos_ids)
     return _pronoun_value(hits, len(columns.pos_ids))
 
@@ -238,14 +235,15 @@ class SentenceStats:
     @classmethod
     def of(cls, corpora: Sequence[Corpus], resources: Resources) -> "SentenceStats":
         """Count every sentence of ``corpora``, in order, on the columns of
-        the corpora laid end to end; raises on the first token that lacks a
-        POS tag, naming its corpus's file and its sentence within that
-        corpus."""
+        the corpora laid end to end. Each corpus is first checked for a
+        token that lacks a POS tag, the error naming its file."""
         markers = resources.sentence_transitions()
         _check_markers(markers)
+        for corpus in corpora:
+            corpus.columns.check_tagged(corpus.provenance)
         bounds = tuple(accumulate(map(len, corpora), initial=0))
         columns = concat(corpora).columns
-        pronoun = _pronoun_table(columns, bounds, [c.provenance for c in corpora])
+        pronoun = _pronoun_table(columns)
         rank, ranked = _rank_tables(columns, resources.word_ranks, resources.function_words)
         transition_rows, _entry = _matches(columns, markers)
         idiom_rows, idiom_entries = _matches(columns, resources.idioms)

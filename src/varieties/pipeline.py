@@ -228,18 +228,24 @@ def _ingest_variety(config: PipelineConfig, variety: str) -> Corpus:
     return ingest(config.corpus_path(variety), config.format, default_variety=variety)
 
 
+def _one_variety(config: PipelineConfig, variety: str) -> Corpus:
+    """The ``variety`` corpus as read, which must hold that variety only."""
+    corpus = _ingest_variety(config, variety)
+    if corpus.varieties() - {variety}:
+        raise VarietiesError(
+            f"{config.corpus_path(variety)}: the {variety} corpus holds sentences "
+            f"of varieties {', '.join(sorted(corpus.varieties()))}; each corpus "
+            f"file must hold one variety"
+        )
+    return corpus
+
+
 def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
     """Shuffle, chunk and down-sample the three corpora to equal class sizes;
     returns chunks and labels interleaved deterministically."""
     by_variety: dict[str, list[Corpus]] = {}
     for variety in ("N", "NN", "T"):
-        corpus = _ingest_variety(config, variety)
-        if corpus.varieties() - {variety}:
-            raise VarietiesError(
-                f"{config.corpus_path(variety)}: the {variety} corpus holds sentences "
-                f"of varieties {', '.join(sorted(corpus.varieties()))}; chunking needs "
-                f"one variety per file"
-            )
+        corpus = _one_variety(config, variety)
         variety_chunks = chunk(shuffle(corpus, config.seed), config.chunk_target)
         if not variety_chunks:
             raise VarietiesError(
@@ -437,7 +443,7 @@ METRIC_ROWS = (
 
 def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Raw and normalized metric triples with bootstrap significance."""
-    corpora = {v: _ingest_variety(config, v) for v in ("N", "NN", "T")}
+    corpora = {v: _one_variety(config, v) for v in ("N", "NN", "T")}
     guard = met.check_sizes(corpora["N"], corpora["NN"], corpora["T"])
     if not guard.ok:
         raise VarietiesError(f"equal-size guard failed: {guard.message}")
@@ -575,7 +581,7 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     }
     # the NN sentences some set draws, each scored once per model
     scored = np.unique(np.concatenate([*test_rows.values(), *country_rows.values()]))
-    nn.check_tagged(paths=(corpus_nn.provenance,), rows=scored)
+    nn.check_tagged(corpus_nn.provenance, scored)
     scored_tags = poslm.pos_sequences(corpus_nn.take(scored))
 
     train_sets = {}
@@ -586,7 +592,7 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
             raise VarietiesError(f"no translated sentences with family {family}")
         rows = shuffle_rows(rows, config.seed)
         rows = rows[: _token_prefix(lengths_t[rows], config.lm_train_tokens, f"{family} T")]
-        corpus_t.columns.check_tagged(paths=(corpus_t.provenance,), rows=rows)
+        corpus_t.columns.check_tagged(corpus_t.provenance, rows)
         train_sets[family] = poslm.pos_sequences(corpus_t.take(rows))
         unknown = train_sets[family].distinct_tags() - resources.tagset.tags
         if unknown:

@@ -255,7 +255,8 @@ def _count_ngrams(
     index, so id rows sort like the string tuples) and one (keys, counts)
     pair per window length n. A key is prefix * len(symbols) + last id, where
     prefix is the index of the window's first n-1 symbols among the keys of
-    length n-1; length 0 holds the one empty window. Keys are sorted, so
+    length n-1; length 0 holds the one empty window, and length 1 every
+    symbol id, with a zero count for a symbol never seen. Keys are sorted, so
     windows sharing a context are contiguous. Windows ending in the begin
     marker are kept: they are contexts, never predicted grams. A window that
     runs past an end marker ends among the order-1 begin markers that follow
@@ -279,10 +280,13 @@ def _count_ngrams(
         raise ValueError("training corpus is empty")
     ids = _padded(tag_ids, lengths, order, bos, eos)[0]
     del tag_ids
-    levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
+    levels = [
+        (np.zeros(1, dtype=np.int64), np.array([len(ids)])),
+        (np.arange(len(symbols), dtype=np.int64), np.bincount(ids, minlength=len(symbols))),
+    ]
     # prefix[i]: index of the window of length n-1 starting at i
-    prefix = np.zeros(len(ids), dtype=np.int64)
-    for n in range(1, order + 1):
+    prefix = ids.copy()
+    for n in range(2, order + 1):
         starts = len(ids) - n + 1
         keys = prefix[:starts] * len(symbols) + ids[n - 1 :]
         bound = len(levels[-1][0]) * len(symbols)
@@ -398,11 +402,7 @@ def train_lm(
         discounts.append(_estimate_discounts(adjusted[n][grams[n]], n))
 
     vocab = sorted(tags) + [EOS]
-    # the model's order-1 keys are all symbol ids, seen in training or not, so
-    # an order-2 key's prefix is its first symbol's id
-    keys = [np.arange(size, dtype=np.int64)] + [level[0] for level in levels[2:]]
-    if order > 1:
-        keys[1] = lasts[1][prefixes[2]] * size + lasts[2]
+    keys = [level[0] for level in levels[1:]]
     logprob = [np.zeros(len(k)) for k in keys]
     has_prob = [np.zeros(len(k), dtype=bool) for k in keys]
     backoff = [np.zeros(len(k)) for k in keys]
@@ -411,9 +411,7 @@ def train_lm(
     # unigrams: interpolate with the uniform distribution over the closed
     # vocabulary so unseen tags keep positive mass
     vocab_ids = np.array([symbols.index(word) for word in vocab])
-    by_id = np.zeros(size, dtype=np.int64)
-    by_id[lasts[1][grams[1]]] = adjusted[1][grams[1]]
-    counts = by_id[vocab_ids]
+    counts = adjusted[1][vocab_ids]
     totals = counts.sum(keepdims=True)
     gamma = _gammas(counts, np.zeros(1, dtype=np.intp), totals, discounts[1])
     p = gamma / len(vocab) + _kept(counts, discounts[1]) / totals
@@ -424,7 +422,6 @@ def train_lm(
     # estimate a longer gram interpolates with
     powers = np.zeros(size)
     powers[vocab_ids] = [10.0**x for x in level_lp]
-    powers = powers[lasts[1]]
 
     for n in range(2, order + 1):
         sel = grams[n]
@@ -441,7 +438,7 @@ def train_lm(
         level_lp = [math.log10(x) for x in p.tolist()]
         logprob[n - 1][sel] = level_lp
         has_prob[n - 1][sel] = True
-        contexts = ctx[starts] if n > 2 else lasts[1][ctx[starts]]
+        contexts = ctx[starts]
         backoff[n - 2][contexts] = [math.log10(g) for g in gammas.tolist()]
         has_backoff[n - 2][contexts] = True
         powers = np.zeros(len(keys[n - 1]))

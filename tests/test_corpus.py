@@ -820,14 +820,9 @@ class TestColumns:
         assert str(by_columns.value) == str(by_tags.value) == (
             "untagged token: sentence 0, token 2 'ran' is missing its POS tag"
         )
-        # counted from the start of the corpus that holds it
-        tagged = make_corpus([make_sentence(["a", "b"], pos=["DT", "NN"])] * 2)
-        laid = concat([tagged, corpus])
-        with pytest.raises(UntaggedTokenError, match="sentence 0, token 2 'ran'"):
-            laid.columns.check_tagged((0, 2))
         # a corpus read from a file opens the error with that file
         with pytest.raises(UntaggedTokenError) as named:
-            laid.columns.check_tagged((0, 2), ("tagged.jsonl", "corpus.jsonl"))
+            corpus.columns.check_tagged("corpus.jsonl")
         assert str(named.value) == (
             "corpus.jsonl: untagged token: sentence 0, token 2 'ran' is missing its POS tag"
         )

@@ -316,7 +316,7 @@ class TestClassifyStage:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"error: {root / 'N.jsonl'}: the N corpus holds sentences of varieties N, T; "
-            "chunking needs one variety per file"
+            "each corpus file must hold one variety"
         ]
         assert not (tmp_path / "out" / stage).exists()
 
@@ -579,6 +579,23 @@ class TestMetricsStage:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics").exists()
         assert not (tmp_path / "out" / ".lock").exists()
+
+    def test_file_holding_another_variety_is_a_validation_error(self, tmp_path, capsys):
+        # sizes the equal-size guard accepts, so only the stray T records fail
+        data = tmp_path / "mixed"
+        data.mkdir()
+        for variety in ("N", "NN", "T"):
+            write_jsonl(metrics_corpus(variety, 60, seed=4), data / f"{variety}.jsonl")
+        stray = metrics_corpus("T", 5, seed=4).sentences
+        n = Corpus(sentences=metrics_corpus("N", 55, seed=4).sentences + stray)
+        write_jsonl(n, data / "N.jsonl")
+        cfg_path = metrics_config(data, tmp_path, bootstrap_iterations=5)
+        assert main(["metrics", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data / 'N.jsonl'}: the N corpus holds sentences of varieties N, T; "
+            "each corpus file must hold one variety"
+        ]
+        assert not (tmp_path / "out" / "metrics").exists()
 
     def test_untagged_token_error_names_its_file(self, tmp_path, capsys):
         # T is laid after N and NN; its sentence is counted within T's file

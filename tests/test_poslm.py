@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -629,17 +630,23 @@ COUNTING_INPUTS = {
 
 def unique_levels(sentences, tags, order):
     """The levels of ``_count_ngrams`` counted by ``np.unique`` at every
-    order, and whether each order's key bound is at most its window count."""
+    order from 2 on, after order 1 laid out as every symbol id with its
+    count, and whether each of those orders' key bound is at most its window
+    count."""
     symbols = sorted(set(tags) | {BOS, EOS})
     code = {symbol: i for i, symbol in enumerate(symbols)}
     padded = []
     for sentence in sentences:
         padded += [code[BOS]] * (order - 1) + [code[t] for t in sentence] + [code[EOS]]
     ids = np.array(padded)
-    levels = [(np.zeros(1, dtype=np.int64), np.array([len(ids)]))]
-    prefix = np.zeros(len(ids), dtype=np.int64)
+    unigrams = Counter(padded)
+    levels = [
+        (np.zeros(1, dtype=np.int64), np.array([len(ids)])),
+        (np.arange(len(symbols)), np.array([unigrams[i] for i in range(len(symbols))])),
+    ]
+    prefix = ids.copy()
     under_bound = []
-    for n in range(1, order + 1):
+    for n in range(2, order + 1):
         starts = len(ids) - n + 1
         under_bound.append(len(levels[-1][0]) * len(symbols) <= starts)
         keys, inverse, counts = np.unique(
@@ -651,9 +658,9 @@ def unique_levels(sentences, tags, order):
 
 
 class TestCountNgrams:
-    """An order whose key bound is at most its window count is counted by a
-    counting sort, any other by ``np.unique``; both give ``np.unique``'s
-    keys and counts."""
+    """Order 1 holds every symbol id. From order 2 on, an order whose key
+    bound is at most its window count is counted by a counting sort, any
+    other by ``np.unique``; both give ``np.unique``'s keys and counts."""
 
     @pytest.mark.parametrize("name", sorted(COUNTING_INPUTS))
     def test_levels_equal_unique_counting(self, name):
@@ -666,6 +673,12 @@ class TestCountNgrams:
             np.testing.assert_array_equal(keys, want_keys)
             np.testing.assert_array_equal(counts, want_counts)
             assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
+
+    def test_order_one_holds_every_symbol(self):
+        symbols, levels = _count_ngrams([["DT", "NN"]], frozenset({"DT", "NN", "VB"}), 2)
+        assert symbols == ["</s>", "<s>", "DT", "NN", "VB"]
+        np.testing.assert_array_equal(levels[1][0], np.arange(5))
+        np.testing.assert_array_equal(levels[1][1], [1, 1, 1, 1, 0])
 
     @pytest.mark.parametrize("name", sorted(COUNTING_INPUTS))
     def test_inputs_cover_both_sides_of_the_bound(self, name):

@@ -10,7 +10,9 @@ Count tables have one home too: other modules count keys per row through
 ``corpus.KeyCounts``. Phrase matching has one: the ``_index`` of phrase
 prefixes and the greedy scan over token positions live in ``lexicons.py``,
 and a module that uses phrase lists calls ``lexicons.match_phrases`` instead
-of looping over positions itself.
+of looping over positions itself. scipy has one door: ``bootstrap`` imports
+``scipy.special.betainc`` and nothing else, so replacing that one function
+drops the dependency.
 """
 
 import ast
@@ -60,6 +62,43 @@ def _offences(path: Path) -> list[str]:
         if path.name == "pipeline.py" and isinstance(node, ast.Attribute) and node.attr == "sentences":
             found.append(f"{path.name}:{node.lineno} reads .sentences")
     return found
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    """Each name ``path`` imports from scipy, as ``module.name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_only_bootstrap_imports_scipy_and_only_betainc():
+    imports = {path.name: _scipy_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in imports.items() if found} == {
+        "bootstrap.py": ["scipy.special.betainc"]
+    }
+
+
+def test_the_scipy_guard_sees_every_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import scipy\n"
+        "import scipy.stats as st\n"
+        "from scipy.special import betainc, gammaln\n"
+        "from scipy import linalg\n"
+        "import numpy\n"
+        "from .scipy_like import x\n"
+    )
+    assert _scipy_imports(path) == [
+        "scipy",
+        "scipy.stats",
+        "scipy.special.betainc",
+        "scipy.special.gammaln",
+        "scipy.linalg",
+    ]
 
 
 def test_only_corpus_reads_token_fields():
