@@ -67,6 +67,8 @@ class PipelineConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
         # nan fails every comparison, so test for the finite positive range

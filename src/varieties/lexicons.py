@@ -20,8 +20,9 @@ candidates drops the ones that overlap an earlier match.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -307,20 +308,28 @@ class Resources:
     idioms: PhraseList
     word_ranks: RankList
     tagset: TagSet
+    # sha256 of the manifest, keyed by the path it was loaded from, and of
+    # each list, keyed by its manifest entry as written
+    digests: dict[str, str] = field(default_factory=dict, compare=False)
 
     def sentence_transitions(self) -> PhraseList:
         return self.cohesive_markers.in_category(SENTENCE_TRANSITION)
 
 
 def load_resources(manifest_path: str | Path) -> Resources:
-    """Load the resource bundle named by a JSON manifest.
+    """Load the resource bundle named by a JSON manifest, and hash what it
+    loads.
 
     The manifest maps the five resource names to file paths, resolved
-    relative to the manifest's own directory.
+    relative to the manifest's own directory. Other keys are ignored.
     """
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        data = manifest_path.read_bytes()
+        manifest = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        line = undecodable_line(manifest_path)
+        raise ResourceError(f"{manifest_path}:{line}: not UTF-8 text") from None
     except (OSError, json.JSONDecodeError) as exc:
         raise ResourceError(f"cannot read manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -328,17 +337,24 @@ def load_resources(manifest_path: str | Path) -> Resources:
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ResourceError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
-
-    def resolve(key: str) -> Path:
-        return (manifest_path.parent / manifest[key]).resolve()
-
-    return Resources(
-        function_words=load_word_list(resolve("function_words"), "function_words"),
-        cohesive_markers=load_phrase_list(resolve("cohesive_markers"), "cohesive_markers"),
-        idioms=load_phrase_list(resolve("idioms"), "idioms"),
-        word_ranks=load_rank_list(resolve("word_ranks"), "word_ranks"),
-        tagset=load_tag_set(resolve("tagset")),
+    for key in MANIFEST_KEYS:
+        if not isinstance(manifest[key], str):
+            raise ResourceError(
+                f"{manifest_path}: {key} must be a path string, got {manifest[key]!r}"
+            )
+    paths = {key: (manifest_path.parent / manifest[key]).resolve() for key in MANIFEST_KEYS}
+    loaded = dict(
+        function_words=load_word_list(paths["function_words"], "function_words"),
+        cohesive_markers=load_phrase_list(paths["cohesive_markers"], "cohesive_markers"),
+        idioms=load_phrase_list(paths["idioms"], "idioms"),
+        word_ranks=load_rank_list(paths["word_ranks"], "word_ranks"),
+        tagset=load_tag_set(paths["tagset"]),
     )
+    # hashed once loaded, so an unreadable list is named by its loader
+    digests = {str(manifest_path): hashlib.sha256(data).hexdigest()}
+    for key in MANIFEST_KEYS:
+        digests[manifest[key]] = hashlib.sha256(paths[key].read_bytes()).hexdigest()
+    return Resources(**loaded, digests=digests)
 
 
 def default_manifest_path() -> Path:

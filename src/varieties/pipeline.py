@@ -4,9 +4,9 @@ Every stage is a pure function of (config, input files, seeds): outputs are
 byte-identical across reruns. ``run_stage`` drives every stage: under a lock
 on the output directory it checks the corpora the stage reads, loads the
 resources and runs the stage's body, which writes each output to a temp
-file. Only when the body returns are the temp files renamed onto their
-outputs and recorded, with content hashes, in the manifest (which alone
-carries wall-clock timings); a stage that raises leaves no new output.
+file. Only when the body returns are the temp files hashed and recorded in
+the manifest (which alone carries wall-clock timings), and renamed onto
+their outputs, the manifest last; a stage that raises leaves no new output.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def _held_by_dead_run(lock: Path) -> bool:
 def output_lock(out_dir: Path):
     """Hold the output directory for one run. The lock of a dead run is taken
     over, and the temp files that run left behind are removed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise VarietiesError(f"out: not a directory: {out_dir}") from None
     lock = out_dir / LOCK_NAME
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     busy = VarietiesError(
@@ -126,23 +129,6 @@ def _temp(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def _write(path: Path, fill: Callable[[Path], object]) -> None:
-    """Write ``path`` whole or not at all: ``fill`` writes a temp file beside
-    it, which then replaces it."""
-    tmp = _temp(path)
-    try:
-        fill(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _json_fill(payload) -> Callable[[Path], object]:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return lambda tmp: tmp.write_text(text, encoding="utf-8")
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -152,22 +138,45 @@ def _sha256(path: Path) -> str:
 
 
 def _load_manifest(out_dir: Path) -> dict:
+    """The manifest of the runs so far in ``out_dir``. A file that is not a
+    run manifest, or that records an output that is not a file in
+    ``out_dir`` (which ``_Stage.finish`` could not remove), is a validation
+    error."""
     path = out_dir / MANIFEST_NAME
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return {"config": None, "resources": {}, "stages": {}}
+    if not path.exists():
+        return {"config": None, "resources": {}, "stages": {}}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise VarietiesError(f"{path}: not a run manifest: {exc}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("resources"), dict)
+        and isinstance(manifest.get("stages"), dict)
+    ):
+        raise VarietiesError(f"{path}: not a run manifest: no resources and stages objects")
+    for name, entry in manifest["stages"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("outputs"), dict):
+            raise VarietiesError(f"{path}: not a run manifest: stage {name} has no outputs")
+        for rel in entry["outputs"]:
+            if Path(rel).is_absolute() or ".." in Path(rel).parts or (out_dir / rel).is_dir():
+                raise VarietiesError(
+                    f"{path}: records output {rel!r}, which is not a file in {out_dir}"
+                )
+    return manifest
 
 
 class _Stage:
     """The output files of one stage, each written whole to a temp file
-    beside it. ``finish`` renames them onto their outputs, records them with
-    the stage's time in the manifest, and removes what the stage's previous
-    run recorded and this one did not write; ``discard`` removes them."""
+    beside it, and the manifest of the runs so far, read before the stage
+    runs. ``finish`` commits them and removes what the stage's previous run
+    recorded and this one did not write; ``discard`` removes the temp files."""
 
     def __init__(self, name: str, config: PipelineConfig, out_dir: Path):
         self.name = name
         self.config = config
         self.out_dir = out_dir
+        self.manifest = _load_manifest(out_dir)
         self.outputs: list[Path] = []
         self.made_dirs: list[Path] = []
         self.start = time.monotonic()
@@ -191,28 +200,25 @@ class _Stage:
         self.write(relative, fill)
 
     def write_json(self, relative: str, payload) -> None:
-        self.write(relative, _json_fill(payload))
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        self.write(relative, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
-    def finish(self, resources_manifest: Path) -> None:
+    def finish(self, resources: Resources) -> None:
+        """Hash each output's temp file, write the new manifest to a temp
+        file beside them, then rename the outputs and the manifest last."""
         seconds = time.monotonic() - self.start
-        for p in self.outputs:
-            os.replace(_temp(p), p)
-        manifest = _load_manifest(self.out_dir)
+        outputs = {
+            str(p.relative_to(self.out_dir)): _sha256(_temp(p)) for p in sorted(self.outputs)
+        }
+        manifest = self.manifest
         previous = manifest["stages"].get(self.name, {}).get("outputs", {})
         manifest["config"] = config_snapshot(self.config)
-        resource_dir = resources_manifest.parent
-        resource_hashes = {str(resources_manifest): _sha256(resources_manifest)}
-        for name in sorted(json.loads(resources_manifest.read_text()).values()):
-            resource_hashes[name] = _sha256(resource_dir / name)
-        manifest["resources"] = resource_hashes
-        manifest["stages"][self.name] = {
-            "seconds": round(seconds, 3),
-            "outputs": {
-                str(p.relative_to(self.out_dir)): _sha256(p) for p in sorted(self.outputs)
-            },
-        }
-        _write(self.out_dir / MANIFEST_NAME, _json_fill(manifest))
-        for stale in set(previous) - set(manifest["stages"][self.name]["outputs"]):
+        manifest["resources"] = resources.digests
+        manifest["stages"][self.name] = {"seconds": round(seconds, 3), "outputs": outputs}
+        self.write_json(MANIFEST_NAME, manifest)
+        for p in self.outputs:
+            os.replace(_temp(p), p)
+        for stale in set(previous) - set(outputs):
             (self.out_dir / stale).unlink(missing_ok=True)
 
     def discard(self) -> None:
@@ -671,7 +677,7 @@ def cmd_report(config: PipelineConfig, stage: _Stage, resources: Resources) -> N
     """Consolidate stage outputs into one markdown report plus the final run
     manifest; missing recorded outputs are named explicitly."""
     out_dir = stage.out_dir
-    manifest = _load_manifest(out_dir)
+    manifest = stage.manifest
     if not manifest["stages"]:
         raise VarietiesError("no stage outputs recorded; run other stages first")
     inventory = {}
@@ -748,19 +754,19 @@ STAGE_CORPORA = {
 
 def run_stage(name: str, config: PipelineConfig) -> Path:
     """Run one stage: under the output lock, check the corpora it reads, load
-    the resources, run its body, then commit its outputs. A stage that raises
-    leaves no new output, and the manifest as it was."""
+    and hash the resources, read the manifest of the runs so far, run its
+    body, then commit its outputs. A stage that raises leaves no new output,
+    and the manifest as it was."""
     body = STAGES[name]
     out_dir = Path(config.out)
     with output_lock(out_dir):
         for variety in STAGE_CORPORA.get(name, ()):
             config.corpus_path(variety)
-        resources_manifest = Path(config.resources) if config.resources else default_manifest_path()
-        resources = load_resources(resources_manifest)
+        resources = load_resources(config.resources or default_manifest_path())
         stage = _Stage(name, config, out_dir)
         try:
             body(config, stage, resources)
-            stage.finish(resources_manifest)
+            stage.finish(resources)
         except BaseException:
             stage.discard()
             raise

@@ -120,6 +120,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"cv_folds must be at least 2, got {folds}"):
             PipelineConfig(cv_folds=folds)
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence, which metrics and cluster seed from, takes
+        # non-negative integers only
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            PipelineConfig(seed=-1)
+        assert PipelineConfig(seed=0).seed == 0
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             PipelineConfig(format="xml")

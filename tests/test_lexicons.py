@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from varieties.lexicons import (
     PhraseEntry,
     PhraseList,
     SENTENCE_TRANSITION,
+    default_manifest_path,
     load_phrase_list,
     load_rank_list,
     load_resources,
@@ -339,3 +341,14 @@ class TestResources:
         manifest.write_text('{"function_words": "fw.txt"}')
         with pytest.raises(ResourceError, match="lacks"):
             load_resources(manifest)
+
+    def test_digests_do_not_enter_equality(self, tmp_path):
+        # the same lists named by another manifest are the same resources
+        shipped = default_manifest_path()
+        entries = json.loads(shipped.read_text())
+        copy = tmp_path / "manifest.json"
+        copy.write_text(json.dumps({k: str(shipped.parent / v) for k, v in entries.items()}))
+        ours, shipped_resources = load_resources(copy), load_resources(shipped)
+        assert set(ours.digests) == {str(copy)} | {str(shipped.parent / v) for v in entries.values()}
+        assert ours.digests != shipped_resources.digests
+        assert ours == shipped_resources

@@ -1122,18 +1122,23 @@ class TestLocking:
         assert (out_dir / "ingest" / "stats.csv").exists()
         assert not (out_dir / ".lock").exists()
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        target = tmp_path / "stats.csv"
-        target.write_text("before")
+    def test_failed_write_leaves_no_temp_file(self, classify_dir, tmp_path, monkeypatch):
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        out = run_stage("ingest", cfg)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
         def fill(tmp):
             tmp.write_text("half-written")
             raise OSError("disk full")
 
+        def body(config, stage, resources):
+            stage.write("ingest/stats.csv", fill)
+
+        monkeypatch.setitem(pipeline_module.STAGES, "ingest", body)
         with pytest.raises(OSError, match="disk full"):
-            pipeline_module._write(target, fill)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
-        assert target.read_text() == "before"
+            run_stage("ingest", cfg)
+        # no temp file is left, and the earlier outputs keep their bytes
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("holder", ["live pid", "no pid yet"])
     def test_live_or_unreadable_lock_blocks(self, classify_dir, tmp_path, holder):
@@ -1191,6 +1196,70 @@ def full_run(tmp_path_factory):
     for stage in ("ingest", "classify", "cluster", "metrics", "lm", "report"):
         run_stage(stage, cfg)
     return Path(cfg.out)
+
+
+class TestRunManifest:
+    """manifest.json is read and checked before a stage runs, and written
+    last."""
+
+    def _files(self, out: Path) -> dict:
+        return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_records_the_shipped_resources(self, classify_dir, tmp_path):
+        out = run_stage("ingest", load_config(classify_config(classify_dir, tmp_path), env={}))
+        shipped = default_manifest_path()
+        expected = {str(shipped): hashlib.sha256(shipped.read_bytes()).hexdigest()}
+        for name in json.loads(shipped.read_text()).values():
+            expected[name] = hashlib.sha256((shipped.parent / name).read_bytes()).hexdigest()
+        assert len(expected) == 6
+        assert json.loads((out / "manifest.json").read_text())["resources"] == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json\n",
+            "[]\n",
+            '{"config": null, "resources": {}, "stages": {"ingest": {"outputs": []}}}\n',
+        ],
+        ids=["not-json", "not-an-object", "outputs-not-an-object"],
+    )
+    def test_manifest_that_is_not_a_run_manifest_exits_one_before_any_output(
+        self, classify_dir, tmp_path, capsys, text
+    ):
+        cfg_path = classify_config(classify_dir, tmp_path)
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        (out / "manifest.json").write_text(text)
+        before = self._files(out)
+        assert main(["classify", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'manifest.json'}: not a run manifest: ")
+        assert self._files(out) == before
+
+    @pytest.mark.parametrize("where", ["relative", "absolute", "directory"])
+    def test_manifest_recording_an_output_outside_out_exits_one(
+        self, classify_dir, tmp_path, capsys, where
+    ):
+        # a rerun would delete the victim outside out, or fail to remove
+        # the directory after its commit
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me")
+        rel = {"relative": "../victim.txt", "absolute": str(victim), "directory": "ingest"}[where]
+        out = tmp_path / "out"
+        (out / "ingest").mkdir(parents=True)
+        (out / "manifest.json").write_text(
+            json.dumps(
+                {"config": None, "resources": {}, "stages": {"ingest": {"outputs": {rel: "0" * 64}}}}
+            )
+        )
+        before = self._files(out)
+        cfg_path = classify_config(classify_dir, tmp_path)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: records output {rel!r}, which is not a file in {out}\n"
+        )
+        assert victim.read_text() == "keep me"
+        assert self._files(out) == before
 
 
 class TestFullPipeline:
@@ -1298,6 +1367,70 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {unreadable.resolve()}: cannot read: ")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def _resource_manifest(self, tmp_path: Path, **changes) -> Path:
+        """The shipped resource manifest, with absolute list paths and
+        ``changes`` applied."""
+        shipped = default_manifest_path()
+        entries = {
+            key: str(shipped.parent / name)
+            for key, name in json.loads(shipped.read_text()).items()
+        }
+        manifest = tmp_path / "resources.json"
+        manifest.write_text(json.dumps({**entries, **changes}))
+        return manifest
+
+    def test_resource_manifest_key_outside_the_five_is_ignored(
+        self, classify_dir, tmp_path
+    ):
+        manifest = self._resource_manifest(tmp_path, notes="see README")
+        cfg_path = classify_config(classify_dir, tmp_path, resources=manifest)
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        recorded = json.loads((out / "manifest.json").read_text())
+        entries = json.loads(manifest.read_text())
+        assert set(recorded["resources"]) == {str(manifest)} | (
+            set(entries.values()) - {"see README"}
+        )
+        assert set(recorded["stages"]["ingest"]["outputs"]) == {
+            "ingest/N.jsonl", "ingest/NN.jsonl", "ingest/T.jsonl", "ingest/stats.csv"
+        }
+
+    def test_resource_entry_that_is_not_a_string_exits_one(
+        self, classify_dir, tmp_path, capsys
+    ):
+        manifest = self._resource_manifest(tmp_path, idioms=5)
+        cfg_path = classify_config(classify_dir, tmp_path, resources=manifest)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: idioms must be a path string, got 5\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_resource_manifest_that_is_not_utf8_exits_one(
+        self, classify_dir, tmp_path, capsys
+    ):
+        manifest = self._resource_manifest(tmp_path)
+        manifest.write_bytes(b'{"notes": "caf\xe9",\n' + manifest.read_bytes()[1:])
+        cfg_path = classify_config(classify_dir, tmp_path, resources=manifest)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}:1: not UTF-8 text\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_negative_seed_exits_one(self, classify_dir, tmp_path, capsys):
+        cfg_path = classify_config(classify_dir, tmp_path)
+        assert main(["cluster", "--config", str(cfg_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_exits_one(self, classify_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        cfg_path = classify_config(classify_dir, tmp_path)
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: out: not a directory: {out}\n"
+        assert out.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
