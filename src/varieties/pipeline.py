@@ -3,10 +3,15 @@
 Every stage is a pure function of (config, input files, seeds): outputs are
 byte-identical across reruns. ``run_stage`` drives every stage: under a lock
 on the output directory it checks the corpora the stage reads, loads the
-resources and runs the stage's body, which writes each output to a temp
-file. Only when the body returns are the temp files hashed and recorded in
-the manifest (which alone carries wall-clock timings), and renamed onto
-their outputs, the manifest last; a stage that raises leaves no new output.
+resources and runs the stage's body, which writes each output into
+``out/.staging``. Only when the body returns are the staged files hashed and
+recorded in a new manifest (which alone carries wall-clock timings), whose
+rename within ``.staging`` is the commit point; ``_publish`` then moves the
+outputs into place, the manifest last. A stage cut short before the commit
+point leaves ``out`` as it was; one cut short after it is published, by
+itself or by the next run to take the lock. No file outside ``.staging`` is
+removed unless a manifest records it. The report stage checks every recorded
+output's sha256 before it reads any.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import time
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,6 +52,7 @@ from .lexicons import Resources, default_manifest_path, load_resources
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
+STAGING_NAME = ".staging"
 
 FEATURE_ROWS = (
     ("FW",),
@@ -92,8 +99,8 @@ def _held_by_dead_run(lock: Path) -> bool:
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Hold the output directory for one run. The lock of a dead run is taken
-    over, and the temp files that run left behind are removed."""
+    """Hold the output directory for one run, taking a dead run's lock over,
+    and first publish or drop what an earlier run left staged."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -115,18 +122,13 @@ def output_lock(out_dir: Path):
             fd = os.open(lock, flags)
         except FileExistsError:
             raise busy
-        for tmp in out_dir.rglob("*.tmp"):
-            tmp.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        _publish(out_dir)
         yield
     finally:
         lock.unlink(missing_ok=True)
-
-
-def _temp(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
 
 
 def _sha256(path: Path) -> str:
@@ -137,12 +139,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load_manifest(out_dir: Path) -> dict:
-    """The manifest of the runs so far in ``out_dir``. A file that is not a
-    run manifest, or that records an output that is not a file in
-    ``out_dir`` (which ``_Stage.finish`` could not remove), is a validation
-    error."""
-    path = out_dir / MANIFEST_NAME
+def _load_manifest(out_dir: Path, name: str = MANIFEST_NAME) -> dict:
+    """The manifest ``name`` in ``out_dir``: by default that of the runs so
+    far. A file that is not a run manifest, or that records an output that
+    is not a file in ``out_dir`` (which ``_publish`` could not remove), is a
+    validation error."""
+    path = out_dir / name
     if not path.exists():
         return {"config": None, "resources": {}, "stages": {}}
     try:
@@ -166,29 +168,47 @@ def _load_manifest(out_dir: Path) -> dict:
     return manifest
 
 
+def _publish(out_dir: Path, staged: dict | None = None, current: dict | None = None) -> None:
+    """Publish the run whose ``staged`` manifest ``.staging`` holds over the
+    ``current`` one (both read when not given), else drop ``.staging``. Each
+    step, in this order, can be redone: the next call finishes a cut one."""
+    staging = out_dir / STAGING_NAME
+    if staged is None and (staging / MANIFEST_NAME).exists():
+        staged = _load_manifest(out_dir, f"{STAGING_NAME}/{MANIFEST_NAME}")
+        current = _load_manifest(out_dir)
+    if staged is not None:
+        recorded = {rel for entry in staged["stages"].values() for rel in entry["outputs"]}
+        for rel in sorted(recorded):
+            if (staging / rel).is_file():
+                (out_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(staging / rel, out_dir / rel)
+        for entry in current["stages"].values():
+            for rel in entry["outputs"].keys() - recorded:
+                (out_dir / rel).unlink(missing_ok=True)
+        os.replace(staging / MANIFEST_NAME, out_dir / MANIFEST_NAME)
+    if staging.exists():
+        shutil.rmtree(staging)
+
+
 class _Stage:
-    """The output files of one stage, each written whole to a temp file
-    beside it, and the manifest of the runs so far, read before the stage
-    runs. ``finish`` commits them and removes what the stage's previous run
-    recorded and this one did not write; ``discard`` removes the temp files."""
+    """The output files of one stage, each written whole into ``.staging``,
+    and the manifest of the runs so far, read before the stage runs."""
 
     def __init__(self, name: str, config: PipelineConfig, out_dir: Path):
         self.name = name
         self.config = config
         self.out_dir = out_dir
+        self.staging = out_dir / STAGING_NAME
         self.manifest = _load_manifest(out_dir)
-        self.outputs: list[Path] = []
-        self.made_dirs: list[Path] = []
+        self.outputs: list[str] = []
         self.start = time.monotonic()
 
     def write(self, relative: str, fill: Callable[[Path], object]) -> None:
-        """Write the output ``relative`` through ``fill(temp_path)``."""
-        p = self.out_dir / relative
-        if not p.parent.is_dir():
-            p.parent.mkdir(parents=True)
-            self.made_dirs.append(p.parent)
-        self.outputs.append(p)
-        fill(_temp(p))
+        """Write the output ``relative`` through ``fill(staged_path)``."""
+        p = self.staging / relative
+        p.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(relative)
+        fill(p)
 
     def write_csv(self, relative: str, header: Sequence[str], rows) -> None:
         def fill(tmp: Path) -> None:
@@ -204,30 +224,16 @@ class _Stage:
         self.write(relative, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def finish(self, resources: Resources) -> None:
-        """Hash each output's temp file, write the new manifest to a temp
-        file beside them, then rename the outputs and the manifest last."""
+        """Hash each staged output and stage the new manifest, whose rename is
+        the commit point; then publish."""
         seconds = time.monotonic() - self.start
-        outputs = {
-            str(p.relative_to(self.out_dir)): _sha256(_temp(p)) for p in sorted(self.outputs)
-        }
-        manifest = self.manifest
-        previous = manifest["stages"].get(self.name, {}).get("outputs", {})
-        manifest["config"] = config_snapshot(self.config)
-        manifest["resources"] = resources.digests
-        manifest["stages"][self.name] = {"seconds": round(seconds, 3), "outputs": outputs}
-        self.write_json(MANIFEST_NAME, manifest)
-        for p in self.outputs:
-            os.replace(_temp(p), p)
-        for stale in set(previous) - set(outputs):
-            (self.out_dir / stale).unlink(missing_ok=True)
-
-    def discard(self) -> None:
-        for p in self.outputs:
-            _temp(p).unlink(missing_ok=True)
-        for d in self.made_dirs:
-            # not empty when finish renamed an output into it
-            with suppress(OSError):
-                d.rmdir()
+        outputs = {rel: _sha256(self.staging / rel) for rel in self.outputs}
+        entry = {"seconds": round(seconds, 3), "outputs": outputs}
+        staged = {**self.manifest, "config": config_snapshot(self.config)}
+        staged |= {"resources": resources.digests, "stages": {**staged["stages"], self.name: entry}}
+        self.write_json(f"{MANIFEST_NAME}.tmp", staged)
+        os.replace(self.staging / f"{MANIFEST_NAME}.tmp", self.staging / MANIFEST_NAME)
+        _publish(self.out_dir, staged, self.manifest)
 
 
 def _ingest_variety(config: PipelineConfig, variety: str) -> Corpus:
@@ -675,20 +681,29 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
 
 def cmd_report(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Consolidate stage outputs into one markdown report plus the final run
-    manifest; missing recorded outputs are named explicitly."""
+    manifest; recorded outputs that are missing, or whose sha256 is not the
+    recorded one, are named explicitly."""
     out_dir = stage.out_dir
     manifest = stage.manifest
     if not manifest["stages"]:
         raise VarietiesError("no stage outputs recorded; run other stages first")
     inventory = {}
     missing = []
+    changed = []
     for stage_name, entry in sorted(manifest["stages"].items()):
         for rel, digest in entry["outputs"].items():
             inventory[rel] = digest
             if not (out_dir / rel).exists():
                 missing.append(f"{stage_name}: {rel}")
+            elif _sha256(out_dir / rel) != digest:
+                changed.append(f"{stage_name}: {rel}")
     if missing:
         raise VarietiesError("missing stage outputs: " + "; ".join(missing))
+    if changed:
+        raise VarietiesError(
+            f"stage outputs whose sha256 is not the one {MANIFEST_NAME} records: "
+            + "; ".join(changed)
+        )
 
     lines = ["# Variety analysis report", ""]
     for stage_name, entry in sorted(manifest["stages"].items()):
@@ -755,8 +770,8 @@ STAGE_CORPORA = {
 def run_stage(name: str, config: PipelineConfig) -> Path:
     """Run one stage: under the output lock, check the corpora it reads, load
     and hash the resources, read the manifest of the runs so far, run its
-    body, then commit its outputs. A stage that raises leaves no new output,
-    and the manifest as it was."""
+    body, then commit its outputs. A stage cut short before its commit point
+    leaves ``out`` as it was; one cut short after it is published."""
     body = STAGES[name]
     out_dir = Path(config.out)
     with output_lock(out_dir):
@@ -768,6 +783,6 @@ def run_stage(name: str, config: PipelineConfig) -> Path:
             body(config, stage, resources)
             stage.finish(resources)
         except BaseException:
-            stage.discard()
+            _publish(out_dir)
             raise
     return out_dir

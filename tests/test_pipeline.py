@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -1087,6 +1089,19 @@ class TestReportStage:
         with pytest.raises(VarietiesError, match="ingest: ingest/stats.csv"):
             run_stage("report", cfg)
 
+    def test_edited_stage_output_named(self, classify_dir, tmp_path, capsys):
+        cfg_path = classify_config(classify_dir, tmp_path)
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        with open(out / "ingest" / "stats.csv", "a", encoding="utf-8") as fh:
+            fh.write("X,1,1,1\n")
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage outputs whose sha256 is not the one manifest.json records: "
+            "ingest: ingest/stats.csv\n"
+        )
+        assert not (out / "report.md").exists()
+
     def test_report_without_stages_rejected(self, tmp_path):
         cfg = load_config(
             write_config(tmp_path / "c.cfg", out=tmp_path / "out"), env={}
@@ -1111,11 +1126,11 @@ class TestLocking:
     def test_dead_run_lock_is_reclaimed(self, classify_dir, tmp_path):
         cfg = load_config(classify_config(classify_dir, tmp_path), env={})
         out_dir = Path(cfg.out)
-        (out_dir / "ingest").mkdir(parents=True)
+        (out_dir / ".staging" / "ingest").mkdir(parents=True)
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         child.wait()
         (out_dir / ".lock").write_text(str(child.pid))
-        leftover = out_dir / "ingest" / "stats.csv.tmp"
+        leftover = out_dir / ".staging" / "ingest" / "stats.csv"
         leftover.write_text("half-written")
         run_stage("ingest", cfg)
         assert not leftover.exists()
@@ -1140,6 +1155,18 @@ class TestLocking:
         # no temp file is left, and the earlier outputs keep their bytes
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_dead_run_takeover_keeps_files_it_did_not_stage(self, classify_dir, tmp_path):
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (out_dir / ".lock").write_text(str(child.pid))
+        notes = out_dir / "notes.tmp"
+        notes.write_text("not the pipeline's")
+        run_stage("ingest", cfg)
+        assert notes.read_text() == "not the pipeline's"
+
     @pytest.mark.parametrize("holder", ["live pid", "no pid yet"])
     def test_live_or_unreadable_lock_blocks(self, classify_dir, tmp_path, holder):
         cfg = load_config(classify_config(classify_dir, tmp_path), env={})
@@ -1150,6 +1177,121 @@ class TestLocking:
         with pytest.raises(VarietiesError, match="locked"):
             run_stage("ingest", cfg)
         assert lock.exists()
+
+
+def _files(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def assert_one_run(out: Path) -> None:
+    """Every file under ``out`` but manifest.json is an output it records,
+    with the recorded sha256, and nothing staged or locked is left."""
+    assert not (out / ".staging").exists() and not (out / ".lock").exists()
+    recorded = {
+        rel: digest
+        for entry in json.loads((out / "manifest.json").read_text())["stages"].values()
+        for rel, digest in entry["outputs"].items()
+    }
+    files = {rel: hashlib.sha256(data).hexdigest() for rel, data in _files(out).items()}
+    del files["manifest.json"]
+    assert files == recorded
+
+
+# the child runs a stage and is killed at the k-th rename (argv: config, k)
+KILLED_AT_RENAME = """
+import os, signal, sys
+from varieties import pipeline
+from varieties.config import load_config
+renames = 0
+real = os.replace
+def replace(src, dst):
+    global renames
+    renames += 1
+    if renames == int(sys.argv[2]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(src, dst)
+pipeline.os.replace = replace
+pipeline.run_stage("classify", load_config(sys.argv[1], env={}))
+"""
+
+
+@pytest.fixture(scope="module")
+def classify_rerun(classify_dir, tmp_path_factory):
+    """A classify run at seed 11, the files of a rerun of it at seed 12, and
+    how many renames that rerun makes."""
+    tmp = tmp_path_factory.mktemp("classify_rerun")
+    first = run_stage("classify", load_config(classify_config(classify_dir, tmp), env={}))
+    second = tmp / "second"
+    shutil.copytree(first, second)
+    cfg = load_config(classify_config(classify_dir, tmp, out=second, seed=12), env={})
+    renames = []
+    real = os.replace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module.os, "replace", lambda *a: renames.append(a) or real(*a))
+        run_stage("classify", cfg)
+    return first, _files(second), len(renames)
+
+
+class TestInterruptedCommit:
+    """A classify rerun at a new seed cut short at each of its renames leaves
+    one run in out, the previous one before the commit point and the new one
+    after it, which manifest.json describes."""
+
+    def _rerun_config(self, classify_rerun, classify_dir, tmp_path) -> Path:
+        shutil.copytree(classify_rerun[0], tmp_path / "out")
+        return classify_config(classify_dir, tmp_path, seed=12)
+
+    def _assert_run(self, out: Path, k: int, classify_rerun) -> None:
+        first, second, renames = classify_rerun
+        assert_one_run(out)
+        expected = _files(first) if k == 1 else second
+        for rel, data in expected.items():
+            if rel.startswith("classify/"):
+                assert (out / rel).read_bytes() == data, rel
+        # the staged manifest, the three outputs, the manifest: k covers each
+        assert renames == 5
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_interrupt_at_each_rename(
+        self, classify_rerun, classify_dir, tmp_path, monkeypatch, k
+    ):
+        cfg = load_config(self._rerun_config(classify_rerun, classify_dir, tmp_path), env={})
+        out = Path(cfg.out)
+        before = _files(out)
+        renames = 0
+        real = os.replace
+
+        def replace(src, dst):
+            nonlocal renames
+            renames += 1
+            if renames == k:
+                raise KeyboardInterrupt
+            real(src, dst)
+
+        monkeypatch.setattr(pipeline_module.os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            run_stage("classify", cfg)
+        monkeypatch.undo()
+        self._assert_run(out, k, classify_rerun)
+        if k == 1:
+            assert _files(out) == before
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_run_killed_at_each_rename_is_made_whole_by_the_next(
+        self, classify_rerun, classify_dir, tmp_path, k
+    ):
+        cfg_path = self._rerun_config(classify_rerun, classify_dir, tmp_path)
+        out = tmp_path / "out"
+        # the child does not inherit pytest's pythonpath, so it gets src here
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_AT_RENAME, str(cfg_path), str(k)], env=env
+        )
+        assert child.returncode == -signal.SIGKILL
+        assert (out / ".lock").exists()
+        run_stage("ingest", load_config(cfg_path, env={}))
+        self._assert_run(out, k, classify_rerun)
 
 
 @pytest.fixture(scope="module")
