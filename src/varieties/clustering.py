@@ -169,14 +169,19 @@ def pca_2d(vectors: np.ndarray) -> Projection2D:
     if X.ndim != 2 or X.shape[0] < 3 or X.shape[1] < 2:
         raise ValueError("need at least 3 vectors of dimension >= 2")
     centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (len(X) - 1)
+    # in place, so at most two d x d arrays are alive; the same arithmetic
+    # element by element as cov - lam1 * outer
+    cov = centered.T @ centered
+    cov /= len(X) - 1
     total_var = float(np.trace(cov))
     if total_var <= 1e-15:
         raise DegenerateDataError("zero-variance data: principal axes undefined")
 
     v1 = _power_iterate(cov, None)
     lam1 = float(v1 @ cov @ v1)
-    deflated = cov - lam1 * np.outer(v1, v1)
+    deflated = np.outer(v1, v1)
+    deflated *= lam1
+    np.subtract(cov, deflated, out=deflated)
     v2 = _power_iterate(deflated, v1)
     v2 = v2 - (v2 @ v1) * v1
     v2 /= np.linalg.norm(v2)

@@ -17,7 +17,7 @@ This module is the only reader of token fields: other modules see sentence
 content through ``Corpus.columns``, whose ``check_tagged`` is the one check
 that every token has a POS tag. ``KeyCounts`` is the one table of key counts
 per row (chunk feature keys, sentence lemmas/idioms), built from (row, key
-id) pairs.
+id) pairs or from rows of key ids.
 """
 
 from __future__ import annotations
@@ -149,14 +149,22 @@ def _untagged(sentence: int, position: int, surface: str, path: str) -> Untagged
     return UntaggedTokenError(f"{path}: {message}" if path else message)
 
 
-def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# gather and KeyCounts add to a long array this many entries at a time, so
+# beside it they hold one block of addends
+_BLOCK = 1 << 16
+
+
+def gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In CSR offsets ``ptr`` (row r is entries ``ptr[r]:ptr[r + 1]``): the
     length of each of ``rows`` (in any order, repeats allowed), then the
     positions of their entries, row after row."""
     starts = ptr[rows]
     lengths = ptr[rows + 1] - starts
     at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return lengths, at + np.arange(len(at))
+    for first in range(0, len(at), _BLOCK):
+        block = at[first : first + _BLOCK]
+        block += np.arange(first, first + len(block))
+    return lengths, at
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +196,19 @@ class Columns:
     country: np.ndarray
     family: np.ndarray
 
-    def take(self, rows: np.ndarray) -> Columns:
-        """The sentences at ``rows``, sharing these vocabularies."""
-        lengths, at = _gather(self.ptr, rows)
+    def take(self, rows: np.ndarray | slice) -> Columns:
+        """The sentences at ``rows``, sharing these vocabularies: a slice of
+        them (step 1) as views of these arrays, those a boolean mask keeps in
+        their order, or the rows of an index array (any order, repeats
+        allowed) gathered."""
+        if isinstance(rows, slice):
+            a, b, _ = rows.indices(len(self.ptr) - 1)
+            lengths, at = np.diff(self.ptr[a : b + 1]), slice(self.ptr[a], self.ptr[b])
+        elif rows.dtype == bool:
+            lengths = np.diff(self.ptr)
+            at, lengths = np.repeat(rows, lengths), lengths[rows]
+        else:
+            lengths, at = gather(self.ptr, rows)
         return replace(
             self,
             surface_ids=self.surface_ids[at],
@@ -405,12 +423,15 @@ class Corpus:
             built.add(sentence)
         self.columns = built.columns()
         self.provenance = provenance
+        self.origin = (self.columns, 0)
 
     @classmethod
     def _of(cls, columns: Columns, provenance: str) -> Corpus:
         corpus = cls.__new__(cls)
         corpus.columns = columns
         corpus.provenance = provenance
+        # the columns this corpus is a row range of, and its first row there
+        corpus.origin = (columns, 0)
         return corpus
 
     @cached_property
@@ -434,10 +455,15 @@ class Corpus:
     def token_count(self) -> int:
         return len(self.columns.surface_ids)
 
-    def take(self, rows: np.ndarray) -> Corpus:
-        """The sentences at ``rows`` (indices, repeats allowed) as a corpus
-        of the same provenance, whose columns are gathered from these."""
-        return Corpus._of(self.columns.take(rows), self.provenance)
+    def take(self, rows: np.ndarray | slice) -> Corpus:
+        """The sentences at ``rows`` (see ``Columns.take``) as a corpus of the
+        same provenance. A slice's corpus is a view, whose ``origin`` names
+        the columns it was cut from."""
+        taken = Corpus._of(self.columns.take(rows), self.provenance)
+        if isinstance(rows, slice):
+            columns, first = self.origin
+            taken.origin = (columns, first + rows.indices(len(self))[0])
+        return taken
 
     def varieties(self) -> set[str]:
         return {VARIETY_LABELS[v] for v in np.unique(self.columns.variety).tolist()}
@@ -451,8 +477,8 @@ class KeyCounts:
     """Counts of string keys per row in CSR form: row r holds key
     ``keys[col[i]]`` ``count[i]`` times for i in ``ptr[r]:ptr[r + 1]``, one
     entry per distinct key of the row. The columns are the observed keys in
-    sorted order; ``col`` and ``count`` are int32. ``from_pairs`` is the
-    one way to build a table."""
+    sorted order; ``col`` and ``count`` are int32. ``from_pairs`` builds a
+    table, and ``from_rows`` one whose pairs come row by row."""
 
     @classmethod
     def from_pairs(
@@ -460,6 +486,22 @@ class KeyCounts:
     ) -> KeyCounts:
         """Count (row, key id) pairs, ``rows[i]`` holding key ``keys[ids[i]]``
         once, for rows ``0:n_rows``. Ids of equal keys count as one key."""
+        row_keys = lambda width, index: np.multiply(rows, width, dtype=index)
+        return cls._counted(row_keys, ids, keys, n_rows)
+
+    @classmethod
+    def from_rows(cls, ptr: np.ndarray, ids: np.ndarray, keys: Sequence[str]) -> KeyCounts:
+        """``from_pairs`` of row r and ``ids[i]`` for i in ``ptr[r]:ptr[r + 1]``,
+        with no array of each pair's row."""
+        n_rows, lengths = len(ptr) - 1, np.diff(ptr)
+        row_keys = lambda width, index: np.repeat(np.arange(n_rows, dtype=index) * width, lengths)
+        return cls._counted(row_keys, ids, keys, n_rows)
+
+    @classmethod
+    def _counted(
+        cls, row_keys: Callable, ids: np.ndarray, keys: Sequence[str], n_rows: int
+    ) -> KeyCounts:
+        # row_keys(width, dtype): each pair's row times the width
         table = cls.__new__(cls)
         observed = np.unique(ids).tolist()
         table.keys = sorted({keys[i] for i in observed})
@@ -467,17 +509,26 @@ class KeyCounts:
         width = max(len(table.keys), 1)
         to_column = np.zeros(len(keys), dtype=np.intc)
         to_column[observed] = [table.column[keys[i]] for i in observed]
-        pairs = np.multiply(rows, width, dtype=np.int64)
-        pairs += to_column[ids]
-        # np.unique's counts without its copy of the pairs, which are as
-        # long as a corpus is: sort in place, then find the last pair of each
-        # run of equal ones
+        # a pair is row * width + column, in int32 while that holds them all
+        index = np.int32 if n_rows * width < 2**31 else np.int64
+        pairs = row_keys(width, index)
+        for first in range(0, len(pairs), _BLOCK):
+            pairs[first : first + _BLOCK] += to_column[ids[first : first + _BLOCK]]
+        # np.unique's counts without its copies of the pairs, which are as
+        # long as a corpus is: sort in place, keep the last pair of each run
+        # of equal ones, and count each run from the run ends
         pairs.sort()
-        last = np.flatnonzero(np.append(pairs[1:] != pairs[:-1], len(pairs) > 0))
-        table.count = np.diff(last, prepend=-1).astype(np.intc)
-        pairs = pairs[last]
-        table.col = (pairs % width).astype(np.intc)
-        table.ptr = np.searchsorted(pairs, np.arange(n_rows + 1) * width).astype(np.int64)
+        ends = np.empty(len(pairs), dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=ends[:-1])
+        ends[-1:] = True
+        pairs = pairs[ends]
+        table.count = np.flatnonzero(ends).astype(np.intc)
+        del ends
+        table.count[1:] -= table.count[:-1]
+        table.count[:1] += 1
+        bounds = np.arange(n_rows + 1, dtype=index) * width
+        table.ptr = np.searchsorted(pairs, bounds).astype(np.int64)
+        table.col = np.remainder(pairs, width, out=pairs).astype(np.intc, copy=False)
         return table
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +536,7 @@ class KeyCounts:
         allowed): each row's entry count, then the entries' positions in
         ``col`` and ``count``, row after row. Costs only those rows'
         entries; the caller reads only the arrays it needs at them."""
-        return _gather(self.ptr, rows)
+        return gather(self.ptr, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +815,7 @@ def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
     """Greedy fill: append sentences until the chunk reaches ``target_size``
     tokens, then close it. A trailing chunk strictly below half the target is
     dropped. Sentences are never split. Each chunk is a corpus with the
-    provenance of ``corpus``."""
+    provenance of ``corpus``, a view of its rows."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
     varieties = corpus.varieties()
@@ -782,7 +833,7 @@ def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
             pending_tokens = 0
     if pending_tokens >= 0.5 * target_size:
         bounds.append(len(corpus))
-    return [corpus.take(np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
+    return [corpus.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def balance(chunks_by_variety: dict[str, list[Corpus]], seed: int) -> dict[str, list[Corpus]]:
@@ -808,7 +859,9 @@ def filter_corpus(
     family: str | None = None,
 ) -> Corpus:
     """Order-preserving subsequence of sentences matching every given field."""
-    return corpus.take(matching_rows(corpus, variety, country, family))
+    keep = np.zeros(len(corpus), dtype=bool)
+    keep[matching_rows(corpus, variety, country, family)] = True
+    return corpus.take(keep)
 
 
 def matching_rows(

@@ -8,15 +8,15 @@ Families:
 
 A chunk is a ``Corpus``. A stage counts each family once over all its
 chunks into one ``corpus.KeyCounts`` (ChunkCounts), reading tokens only
-through the ``columns`` of all chunks laid end to end: FW keys are surface
-ids, POS3 keys three POS ids (each chunk's ``Columns.check_tagged`` raises
-``UntaggedTokenError`` on its first untagged token), POSTOK keys a position
-and a surface id, and COH keys the markers matched in one ``match_phrases``
-call. Tasks and folds are views that gather only their rows. Data-dependent
-vocabularies (top-k trigrams, positional pairs) are selected from column
-totals over training rows only and carried around as FeatureSpace objects;
-vectorization writes each space's columns, raw counts divided by the chunk
-token count.
+through the ``columns`` of the corpora the chunks were cut from: FW keys are
+surface ids, POS3 keys three POS ids (each chunk's ``Columns.check_tagged``
+raises ``UntaggedTokenError`` on its first untagged token), POSTOK keys a
+position and a surface id, and COH keys the markers matched in one
+``match_phrases`` call per corpus. Tasks and folds are views that gather
+only their rows. Data-dependent vocabularies (top-k trigrams, positional
+pairs) are selected from column totals over training rows only and carried
+around as FeatureSpace objects; vectorization writes each space's columns,
+raw counts divided by the chunk token count.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, KeyCounts, concat
+from .corpus import Columns, Corpus, KeyCounts
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -87,17 +87,25 @@ class ChunkCounts:
     """A stage's chunks and one table per family, counted over every chunk on
     first use; FW and COH tables are kept per word or phrase list (COH counts
     by longest match). ``take`` gives a view of distinct rows that shares the
-    tables; a view iterates its chunks. The chunks' columns are laid end to
-    end once, and only the distinct integer keys are spelled as strings."""
+    tables; a view iterates its chunks. Chunks cut from one corpus
+    (``Corpus.origin``) are counted as row ranges on its columns, and only the
+    distinct integer keys are spelled as strings."""
 
     def __init__(self, chunks: Iterable[Corpus]):
+        # per corpus the chunks were cut from: its columns and the chunk of
+        # each of its sentences (-1: none); a chunk that overlaps one already
+        # placed starts a part of its own. Shared by views, like the tables.
         self._chunks = list(chunks)
+        self._parts: list[tuple[Columns, np.ndarray]] = []
+        free: dict[int, int] = {}
+        for i, c in enumerate(self._chunks):
+            columns, first = c.origin
+            part = free.get(id(columns))
+            if part is None or (self._parts[part][1][first : first + len(c)] >= 0).any():
+                part = free[id(columns)] = len(self._parts)
+                self._parts.append((columns, np.full(len(columns.ptr) - 1, -1, np.intc)))
+            self._parts[part][1][first : first + len(c)] = i
         self._token_counts = np.array([c.token_count for c in self._chunks])
-        # each of the chunks' sentences laid end to end: its chunk
-        sizes = [len(c) for c in self._chunks]
-        self._chunk_of = np.repeat(np.arange(len(sizes), dtype=np.intc), sizes)
-        # shared by views, so the chunks are laid end to end once
-        self._laid = concat(self._chunks)
         self._tables: dict[object, KeyCounts] = {}
         self.rows = np.arange(len(self._chunks))
 
@@ -132,15 +140,30 @@ class ChunkCounts:
             self._tables[key] = table
         return self._tables[key]
 
+    def _counted(self, count: Callable) -> KeyCounts:
+        """One table of ``count``'s (row, key id, keys) on each part's columns
+        and chunks, the pairs of sentences in no chunk (row -1) left out."""
+        rows, ids, keys = [np.zeros(0, np.intc)], [np.zeros(0, np.intc)], []
+        for columns, chunk_of in self._parts:
+            row, found, spelled = count(columns, chunk_of)
+            kept = row >= 0
+            rows.append(row[kept])
+            ids.append(found[kept] + len(keys))
+            keys += spelled
+        # one at a time, so each list's parts go before the next is laid out
+        rows = np.concatenate(rows)
+        ids = np.concatenate(ids)
+        return KeyCounts.from_pairs(rows, ids, keys, len(self._chunks))
+
     def _fw_table(self, words: frozenset[str]) -> KeyCounts:
-        columns = self._laid.columns
-        vocab = columns.surface_vocab
-        wanted = np.fromiter((w in words for w in vocab), bool, len(vocab))[columns.surface_ids]
-        # per sentence (never empty), its count of wanted tokens
-        found = np.add.reduceat(wanted, columns.ptr[:-1], dtype=np.intp)
-        return KeyCounts.from_pairs(
-            np.repeat(self._chunk_of, found), columns.surface_ids[wanted], vocab, len(self._chunks)
-        )
+        def count(columns, chunk_of):
+            vocab = columns.surface_vocab
+            wanted = np.fromiter((w in words for w in vocab), bool, len(vocab))[columns.surface_ids]
+            # per sentence (never empty), its count of wanted tokens
+            found = np.add.reduceat(wanted, columns.ptr[:-1], dtype=np.intp)
+            return np.repeat(chunk_of, found), columns.surface_ids[wanted], vocab
+
+        return self._counted(count)
 
     def _pos3_table(self) -> KeyCounts:
         """POS trigrams within sentences. Each chunk is checked in turn: the
@@ -148,53 +171,60 @@ class ChunkCounts:
         counted from its chunk's start."""
         for c in self._chunks:
             c.columns.check_tagged()
-        columns = self._laid.columns
-        tags = columns.pos_vocab
-        width = len(tags)
-        # a key is the three tag ids, in int32 while that holds every key
-        pos = columns.pos_ids.astype(np.int32 if width**3 < 2**31 else np.int64, copy=False)
-        # a trigram starts at every token but the last two of its sentence
-        # (in a one-token sentence, the second-to-last is the previous
-        # sentence's last token)
-        ends = columns.ptr[1:]
-        starts = np.ones(len(pos), dtype=bool)
-        starts[ends - 1] = False
-        starts[ends[ends >= 2] - 2] = False
-        ids, keys = _spelled(
-            ((pos[:-2] * width + pos[1:-1]) * width + pos[2:])[starts[:-2]],
-            lambda k: f"{tags[k // width // width]}_{tags[k // width % width]}_{tags[k % width]}",
-        )
-        rows = np.repeat(self._chunk_of, np.maximum(np.diff(columns.ptr) - 2, 0))
-        return KeyCounts.from_pairs(rows, ids, keys, len(self._chunks))
+
+        def count(columns, chunk_of):
+            tags = columns.pos_vocab
+            width = len(tags)
+            # a key is the three tag ids, in int32 while that holds every key
+            pos = columns.pos_ids.astype(np.int32 if width**3 < 2**31 else np.int64, copy=False)
+            # a trigram starts at every token but the last two of its sentence
+            # (in a one-token sentence, the second-to-last is the previous
+            # sentence's last token)
+            ends = columns.ptr[1:]
+            starts = np.ones(len(pos), dtype=bool)
+            starts[ends - 1] = False
+            starts[ends[ends >= 2] - 2] = False
+            ids, keys = _spelled(
+                ((pos[:-2] * width + pos[1:-1]) * width + pos[2:])[starts[:-2]],
+                lambda k: f"{tags[k // width // width]}_{tags[k // width % width]}_{tags[k % width]}",
+            )
+            return np.repeat(chunk_of, np.maximum(np.diff(columns.ptr) - 2, 0)), ids, keys
+
+        return self._counted(count)
 
     def _postok_table(self) -> KeyCounts:
         """Each sentence's word in every position it has: in a short sentence
         one word may fill several (a one-word sentence's word is both first
         and last), and no sentence has more than five."""
-        columns = self._laid.columns
-        words = columns.surface_vocab
-        width = len(words)
-        lengths = np.diff(columns.ptr)
-        rows, packed = [], []
-        for position, (_name, offset, least) in enumerate(_SLOTS):
-            sentence = np.flatnonzero(lengths >= least)
-            at = (columns.ptr[sentence] if offset >= 0 else columns.ptr[sentence + 1]) + offset
-            rows.append(self._chunk_of[sentence])
-            packed.append(np.add(columns.surface_ids[at], position * width, dtype=np.int64))
-        ids, keys = _spelled(
-            np.concatenate(packed), lambda k: f"{_SLOTS[k // width][0]}:{words[k % width]}"
-        )
-        return KeyCounts.from_pairs(np.concatenate(rows), ids, keys, len(self._chunks))
+
+        def count(columns, chunk_of):
+            words = columns.surface_vocab
+            width = len(words)
+            lengths = np.diff(columns.ptr)
+            sentences, packed = [], []
+            for position, (_name, offset, least) in enumerate(_SLOTS):
+                sentence = np.flatnonzero(lengths >= least)
+                at = (columns.ptr[sentence] if offset >= 0 else columns.ptr[sentence + 1]) + offset
+                sentences.append(sentence)
+                packed.append(np.add(columns.surface_ids[at], position * width, dtype=np.int64))
+            ids, keys = _spelled(
+                np.concatenate(packed), lambda k: f"{_SLOTS[k // width][0]}:{words[k % width]}"
+            )
+            return chunk_of[np.concatenate(sentences)], ids, keys
+
+        return self._counted(count)
 
     def _coh_table(self, markers: PhraseList) -> KeyCounts:
-        """Each chunk's marker matches, from one match over every chunk's
-        sentences."""
-        columns = self._laid.columns
-        sentence, entry, _start = match_phrases(
-            columns.surface_ids, columns.ptr, columns.surface_vocab, markers
-        )
+        """Each chunk's marker matches, from one match per part."""
         texts = [e.text for e in markers]
-        return KeyCounts.from_pairs(self._chunk_of[sentence], entry, texts, len(self._chunks))
+
+        def count(columns, chunk_of):
+            sentence, entry, _start = match_phrases(
+                columns.surface_ids, columns.ptr, columns.surface_vocab, markers
+            )
+            return chunk_of[sentence], entry, texts
+
+        return self._counted(count)
 
     def totals(self, family: str) -> tuple[list[str], np.ndarray]:
         """The POS3 or POSTOK table's keys and their totals over this view."""

@@ -257,8 +257,9 @@ def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
     returns chunks and labels interleaved deterministically."""
     by_variety: dict[str, list[Corpus]] = {}
     for variety in ("N", "NN", "T"):
-        corpus = _one_variety(config, variety)
-        variety_chunks = chunk(shuffle(corpus, config.seed), config.chunk_target)
+        # the chunks are views of the shuffled corpus; the one read is let go
+        corpus = shuffle(_one_variety(config, variety), config.seed)
+        variety_chunks = chunk(corpus, config.chunk_target)
         if not variety_chunks:
             raise VarietiesError(
                 f"variety {variety} has {corpus.token_count} tokens, under half "
@@ -409,6 +410,7 @@ def cmd_cluster(config: PipelineConfig, stage: _Stage, resources: Resources) -> 
     chunks, labels = _balanced_chunks(config)
     space = feat.fw_space(resources.function_words)
     X = feat.vectorize_chunks(chunks, [space])
+    del chunks
     projection = clus.pca_2d(X)
     chunk_ids = [f"{lab}_{i}" for i, lab in enumerate(labels)]
 
@@ -596,26 +598,29 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     nn.check_tagged(corpus_nn.provenance, scored)
     scored_tags = poslm.pos_sequences(corpus_nn.take(scored))
 
-    train_sets = {}
-    lengths_t = np.diff(corpus_t.columns.ptr)
+    train_rows = {}
+    t = corpus_t.columns
+    tags_t = poslm.TagSequences(t.pos_vocab, t.pos_ids, t.ptr)
     for family in ("Germanic", "Romance"):
         rows = matching_rows(corpus_t, variety="T", family=family)
         if len(rows) == 0:
             raise VarietiesError(f"no translated sentences with family {family}")
         rows = shuffle_rows(rows, config.seed)
-        rows = rows[: _token_prefix(lengths_t[rows], config.lm_train_tokens, f"{family} T")]
-        corpus_t.columns.check_tagged(corpus_t.provenance, rows)
-        train_sets[family] = poslm.pos_sequences(corpus_t.take(rows))
-        unknown = train_sets[family].distinct_tags() - resources.tagset.tags
+        rows = rows[: _token_prefix(np.diff(t.ptr)[rows], config.lm_train_tokens, f"{family} T")]
+        t.check_tagged(corpus_t.provenance, rows)
+        unknown = tags_t.distinct_tags(rows) - resources.tagset.tags
         if unknown:
             raise VarietiesError(
                 f"{family} T training set: tag {min(unknown)!r} is not in the tagset"
             )
+        train_rows[family] = rows
+    # training reads T's tags alone, one family's at a time
+    del corpus_t, t
 
     scores = {}
     for family in ("Germanic", "Romance"):
         model = poslm.train_lm(
-            train_sets.pop(family), resources.tagset, order=config.lm_order
+            tags_t.take(train_rows.pop(family)), resources.tagset, order=config.lm_order
         )
         stage.write(
             f"lm/{family.lower()}_t.arpa", lambda tmp: poslm.write_arpa(model, tmp)
@@ -682,15 +687,17 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
 def cmd_report(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Consolidate stage outputs into one markdown report plus the final run
     manifest; recorded outputs that are missing, or whose sha256 is not the
-    recorded one, are named explicitly."""
+    recorded one, are named explicitly. A previous report's own outputs are
+    neither checked nor listed, since this run replaces them."""
     out_dir = stage.out_dir
     manifest = stage.manifest
-    if not manifest["stages"]:
+    stages = {name: entry for name, entry in sorted(manifest["stages"].items()) if name != "report"}
+    if not stages:
         raise VarietiesError("no stage outputs recorded; run other stages first")
     inventory = {}
     missing = []
     changed = []
-    for stage_name, entry in sorted(manifest["stages"].items()):
+    for stage_name, entry in stages.items():
         for rel, digest in entry["outputs"].items():
             inventory[rel] = digest
             if not (out_dir / rel).exists():
@@ -706,9 +713,7 @@ def cmd_report(config: PipelineConfig, stage: _Stage, resources: Resources) -> N
         )
 
     lines = ["# Variety analysis report", ""]
-    for stage_name, entry in sorted(manifest["stages"].items()):
-        if stage_name == "report":
-            continue
+    for stage_name, entry in stages.items():
         lines.append(f"## {stage_name}")
         lines.append("")
         for rel in sorted(entry["outputs"]):

@@ -75,7 +75,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, gather
 from .lexicons import TagSet, lookup, prefix_keys
 
 BOS = "<s>"
@@ -235,7 +235,7 @@ def _padded(
     marker: the padded ids, a mask of the tags in them, and the position of
     each end marker."""
     ends = np.cumsum(lengths + order) - 1
-    ids = np.full(int(ends[-1]) + 1, bos, dtype=np.int64)
+    ids = np.full(int(ends[-1]) + 1, bos, dtype=tag_ids.dtype)
     is_tag = np.ones(len(ids), dtype=bool)
     is_tag[ends] = False
     for back in range(1, order):
@@ -266,7 +266,7 @@ def _count_ngrams(
     symbols = sorted(tags | {BOS, EOS})
     bos, eos = symbols.index(BOS), symbols.index(EOS)
     code = {tag: i for i, tag in enumerate(symbols) if tag in tags}
-    tag_ids = np.array([code.get(tag, -1) for tag in sentences.vocab], np.int64)[sentences.ids]
+    tag_ids = np.array([code.get(tag, -1) for tag in sentences.vocab], np.int32)[sentences.ids]
     outside = np.flatnonzero(tag_ids < 0)
     if len(outside):
         at = int(outside[0])
@@ -284,17 +284,20 @@ def _count_ngrams(
         (np.zeros(1, dtype=np.int64), np.array([len(ids)])),
         (np.arange(len(symbols), dtype=np.int64), np.bincount(ids, minlength=len(symbols))),
     ]
-    # prefix[i]: index of the window of length n-1 starting at i
-    prefix = ids.copy()
+    # prefix[i]: index of the window of length n-1 starting at i; ids,
+    # prefixes and keys are int32 while their values fit
+    prefix = ids.astype(np.int32 if len(ids) < 2**31 else np.int64)
     for n in range(2, order + 1):
         starts = len(ids) - n + 1
-        keys = prefix[:starts] * len(symbols) + ids[n - 1 :]
         bound = len(levels[-1][0]) * len(symbols)
+        index = np.int32 if bound < 2**31 else np.int64
+        keys = np.multiply(prefix[:starts], len(symbols), dtype=index)
+        keys += ids[n - 1 :]
         if bound <= starts:
             # every key lies below the bound: a counting sort, in linear time
             counts = np.bincount(keys, minlength=bound)
             if n < order:
-                prefix[:starts] = (np.cumsum(counts > 0) - 1)[keys]
+                prefix[:starts] = (np.cumsum(counts > 0) - 1).astype(prefix.dtype)[keys]
             keys = np.flatnonzero(counts)
             counts = counts[keys]
         elif n < order:
@@ -304,7 +307,7 @@ def _count_ngrams(
             prefix[:starts] = inverse
         else:
             keys, counts = np.unique(keys, return_counts=True)
-        levels.append((keys, counts))
+        levels.append((keys.astype(np.int64, copy=False), counts))
     return symbols, levels
 
 
@@ -807,9 +810,17 @@ class TagSequences:
             return self
         return TagSequences(self.vocab, self.ids, self.ptr[np.append(True, lengths > 0)])
 
-    def distinct_tags(self) -> set[str]:
+    def take(self, rows: np.ndarray) -> TagSequences:
+        """The sentences at ``rows`` (any order, repeats allowed)."""
+        lengths, at = gather(self.ptr, rows)
+        return TagSequences(self.vocab, self.ids[at], np.concatenate(([0], np.cumsum(lengths))))
+
+    def distinct_tags(self, rows: np.ndarray) -> set[str]:
+        """The tags of the sentences at ``rows``, which have tags."""
+        keep = np.zeros(len(self), dtype=bool)
+        keep[rows] = True
         seen = np.zeros(len(self.vocab), dtype=bool)
-        seen[self.ids] = True
+        seen[self.ids[np.repeat(keep, np.diff(self.ptr))]] = True
         return {self.vocab[i] for i in np.flatnonzero(seen).tolist()}
 
 

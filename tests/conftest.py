@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from varieties.corpus import AnnotatedSentence, Corpus, Token
@@ -42,3 +44,20 @@ def corpus_factory():
 @pytest.fixture
 def chunk_factory():
     return make_chunk
+
+
+def traced(fn):
+    """``fn()``'s result, the most tracemalloc saw allocated during the call
+    beyond what was held before it, and what the call left held, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before, held - before

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import traced
 from oracles import jacobi_eigh
 from synthdata import clustering_corpora, gaussian_blobs
 from varieties import clustering
@@ -159,6 +160,42 @@ class TestPca2d:
             basis, _ = np.linalg.qr(rng.normal(size=(6, 2)))
             random_var = (centered @ basis).var(axis=0).sum()
             assert pca_var >= random_var - 1e-9
+
+    @pytest.mark.parametrize("n, d", [(5, 40), (12, 100), (30, 30), (50, 8), (3, 2)])
+    def test_in_place_covariance_and_deflation_are_bit_identical(self, n, d):
+        rng = np.random.default_rng(n * 1000 + d)
+        X = rng.normal(size=(n, d)) * rng.random(d) * 10.0 ** rng.integers(-3, 3, d)
+        proj = pca_2d(X)
+        expected = _pca_out_of_place(X)
+        for got, want in zip((proj.coords, proj.axes, proj.explained), expected):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_at_most_two_d_by_d_arrays_are_alive(self):
+        # d > n, so the d x d covariance and its deflated copy dominate; the
+        # out-of-place expressions held four d x d arrays at once
+        n, d = 60, 400
+        X = np.random.default_rng(0).random((n, d))
+        _, peak, _ = traced(lambda: pca_2d(X))
+        assert peak < 2.75 * d * d * 8
+
+
+def _pca_out_of_place(X):
+    """``pca_2d``'s coords, axes and explained variance through its former
+    out-of-place covariance and deflation expressions."""
+    centered = X - X.mean(axis=0)
+    cov = centered.T @ centered / (len(X) - 1)
+    total_var = float(np.trace(cov))
+    v1 = clustering._power_iterate(cov, None)
+    lam1 = float(v1 @ cov @ v1)
+    deflated = cov - lam1 * np.outer(v1, v1)
+    v2 = clustering._power_iterate(deflated, v1)
+    v2 = v2 - (v2 @ v1) * v1
+    v2 /= np.linalg.norm(v2)
+    lam2 = float(v2 @ cov @ v2)
+    if lam2 > lam1:
+        v1, v2, lam1, lam2 = v2, v1, lam2, lam1
+    axes = np.vstack([v1, v2])
+    return centered @ axes.T, axes, (max(lam1, 0.0) / total_var, max(lam2, 0.0) / total_var)
 
 
 class TestClusterAccuracy:

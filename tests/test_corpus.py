@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_sentence
+from conftest import make_corpus, make_sentence, traced
 from oracles import reference_write_jsonl
 from synthdata import lm_family_corpus
 from varieties.corpus import (
@@ -556,6 +556,19 @@ class TestChunk:
         assert [c.token_count for c in chunks] == [2400]
         assert len(chunks[0].sentences) == 4
 
+    def test_chunks_are_views_of_their_corpus(self):
+        corpus = shuffle(lm_family_corpus("T", "Germanic", 300, seed=5), 3)
+        chunks = chunk(corpus, 200)
+        first = 0
+        for c in chunks:
+            assert np.shares_memory(c.columns.surface_ids, corpus.columns.surface_ids)
+            assert c.origin == (corpus.columns, first)
+            rows = np.arange(first, first + len(c))
+            assert c.sentences == corpus.take(rows).sentences
+            first += len(c)
+        # a chunk of a chunk is a row range of the first corpus too
+        assert chunks[1].take(slice(2, 5)).origin == (corpus.columns, len(chunks[0]) + 2)
+
     def test_single_oversize_sentence(self):
         sentences = [make_sentence([f"t{j}" for j in range(2500)])]
         chunks = chunk(make_corpus(sentences), target_size=2000)
@@ -678,6 +691,17 @@ class TestFilter:
         corpus = make_corpus([make_sentence(["a"], country="DE")])
         assert len(filter_corpus(corpus, country="GB")) == 0
 
+    def test_selects_by_a_token_mask(self):
+        # a byte per token selects the rows, beside the half-size copy; an
+        # index gather of them took about 13 B per token of the whole
+        corpus = concat(
+            lm_family_corpus("T", family, 1000, seed=seed)
+            for seed, family in enumerate(("Germanic", "Romance"))
+        )
+        germanic, peak, _ = traced(lambda: filter_corpus(corpus, family="Germanic"))
+        assert peak / corpus.token_count < 11
+        assert germanic.sentences == corpus.take(matching_rows(corpus, family="Germanic")).sentences
+
     def test_order_preserved(self):
         corpus = make_corpus(
             [make_sentence([f"w{i}"], variety="T") for i in range(10)]
@@ -766,6 +790,46 @@ def test_key_counts_from_pairs_equal_the_string_rows(seed):
     assert key_count_rows(table) == [Counter(r) for r in rows]
     assert table.col.dtype == table.count.dtype == np.int32
     assert table.ptr.dtype == np.int64 and len(table.ptr) == len(rows) + 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_counts_from_rows_equal_from_pairs(seed):
+    rng = random.Random(seed)
+    rows = [[rng.choice("pqrstuvw") for _ in range(rng.randrange(6))] for _ in range(40)]
+    keys = sorted(set().union(*rows))
+    ids = np.array([keys.index(key) for row in rows for key in row], dtype=np.int32)
+    ptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+    table = KeyCounts.from_rows(ptr, ids, keys)
+    assert key_count_rows(table) == [Counter(r) for r in rows]
+    assert key_count_rows(table) == key_count_rows(table_of(rows))
+
+
+def test_key_counts_past_int32_pairs():
+    # rows x columns above 2**31: the pairs are counted in int64
+    rng = np.random.default_rng(5)
+    n_rows, keys = 800_000, [f"k{i:04d}" for i in range(3000)]
+    rows = rng.integers(0, n_rows, 5000)
+    ids = rng.integers(0, len(keys), 5000)
+    table = KeyCounts.from_pairs(rows, ids, keys, n_rows)
+    expected = Counter(zip(rows.tolist(), (keys[i] for i in ids.tolist())))
+    got = {
+        (r, table.keys[c]): int(n)
+        for r, (a, b) in enumerate(zip(table.ptr[:-1].tolist(), table.ptr[1:].tolist()))
+        for c, n in zip(table.col[a:b].tolist(), table.count[a:b].tolist())
+    }
+    assert got == expected
+
+
+def test_gather_holds_one_position_array():
+    # positions are int64, 8 B an entry; adding each entry's index to its
+    # row's offset in a whole-length temporary took 16
+    lengths = np.random.default_rng(2).integers(0, 41, 50_000)
+    keys = [str(i) for i in range(40)]
+    ids = np.concatenate([np.arange(n) for n in lengths])
+    table = KeyCounts.from_pairs(np.repeat(np.arange(len(lengths)), lengths), ids, keys, len(lengths))
+    rows = np.random.default_rng(3).permutation(len(lengths))
+    (_lengths, at), peak, _ = traced(lambda: table.gather(rows))
+    assert peak / len(at) < 12
 
 
 def test_key_counts_from_no_pairs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_chunk, make_sentence
+from conftest import make_chunk, make_sentence, traced
 from oracles import (
     reference_chunk_counts,
     reference_pos3_order,
@@ -11,6 +11,7 @@ from oracles import (
 )
 from synthdata import variety_corpus
 from varieties.corpus import chunk as make_chunks
+from varieties.corpus import shuffle
 from varieties.errors import UntaggedTokenError
 from varieties.features import (
     COH,
@@ -428,6 +429,24 @@ class TestCountTableAgainstOracle:
         assert np.array_equal(X, reference_vectorize(chunks, spaces))
         ends = np.cumsum([len(space) for space in spaces])
         assert all(block.any() for block in np.split(X, ends[:-1], axis=1))
+
+    def test_chunks_of_one_corpus_with_gaps_repeats_and_overlaps(self, resources):
+        corpus = shuffle(variety_corpus("T", 120, seed=3), 1)
+        cut = make_chunks(corpus, 100)
+        overlap = corpus.take(slice(len(cut[0]) // 2, len(cut[0]) + 3))
+        chunks = cut[::2] + [cut[2], overlap, cut[1]]
+        assert_tables_equal_the_reference(chunks, resources)
+
+
+class TestChunkCountsMemory:
+    def test_counts_chunks_on_the_columns_they_were_cut_from(self, resources):
+        # no copy of the chunks laid end to end: about 27 B per token at the
+        # FW table's peak, 41 with one
+        corpus = shuffle(variety_corpus("N", 4000, seed=1), 3)
+        chunks = make_chunks(corpus, 200)
+        fw = fw_space(resources.function_words)
+        _, peak, _ = traced(lambda: vectorize_chunks(chunks, [fw]))
+        assert peak / corpus.token_count < 34
 
 
 def short_sentence_chunks():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_sentence
+from conftest import make_corpus, make_sentence, traced
 from oracles import reference_sentence_counts
 from synthdata import lm_family_corpus, metrics_corpus, variety_corpus
 from varieties.corpus import Corpus, concat
@@ -288,6 +288,14 @@ class TestSentenceStats:
             expected = metric_values(drawn(whole, indices), resources)
             assert table.values(indices) == expected
             assert recounted.values(indices) == expected
+
+    def test_lemma_table_built_from_the_sentence_offsets(self, resources):
+        # no row array beside the lemma pairs, which are int32 here and
+        # counted in place: about 33 B per token at the peak, 47 with a row
+        # array, int64 pairs and np.diff's copies of the run ends
+        corpora = [metrics_corpus(v, 6000, seed=1) for v in ("N", "NN", "T")]
+        _, peak, _ = traced(lambda: SentenceStats.of(corpora, resources))
+        assert peak / sum(c.token_count for c in corpora) < 38
 
     def test_missing_pos_named_like_pronouns(self, resources):
         corpus = make_corpus(

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import groupby
 from pathlib import Path
@@ -19,7 +20,7 @@ from synthdata import (
     trim_to_tokens,
     variety_corpus,
 )
-from varieties import features
+from varieties import features, poslm
 from varieties import pipeline as pipeline_module
 from varieties.cli import main
 from varieties.config import load_config
@@ -765,6 +766,54 @@ class TestLmStage:
         assert table[("GerT", "GerNN")] < table[("RomT", "GerNN")]
         assert table[("RomT", "RomNN")] < table[("GerT", "RomNN")]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_a_model_trains_beside_t_tags_alone(self, tmp_path, monkeypatch):
+        # while a model trains the stage holds T's tag column and that
+        # family's training tags: about 20 B per T token here, against 32
+        # with all of T's columns and both families' tags
+        t = concat(
+            lm_family_corpus("T", family, 2500, seed=33 + i)
+            for i, family in enumerate(("Germanic", "Romance"))
+        )
+        nn = concat(
+            lm_family_corpus("NN", family, 300, seed=41 + i)
+            for i, family in enumerate(("Germanic", "Romance"))
+        )
+        write_jsonl(t, tmp_path / "T.jsonl")
+        write_jsonl(nn, tmp_path / "NN.jsonl")
+        cfg = load_config(
+            write_config(
+                tmp_path / "run.cfg",
+                corpus_nn=tmp_path / "NN.jsonl",
+                corpus_t=tmp_path / "T.jsonl",
+                out=tmp_path / "out",
+                lm_order=3,
+                lm_train_tokens=20000,
+                lm_test_sentences=250,
+                lm_country_sentences=40,
+            ),
+            env={},
+        )
+        held = []
+        train = poslm.train_lm
+
+        def recording(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(poslm, "train_lm", recording)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_stage("lm", cfg)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(held) == 2
+        assert all((h - before) / t.token_count < 26 for h in held)
+
     def test_ttest_reported_per_family(self, lm_out):
         payload = json.loads((lm_out / "lm" / "ttest.json").read_text())
         assert set(payload) == {"GerNN", "RomNN"}
@@ -1101,6 +1150,24 @@ class TestReportStage:
             "ingest: ingest/stats.csv\n"
         )
         assert not (out / "report.md").exists()
+
+    @pytest.mark.parametrize("change", ["edit", "delete"])
+    def test_report_reruns_after_its_own_outputs_change(self, classify_dir, tmp_path, change):
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        run_stage("ingest", cfg)
+        run_stage("report", cfg)
+        out = Path(cfg.out)
+        first = {name: (out / name).read_bytes() for name in ("report.md", "run_manifest.json")}
+        for name in first:
+            if change == "edit":
+                with open(out / name, "a", encoding="utf-8") as fh:
+                    fh.write("edited\n")
+            else:
+                (out / name).unlink()
+        run_stage("report", cfg)
+        # a report lists the other stages' outputs only, so a rerun rewrites
+        # the first run's bytes
+        assert {name: (out / name).read_bytes() for name in first} == first
 
     def test_report_without_stages_rejected(self, tmp_path):
         cfg = load_config(

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_sentence
+from conftest import make_corpus, make_sentence, traced
 from oracles import ReferenceKN, reference_score
 from synthdata import LM_TAGS, lm_family_corpus
+from varieties.corpus import concat
 from varieties.poslm import (
     BOS,
     EOS,
@@ -679,6 +680,33 @@ class TestCountNgrams:
         assert symbols == ["</s>", "<s>", "DT", "NN", "VB"]
         np.testing.assert_array_equal(levels[1][0], np.arange(5))
         np.testing.assert_array_equal(levels[1][1], [1, 1, 1, 1, 0])
+
+    def test_levels_past_int32_keys_equal_unique_counting(self):
+        # with 50,000 tags, prefixes x symbols pass 2**31 from order 2 on,
+        # so those keys are counted in int64
+        tags = [f"t{i}" for i in range(50_000)]
+        rng = np.random.default_rng(9)
+        sentences = [
+            [tags[i] for i in rng.integers(0, len(tags), rng.integers(1, 8))] for _ in range(300)
+        ]
+        symbols, levels = _count_ngrams(sentences, frozenset(tags), 3)
+        _, expected, _ = unique_levels(sentences, tags, 3)
+        assert len(levels[1][0]) * len(symbols) >= 2**31
+        for (keys, counts), (want_keys, want_counts) in zip(levels, expected):
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(counts, want_counts)
+
+    def test_counting_holds_int32_ids_and_keys(self):
+        # padded ids, prefixes and keys in int32 while they fit: about 26 B
+        # per padded id at the peak, 34 in int64
+        corpus = concat(
+            lm_family_corpus("T", family, 3000, seed=seed)
+            for seed, family in enumerate(("Germanic", "Romance"))
+        )
+        sentences = pos_sequences(corpus)
+        padded = corpus.token_count + 5 * len(corpus)
+        _, peak, _ = traced(lambda: _count_ngrams(sentences, frozenset(LM_TAGS), 5))
+        assert peak / padded < 30
 
     @pytest.mark.parametrize("name", sorted(COUNTING_INPUTS))
     def test_inputs_cover_both_sides_of_the_bound(self, name):
