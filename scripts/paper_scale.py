@@ -1,5 +1,5 @@
 """Run the classify, cluster, metrics and lm stages at paper scale and record
-each stage's wall time, peak RSS and output digests.
+each run's wall time, peak RSS and output digests.
 
     python3 scripts/paper_scale.py LABEL
 
@@ -7,7 +7,9 @@ writes ``BENCH_<LABEL>.json`` at the repository root. The inputs come from
 the generators in ``tests/synthdata.py`` at fixed seeds:
 
 - classify and cluster: ``variety_corpus`` at 52,400 sentences per variety,
-  under the stock config;
+  under the stock config; ``classify_unbalanced`` and ``cluster_unbalanced``
+  run them again with T at three times that (157,200 sentences), so
+  ``balance`` drops two thirds of T's chunks;
 - metrics: ``metrics_corpus`` at 65,000 sentences per corpus (780k tokens)
   with 1000 bootstrap iterations;
 - lm: ``lm_family_corpus`` at a tenth of paper scale, 72,000 T and 7,000 NN
@@ -17,12 +19,12 @@ the generators in ``tests/synthdata.py`` at fixed seeds:
 
 The inputs are built once, in a child process, and cached under
 ``.paper_scale/`` keyed by the sha256 of this file and of the generators.
-Each stage then runs as ``python -m varieties.cli <stage>`` in a fresh child.
+Each run is one stage, ``python -m varieties.cli <stage>`` in a fresh child.
 This process imports nothing but the standard library and reads each child's
 wall time and its peak RSS (``ru_maxrss``) through ``os.wait4``, so a
 child's figure is its own. A stage's figure does not include any process it
-starts itself. Every run writes into a new output directory, and the
-record holds the sha256 of every output the run manifest lists, which a
+starts itself. Every run writes into a new output directory of its own, and
+the record holds the sha256 of every output its run manifest lists, which a
 byte-identical change reproduces.
 """
 
@@ -40,18 +42,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GENERATORS = ROOT / "tests" / "synthdata.py"
 CACHE = ROOT / ".paper_scale"
-STAGES = ("classify", "cluster", "metrics", "lm")
 
-# stage -> (config keys, the input files it reads)
+# run -> (stage, config keys, the input files it reads)
 CLASSIFY_INPUTS = {"N": "variety/N.jsonl", "NN": "variety/NN.jsonl", "T": "variety/T.jsonl"}
-CONFIGS = {
-    "classify": ({}, CLASSIFY_INPUTS),
-    "cluster": ({}, CLASSIFY_INPUTS),
+UNBALANCED_INPUTS = {**CLASSIFY_INPUTS, "T": "variety/T3.jsonl"}
+RUNS = {
+    "classify": ("classify", {}, CLASSIFY_INPUTS),
+    "cluster": ("cluster", {}, CLASSIFY_INPUTS),
+    "classify_unbalanced": ("classify", {}, UNBALANCED_INPUTS),
+    "cluster_unbalanced": ("cluster", {}, UNBALANCED_INPUTS),
     "metrics": (
+        "metrics",
         {"bootstrap_iterations": 1000},
         {"N": "metrics/N.jsonl", "NN": "metrics/NN.jsonl", "T": "metrics/T.jsonl"},
     ),
-    "lm": ({"lm_train_tokens": 700_000}, {"NN": "lm/NN.jsonl", "T": "lm/T.jsonl"}),
+    "lm": ("lm", {"lm_train_tokens": 700_000}, {"NN": "lm/NN.jsonl", "T": "lm/T.jsonl"}),
 }
 
 
@@ -63,7 +68,10 @@ def generate(directory: str) -> None:
     from varieties.corpus import concat, write_jsonl
 
     built = {
-        "variety": {v: synthdata.variety_corpus(v, 52_400, seed=17) for v in ("N", "NN", "T")},
+        "variety": {
+            **{v: synthdata.variety_corpus(v, 52_400, seed=17) for v in ("N", "NN", "T")},
+            "T3": synthdata.variety_corpus("T", 3 * 52_400, seed=17),
+        },
         "metrics": {v: synthdata.metrics_corpus(v, 65_000, seed=17) for v in ("N", "NN", "T")},
         # distinct generator seeds, so no NN test sentence repeats a T one
         "lm": {
@@ -132,31 +140,30 @@ def main(label: str) -> None:
     out = CACHE / f"out-{label}"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
-    stages = {}
-    for stage in STAGES:
-        keys, files = CONFIGS[stage]
-        config = out / f"{stage}.cfg"
-        lines = [f"out = {out / 'run'}", "seed = 17"]
+    runs = {}
+    for name, (stage, keys, files) in RUNS.items():
+        config = out / f"{name}.cfg"
+        lines = [f"out = {out / name}", "seed = 17"]
         lines += [f"corpus_{v.lower()} = {inputs / name}" for v, name in files.items()]
         lines += [f"{key} = {value}" for key, value in keys.items()]
         config.write_text("\n".join(lines) + "\n")
         wall, peak, code = _run(stage, config)
         if code:
-            raise SystemExit(f"{stage} exited with {code}")
-        tokens = sum(counts[name]["tokens"] for name in files.values())
-        stages[stage] = {
+            raise SystemExit(f"{name} exited with {code}")
+        tokens = sum(counts[file]["tokens"] for file in files.values())
+        manifest = json.loads((out / name / "manifest.json").read_text())
+        runs[name] = {
+            "stage": stage,
             "wall_s": round(wall, 3),
             "peak_rss_mb": round(peak, 1),
             "input_tokens": tokens,
             "tokens_per_s": round(tokens / wall),
-            "inputs": {name: counts[name] for name in files.values()},
+            "inputs": {file: counts[file] for file in files.values()},
             "config": keys,
+            "outputs": manifest["stages"][stage]["outputs"],
         }
-        print(f"{stage}: {wall:.1f} s, {peak:.1f} MiB", flush=True)
-    manifest = json.loads((out / "run" / "manifest.json").read_text())
-    for stage in STAGES:
-        stages[stage]["outputs"] = manifest["stages"][stage]["outputs"]
-    record = {"label": label, "host": _host(), "stages": stages}
+        print(f"{name}: {wall:.1f} s, {peak:.1f} MiB", flush=True)
+    record = {"label": label, "host": _host(), "runs": runs}
     (ROOT / f"BENCH_{label}.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 

@@ -169,8 +169,7 @@ def pca_2d(vectors: np.ndarray) -> Projection2D:
     if X.ndim != 2 or X.shape[0] < 3 or X.shape[1] < 2:
         raise ValueError("need at least 3 vectors of dimension >= 2")
     centered = X - X.mean(axis=0)
-    # in place, so at most two d x d arrays are alive; the same arithmetic
-    # element by element as cov - lam1 * outer
+    # in place, so at most two d x d arrays are alive
     cov = centered.T @ centered
     cov /= len(X) - 1
     total_var = float(np.trace(cov))

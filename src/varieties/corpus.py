@@ -17,7 +17,7 @@ This module is the only reader of token fields: other modules see sentence
 content through ``Corpus.columns``, whose ``check_tagged`` is the one check
 that every token has a POS tag. ``KeyCounts`` is the one table of key counts
 per row (chunk feature keys, sentence lemmas/idioms), built from (row, key
-id) pairs or from rows of key ids.
+id) pairs.
 """
 
 from __future__ import annotations
@@ -197,24 +197,22 @@ class Columns:
     family: np.ndarray
 
     def take(self, rows: np.ndarray | slice) -> Columns:
-        """The sentences at ``rows``, sharing these vocabularies: a slice of
-        them (step 1) as views of these arrays, those a boolean mask keeps in
-        their order, or the rows of an index array (any order, repeats
-        allowed) gathered."""
+        """The sentences at ``rows``, sharing these vocabularies: a slice
+        ``a:b`` as views of these arrays, the rows a boolean mask keeps, or
+        those of an index array (any order, repeats allowed) gathered."""
+        lengths = np.diff(self.ptr)
         if isinstance(rows, slice):
-            a, b, _ = rows.indices(len(self.ptr) - 1)
-            lengths, at = np.diff(self.ptr[a : b + 1]), slice(self.ptr[a], self.ptr[b])
+            at = slice(self.ptr[rows.start], self.ptr[rows.stop])
         elif rows.dtype == bool:
-            lengths = np.diff(self.ptr)
-            at, lengths = np.repeat(rows, lengths), lengths[rows]
+            at = np.repeat(rows, lengths)
         else:
-            lengths, at = gather(self.ptr, rows)
+            at = gather(self.ptr, rows)[1]
         return replace(
             self,
             surface_ids=self.surface_ids[at],
             pos_ids=self.pos_ids[at],
             lemma_ids=self.lemma_ids[at],
-            ptr=np.concatenate(([0], np.cumsum(lengths))),
+            ptr=np.concatenate(([0], np.cumsum(lengths[rows]))),
             lemma_given=self.lemma_given[at],
             variety=self.variety[rows],
             country=self.country[rows],
@@ -462,7 +460,7 @@ class Corpus:
         taken = Corpus._of(self.columns.take(rows), self.provenance)
         if isinstance(rows, slice):
             columns, first = self.origin
-            taken.origin = (columns, first + rows.indices(len(self))[0])
+            taken.origin = (columns, first + rows.start)
         return taken
 
     def varieties(self) -> set[str]:
@@ -477,8 +475,8 @@ class KeyCounts:
     """Counts of string keys per row in CSR form: row r holds key
     ``keys[col[i]]`` ``count[i]`` times for i in ``ptr[r]:ptr[r + 1]``, one
     entry per distinct key of the row. The columns are the observed keys in
-    sorted order; ``col`` and ``count`` are int32. ``from_pairs`` builds a
-    table, and ``from_rows`` one whose pairs come row by row."""
+    sorted order; ``col`` and ``count`` are int32. ``from_pairs`` is the
+    one way to build a table."""
 
     @classmethod
     def from_pairs(
@@ -486,22 +484,6 @@ class KeyCounts:
     ) -> KeyCounts:
         """Count (row, key id) pairs, ``rows[i]`` holding key ``keys[ids[i]]``
         once, for rows ``0:n_rows``. Ids of equal keys count as one key."""
-        row_keys = lambda width, index: np.multiply(rows, width, dtype=index)
-        return cls._counted(row_keys, ids, keys, n_rows)
-
-    @classmethod
-    def from_rows(cls, ptr: np.ndarray, ids: np.ndarray, keys: Sequence[str]) -> KeyCounts:
-        """``from_pairs`` of row r and ``ids[i]`` for i in ``ptr[r]:ptr[r + 1]``,
-        with no array of each pair's row."""
-        n_rows, lengths = len(ptr) - 1, np.diff(ptr)
-        row_keys = lambda width, index: np.repeat(np.arange(n_rows, dtype=index) * width, lengths)
-        return cls._counted(row_keys, ids, keys, n_rows)
-
-    @classmethod
-    def _counted(
-        cls, row_keys: Callable, ids: np.ndarray, keys: Sequence[str], n_rows: int
-    ) -> KeyCounts:
-        # row_keys(width, dtype): each pair's row times the width
         table = cls.__new__(cls)
         observed = np.unique(ids).tolist()
         table.keys = sorted({keys[i] for i in observed})
@@ -511,7 +493,7 @@ class KeyCounts:
         to_column[observed] = [table.column[keys[i]] for i in observed]
         # a pair is row * width + column, in int32 while that holds them all
         index = np.int32 if n_rows * width < 2**31 else np.int64
-        pairs = row_keys(width, index)
+        pairs = np.multiply(rows, width, dtype=index)
         for first in range(0, len(pairs), _BLOCK):
             pairs[first : first + _BLOCK] += to_column[ids[first : first + _BLOCK]]
         # np.unique's counts without its copies of the pairs, which are as

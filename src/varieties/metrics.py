@@ -258,13 +258,16 @@ class SentenceStats:
                 np.bincount(transition_rows, minlength=rows),
             ]
         )
-        ptr, lemma_ids, lemma_vocab = columns.ptr, columns.lemma_ids, columns.lemma_vocab
-        # free the surface and POS ids before the lemma pairs
+        lemma_ids, lemma_vocab = columns.lemma_ids, columns.lemma_vocab
+        # free the surface and POS ids before the lemma pairs, which set the
+        # memory peak
         del columns
         return cls(
             counts=counts,
             bounds=bounds,
-            lemmas=KeyCounts.from_rows(ptr, lemma_ids, lemma_vocab),
+            lemmas=KeyCounts.from_pairs(
+                np.repeat(np.arange(rows, dtype=np.int32), counts[0]), lemma_ids, lemma_vocab, rows
+            ),
             idioms=KeyCounts.from_pairs(
                 idiom_rows, idiom_entries, [e.text for e in resources.idioms], rows
             ),

@@ -40,6 +40,7 @@ from .corpus import (
     Corpus,
     balance,
     chunk,
+    concat,
     family_of,
     ingest,
     matching_rows,
@@ -259,21 +260,26 @@ def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
     for variety in ("N", "NN", "T"):
         # the chunks are views of the shuffled corpus; the one read is let go
         corpus = shuffle(_one_variety(config, variety), config.seed)
-        variety_chunks = chunk(corpus, config.chunk_target)
-        if not variety_chunks:
+        by_variety[variety] = chunk(corpus, config.chunk_target)
+        if not by_variety[variety]:
             raise VarietiesError(
                 f"variety {variety} has {corpus.token_count} tokens, under half "
                 f"of chunk_target = {config.chunk_target}, so it makes no chunk; "
                 f"lower chunk_target or supply more text"
             )
-        by_variety[variety] = variety_chunks
     balanced = balance(by_variety, config.seed)
+    del by_variety, corpus
     chunks: list[Corpus] = []
     labels: list[str] = []
     for variety in sorted(balanced):
-        for c in balanced[variety]:
-            chunks.append(c)
-            labels.append(variety)
+        # the kept chunks cut again from one copy of their rows, so the
+        # shuffled corpus, with the rows chunk and balance dropped, is let go
+        kept = balanced.pop(variety)
+        laid = concat(kept, kept[0].provenance)
+        ends = np.cumsum([0] + [len(c) for c in kept]).tolist()
+        del kept
+        chunks += [laid.take(slice(a, b)) for a, b in zip(ends, ends[1:])]
+        labels += [variety] * (len(ends) - 1)
     return chunks, labels
 
 

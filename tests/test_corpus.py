@@ -792,25 +792,14 @@ def test_key_counts_from_pairs_equal_the_string_rows(seed):
     assert table.ptr.dtype == np.int64 and len(table.ptr) == len(rows) + 1
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_key_counts_from_rows_equal_from_pairs(seed):
-    rng = random.Random(seed)
-    rows = [[rng.choice("pqrstuvw") for _ in range(rng.randrange(6))] for _ in range(40)]
-    keys = sorted(set().union(*rows))
-    ids = np.array([keys.index(key) for row in rows for key in row], dtype=np.int32)
-    ptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
-    table = KeyCounts.from_rows(ptr, ids, keys)
-    assert key_count_rows(table) == [Counter(r) for r in rows]
-    assert key_count_rows(table) == key_count_rows(table_of(rows))
-
-
 def test_key_counts_past_int32_pairs():
-    # rows x columns above 2**31: the pairs are counted in int64
+    # rows x observed columns above 2**31: the pairs are counted in int64
     rng = np.random.default_rng(5)
     n_rows, keys = 800_000, [f"k{i:04d}" for i in range(3000)]
-    rows = rng.integers(0, n_rows, 5000)
-    ids = rng.integers(0, len(keys), 5000)
+    rows = rng.integers(0, n_rows, 6000)
+    ids = rng.permutation(np.arange(6000) % len(keys))
     table = KeyCounts.from_pairs(rows, ids, keys, n_rows)
+    assert n_rows * len(table.keys) >= 2**31
     expected = Counter(zip(rows.tolist(), (keys[i] for i in ids.tolist())))
     got = {
         (r, table.keys[c]): int(n)

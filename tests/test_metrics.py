@@ -289,10 +289,10 @@ class TestSentenceStats:
             assert table.values(indices) == expected
             assert recounted.values(indices) == expected
 
-    def test_lemma_table_built_from_the_sentence_offsets(self, resources):
-        # no row array beside the lemma pairs, which are int32 here and
-        # counted in place: about 33 B per token at the peak, 47 with a row
-        # array, int64 pairs and np.diff's copies of the run ends
+    def test_lemma_pairs_are_counted_in_int32_in_place(self, resources):
+        # the lemma pairs are int32 here and their runs are counted in place:
+        # about 33 B per token at the peak, 47 with int64 pairs and np.diff's
+        # copies of the run ends
         corpora = [metrics_corpus(v, 6000, seed=1) for v in ("N", "NN", "T")]
         _, peak, _ = traced(lambda: SentenceStats.of(corpora, resources))
         assert peak / sum(c.token_count for c in corpora) < 38

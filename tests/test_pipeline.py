@@ -28,6 +28,8 @@ from varieties.corpus import (
     AnnotatedSentence,
     Corpus,
     Token,
+    balance,
+    chunk,
     concat,
     filter_corpus,
     shuffle,
@@ -347,6 +349,31 @@ class TestClassifyStage:
         run_stage("classify", cfg)
         assert {key[0] for key in calls} == set(names)
         assert max(calls.values()) == 1
+
+    def test_balanced_chunks_hold_only_their_own_rows(self, tmp_path):
+        # T is three times the others, so balance drops about two thirds of
+        # its chunks: the chunks kept are those chunk and balance give, cut
+        # from a copy of their own rows, with no shuffled corpus behind them
+        root = tmp_path / "unbalanced"
+        root.mkdir()
+        for variety, size in (("N", 120), ("NN", 120), ("T", 360)):
+            write_jsonl(variety_corpus(variety, size, seed=5), root / f"{variety}.jsonl")
+        cfg = load_config(classify_config(root, tmp_path), env={})
+        chunks, labels = pipeline_module._balanced_chunks(cfg)
+        expected = balance(
+            {
+                v: chunk(shuffle(pipeline_module._one_variety(cfg, v), cfg.seed), cfg.chunk_target)
+                for v in ("N", "NN", "T")
+            },
+            cfg.seed,
+        )
+        assert labels == [v for v in sorted(expected) for _ in expected[v]]
+        assert [c.sentences for c in chunks] == [
+            c.sentences for v in sorted(expected) for c in expected[v]
+        ]
+        origins = {id(c.origin[0]): c.origin[0] for c in chunks}
+        assert len(origins) == 3
+        assert sum(len(o.ptr) - 1 for o in origins.values()) == sum(len(c) for c in chunks)
 
     def test_too_few_chunks_for_the_folds_is_a_validation_error(
         self, tmp_path, capsys
