@@ -25,7 +25,10 @@ wall time and its peak RSS (``ru_maxrss``) through ``os.wait4``, so a
 child's figure is its own. A stage's figure does not include any process it
 starts itself. Every run writes into a new output directory of its own, and
 the record holds the sha256 of every output its run manifest lists, which a
-byte-identical change reproduces.
+byte-identical change reproduces. The committed ``BENCH_paper.json`` is read
+before anything is written, and after each run whose inputs match a run
+recorded there the script prints whether every output digest is equal,
+naming any that differ.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = ROOT / "BENCH_paper.json"
 GENERATORS = ROOT / "tests" / "synthdata.py"
 CACHE = ROOT / ".paper_scale"
 
@@ -134,7 +138,21 @@ def _run(stage: str, config: Path) -> tuple[float, float, int]:
     return time.monotonic() - started, usage.ru_maxrss / 1024, child.returncode
 
 
+def _compared(name: str, run: dict, committed: dict | None) -> str:
+    """Whether ``run``'s output digests equal those of the committed run of
+    that name, if that one read the same inputs."""
+    if committed is None or committed["inputs"] != run["inputs"]:
+        return f"{name}: no run on these inputs in {COMMITTED.name}"
+    ours, theirs = run["outputs"], committed["outputs"]
+    differ = sorted(f for f in ours.keys() | theirs.keys() if ours.get(f) != theirs.get(f))
+    if differ:
+        return f"{name}: outputs differ from {COMMITTED.name}: {', '.join(differ)}"
+    return f"{name}: every output digest equals {COMMITTED.name}"
+
+
 def main(label: str) -> None:
+    # read before this run can overwrite it
+    committed = json.loads(COMMITTED.read_text())["runs"] if COMMITTED.exists() else {}
     inputs = _inputs()
     counts = json.loads((inputs / "inputs.json").read_text())
     out = CACHE / f"out-{label}"
@@ -163,6 +181,7 @@ def main(label: str) -> None:
             "outputs": manifest["stages"][stage]["outputs"],
         }
         print(f"{name}: {wall:.1f} s, {peak:.1f} MiB", flush=True)
+        print(_compared(name, runs[name], committed.get(name)), flush=True)
     record = {"label": label, "host": _host(), "runs": runs}
     (ROOT / f"BENCH_{label}.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 

@@ -68,10 +68,6 @@ class BootstrapResult:
     significant: bool | None = None
     k_label: str | None = None
 
-    @property
-    def iterations(self) -> int:
-        return len(self.series)
-
     def p_text(self) -> str:
         if self.p_value is None:
             return ""

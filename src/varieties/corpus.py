@@ -167,6 +167,21 @@ def gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lengths, at
 
 
+def _span(rows: slice, n: int) -> slice:
+    """The slice ``rows`` of ``n`` rows as ``a:b``, 0 <= a <= b <= n."""
+    start, stop, step = rows.indices(n)
+    if step != 1:
+        raise ValueError(f"a slice of rows takes step 1, not {step}")
+    return slice(start, max(start, stop))
+
+
+def _in_range(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows``, each of which must lie in ``0:n``."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        raise IndexError(f"rows {rows.min()}..{rows.max()} are not all in 0:{n}")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class Columns:
     """A corpus as interned ids.
@@ -198,15 +213,17 @@ class Columns:
 
     def take(self, rows: np.ndarray | slice) -> Columns:
         """The sentences at ``rows``, sharing these vocabularies: a slice
-        ``a:b`` as views of these arrays, the rows a boolean mask keeps, or
-        those of an index array (any order, repeats allowed) gathered."""
+        (step 1, its bounds as for a list) as views of these arrays, the
+        rows a boolean mask keeps, or those of an index array (any order,
+        repeats allowed, each in ``0:len``) gathered."""
         lengths = np.diff(self.ptr)
         if isinstance(rows, slice):
+            rows = _span(rows, len(lengths))
             at = slice(self.ptr[rows.start], self.ptr[rows.stop])
         elif rows.dtype == bool:
             at = np.repeat(rows, lengths)
         else:
-            at = gather(self.ptr, rows)[1]
+            at = gather(self.ptr, _in_range(rows, len(lengths)))[1]
         return replace(
             self,
             surface_ids=self.surface_ids[at],
@@ -460,15 +477,11 @@ class Corpus:
         taken = Corpus._of(self.columns.take(rows), self.provenance)
         if isinstance(rows, slice):
             columns, first = self.origin
-            taken.origin = (columns, first + rows.start)
+            taken.origin = (columns, first + _span(rows, len(self)).start)
         return taken
 
     def varieties(self) -> set[str]:
         return {VARIETY_LABELS[v] for v in np.unique(self.columns.variety).tolist()}
-
-    def countries(self) -> set[str]:
-        vocab = self.columns.country_vocab
-        return {vocab[c] for c in np.unique(self.columns.country).tolist() if c >= 0}
 
 
 class KeyCounts:
@@ -476,7 +489,8 @@ class KeyCounts:
     ``keys[col[i]]`` ``count[i]`` times for i in ``ptr[r]:ptr[r + 1]``, one
     entry per distinct key of the row. The columns are the observed keys in
     sorted order; ``col`` and ``count`` are int32. ``from_pairs`` is the
-    one way to build a table."""
+    one way to build a table; ``gather(table.ptr, rows)`` finds the entries
+    of some rows, in any order, and costs only theirs."""
 
     @classmethod
     def from_pairs(
@@ -512,13 +526,6 @@ class KeyCounts:
         table.ptr = np.searchsorted(pairs, bounds).astype(np.int64)
         table.col = np.remainder(pairs, width, out=pairs).astype(np.intc, copy=False)
         return table
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of ``rows`` (row indices, in any order, repeats
-        allowed): each row's entry count, then the entries' positions in
-        ``col`` and ``count``, row after row. Costs only those rows'
-        entries; the caller reads only the arrays it needs at them."""
-        return gather(self.ptr, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Columns, Corpus, KeyCounts
+from .corpus import Columns, Corpus, KeyCounts, gather
 from .lexicons import PhraseEntry, PhraseList, Resources, WordList, match_phrases
 
 FW = "FW"
@@ -53,18 +52,6 @@ class FeatureSpace:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @cached_property
-    def phrases(self) -> PhraseList:
-        """The keys as one phrase list, built once per space (COH spaces
-        match chunks against it)."""
-        return PhraseList(
-            name="coh-space",
-            entries=tuple(PhraseEntry(tokens=tuple(k.split())) for k in self.keys),
-        )
-
-    def feature_names(self) -> list[str]:
-        return [f"{self.family}:{key}" for key in self.keys]
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +112,18 @@ class ChunkCounts:
     def __iter__(self):
         return (self._chunks[r] for r in self.rows)
 
-    def _table(self, space: FeatureSpace) -> KeyCounts:
-        family = space.family
-        key = family if family in (POS3, POSTOK) else (family, space.keys)
+    def _table(self, family: str, keys: tuple[str, ...] = ()) -> KeyCounts:
+        """FW and COH tables count ``keys``, POS3 and POSTOK every key."""
+        key = family if family in (POS3, POSTOK) else (family, keys)
         if key not in self._tables:
             if family == FW:
-                table = self._fw_table(frozenset(space.keys))
+                table = self._fw_table(frozenset(keys))
             elif family == POS3:
                 table = self._pos3_table()
             elif family == POSTOK:
                 table = self._postok_table()
             else:
-                table = self._coh_table(space.phrases)
+                table = self._coh_table(keys)
             self._tables[key] = table
         return self._tables[key]
 
@@ -214,8 +201,10 @@ class ChunkCounts:
 
         return self._counted(count)
 
-    def _coh_table(self, markers: PhraseList) -> KeyCounts:
-        """Each chunk's marker matches, from one match per part."""
+    def _coh_table(self, keys: tuple[str, ...]) -> KeyCounts:
+        """Each chunk's matches of the markers ``keys``, one match per part."""
+        markers = PhraseList("coh-space", tuple(PhraseEntry(tuple(k.split())) for k in keys))
+        # a key spaced otherwise than its text stays unmatched
         texts = [e.text for e in markers]
 
         def count(columns, chunk_of):
@@ -228,8 +217,8 @@ class ChunkCounts:
 
     def totals(self, family: str) -> tuple[list[str], np.ndarray]:
         """The POS3 or POSTOK table's keys and their totals over this view."""
-        table = self._table(FeatureSpace(family=family, keys=()))
-        _lengths, at = table.gather(self.rows)
+        table = self._table(family)
+        _lengths, at = gather(table.ptr, self.rows)
         col, count = table.col[at], table.count[at]
         return table.keys, np.bincount(col, weights=count, minlength=len(table.keys))
 
@@ -256,7 +245,7 @@ def select_postok_vocab(train_chunks: Chunks, min_count: int = 5) -> FeatureSpac
 
 
 def fw_space(words: WordList) -> FeatureSpace:
-    return FeatureSpace(family=FW, keys=tuple(words.sorted_entries()))
+    return FeatureSpace(family=FW, keys=tuple(sorted(words.entries)))
 
 
 def coh_space(markers: PhraseList) -> FeatureSpace:
@@ -308,8 +297,8 @@ def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarr
     tokens = counts._token_counts[counts.rows]
     offset = 0
     for space in spaces:
-        table = counts._table(space)
-        lengths, at = table.gather(counts.rows)
+        table = counts._table(space.family, space.keys)
+        lengths, at = gather(table.ptr, counts.rows)
         # each table column's position in the space, -1 if the space lacks it
         found = np.fromiter((table.column.get(k, -1) for k in space.keys), np.intp, len(space))
         where = np.full(len(table.keys), -1)
@@ -323,4 +312,4 @@ def vectorize_chunks(chunks: Chunks, spaces: Sequence[FeatureSpace]) -> np.ndarr
 
 
 def space_feature_names(spaces: Sequence[FeatureSpace]) -> list[str]:
-    return [name for space in spaces for name in space.feature_names()]
+    return [f"{space.family}:{key}" for space in spaces for key in space.keys]

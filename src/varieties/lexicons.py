@@ -46,9 +46,6 @@ class WordList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def sorted_entries(self) -> list[str]:
-        return sorted(self.entries)
-
 
 @dataclass(frozen=True)
 class PhraseEntry:

@@ -34,13 +34,13 @@ value by the triple's sum, which makes them scale-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Columns, Corpus, KeyCounts, concat
-from .errors import DegenerateDataError
+from .corpus import Columns, Corpus, KeyCounts, concat, gather
+from .errors import DegenerateDataError, VarietiesError
 from .lexicons import SENTENCE_TRANSITION, PhraseList, RankList, Resources, WordList, match_phrases
 
 TTR = "TTR"
@@ -77,13 +77,6 @@ class MetricTriple:
     norm_n: float
     norm_t: float
     norm_nn: float
-
-
-@dataclass(frozen=True)
-class SizeCheck:
-    ok: bool
-    message: str
-    offenders: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +283,7 @@ class SentenceStats:
         ).tolist()
         rows = np.flatnonzero(multiplicity)
         lemmas, idioms = (
-            int(np.count_nonzero(np.bincount(table.col[table.gather(rows)[1]])))
+            int(np.count_nonzero(np.bincount(table.col[gather(table.ptr, rows)[1]])))
             for table in (self.lemmas, self.idioms)
         )
         return (
@@ -302,39 +295,27 @@ class SentenceStats:
         )
 
 
-def check_sizes(corpus_n: Corpus, corpus_nn: Corpus, corpus_t: Corpus) -> SizeCheck:
+def check_sizes(corpus_n: Corpus, corpus_nn: Corpus, corpus_t: Corpus) -> None:
     """Equal-size guard: pairwise token counts must agree within
-    ``_SIZE_TOLERANCE`` (relative to the larger of each pair)."""
-    sizes = {
-        "N": corpus_n.token_count,
-        "NN": corpus_nn.token_count,
-        "T": corpus_t.token_count,
-    }
-    empty = tuple(name for name, size in sizes.items() if size == 0)
+    ``_SIZE_TOLERANCE`` (relative to the larger of each pair), or
+    ``VarietiesError`` names the empty or offending corpora."""
+    sizes = {"N": corpus_n.token_count, "NN": corpus_nn.token_count, "T": corpus_t.token_count}
+    empty = [name for name, size in sizes.items() if size == 0]
     if empty:
-        return SizeCheck(
-            ok=False,
-            message=f"empty corpus: {', '.join(empty)}",
-            offenders=empty,
-        )
-    names = sorted(sizes)
-    offenders = set()
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            if abs(sizes[a] - sizes[b]) > _SIZE_TOLERANCE * max(sizes[a], sizes[b]):
-                # blame the one farther from the median size
-                median = sorted(sizes.values())[1]
-                offenders.add(max((a, b), key=lambda l: abs(sizes[l] - median)))
+        raise VarietiesError(f"equal-size guard failed: empty corpus: {', '.join(empty)}")
+    median = sorted(sizes.values())[1]
+    # of each pair that differs, the one farther from the median size
+    offenders = {
+        max((a, b), key=lambda l: abs(sizes[l] - median))
+        for a, b in combinations(sorted(sizes), 2)
+        if abs(sizes[a] - sizes[b]) > _SIZE_TOLERANCE * max(sizes[a], sizes[b])
+    }
     if offenders:
-        detail = ", ".join(f"{l}={sizes[l]}" for l in names)
-        return SizeCheck(
-            ok=False,
-            message=f"token counts differ by more than {_SIZE_TOLERANCE:.0%}: {detail} "
-            f"(offending: {', '.join(sorted(offenders))})",
-            offenders=tuple(sorted(offenders)),
+        detail = ", ".join(f"{l}={sizes[l]}" for l in sorted(sizes))
+        raise VarietiesError(
+            f"equal-size guard failed: token counts differ by more than "
+            f"{_SIZE_TOLERANCE:.0%}: {detail} (offending: {', '.join(sorted(offenders))})"
         )
-    return SizeCheck(ok=True, message="token counts agree within tolerance")
 
 
 def normalize_triple(

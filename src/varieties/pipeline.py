@@ -464,9 +464,7 @@ METRIC_ROWS = (
 def cmd_metrics(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     """Raw and normalized metric triples with bootstrap significance."""
     corpora = {v: _one_variety(config, v) for v in ("N", "NN", "T")}
-    guard = met.check_sizes(corpora["N"], corpora["NN"], corpora["T"])
-    if not guard.ok:
-        raise VarietiesError(f"equal-size guard failed: {guard.message}")
+    met.check_sizes(corpora["N"], corpora["NN"], corpora["T"])
 
     stats = met.SentenceStats.of([corpora[v] for v in ("N", "NN", "T")], resources)
     observed = []
@@ -602,7 +600,7 @@ def cmd_lm(config: PipelineConfig, stage: _Stage, resources: Resources) -> None:
     # the NN sentences some set draws, each scored once per model
     scored = np.unique(np.concatenate([*test_rows.values(), *country_rows.values()]))
     nn.check_tagged(corpus_nn.provenance, scored)
-    scored_tags = poslm.pos_sequences(corpus_nn.take(scored))
+    scored_tags = poslm.TagSequences(nn.pos_vocab, nn.pos_ids, nn.ptr).take(scored)
 
     train_rows = {}
     t = corpus_t.columns

@@ -75,7 +75,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, gather
+from .corpus import Corpus, _in_range, gather
 from .lexicons import TagSet, lookup, prefix_keys
 
 BOS = "<s>"
@@ -811,8 +811,8 @@ class TagSequences:
         return TagSequences(self.vocab, self.ids, self.ptr[np.append(True, lengths > 0)])
 
     def take(self, rows: np.ndarray) -> TagSequences:
-        """The sentences at ``rows`` (any order, repeats allowed)."""
-        lengths, at = gather(self.ptr, rows)
+        """The sentences at ``rows`` (any order, repeats allowed, each in 0:len)."""
+        lengths, at = gather(self.ptr, _in_range(rows, len(self)))
         return TagSequences(self.vocab, self.ids[at], np.concatenate(([0], np.cumsum(lengths))))
 
     def distinct_tags(self, rows: np.ndarray) -> set[str]:

@@ -510,7 +510,7 @@ def reference_cross_validate(chunks, labels, plan, folds, seed, C):
         train_idx = [i for i in range(len(chunks)) if i not in set(test_idx)]
         train = [chunks[i] for i in train_idx]
         keys = {
-            "FW": lambda: tuple(plan.resources.function_words.sorted_entries()),
+            "FW": lambda: tuple(sorted(plan.resources.function_words.entries)),
             "POS3": lambda: reference_select_top_pos3(train, plan.top_pos3),
             "POSTOK": lambda: reference_select_postok_vocab(train, plan.postok_min_count),
             "COH": lambda: tuple(e.text for e in plan.resources.cohesive_markers.entries),

@@ -2,7 +2,6 @@ import gc
 import json
 import random
 import sys
-import tracemalloc
 import weakref
 from collections import Counter
 
@@ -23,6 +22,7 @@ from varieties.corpus import (
     concat,
     family_of,
     filter_corpus,
+    gather,
     ingest,
     matching_rows,
     shuffle,
@@ -405,16 +405,7 @@ class TestInterning:
         path = tmp_path / "c.jsonl"
         write_jsonl(corpus, path)
         del corpus
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            back = ingest(path)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        back, _peak, held = traced(lambda: ingest(path))
         assert held / back.token_count < 100
 
 
@@ -474,17 +465,7 @@ class TestWriteJsonl:
         path = tmp_path / "c.jsonl"
         write_jsonl(lm_family_corpus("T", "Germanic", 1000, seed=0), path)
         corpus = Corpus(sentences=ingest(path).sentences * 40)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            write_jsonl(corpus, path)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak, _ = traced(lambda: write_jsonl(corpus, path))
         assert path.stat().st_size / corpus.token_count > 20
         assert peak / corpus.token_count < 12
 
@@ -751,7 +732,7 @@ def test_key_counts_rows_and_gathers_equal_a_counter_per_row():
         np.array([i for i, keys in enumerate(rows) if not keys]),
     ]
     for chosen in selections:
-        lengths, at = table.gather(chosen)
+        lengths, at = gather(table.ptr, chosen)
         col, count = table.col[at], table.count[at]
         expected = [Counter(rows[r]) for r in chosen]
         # one entry per distinct key of each row
@@ -817,7 +798,7 @@ def test_gather_holds_one_position_array():
     ids = np.concatenate([np.arange(n) for n in lengths])
     table = KeyCounts.from_pairs(np.repeat(np.arange(len(lengths)), lengths), ids, keys, len(lengths))
     rows = np.random.default_rng(3).permutation(len(lengths))
-    (_lengths, at), peak, _ = traced(lambda: table.gather(rows))
+    (_lengths, at), peak, _ = traced(lambda: gather(table.ptr, rows))
     assert peak / len(at) < 12
 
 
@@ -909,3 +890,37 @@ class TestColumns:
                 fresh_vocab[i] if i >= 0 else None for i in getattr(fresh, f"{name}_ids")
             ]
         assert taken.columns.ptr.tolist() == fresh.ptr.tolist()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [slice(-3, -1), slice(None, 3), slice(7, None), slice(-30, 30), slice(12, 15)],
+    ids=["negative", "open-start", "open-stop", "past-both-ends", "past-the-end"],
+)
+def test_take_of_a_slice_takes_the_rows_a_list_would(rows):
+    corpus = lm_family_corpus("T", "Germanic", 10, seed=4)
+    want = range(len(corpus))[rows]
+    taken = corpus.take(rows)
+    assert taken.sentences == tuple(corpus.sentences[i] for i in want)
+    assert taken.columns.ptr[-1] == taken.token_count
+    assert taken.origin == (corpus.columns, want.start)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (slice(None, None, -1), ValueError),
+        (slice(3, 1, -1), ValueError),
+        (slice(0, 10, 2), ValueError),
+        (np.array([-2]), IndexError),
+        (np.array([3, -11]), IndexError),
+    ],
+    ids=["reversed", "reversed-bounds", "step-2", "negative-row", "row-before-the-first"],
+)
+def test_take_of_rows_outside_the_corpus_raises(rows, error):
+    corpus = lm_family_corpus("T", "Germanic", 10, seed=4)
+    with pytest.raises(error):
+        corpus.take(rows)
+    if isinstance(rows, np.ndarray):
+        with pytest.raises(IndexError):
+            pos_sequences(corpus).take(rows)

@@ -377,7 +377,7 @@ class TestCountTableAgainstOracle:
 
     def test_no_sentence_has_more_than_five_positions(self):
         chunks = short_sentence_chunks()
-        table = ChunkCounts(chunks)._table(FeatureSpace(family=POSTOK, keys=()))
+        table = ChunkCounts(chunks)._table(POSTOK)
         events = [int(table.count[a:b].sum()) for a, b in zip(table.ptr, table.ptr[1:])]
         # a sentence of n tokens has min(2n, 5) positions
         assert events == [sum(min(2 * len(s.tokens), 5) for s in c.sentences) for c in chunks]
@@ -434,7 +434,8 @@ class TestCountTableAgainstOracle:
         corpus = shuffle(variety_corpus("T", 120, seed=3), 1)
         cut = make_chunks(corpus, 100)
         overlap = corpus.take(slice(len(cut[0]) // 2, len(cut[0]) + 3))
-        chunks = cut[::2] + [cut[2], overlap, cut[1]]
+        tail = corpus.take(slice(-7, -2))
+        chunks = cut[::2] + [cut[2], overlap, cut[1], tail]
         assert_tables_equal_the_reference(chunks, resources)
 
 
@@ -477,7 +478,7 @@ def assert_tables_equal_the_reference(chunks, resources):
         coh_space(resources.cohesive_markers),
     ]
     for space in spaces:
-        table = counts._table(space)
+        table = counts._table(space.family, space.keys)
         expected = [reference_chunk_counts(c, space.family, space.keys) for c in chunks]
         if space is fw:
             expected = [{k: n for k, n in e.items() if k in fw.keys} for e in expected]

@@ -8,6 +8,7 @@ from conftest import make_corpus, make_sentence, traced
 from oracles import reference_sentence_counts
 from synthdata import lm_family_corpus, metrics_corpus, variety_corpus
 from varieties.corpus import Corpus, concat
+from varieties.errors import VarietiesError
 from varieties.lexicons import PhraseEntry, PhraseList, RankList, WordList
 from varieties.metrics import (
     SentenceStats,
@@ -173,25 +174,24 @@ class TestCheckSizes:
         )
 
     def test_equal_passes(self):
-        check = check_sizes(self._corpus(780), self._corpus(780), self._corpus(780))
-        assert check.ok
+        check_sizes(self._corpus(780), self._corpus(780), self._corpus(780))
 
     def test_within_one_percent_passes(self):
-        check = check_sizes(self._corpus(1000), self._corpus(995), self._corpus(1002))
-        assert check.ok
+        check_sizes(self._corpus(1000), self._corpus(995), self._corpus(1002))
 
     def test_offender_named(self):
-        check = check_sizes(self._corpus(780), self._corpus(500), self._corpus(780))
-        assert not check.ok
-        assert check.offenders == ("NN",)
-        assert "NN" in check.message
+        with pytest.raises(
+            VarietiesError,
+            match=r"^equal-size guard failed: token counts differ by more than 1%: "
+            r"N=780, NN=500, T=780 \(offending: NN\)$",
+        ):
+            check_sizes(self._corpus(780), self._corpus(500), self._corpus(780))
 
     def test_empty_corpus_diagnostic(self):
         from varieties.corpus import Corpus
 
-        check = check_sizes(self._corpus(100), Corpus(sentences=()), self._corpus(100))
-        assert not check.ok
-        assert "NN" in check.message
+        with pytest.raises(VarietiesError, match="^equal-size guard failed: empty corpus: NN$"):
+            check_sizes(self._corpus(100), Corpus(sentences=()), self._corpus(100))
 
 
 class TestNormalizeTriple:

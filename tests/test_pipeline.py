@@ -1011,7 +1011,7 @@ class TestLmStage:
         for family in ("Germanic", "Romance"):
             family_set = filter_corpus(marked, variety="NN", family=family)
             test_sets |= drawn(family_set, 200)
-            for country in family_set.countries():
+            for country in {s.country for s in family_set.sentences}:
                 slices |= drawn(filter_corpus(marked, variety="NN", country=country), 40)
         return test_sets, slices
 
