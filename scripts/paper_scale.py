@@ -20,10 +20,22 @@ the generators in ``tests/synthdata.py`` at fixed seeds:
 The inputs are built once, in a child process, and cached under
 ``.paper_scale/`` keyed by the sha256 of this file and of the generators.
 Each run is one stage, ``python -m varieties.cli <stage>`` in a fresh child.
-This process imports nothing but the standard library and reads each child's
-wall time and its peak RSS (``ru_maxrss``) through ``os.wait4``, so a
-child's figure is its own. A stage's figure does not include any process it
-starts itself. Every run writes into a new output directory of its own, and
+This process imports nothing but the standard library and records two
+memory figures per run:
+
+- ``peak_rss_mb``: the stage process's ``ru_maxrss``, read through
+  ``os.wait4``. It is the largest of that process and each of its reaped
+  children taken alone, so a worker's memory never adds to it;
+- ``peak_rss_tree_mb``: the largest sum of ``VmRSS`` over the stage process
+  and its descendants, sampled from ``/proc/<pid>/status`` about every
+  20 ms, so a peak shorter than that can be missed. A page a forked worker
+  still shares with its parent counts once in each, so the sum can exceed
+  the memory in use. On a kernel without ``/proc/<pid>/task/<tid>/children``
+  it reads 0.
+
+Sampling also makes the wall time read up to one interval late.
+
+Every run writes into a new output directory of its own, and
 the record holds the sha256 of every output its run manifest lists, which a
 byte-identical change reproduces. The committed ``BENCH_paper.json`` is read
 before anything is written, and after each run whose inputs match a run
@@ -46,6 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMITTED = ROOT / "BENCH_paper.json"
 GENERATORS = ROOT / "tests" / "synthdata.py"
 CACHE = ROOT / ".paper_scale"
+# seconds between samples of a stage's process tree
+SAMPLE_S = 0.02
 
 # run -> (stage, config keys, the input files it reads)
 CLASSIFY_INPUTS = {"N": "variety/N.jsonl", "NN": "variety/NN.jsonl", "T": "variety/T.jsonl"}
@@ -123,8 +137,25 @@ def _host() -> dict:
     return {"cpus": os.cpu_count(), "python": sys.version.split()[0], **json.loads(blas)}
 
 
-def _run(stage: str, config: Path) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MiB and exit status of one stage run."""
+def _tree_rss_kib(pid: int) -> int:
+    """The sum of ``VmRSS`` over ``pid`` and its descendants, in KiB; 0 for
+    a process that is gone."""
+    proc = Path("/proc") / str(pid)
+    try:
+        status = (proc / "status").read_text()
+        children = [int(c) for task in (proc / "task").iterdir()
+                    for c in (task / "children").read_text().split()]
+    except (FileNotFoundError, ProcessLookupError):
+        # gone, or (without CONFIG_PROC_CHILDREN) no children file
+        return 0
+    # a zombie has no VmRSS line
+    own = next((int(line.split()[1]) for line in status.splitlines() if line.startswith("VmRSS:")), 0)
+    return own + sum(_tree_rss_kib(child) for child in children)
+
+
+def _run(stage: str, config: Path) -> tuple[float, float, float, int]:
+    """Wall seconds, peak RSS and peak tree RSS in MiB, and exit status of
+    one stage run."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env = {k: v for k, v in env.items() if not k.startswith("VARIETIES_")}
     started = time.monotonic()
@@ -132,10 +163,16 @@ def _run(stage: str, config: Path) -> tuple[float, float, int]:
         [sys.executable, "-m", "varieties.cli", stage, "--config", str(config)],
         env=env, stdout=subprocess.DEVNULL,
     )
-    _pid, status, usage = os.wait4(child.pid, 0)
+    tree = 0
+    while True:
+        pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+        if pid:
+            break
+        tree = max(tree, _tree_rss_kib(child.pid))
+        time.sleep(SAMPLE_S)
     child.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux
-    return time.monotonic() - started, usage.ru_maxrss / 1024, child.returncode
+    # ru_maxrss and VmRSS are in KiB on Linux
+    return time.monotonic() - started, usage.ru_maxrss / 1024, tree / 1024, child.returncode
 
 
 def _compared(name: str, run: dict, committed: dict | None) -> str:
@@ -165,7 +202,7 @@ def main(label: str) -> None:
         lines += [f"corpus_{v.lower()} = {inputs / name}" for v, name in files.items()]
         lines += [f"{key} = {value}" for key, value in keys.items()]
         config.write_text("\n".join(lines) + "\n")
-        wall, peak, code = _run(stage, config)
+        wall, peak, tree, code = _run(stage, config)
         if code:
             raise SystemExit(f"{name} exited with {code}")
         tokens = sum(counts[file]["tokens"] for file in files.values())
@@ -174,13 +211,14 @@ def main(label: str) -> None:
             "stage": stage,
             "wall_s": round(wall, 3),
             "peak_rss_mb": round(peak, 1),
+            "peak_rss_tree_mb": round(tree, 1),
             "input_tokens": tokens,
             "tokens_per_s": round(tokens / wall),
             "inputs": {file: counts[file] for file in files.values()},
             "config": keys,
             "outputs": manifest["stages"][stage]["outputs"],
         }
-        print(f"{name}: {wall:.1f} s, {peak:.1f} MiB", flush=True)
+        print(f"{name}: {wall:.1f} s, {peak:.1f} MiB, tree {tree:.1f} MiB", flush=True)
         print(_compared(name, runs[name], committed.get(name)), flush=True)
     record = {"label": label, "host": _host(), "runs": runs}
     (ROOT / f"BENCH_{label}.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

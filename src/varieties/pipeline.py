@@ -35,6 +35,7 @@ from . import features as feat
 from . import metrics as met
 from . import poslm
 from . import svm
+from . import workmap
 from .config import PipelineConfig, config_snapshot
 from .corpus import (
     Corpus,
@@ -346,18 +347,21 @@ def cmd_classify(config: PipelineConfig, stage: _Stage, resources: Resources) ->
     accuracy_rows = []
     confusion_rows = []
     feature_rows = []
+    tasks = []
     for task in CLASSIFICATION_TASKS:
         keep = [i for i, lab in enumerate(labels) if lab in task]
-        task_records = records.take(keep)
         task_labels = [labels[i] for i in keep]
-        reports = svm.cross_validate(
-            task_records,
-            task_labels,
-            list(plans.values()),
-            folds=config.cv_folds,
-            seed=config.seed,
-            C=config.svm_c,
-        )
+        folds = svm.stratified_folds(task_labels, config.cv_folds, config.seed)
+        tasks.append((task, records.take(keep), task_labels, folds))
+    # every task's folds in one map, so the stage forks once
+    units = [
+        (task_records, task_labels, list(plans.values()), fold)
+        for _, task_records, task_labels, folds in tasks
+        for fold in folds
+    ]
+    predicted = iter(workmap.map_units(lambda unit: svm.cv_fold(*unit, config.svm_c), units))
+    for task, task_records, task_labels, folds in tasks:
+        reports = svm.cv_reports(task_labels, folds, [next(predicted) for _ in folds], config.seed)
         for row, report in zip(plans, reports):
             accuracy_rows.append(
                 [row, _task_name(task), f"{report.mean_accuracy:.6f}"]

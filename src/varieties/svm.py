@@ -332,26 +332,44 @@ def cross_validate(
             f"{lab!r}: {counts[lab]}" for lab in sorted(counts, key=repr)
         )
         warnings.warn(f"classes are not balanced ({summary})", stacklevel=2)
-    order = tuple(sorted(counts, key=repr))
+    fold_sets = stratified_folds(labels, folds, seed)
+    predicted = [cv_fold(chunks, labels, plans, test_idx, C) for test_idx in fold_sets]
+    return cv_reports(labels, fold_sets, predicted, seed)
+
+
+def cv_fold(
+    chunks: ChunkCounts, labels: Sequence[Hashable], plans: Sequence[FeaturePlan],
+    test_idx: Sequence[int], C: float = DEFAULT_C,
+) -> np.ndarray:
+    """One fold of ``cross_validate``: each plan's predicted labels for the
+    chunks ``test_idx``, trained on the rest, as indices into the sorted labels."""
+    order = sorted(set(labels), key=repr)
+    train_idx = sorted(set(range(len(chunks))) - set(test_idx))
+    # each plan's matrix holds the training rows, then the held-out rows
+    matrices = plan_matrices(plans, chunks.take(train_idx), chunks.take(train_idx + test_idx))
+    y_train = [labels[i] for i in train_idx]
+    decisions = []
+    for _, X in matrices:
+        train_order, models = _train_pairs(X[: len(train_idx)], y_train, C)
+        held_out = X[len(train_idx) :]
+        decisions.append([held_out @ m.weights + m.bias for m in models])
+    # one vote for every plan's held-out chunks, a plan's after another's
+    voted = _vote(np.concatenate(decisions, axis=1), len(train_order))
+    return np.array([order.index(lab) for lab in train_order])[voted].reshape(len(plans), -1)
+
+
+def cv_reports(
+    labels: Sequence[Hashable], fold_sets: Sequence[Sequence[int]], predicted: list, seed: int
+) -> list[CvReport]:
+    """One report per plan from ``cv_fold``'s predictions for each fold."""
+    order = tuple(sorted(set(labels), key=repr))
     index_of = {lab: i for i, lab in enumerate(order)}
-    confusions = np.zeros((len(plans), len(order), len(order)), dtype=int)
+    confusions = np.zeros((len(predicted[0]), len(order), len(order)), dtype=int)
     fold_accs = []
-    for test_idx in stratified_folds(labels, folds, seed):
-        train_idx = sorted(set(range(len(chunks))) - set(test_idx))
-        # each plan's matrix holds the training rows, then the held-out rows
-        matrices = plan_matrices(plans, chunks.take(train_idx), chunks.take(train_idx + test_idx))
-        y_train = [labels[i] for i in train_idx]
-        decisions = []
-        for _, X in matrices:
-            train_order, models = _train_pairs(X[: len(train_idx)], y_train, C)
-            held_out = X[len(train_idx) :]
-            decisions.append([held_out @ m.weights + m.bias for m in models])
-        # one vote for every plan's held-out chunks, a plan's after another's
-        voted = _vote(np.concatenate(decisions, axis=1), len(train_order))
-        predicted = np.array([index_of[lab] for lab in train_order])[voted].reshape(len(plans), -1)
+    for test_idx, fold in zip(fold_sets, predicted):
         truth = np.array([index_of[labels[i]] for i in test_idx])
-        np.add.at(confusions, (np.arange(len(plans))[:, None], truth, predicted), 1)
-        fold_accs.append((predicted == truth).sum(axis=1) / len(test_idx))
+        np.add.at(confusions, (np.arange(len(fold))[:, None], truth, fold), 1)
+        fold_accs.append((fold == truth).sum(axis=1) / len(test_idx))
     return [
         CvReport(tuple(accs), float(np.mean(accs)), confusion, order, seed)
         for accs, confusion in zip(np.array(fold_accs).T.tolist(), confusions)

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -61,3 +62,9 @@ def traced(fn):
         if started:
             tracemalloc.stop()
     return result, peak - before, held - before
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, live or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_no_child_left
 from synthdata import (
     clustering_corpora,
     lm_family_corpus,
@@ -20,7 +21,7 @@ from synthdata import (
     trim_to_tokens,
     variety_corpus,
 )
-from varieties import features, poslm
+from varieties import features, poslm, svm, workmap
 from varieties import pipeline as pipeline_module
 from varieties.cli import main
 from varieties.config import load_config
@@ -35,7 +36,7 @@ from varieties.corpus import (
     shuffle,
     write_jsonl,
 )
-from varieties.errors import CorpusFormatError, VarietiesError
+from varieties.errors import ConvergenceError, CorpusFormatError, VarietiesError
 from varieties.lexicons import default_manifest_path
 from varieties.pipeline import CLASSIFICATION_TASKS, FEATURE_ROWS, output_lock, run_stage
 
@@ -419,6 +420,91 @@ class TestClassifyStage:
         assert not (out / "classify").exists()
         assert not (out / "cluster").exists()
         assert not (out / ".lock").exists()
+
+
+def _classify_digests(config) -> dict:
+    out = run_stage("classify", config)
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (out / "classify").iterdir()}
+
+
+class TestParallelClassify:
+    """The classify stage maps its (task, fold) units over one or two
+    processes; nothing it writes or raises depends on which."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_digests_at_each_worker_count(self, classify_dir, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(workmap, "workers", lambda: workers)
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        assert_digests(run_stage("classify", cfg), CLASSIFY_DIGESTS)
+        assert_no_child_left()
+
+    def test_benchmark_inputs_at_a_second_seed(self, tmp_path, monkeypatch):
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        import workloads
+
+        workloads.generate("classify_cv", 23, tmp_path / "inputs")
+        (tmp_path / "run.cfg").write_text(workloads.config_text("classify_cv", 23, tmp_path / "inputs"))
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(workmap, "workers", lambda: workers)
+            overrides = {"out": str(tmp_path / f"out{workers}")}
+            digests.append(_classify_digests(load_config(tmp_path / "run.cfg", overrides, env={})))
+        assert digests[0] == digests[1]
+        assert len(digests[0]) == 3
+
+    @staticmethod
+    def _failing_second_fold(monkeypatch, fail):
+        """Make unit 1 (N-NN's second fold, the child's first unit at two
+        workers) call ``fail``."""
+        fold = svm.cv_fold
+
+        def cv_fold(chunks, labels, plans, test_idx, C):
+            # classify_config's cv_folds = 5 and seed = 11
+            second = svm.stratified_folds(labels, 5, 11)[1]
+            if set(labels) == {"N", "NN"} and list(test_idx) == second:
+                fail()
+            return fold(chunks, labels, plans, test_idx, C)
+
+        monkeypatch.setattr(svm, "cv_fold", cv_fold)
+
+    def _cli(self, classify_dir, tmp_path, capsys):
+        tmp_path.mkdir()
+        code = main(["classify", "--config", str(classify_config(classify_dir, tmp_path))])
+        err = capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / ".lock").exists() and not (out / ".staging").exists()
+        assert not (out / "classify").exists()
+        assert_no_child_left()
+        return code, err.strip().splitlines()[-1]
+
+    def test_unit_raising_in_the_child_fails_as_the_serial_path_does(
+        self, classify_dir, tmp_path, monkeypatch, capsys
+    ):
+        def fail():
+            raise ConvergenceError("SMO did not reach tol=0.001 within 10 iterations")
+
+        self._failing_second_fold(monkeypatch, fail)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(workmap, "workers", lambda: workers)
+            results.append(self._cli(classify_dir, tmp_path / str(workers), capsys))
+        assert results[0] == results[1]
+        assert results[0] == (2, "varieties.errors.ConvergenceError: SMO did not reach tol=0.001 within 10 iterations")
+
+    def test_killed_child_has_its_share_run_here(self, classify_dir, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self._failing_second_fold(monkeypatch, die)
+        monkeypatch.setattr(workmap, "workers", lambda: 2)
+        cfg = load_config(classify_config(classify_dir, tmp_path), env={})
+        assert_digests(run_stage("classify", cfg), CLASSIFY_DIGESTS)
+        assert not (tmp_path / "out" / ".lock").exists()
+        assert_no_child_left()
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from oracles import (
     reference_vote,
 )
 from synthdata import variety_corpus
-from varieties import svm
+from varieties import svm, workmap
 from varieties.config import load_config
 from varieties.corpus import balance
 from varieties.corpus import chunk as make_chunks
@@ -217,6 +217,8 @@ class TestSmoExact:
             return result
 
         monkeypatch.setattr(svm, "_smo", checked)
+        # one worker, so every solve runs in this process and is counted here
+        monkeypatch.setattr(workmap, "workers", lambda: 1)
         run_stage("classify", config)
         # 8 feature rows x (3 pair tasks x (10 folds + 1 full fit)
         #                  + 10 folds x 3 one-vs-one models of the 3-way task)
