@@ -24,10 +24,10 @@ def _openblas() -> list | None:
         libs = [ctypes.CDLL(path) for path in sorted(paths)]
     except OSError:
         return None
+    # numpy's and scipy's wheels rename OpenBLAS's symbols; a system one keeps them
+    prefixes = ("scipy_openblas", "openblas")
     found = []
     for lib in libs:
-        # numpy's and scipy's wheels rename OpenBLAS's symbols; a system one keeps them
-        prefixes = ("scipy_openblas", "openblas")
         names = (f"{p}_{{}}_num_threads{s}" for s in ("64_", "") for p in prefixes)
         name = next((n for n in names if hasattr(lib, n.format("set"))), None)
         if name is None:
@@ -49,8 +49,8 @@ def workers() -> int:
 
 @contextmanager
 def _one_thread_one_cpu():
-    """Every OpenBLAS at one thread, and this process on the first CPU it may
-    use; yields the second, for the child. A 2-vCPU Linux guest was seen to
+    """Every OpenBLAS at one thread, and this process on the lowest CPU it may
+    use; yields the highest, for the child. A 2-vCPU Linux guest was seen to
     keep a forked child on its parent's CPU for the child's whole life."""
     blas, allowed = _openblas() or [], os.sched_getaffinity(0)
     saved = [get() for get, _ in blas]
