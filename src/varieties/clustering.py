@@ -74,16 +74,8 @@ def _best_split(X: np.ndarray, seed_seq: np.random.SeedSequence):
         pick = rng.choice(len(X), size=2, replace=False)
         centroids = X[pick].astype(float).copy()
         assignment, centroids, sse = _lloyd_2means(X, centroids)
-        if len(set(assignment.tolist())) < 2:
-            continue
         if best is None or sse < best[2] - 1e-12:
             best = (assignment, centroids, sse)
-    if best is None:
-        # all points identical: peel off the first one
-        assignment = np.zeros(len(X), dtype=int)
-        assignment[0] = 1
-        centroids = np.vstack([X[1:].mean(axis=0), X[0]])
-        best = (assignment, centroids, sum(_sse(X[assignment == s], centroids[s]) for s in (0, 1)))
     return best
 
 

@@ -800,40 +800,47 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
     return corpus.take(shuffle_rows(np.arange(len(corpus)), seed))
 
 
-def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
-    """Greedy fill: append sentences until the chunk reaches ``target_size``
-    tokens, then close it. A trailing chunk strictly below half the target is
-    dropped. Sentences are never split. Each chunk is a corpus with the
-    provenance of ``corpus``, a view of its rows."""
+def chunk_bounds(lengths: np.ndarray, target_size: int) -> list[int]:
+    """Greedy fill over sentences of these ``lengths``: append sentences
+    until the chunk reaches ``target_size`` tokens, then close it. A trailing
+    chunk strictly below half the target is dropped. Returns each chunk's
+    first sentence, then the end of the last one (``[0]`` for no chunk)."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    varieties = corpus.varieties()
-    if len(varieties) > 1:
-        raise ValueError(
-            f"chunking requires a single-variety corpus, found {sorted(varieties)}"
-        )
-    # each chunk's first sentence, then the end of the last one
     bounds = [0]
     pending_tokens = 0
-    for end, length in enumerate(np.diff(corpus.columns.ptr).tolist(), start=1):
+    for end, length in enumerate(lengths.tolist(), start=1):
         pending_tokens += length
         if pending_tokens >= target_size:
             bounds.append(end)
             pending_tokens = 0
     if pending_tokens >= 0.5 * target_size:
-        bounds.append(len(corpus))
+        bounds.append(len(lengths))
+    return bounds
+
+
+def chunk(corpus: Corpus, target_size: int = 2000) -> list[Corpus]:
+    """The chunks ``chunk_bounds`` cuts from ``corpus``, each a corpus with
+    its provenance and a view of its rows; sentences are never split."""
+    varieties = corpus.varieties()
+    if len(varieties) > 1:
+        raise ValueError(
+            f"chunking requires a single-variety corpus, found {sorted(varieties)}"
+        )
+    bounds = chunk_bounds(np.diff(corpus.columns.ptr), target_size)
     return [corpus.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def balance(chunks_by_variety: dict[str, list[Corpus]], seed: int) -> dict[str, list[Corpus]]:
+def balance(chunks_by_variety: dict[str, list], seed: int) -> dict[str, list]:
     """Down-sample every variety to the smallest class size, uniformly without
-    replacement. Retained chunks keep their original relative order."""
+    replacement, in sorted variety order. Retained chunks (corpora, or
+    anything standing for them) keep their original relative order."""
     for label, chunks in chunks_by_variety.items():
         if not chunks:
             raise ValueError(f"variety {label!r} has no chunks to sample from")
     smallest = min(len(chunks) for chunks in chunks_by_variety.values())
     rng = random.Random(seed)
-    balanced: dict[str, list[Corpus]] = {}
+    balanced: dict[str, list] = {}
     for label in sorted(chunks_by_variety):
         chunks = chunks_by_variety[label]
         keep = sorted(rng.sample(range(len(chunks)), smallest))

@@ -41,11 +41,10 @@ from .corpus import (
     Corpus,
     balance,
     chunk,
-    concat,
+    chunk_bounds,
     family_of,
     ingest,
     matching_rows,
-    shuffle,
     shuffle_rows,
     write_jsonl,
 )
@@ -255,32 +254,31 @@ def _one_variety(config: PipelineConfig, variety: str) -> Corpus:
 
 
 def _balanced_chunks(config: PipelineConfig) -> tuple[list[Corpus], list[str]]:
-    """Shuffle, chunk and down-sample the three corpora to equal class sizes;
-    returns chunks and labels interleaved deterministically."""
-    by_variety: dict[str, list[Corpus]] = {}
+    """Chunk the three corpora in shuffled order and down-sample them to
+    equal class sizes; returns chunks and labels interleaved
+    deterministically."""
+    corpora: dict[str, Corpus] = {}
+    spans: dict[str, list[np.ndarray]] = {}
     for variety in ("N", "NN", "T"):
-        # the chunks are views of the shuffled corpus; the one read is let go
-        corpus = shuffle(_one_variety(config, variety), config.seed)
-        by_variety[variety] = chunk(corpus, config.chunk_target)
-        if not by_variety[variety]:
+        # each chunk is a span of shuffled row indices into the corpus as read
+        corpus = corpora[variety] = _one_variety(config, variety)
+        rows = shuffle_rows(np.arange(len(corpus)), config.seed)
+        bounds = chunk_bounds(np.diff(corpus.columns.ptr)[rows], config.chunk_target)
+        if len(bounds) < 2:
             raise VarietiesError(
                 f"variety {variety} has {corpus.token_count} tokens, under half "
                 f"of chunk_target = {config.chunk_target}, so it makes no chunk; "
                 f"lower chunk_target or supply more text"
             )
-    balanced = balance(by_variety, config.seed)
-    del by_variety, corpus
+        spans[variety] = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
     chunks: list[Corpus] = []
     labels: list[str] = []
-    for variety in sorted(balanced):
-        # the kept chunks cut again from one copy of their rows, so the
-        # shuffled corpus, with the rows chunk and balance dropped, is let go
-        kept = balanced.pop(variety)
-        laid = concat(kept, kept[0].provenance)
-        ends = np.cumsum([0] + [len(c) for c in kept]).tolist()
-        del kept
-        chunks += [laid.take(slice(a, b)) for a, b in zip(ends, ends[1:])]
-        labels += [variety] * (len(ends) - 1)
+    for variety, kept in balance(spans, config.seed).items():
+        # one copy of the kept rows, which chunk cuts into the same spans;
+        # the corpus as read is let go
+        laid = corpora.pop(variety).take(np.concatenate(kept))
+        chunks += chunk(laid, config.chunk_target)
+        labels += [variety] * len(kept)
     return chunks, labels
 
 

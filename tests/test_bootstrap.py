@@ -8,6 +8,7 @@ from oracles import t_two_tailed_numeric
 from synthdata import metrics_corpus, vocab_corpus
 from varieties.bootstrap import (
     BootstrapConfig,
+    _SentencePool,
     d_dif_tests,
     d_total_tests,
     paired_ttest,
@@ -327,3 +328,18 @@ class TestStatsEngine:
         fm = metric_functions(resources)[1]
         with pytest.raises(ValueError, match="rank list"):
             run_d_dif(fm, corpus, corpus, corpus, config)
+
+
+class TestSentencePool:
+    def test_a_first_batch_short_of_the_target_is_topped_up(self):
+        # one long sentence lifts the mean length to 11 tokens, so the first
+        # batch (110 rows at target 1000) is mostly 1-token sentences and
+        # falls short of the target; the draw goes on until it is reached
+        tokens = np.array([5, 5] + [1] * 999 + [10001] + [5], dtype=np.int64)
+        pool = _SentencePool(tokens, 2, 1002)
+        rows = pool.draw(np.random.default_rng(0), 1000)
+        assert len(rows) > 110
+        assert ((rows >= 2) & (rows < 1002)).all()
+        drawn = tokens[rows]
+        assert drawn.sum() >= 1000
+        assert drawn[:-1].sum() < 1000

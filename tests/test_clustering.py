@@ -96,6 +96,17 @@ class TestBisectingKmeans:
         result = bisecting_kmeans(X, k=3, seed=0)
         assert len(set(result.assignment.tolist())) == 3
 
+    def test_clusters_of_identical_points_split_into_nonempty_ones(self):
+        # 2-means always leaves both sides non-empty, so a cluster of one
+        # point repeated splits like any other, at SSE 0
+        X = np.repeat([[0.0, 0.0], [3.0, 1.0]], 4, axis=0)
+        result = bisecting_kmeans(X, k=3, seed=0)
+        assert set(result.assignment.tolist()) == {0, 1, 2}
+        assert result.total_sse == 0.0
+        for cid in range(3):
+            members = X[result.assignment == cid]
+            assert (members == members[0]).all()
+
 
 class TestPca2d:
     def test_collinear_points(self):

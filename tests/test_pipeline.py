@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, traced
 from synthdata import (
     clustering_corpora,
     lm_family_corpus,
@@ -375,6 +375,19 @@ class TestClassifyStage:
         origins = {id(c.origin[0]): c.origin[0] for c in chunks}
         assert len(origins) == 3
         assert sum(len(o.ptr) - 1 for o in origins.values()) == sum(len(c) for c in chunks)
+
+    def test_balanced_chunks_gather_from_the_corpora_as_read(self, tmp_path):
+        # with T three times the others, the peak is T as read beside the
+        # kept rows of all three: about 23 B per token read. A full shuffled
+        # copy of T, or a second copy of the kept chunks, takes it to about 31
+        tokens = 0
+        for variety, size in (("N", 4000), ("NN", 4000), ("T", 12000)):
+            corpus = variety_corpus(variety, size, seed=1)
+            tokens += corpus.token_count
+            write_jsonl(corpus, tmp_path / f"{variety}.jsonl")
+        cfg = load_config(classify_config(tmp_path, tmp_path, chunk_target=200), env={})
+        _, peak, _ = traced(lambda: pipeline_module._balanced_chunks(cfg))
+        assert peak / tokens < 27
 
     def test_too_few_chunks_for_the_folds_is_a_validation_error(
         self, tmp_path, capsys
@@ -1009,6 +1022,19 @@ class TestLmStage:
             "the paired t-test needs at least 2 chunks of 100 sentences"
         ) in err
         assert not (tmp_path / "out" / "lm").exists()
+
+    def test_a_family_short_of_test_sentences_warns_and_runs_scaled_down(self, tmp_path):
+        nn = [
+            lm_family_corpus("NN", "Germanic", 300, seed=41),
+            lm_family_corpus("NN", "Romance", 250, seed=42),
+        ]
+        with pytest.warns(UserWarning, match="NN: only") as caught:
+            assert self._small_run(tmp_path, nn, lm_test_sentences=280) == 0
+        assert [str(w.message) for w in caught if "NN: only" in str(w.message)] == [
+            "Romance NN: only 250 sentences of the requested 280"
+        ]
+        payload = json.loads((tmp_path / "out" / "lm" / "ttest.json").read_text())
+        assert set(payload) == {"GerNN", "RomNN"}
 
     @staticmethod
     def _untag(corpus: Corpus, index: int, position: int) -> tuple[Corpus, str]:
